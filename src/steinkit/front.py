@@ -58,7 +58,7 @@ def parse_event_word(text: str) -> tuple[Event, ...]:
     return tuple(events)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontDiagram:
     """A front in a box with 1-handle attaching balls on the side edges.
 
@@ -67,17 +67,27 @@ class FrontDiagram:
     component id to +1 or -1 (+1 keeps the traced direction, which runs
     rightward at the component's first segment).  coefficients maps a
     component id to a surgery coefficient or the marker STEIN.
+
+    Diagrams are immutable.  Construction validates the word and traces
+    its components exactly once; the trace is kept on the instance (out
+    of equality and repr), and every reader in this module uses it
+    instead of tracing again.
     """
 
     slots: tuple[int, ...]
     events: tuple[Event, ...]
     orientations: dict[int, int] = field(default_factory=dict)
     coefficients: dict[int, object] = field(default_factory=dict)
+    trace: _Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.slots = tuple(self.slots)
-        self.events = tuple(self.events)
-        validate(self)
+        object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "events", tuple(self.events))
+        for h, s in enumerate(self.slots, start=1):
+            if not isinstance(s, int) or s < 0:
+                raise FrontError(f"handle {h} has invalid slot count {s!r}")
+        object.__setattr__(self, "trace", _trace(self.n_strands, self.events))
+        _attach(self, self.orientations, self.coefficients)
 
     @property
     def n_handles(self) -> int:
@@ -91,12 +101,81 @@ class FrontDiagram:
         return self.orientations.get(component, 1)
 
 
-def boundary_counts(d: FrontDiagram) -> list[int]:
-    """Strand count at every column boundary, failing on invalid words."""
-    n = d.n_strands
-    counts = [n]
-    c = n
-    for j, e in enumerate(d.events, start=1):
+def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
+    """Check component data against d's trace and store it on d.
+
+    Only for a diagram that was just constructed and has not been handed
+    out, so that building it with its data costs one trace.
+    """
+    ids = d.trace.ids
+    for cid, o in orientations.items():
+        if cid not in ids:
+            raise FrontError(f"orientation given for unknown component {cid}")
+        if o not in (1, -1):
+            raise FrontError(f"orientation of component {cid} must be +1 or -1, got {o!r}")
+    for cid, c in coefficients.items():
+        if cid not in ids:
+            raise FrontError(f"coefficient given for unknown component {cid}")
+        if c != STEIN and not isinstance(c, ExtRational):
+            raise FrontError(f"coefficient of component {cid} must be a rational or 'stein'")
+    object.__setattr__(d, "orientations", orientations)
+    object.__setattr__(d, "coefficients", coefficients)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# cycle tracing
+
+# Nodes are (boundary, height) pairs; boundary 0 is the left edge and
+# boundary E the right edge.  Each node has one edge on its right and one
+# on its left: flow and crossing edges preserve the traversal direction,
+# a cusp edge joins the two branches of a cusp and reverses it, and the
+# closure edge through a handle identifies (E, k) with (0, k) preserving
+# direction.
+
+
+class _Trace:
+    """The components of a front word as flat per-node arrays.
+
+    Node (t, h) has index offset[t] + h - 1.  comp[i] is its component
+    id; components are numbered 1, 2, ... by their smallest node and
+    traced rightward from it.  fwd[i] is 1 where the traced direction
+    runs rightward through the node and 0 where it runs leftward.
+    counts[t] is the strand count at boundary t.
+    """
+
+    __slots__ = ("counts", "offset", "comp", "fwd", "n_components")
+
+    def __init__(self, counts, offset, comp, fwd, n_components):
+        self.counts = counts
+        self.offset = offset
+        self.comp = comp
+        self.fwd = fwd
+        self.n_components = n_components
+
+    @property
+    def ids(self) -> range:
+        return range(1, self.n_components + 1)
+
+    def at(self, t: int, h: int) -> tuple[int, int]:
+        """Component id and traced direction (+1 rightward, -1 leftward) of node (t, h)."""
+        i = self.offset[t] + h - 1
+        return self.comp[i], 1 if self.fwd[i] else -1
+
+    def has_node(self, t: int, h: int) -> bool:
+        return 0 <= t < len(self.counts) and 1 <= h <= self.counts[t]
+
+    def nodes(self):
+        """((boundary, height), component id) of every node, in node order."""
+        heights = ((t, h) for t, c in enumerate(self.counts) for h in range(1, c + 1))
+        return zip(heights, self.comp)
+
+
+def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
+    """Validate the word's strand counts and trace its components."""
+    counts = [n_strands]
+    c = n_strands
+    for j, e in enumerate(events, start=1):
         if e.kind == "L":
             if not 1 <= e.pos <= c + 1:
                 raise FrontError(f"column {j}: L{e.pos} needs position in 1..{c + 1}")
@@ -109,118 +188,56 @@ def boundary_counts(d: FrontDiagram) -> list[int]:
             if not 1 <= e.pos <= c - 1:
                 raise FrontError(f"column {j}: X{e.pos} needs two strands at {e.pos}, {e.pos + 1}")
         counts.append(c)
-    return counts
+    if c != n_strands:
+        raise FrontError(f"word ends with {c} strands but the edge carries {n_strands}")
 
-
-def validate(d: FrontDiagram):
-    for h, s in enumerate(d.slots, start=1):
-        if not isinstance(s, int) or s < 0:
-            raise FrontError(f"handle {h} has invalid slot count {s!r}")
-    counts = boundary_counts(d)
-    if counts[-1] != d.n_strands:
-        raise FrontError(
-            f"word ends with {counts[-1]} strands but the edge carries {d.n_strands}"
-        )
-    tr = _trace(d)
-    for cid, o in d.orientations.items():
-        if cid not in tr.ids:
-            raise FrontError(f"orientation given for unknown component {cid}")
-        if o not in (1, -1):
-            raise FrontError(f"orientation of component {cid} must be +1 or -1, got {o!r}")
-    for cid, c in d.coefficients.items():
-        if cid not in tr.ids:
-            raise FrontError(f"coefficient given for unknown component {cid}")
-        if c != STEIN and not isinstance(c, ExtRational):
-            raise FrontError(f"coefficient of component {cid} must be a rational or 'stein'")
-
-
-# ---------------------------------------------------------------------------
-# cycle tracing
-
-# Nodes are (boundary, height) pairs; boundary 0 is the left edge and
-# boundary E the right edge.  Each node lies on exactly two edges: flow
-# and crossing edges preserve the traversal direction, a cusp edge joins
-# the two branches of a cusp and reverses it, and the closure edge
-# through a handle identifies (E, k) with (0, k) preserving direction.
-
-
-class _Trace:
-    def __init__(self, counts, comp_of, dirs, ids, nodes_by_comp):
-        self.counts = counts
-        self.comp_of = comp_of
-        self.dirs = dirs
-        self.ids = ids  # sorted component ids, 1..n
-        self.nodes_by_comp = nodes_by_comp
-
-    @property
-    def n_components(self) -> int:
-        return len(self.ids)
-
-
-def _edges(d: FrontDiagram, counts):
-    out = []
-    for j, e in enumerate(d.events, start=1):
-        cin = counts[j - 1]
-        p = e.pos
-        if e.kind == "L":
-            for h in range(1, cin + 1):
-                out.append(((j - 1, h), (j, h if h < p else h + 2), False))
-            out.append(((j, p), (j, p + 1), True))
-        elif e.kind == "R":
-            out.append(((j - 1, p), (j - 1, p + 1), True))
-            for h in range(1, cin + 1):
-                if h not in (p, p + 1):
-                    out.append(((j - 1, h), (j, h if h < p else h - 2), False))
-        else:
-            out.append(((j - 1, p), (j, p + 1), False))
-            out.append(((j - 1, p + 1), (j, p), False))
-            for h in range(1, cin + 1):
-                if h not in (p, p + 1):
-                    out.append(((j - 1, h), (j, h), False))
-    e_idx = len(d.events)
-    for k in range(1, d.n_strands + 1):
-        out.append(((e_idx, k), (0, k), False))
-    return out
-
-
-def _trace(d: FrontDiagram) -> _Trace:
-    counts = boundary_counts(d)
-    adj: dict[tuple[int, int], list] = {}
-    for a, b, flip in _edges(d, counts):
-        adj.setdefault(a, []).append((b, flip))
-        adj.setdefault(b, []).append((a, flip))
-    for node, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise FrontError(f"internal: node {node} has degree {len(nbrs)}")
-
-    comp_of: dict[tuple[int, int], int] = {}
-    dirs: dict[tuple[int, int], int] = {}
-    nodes_by_comp: dict[int, list] = {}
-    next_id = 1
-    for start in sorted(adj):
-        if start in comp_of:
+    offset = [0]
+    for width in counts:
+        offset.append(offset[-1] + width)
+    kinds = [e.kind for e in events]
+    pos = [e.pos for e in events]
+    last = len(events)
+    comp = [0] * offset[-1]
+    fwd = bytearray(offset[-1])
+    n = 0
+    t0 = 0
+    for start in range(offset[-1]):
+        if comp[start]:
             continue
-        cid = next_id
-        next_id += 1
-        comp_of[start] = cid
-        dirs[start] = 1
-        stack = [start]
-        members = [start]
-        while stack:
-            node = stack.pop()
-            for other, flip in adj[node]:
-                dir_other = -dirs[node] if flip else dirs[node]
-                if other in comp_of:
-                    if dirs[other] != dir_other:
-                        raise FrontError(f"internal: direction clash at {other}")
-                    continue
-                comp_of[other] = cid
-                dirs[other] = dir_other
-                stack.append(other)
-                members.append(other)
-        nodes_by_comp[cid] = sorted(members)
-    ids = sorted(nodes_by_comp)
-    return _Trace(counts, comp_of, dirs, ids, nodes_by_comp)
+        while offset[t0 + 1] <= start:
+            t0 += 1
+        n += 1
+        t, h, right, i = t0, start - offset[t0] + 1, True, start
+        while True:
+            comp[i] = n
+            fwd[i] = right
+            if t == (last if right else 0):
+                t = last - t  # closure through the handles
+            else:
+                # the column the strand meets next; moving right through
+                # L or left through R opens two heights at p, the other
+                # way round closes them
+                col = t if right else t - 1
+                k, p = kinds[col], pos[col]
+                if k != "X" and (k == "R") == right and p <= h <= p + 1:
+                    h, right = 2 * p + 1 - h, not right  # around the cusp
+                else:
+                    t += 1 if right else -1
+                    if k == "X":
+                        if p <= h <= p + 1:
+                            h = 2 * p + 1 - h
+                    elif (k == "L") == right:
+                        if h >= p:
+                            h += 2
+                    elif h > p:
+                        h -= 2
+            i = offset[t] + h - 1
+            if comp[i]:
+                # every node lies on one strand, so only the start recurs
+                if i != start or not right:
+                    raise FrontError(f"internal: strand from node {start} closes up wrongly")
+                break
+    return _Trace(counts, offset, comp, bytes(fwd), n)
 
 
 def _handle_of_position(d: FrontDiagram):
@@ -259,18 +276,18 @@ class ComponentStats:
     coefficient: object | None
 
 
-def _crossing_data(d: FrontDiagram, tr: _Trace):
+def _crossing_data(d: FrontDiagram):
     """Per-component writhe and the symmetric table of signed crossing sums."""
+    tr = d.trace
     writhe = {cid: 0 for cid in tr.ids}
     cross = {}
     for j, e in enumerate(d.events, start=1):
         if e.kind != "X":
             continue
-        a = (j - 1, e.pos)
-        b = (j - 1, e.pos + 1)
-        ca, cb = tr.comp_of[a], tr.comp_of[b]
-        da = tr.dirs[a] * d.orientation(ca)
-        db = tr.dirs[b] * d.orientation(cb)
+        ca, da = tr.at(j - 1, e.pos)
+        cb, db = tr.at(j - 1, e.pos + 1)
+        da *= d.orientation(ca)
+        db *= d.orientation(cb)
         # crossings between anti-parallel strands are the positive ones
         sign = 1 if da != db else -1
         if ca == cb:
@@ -282,26 +299,24 @@ def _crossing_data(d: FrontDiagram, tr: _Trace):
 
 
 def component_stats(d: FrontDiagram) -> list[ComponentStats]:
-    tr = _trace(d)
-    writhe, _ = _crossing_data(d, tr)
+    tr = d.trace
+    writhe, _ = _crossing_data(d)
     left = {cid: 0 for cid in tr.ids}
     right = {cid: 0 for cid in tr.ids}
     up = {cid: 0 for cid in tr.ids}
     down = {cid: 0 for cid in tr.ids}
     for j, e in enumerate(d.events, start=1):
         if e.kind == "L":
-            upper = (j, e.pos)
-            cid = tr.comp_of[upper]
+            cid, dr = tr.at(j, e.pos)  # upper branch
             left[cid] += 1
-            if tr.dirs[upper] * d.orientation(cid) == 1:
+            if dr * d.orientation(cid) == 1:
                 up[cid] += 1  # traversal turns upward through a left cusp
             else:
                 down[cid] += 1
         elif e.kind == "R":
-            upper = (j - 1, e.pos)
-            cid = tr.comp_of[upper]
+            cid, dr = tr.at(j - 1, e.pos)  # upper branch
             right[cid] += 1
-            if tr.dirs[upper] * d.orientation(cid) == -1:
+            if dr * d.orientation(cid) == -1:
                 up[cid] += 1
             else:
                 down[cid] += 1
@@ -310,10 +325,9 @@ def component_stats(d: FrontDiagram) -> list[ComponentStats]:
     passes = {cid: [0] * nh for cid in tr.ids}
     owner = _handle_of_position(d)
     for k in range(1, d.n_strands + 1):
-        node = (0, k)
-        cid = tr.comp_of[node]
+        cid, dr = tr.at(0, k)
         h = owner[k]
-        runs[cid][h - 1] += tr.dirs[node] * d.orientation(cid)
+        runs[cid][h - 1] += dr * d.orientation(cid)
         passes[cid][h - 1] += 1
 
     out = []
@@ -344,17 +358,17 @@ def component_stats(d: FrontDiagram) -> list[ComponentStats]:
 
 
 def n_components(d: FrontDiagram) -> int:
-    return _trace(d).n_components
+    return d.trace.n_components
 
 
 def linking_number(d: FrontDiagram, i: int, j: int) -> int:
     """Linking number of two distinct components in the surgered picture's
     ambient manifold (signed crossings halved; handle passes contribute
     nothing beyond the crossings they force)."""
-    tr = _trace(d)
-    if i not in tr.ids or j not in tr.ids or i == j:
+    ids = d.trace.ids
+    if i not in ids or j not in ids or i == j:
         raise FrontError(f"need two distinct components, got {i} and {j}")
-    _, cross = _crossing_data(d, tr)
+    _, cross = _crossing_data(d)
     total = cross.get((min(i, j), max(i, j)), 0)
     if total % 2:
         raise FrontError(f"internal: odd crossing sum between components {i} and {j}")
@@ -376,8 +390,12 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
     Any front drawn in the box satisfies this; a violation means the
     diagram data was assembled inconsistently.
     """
+    return _parity_reports(component_stats(d))
+
+
+def _parity_reports(stats: list[ComponentStats]) -> list[ParityReport]:
     out = []
-    for s in component_stats(d):
+    for s in stats:
         total = sum(s.passes)
         out.append(
             ParityReport(
@@ -395,35 +413,39 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
 # rebuilding moves: shared transfer of component data
 
 
-def _transfer(old: FrontDiagram, old_tr: _Trace, slots, events, node_map) -> FrontDiagram:
+def _transfer(old: FrontDiagram, slots, events, node_map) -> FrontDiagram:
     """Build the rewritten diagram, carrying orientations and coefficients
-    across by following a surviving witness node of every component."""
+    across by following a surviving witness node of every component: its
+    smallest node that node_map sends to a node of the new word."""
+    old_tr = old.trace
     new_d = FrontDiagram(tuple(slots), tuple(events))
-    new_tr = _trace(new_d)
+    new_tr = new_d.trace
     if new_tr.n_components != old_tr.n_components:
         raise FrontError("internal: rewrite changed the component count")
+    witnesses = {}  # old component id -> (witness node, its image)
+    for node, cid in old_tr.nodes():
+        if cid not in witnesses:
+            image = node_map(node)
+            if image is not None and new_tr.has_node(*image):
+                witnesses[cid] = node, image
+                if len(witnesses) == old_tr.n_components:
+                    break
     orientations: dict[int, int] = {}
     coefficients: dict[int, object] = {}
     seen = set()
     for cid in old_tr.ids:
-        witness = None
-        image = None
-        for node in old_tr.nodes_by_comp[cid]:
-            cand = node_map(node)
-            if cand is not None and cand in new_tr.comp_of:
-                witness, image = node, cand
-                break
-        if witness is None:
+        if cid not in witnesses:
             raise FrontError(f"internal: lost track of component {cid}")
-        new_cid = new_tr.comp_of[image]
+        witness, image = witnesses[cid]
+        new_cid, new_dir = new_tr.at(*image)
         if new_cid in seen:
             raise FrontError("internal: two components merged under a rewrite")
         seen.add(new_cid)
-        physical = old.orientation(cid) * old_tr.dirs[witness]
-        orientations[new_cid] = physical * new_tr.dirs[image]
+        physical = old.orientation(cid) * old_tr.at(*witness)[1]
+        orientations[new_cid] = physical * new_dir
         if cid in old.coefficients:
             coefficients[new_cid] = old.coefficients[cid]
-    return FrontDiagram(tuple(slots), tuple(events), orientations, coefficients)
+    return _attach(new_d, orientations, coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +463,17 @@ def stabilize(
     """
     if direction not in ("up", "down"):
         raise FrontError(f"stabilisation direction must be 'up' or 'down', got {direction!r}")
-    tr = _trace(d)
+    tr = d.trace
     if component not in tr.ids:
         raise FrontError(f"no component {component}")
-    boundaries = sorted({t for t, _ in tr.nodes_by_comp[component]})
-    if at_column is None:
-        t = boundaries[0]
-    else:
-        t = at_column
-        if t not in boundaries:
-            raise FrontError(f"component {component} has no strand at column boundary {t}")
-    height = min(i for tt, i in tr.nodes_by_comp[component] if tt == t)
-    eps = tr.dirs[(t, height)] * d.orientation(component)
+    top = next(
+        (node for node, cid in tr.nodes() if cid == component and at_column in (None, node[0])),
+        None,
+    )
+    if top is None:
+        raise FrontError(f"component {component} has no strand at column boundary {at_column}")
+    t, height = top
+    eps = tr.at(t, height)[1] * d.orientation(component)
     # two cusp patterns; which one yields up-cusps depends on the strand
     # direction at the insertion point
     zig = (Event("L", height + 1), Event("R", height))
@@ -467,7 +488,7 @@ def stabilize(
         tt, i = node
         return (tt, i) if tt <= t else (tt + 2, i)
 
-    return _transfer(d, tr, d.slots, events, node_map)
+    return _transfer(d, d.slots, events, node_map)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +527,11 @@ def _wiring(events, n_in, tags):
     return out, frozenset(deaths), cross_multiset
 
 
-def _move1(d: FrontDiagram, at: int) -> tuple[tuple[int, ...], tuple[Event, ...]]:
+def _move1(d: FrontDiagram, at: int):
     if not 1 <= at <= len(d.events) - 1:
         raise FrontError(f"move 1 needs two columns starting at 1..{len(d.events) - 1}")
-    counts = boundary_counts(d)
     a, b = d.events[at - 1], d.events[at]
-    n_in = counts[at - 1]
+    n_in = d.trace.counts[at - 1]
     target = _wiring([a, b], n_in, (0, 1))
     found = []
     for q in (b.pos - 2, b.pos, b.pos + 2):
@@ -528,17 +548,21 @@ def _move1(d: FrontDiagram, at: int) -> tuple[tuple[int, ...], tuple[Event, ...]
     if len(found) > 1:
         raise FrontError(f"move 1 ambiguous at column {at}")
     events = d.events[: at - 1] + tuple(found[0]) + d.events[at + 1 :]
-    return d.slots, events
+
+    def node_map(node):
+        t, i = node
+        return None if t == at else (t, i)
+
+    return d.slots, events, node_map
 
 
 def _move2(d: FrontDiagram, at: int, variant: str):
-    counts = boundary_counts(d)
     e_count = len(d.events)
     if variant in ("birth-above", "birth-below"):
         if not 1 <= at <= e_count:
             raise FrontError(f"no column {at}")
         e = d.events[at - 1]
-        c_in = counts[at - 1]
+        c_in = d.trace.counts[at - 1]
         p = e.pos
         if e.kind == "L":
             if variant == "birth-above":
@@ -628,6 +652,27 @@ def _ball_of_pair(d: FrontDiagram, p: int) -> int:
     return owner[p]
 
 
+def _slide(d: FrontDiagram, from_end: bool, slots):
+    """Carry the last column (from_end) or the first one across the box
+    edge to the other end of the word, with the given new slot counts."""
+    last = len(d.events)
+    if from_end:
+        events = d.events[-1:] + d.events[:-1]
+
+        def node_map(node):
+            t, i = node
+            return (t + 1, i) if t <= last - 1 else None
+
+    else:
+        events = d.events[1:] + d.events[:1]
+
+        def node_map(node):
+            t, i = node
+            return (t - 1, i) if t >= 1 else None
+
+    return tuple(slots), events, node_map
+
+
 def _move4(d: FrontDiagram, at: int, variant: str, handle: int | None):
     e_count = len(d.events)
     if e_count == 0:
@@ -635,66 +680,33 @@ def _move4(d: FrontDiagram, at: int, variant: str, handle: int | None):
     last = e_count
     if variant == "in":
         if at == last and d.events[-1].kind == "L":
-            p = d.events[-1].pos
-            h = _ball_of_pair(d, p)
-            if handle is not None and handle != h:
-                raise FrontError(f"cusp pair sits in ball {h}, not {handle}")
-            slots = list(d.slots)
-            slots[h - 1] -= 2
-            events = (d.events[-1],) + d.events[:-1]
-
-            def node_map(node):
-                t, i = node
-                return (t + 1, i) if t <= last - 1 else None
-
-            return tuple(slots), events, node_map
-        if at == 1 and d.events[0].kind == "R":
-            p = d.events[0].pos
-            h = _ball_of_pair(d, p)
-            if handle is not None and handle != h:
-                raise FrontError(f"cusp pair sits in ball {h}, not {handle}")
-            slots = list(d.slots)
-            slots[h - 1] -= 2
-            events = d.events[1:] + (d.events[0],)
-
-            def node_map(node):
-                t, i = node
-                return (t - 1, i) if t >= 1 else None
-
-            return tuple(slots), events, node_map
-        raise FrontError("move 4 'in' needs a left cusp in the last column or a right cusp in the first")
+            from_end, p = True, d.events[-1].pos
+        elif at == 1 and d.events[0].kind == "R":
+            from_end, p = False, d.events[0].pos
+        else:
+            raise FrontError("move 4 'in' needs a left cusp in the last column or a right cusp in the first")
+        h = _ball_of_pair(d, p)
+        if handle is not None and handle != h:
+            raise FrontError(f"cusp pair sits in ball {h}, not {handle}")
+        slots = list(d.slots)
+        slots[h - 1] -= 2
+        return _slide(d, from_end, slots)
     if variant == "out":
         if handle is None:
             raise FrontError("move 4 'out' needs an explicit handle")
         o = _handle_offset(d, handle)
         s = d.slots[handle - 1]
         if at == 1 and d.events[0].kind == "L":
-            p = d.events[0].pos
-            if not o + 1 <= p <= o + s + 1:
-                raise FrontError(f"cusp at height {p} cannot exit through ball {handle}")
-            slots = list(d.slots)
-            slots[handle - 1] += 2
-            events = d.events[1:] + (d.events[0],)
-
-            def node_map(node):
-                t, i = node
-                return (t - 1, i) if t >= 1 else None
-
-            return tuple(slots), events, node_map
-        if at == last and d.events[-1].kind == "R":
-            p = d.events[-1].pos
-            if not o + 1 <= p <= o + s + 1:
-                raise FrontError(f"cusp at height {p} cannot exit through ball {handle}")
-            slots = list(d.slots)
-            slots[handle - 1] += 2
-            events = (d.events[-1],) + d.events[:-1]
-
-            def node_map(node):
-                t, i = node
-                return (t + 1, i) if t <= last - 1 else None
-
-            return tuple(slots), events, node_map
-        raise FrontError("move 4 'out' needs a left cusp in the first column or a right cusp in the last")
+            from_end, p = False, d.events[0].pos
+        elif at == last and d.events[-1].kind == "R":
+            from_end, p = True, d.events[-1].pos
+        else:
+            raise FrontError("move 4 'out' needs a left cusp in the first column or a right cusp in the last")
+        if not o + 1 <= p <= o + s + 1:
+            raise FrontError(f"cusp at height {p} cannot exit through ball {handle}")
+        slots = list(d.slots)
+        slots[handle - 1] += 2
+        return _slide(d, from_end, slots)
     raise FrontError("move 4 variant must be 'in' or 'out'")
 
 
@@ -703,25 +715,11 @@ def _move5(d: FrontDiagram, at: int):
     if e_count == 0:
         raise FrontError("move 5 needs at least one column")
     if at == e_count and d.events[-1].kind == "X":
-        p = d.events[-1].pos
-        _ball_of_pair(d, p)
-        events = (d.events[-1],) + d.events[:-1]
-
-        def node_map(node):
-            t, i = node
-            return (t + 1, i) if t <= e_count - 1 else None
-
-        return d.slots, events, node_map
+        _ball_of_pair(d, d.events[-1].pos)
+        return _slide(d, True, d.slots)
     if at == 1 and d.events[0].kind == "X":
-        p = d.events[0].pos
-        _ball_of_pair(d, p)
-        events = d.events[1:] + (d.events[0],)
-
-        def node_map(node):
-            t, i = node
-            return (t - 1, i) if t >= 1 else None
-
-        return d.slots, events, node_map
+        _ball_of_pair(d, d.events[0].pos)
+        return _slide(d, False, d.slots)
     raise FrontError("move 5 slides the first or last column, which must be a crossing")
 
 
@@ -775,41 +773,31 @@ def apply_move(
     cusp or crossing through a handle via the box edges.  Move 6 swings
     the top or bottom strand of a ball around it; 'at' is ignored.
     """
-    tr = _trace(d)
     if move == 1:
         if at is None:
             raise FrontError("move 1 needs a column")
-        slots, events = _move1(d, at)
-
-        def node_map(node):
-            t, i = node
-            return None if t == at else (t, i)
-
-        return _transfer(d, tr, slots, events, node_map)
-    if move == 2:
+        rewrite = _move1(d, at)
+    elif move == 2:
         if at is None or variant is None:
             raise FrontError("move 2 needs a column and a variant")
-        slots, events, node_map = _move2(d, at, variant)
-        return _transfer(d, tr, slots, events, node_map)
-    if move == 3:
+        rewrite = _move2(d, at, variant)
+    elif move == 3:
         if at is None:
             raise FrontError("move 3 needs a column")
-        slots, events, node_map = _move3(d, at)
-        return _transfer(d, tr, slots, events, node_map)
-    if move == 4:
+        rewrite = _move3(d, at)
+    elif move == 4:
         if at is None or variant is None:
             raise FrontError("move 4 needs a column and a variant ('in' or 'out')")
-        slots, events, node_map = _move4(d, at, variant, handle)
-        return _transfer(d, tr, slots, events, node_map)
-    if move == 5:
+        rewrite = _move4(d, at, variant, handle)
+    elif move == 5:
         if at is None:
             raise FrontError("move 5 needs a column")
-        slots, events, node_map = _move5(d, at)
-        return _transfer(d, tr, slots, events, node_map)
-    if move == 6:
-        slots, events, node_map = _move6(d, variant if variant else "top", handle)
-        return _transfer(d, tr, slots, events, node_map)
-    raise FrontError(f"there is no move {move}; the catalogue has moves 1..6")
+        rewrite = _move5(d, at)
+    elif move == 6:
+        rewrite = _move6(d, variant if variant else "top", handle)
+    else:
+        raise FrontError(f"there is no move {move}; the catalogue has moves 1..6")
+    return _transfer(d, *rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +812,12 @@ class SteinFormReport:
 
 def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:
     """Surgery coefficient per component, with STEIN resolved to tb - 1."""
+    return _resolved_coefficients(component_stats(d))
+
+
+def _resolved_coefficients(stats: list[ComponentStats]) -> dict[int, ExtRational]:
     out = {}
-    for s in component_stats(d):
+    for s in stats:
         c = s.coefficient
         if c is None:
             raise FrontError(f"component {s.component} has no surgery coefficient")
@@ -836,7 +828,8 @@ def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:
 def check_stein_form(d: FrontDiagram) -> SteinFormReport:
     """Verify that every coefficient is the Stein framing tb - 1."""
     problems = []
-    for s in component_stats(d):
+    stats = component_stats(d)
+    for s in stats:
         c = s.coefficient
         want = s.tb - 1
         if c is None:
@@ -847,7 +840,7 @@ def check_stein_form(d: FrontDiagram) -> SteinFormReport:
             problems.append(
                 f"component {s.component} has coefficient {c}, standard form needs tb - 1 = {want}"
             )
-    for rep in parity_lint(d):
+    for rep in _parity_reports(stats):
         if not rep.ok:
             problems.append(
                 f"component {rep.component} violates the passage parity "
@@ -865,9 +858,8 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     a component once per algebraic run through the handle.
     """
     stats = component_stats(d)
-    coeffs = resolve_coefficients(d)
-    tr = _trace(d)
-    _, cross = _crossing_data(d, tr)
+    coeffs = _resolved_coefficients(stats)
+    _, cross = _crossing_data(d)
     n = len(stats)
     nh = d.n_handles
     m = n + nh
@@ -980,7 +972,7 @@ def parse_front(text: str) -> FrontDiagram:
         if not 1 <= cid <= n:
             raise FrontError(f"line {lineno}: component {cid} out of range 1..{n}")
         coefficients[cid] = val
-    return FrontDiagram(slot_tuple, d.events, orientations, coefficients)
+    return _attach(d, orientations, coefficients)
 
 
 def serialize_front(d: FrontDiagram) -> str:
@@ -1027,5 +1019,4 @@ def random_front(rng, max_handles: int = 2, max_slot: int = 2, max_extra: int = 
         events.append(Event("L", rng.randint(1, c + 1)))
         c += 2
     d = FrontDiagram(slots, tuple(events))
-    orientations = {cid: rng.choice([1, -1]) for cid in _trace(d).ids}
-    return FrontDiagram(slots, tuple(events), orientations)
+    return _attach(d, {cid: rng.choice([1, -1]) for cid in d.trace.ids}, {})

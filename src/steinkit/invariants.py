@@ -17,11 +17,13 @@ from .numerics import (
     ExtRational,
     mat_vec,
     rat,
+    rref_rational,
     signature,
     smith_normal_form,
     solve_gf2_affine,
+    solve_rational,
 )
-from .presentation import SurgeryPresentation, _solve_rational
+from .presentation import SurgeryPresentation
 
 
 class InvariantError(ValueError):
@@ -207,22 +209,7 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
 
 def _kernel_basis(rows, ncols) -> list[list[Fraction]]:
     """Basis of the rational kernel of an integer matrix, by elimination."""
-    aug = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
+    aug, pivots = rref_rational(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -264,7 +251,7 @@ def theta(x: SteinPresentation) -> ExtRational:
     """
     qs = x.q_star()
     c = chern_cocycle(x)
-    y = _solve_rational(qs, c) if qs else []
+    y = solve_rational(qs, c) if qs else []
     if y is None:
         raise InvariantError("theta undefined: c1 has infinite order")
     square = sum(a * b for a, b in zip(y, c))

@@ -285,10 +285,6 @@ class MobiusMap:
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
 
 
-def mobius_apply(m: MobiusMap, r: ExtRational) -> ExtRational:
-    return m.apply(r)
-
-
 # ---------------------------------------------------------------------------
 # continued fractions with all tail terms <= -2
 
@@ -335,42 +331,6 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
             return ContinuedFraction(tuple(terms))
         # r = fl - 1/r' means r' = -1/(r - fl), which lands in (-inf, -1)
         r = -f.reciprocal()
-
-
-# ---------------------------------------------------------------------------
-# integer symmetric matrices
-
-
-@dataclass(frozen=True)
-class IntSymMatrix:
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise NumericsError("IntSymMatrix must be square")
-            for v in row:
-                if not isinstance(v, int):
-                    raise NumericsError(f"matrix entries must be ints, got {v!r}")
-        for i in range(n):
-            for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise NumericsError(f"matrix not symmetric at ({i}, {j})")
-
-    @staticmethod
-    def from_lists(rows) -> "IntSymMatrix":
-        return IntSymMatrix(tuple(tuple(int(v) for v in row) for row in rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +469,50 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over the rationals
+
+
+def rref_rational(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q in the first ncols columns.
+
+    Columns past ncols (an augmented right-hand side) are carried along.
+    Returns the reduced rows as Fractions and the pivot columns in order.
+    """
+    aug = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][col]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    return aug, pivots
+
+
+def solve_rational(matrix, rhs) -> list[Fraction] | None:
+    """Solve a square integer linear system over Q; None if inconsistent.
+
+    Free variables are set to zero.
+    """
+    n = len(matrix)
+    aug, pivots = rref_rational([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in enumerate(pivots):
+        x[col] = aug[row][n]
+    return x
 
 
 # ---------------------------------------------------------------------------

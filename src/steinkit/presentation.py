@@ -21,6 +21,7 @@ from .numerics import (
     parse_rational,
     rat,
     smith_normal_form,
+    solve_rational,
 )
 
 
@@ -130,6 +131,24 @@ class SurgeryPresentation:
         return q
 
 
+def _append_linked_unknot(p: SurgeryPresentation, coeff: ExtRational, i: int) -> int:
+    """Append, in place, an unknot with coefficient coeff linking component
+    i (0-based) once; returns the new component's index.  The caller
+    revalidates by building a fresh presentation."""
+    p.coeffs.append(coeff)
+    p.unknot.append(True)
+    p.l0.append(False)
+    p.rot.append(None)
+    p.tb.append(None)
+    for row in p.lk:
+        row.append(0)
+    new_row = [0] * p.m
+    new_row[i] = 1
+    p.lk.append(new_row)
+    p.lk[i][p.m - 1] = 1
+    return p.m - 1
+
+
 def _check_index(p: SurgeryPresentation, i: int) -> int:
     if not 1 <= i <= p.m:
         raise PresentationError(f"component index {i} out of range 1..{p.m}")
@@ -198,35 +217,6 @@ def h1(p: SurgeryPresentation) -> AbelianGroup:
 # linking form
 
 
-def _solve_rational(matrix, rhs) -> list[Fraction] | None:
-    """Solve an integer linear system over the rationals; None if inconsistent."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    ncols = n
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][ncols]
-    return x
-
-
 def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
@@ -238,8 +228,8 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     m = p.m
     if len(x) != m or len(y) != m:
         raise PresentationError("class vectors must have one entry per component")
-    zy = _solve_rational(q, list(y))
-    zx = _solve_rational(q, list(x))
+    zy = solve_rational(q, list(y))
+    zx = solve_rational(q, list(x))
     if zy is None or zx is None:
         raise PresentationError("linking form undefined: class is not torsion")
     total = -sum(Fraction(a) * b for a, b in zip(x, zy))
@@ -275,18 +265,7 @@ def expand_rational(p: SurgeryPresentation) -> SurgeryPresentation:
     for source, tail in chains:
         prev = source
         for a in tail:
-            out.coeffs.append(rat(a))
-            out.unknot.append(True)
-            out.l0.append(False)
-            out.rot.append(None)
-            out.tb.append(None)
-            for row in out.lk:
-                row.append(0)
-            new_row = [0] * len(out.coeffs)
-            new_row[prev] = 1
-            out.lk.append(new_row)
-            out.lk[prev][len(out.coeffs) - 1] = 1
-            prev = len(out.coeffs) - 1
+            prev = _append_linked_unknot(out, rat(a), prev)
     return SurgeryPresentation(
         coeffs=out.coeffs, lk=out.lk, unknot=out.unknot, l0=out.l0, rot=out.rot, tb=out.tb
     )
@@ -394,17 +373,7 @@ def slam_dunk_inverse(p: SurgeryPresentation, i: int, meridian_coeff: ExtRationa
         out.l0[idx] = False
     out.rot[idx] = None
     out.tb[idx] = None
-    out.coeffs.append(c)
-    out.unknot.append(True)
-    out.l0.append(False)
-    out.rot.append(None)
-    out.tb.append(None)
-    for row in out.lk:
-        row.append(0)
-    new_row = [0] * len(out.coeffs)
-    new_row[idx] = 1
-    out.lk.append(new_row)
-    out.lk[idx][len(out.coeffs) - 1] = 1
+    _append_linked_unknot(out, c, idx)
     return SurgeryPresentation(
         coeffs=out.coeffs, lk=out.lk, unknot=out.unknot, l0=out.l0, rot=out.rot, tb=out.tb
     )

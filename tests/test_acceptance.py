@@ -28,7 +28,6 @@ from steinkit.front import (
     parse_event_word,
     random_front,
 )
-from steinkit.front import _trace
 from steinkit.invariants import (
     SpinStructure,
     SteinPresentation,
@@ -130,9 +129,8 @@ def test_a03_moves_preserve_classical_invariants():
             continue
         offset = sum(d.slots[: handle - 1])
         pos = offset + 1 if variant == "top" else offset + d.slots[handle - 1]
-        tr = _trace(d)
-        swung = tr.comp_of[(0, pos)]
-        eps = tr.dirs[(0, pos)] * d.orientation(swung)
+        swung, direction = d.trace.at(0, pos)
+        eps = direction * d.orientation(swung)
         old = {s.component: s for s in component_stats(d)}
         predicted = sorted(
             (s.tb - (2 * eps * s.runs[handle - 1] if cid == swung else 0), s.rot)

@@ -24,8 +24,15 @@ from steinkit.front import (
     stabilize,
     surger_handles,
 )
-from steinkit.front import _trace
+from steinkit import front as front_module
+from steinkit.invariants import (
+    InvariantError,
+    SteinPresentation,
+    characteristic_sublinks,
+    theta,
+)
 from steinkit.numerics import rat
+from steinkit.presentation import h1
 
 
 def front(slots, word, orientations=None, coefficients=None):
@@ -146,6 +153,138 @@ def test_parse_event_word_rejects_garbage():
         parse_event_word("L1 Q2")
     with pytest.raises(FrontError):
         parse_event_word("LX")
+
+
+# ---------------------------------------------------------------------------
+# tracing: the strand walk against a graph search, and one trace per
+# diagram
+
+
+def reference_trace(d):
+    """Component id and direction of every node, by depth-first search of
+    the node graph built edge by edge: the reference for front._trace."""
+    counts = [d.n_strands]
+    for e in d.events:
+        counts.append(counts[-1] + {"L": 2, "R": -2, "X": 0}[e.kind])
+    edges = []
+    for j, e in enumerate(d.events, start=1):
+        cin = counts[j - 1]
+        p = e.pos
+        if e.kind == "L":
+            for h in range(1, cin + 1):
+                edges.append(((j - 1, h), (j, h if h < p else h + 2), False))
+            edges.append(((j, p), (j, p + 1), True))
+        elif e.kind == "R":
+            edges.append(((j - 1, p), (j - 1, p + 1), True))
+            for h in range(1, cin + 1):
+                if h not in (p, p + 1):
+                    edges.append(((j - 1, h), (j, h if h < p else h - 2), False))
+        else:
+            edges.append(((j - 1, p), (j, p + 1), False))
+            edges.append(((j - 1, p + 1), (j, p), False))
+            for h in range(1, cin + 1):
+                if h not in (p, p + 1):
+                    edges.append(((j - 1, h), (j, h), False))
+    for k in range(1, d.n_strands + 1):
+        edges.append(((len(d.events), k), (0, k), False))
+
+    adj = {}
+    for a, b, flip in edges:
+        adj.setdefault(a, []).append((b, flip))
+        adj.setdefault(b, []).append((a, flip))
+    assert all(len(nbrs) == 2 for nbrs in adj.values())
+    comp_of, dirs = {}, {}
+    n = 0
+    for start in sorted(adj):
+        if start in comp_of:
+            continue
+        n += 1
+        comp_of[start], dirs[start] = n, 1
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for other, flip in adj[node]:
+                dir_other = -dirs[node] if flip else dirs[node]
+                if other in comp_of:
+                    assert dirs[other] == dir_other
+                    continue
+                comp_of[other], dirs[other] = n, dir_other
+                stack.append(other)
+    return {node: (comp_of[node], dirs[node]) for node in comp_of}, n
+
+
+def assert_reference_trace(d):
+    want, n = reference_trace(d)
+    assert d.trace.n_components == n
+    assert {node: d.trace.at(*node) for node, _ in d.trace.nodes()} == want
+
+
+def crossing_heavy_front(rng, length):
+    """A word of about `length` events, mostly crossings, over at most
+    a dozen strands."""
+    slots = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+    n = c = sum(slots)
+    events = []
+    for _ in range(length):
+        kind = "L" if c < 2 else rng.choice("LRXXXXXXXX" if c < 12 else "RXXXXXXXXX")
+        events.append(Event(kind, rng.randint(1, c + 1 if kind == "L" else c - 1)))
+        c += {"L": 2, "R": -2, "X": 0}[kind]
+    while c > n:
+        events.append(Event("R", rng.randint(1, c - 1)))
+        c -= 2
+    while c < n:
+        events.append(Event("L", rng.randint(1, c + 1)))
+        c += 2
+    return FrontDiagram(slots, tuple(events))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_trace_matches_reference_on_random_fronts(seed):
+    rng = random.Random(seed)
+    assert_reference_trace(random_front(rng, max_handles=3, max_slot=3, max_extra=16))
+
+
+@given(st.integers(0, 10_000), st.integers(200, 400))
+@settings(max_examples=20, deadline=None)
+def test_trace_matches_reference_on_long_words(seed, length):
+    d = crossing_heavy_front(random.Random(seed), length)
+    assert sum(e.kind == "X" for e in d.events) > len(d.events) // 2
+    assert_reference_trace(d)
+
+
+def test_each_diagram_is_traced_once(monkeypatch):
+    calls = []
+    real = front_module._trace
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(front_module, "_trace", counting)
+
+    def traces(fn, *args, **kwargs):
+        calls.clear()
+        result = fn(*args, **kwargs)
+        return len(calls), result
+
+    text = "front 1\nhandles 1\nhandle 1 slots 1\nevents L2 X1 R2\norient 1 -\ncoeff 1 stein\n"
+    n, d = traces(parse_front, text)
+    assert n == 1
+    n, _ = traces(front, (), TREFOIL, {1: -1}, {1: STEIN})
+    assert n == 1
+    n, moved = traces(apply_move, d, 2, at=1, variant="birth-above")
+    assert n == 1 and len(moved.events) == 5
+    n, swung = traces(apply_move, d, 6, variant="bottom", handle=1)
+    assert n == 1 and swung.coefficients == {1: STEIN}
+    n, _ = traces(stabilize, d, 1, "down")
+    assert n == 1
+    n, _ = traces(random_front, random.Random(5))
+    assert n == 1
+    for reader in (component_stats, n_components, serialize_front, surger_handles,
+                   parity_lint, check_stein_form, resolve_coefficients):
+        n, _ = traces(reader, d)
+        assert n == 0, reader.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +498,8 @@ def test_isotopy_moves_preserve_invariants(seed):
         variant, handle = detail
         o = sum(d.slots[: handle - 1])
         pi = o + 1 if variant == "top" else o + d.slots[handle - 1]
-        tr = _trace(d)
-        swung = tr.comp_of[(0, pi)]
-        eps = tr.dirs[(0, pi)] * d.orientation(swung)
+        swung, direction = d.trace.at(0, pi)
+        eps = direction * d.orientation(swung)
         old = {s.component: s for s in component_stats(d)}
         pred = sorted(
             (
@@ -388,6 +526,32 @@ def test_isotopy_moves_preserve_invariants(seed):
             linking_number(nd, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
         )
         assert old_lk == new_lk
+
+
+def surgered_profile(d):
+    p = surger_handles(d)
+    x = SteinPresentation.from_presentation(p)
+    try:
+        th = theta(x)
+    except InvariantError:
+        th = None
+    return h1(p), th, len(characteristic_sublinks(x))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_moves_preserve_surgered_invariants(seed):
+    # with every coefficient at the Stein framing, moves 1-6 leave the
+    # surgered manifold's homology, theta and spin structures alone
+    rng = random.Random(seed)
+    d = random_front(rng)
+    d = FrontDiagram(d.slots, d.events, d.orientations, {c: STEIN for c in d.trace.ids})
+    want = surgered_profile(d)
+    for _ in range(6):
+        res = try_random_move(rng, d)
+        if res is not None:
+            d = res[2]
+            assert surgered_profile(d) == want, res[:2]
 
 
 @given(st.integers(0, 10_000))

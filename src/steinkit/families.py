@@ -162,7 +162,7 @@ def _hinge(r1p: ExtRational) -> ExtRational:
 
 
 def _check_slope(r: ExtRational, name: str):
-    if not (r.is_infinite or r < MINUS_ONE):
+    if not _slope_less(r, MINUS_ONE):
         raise FamilyError(f"{name} must lie in [-inf, -1), got {r}")
 
 
@@ -171,9 +171,16 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
 
     Enumerates determinant-one slope maps A with every entry bounded by
     search_bound, keeps those sending the hinge s into (-1,0] and r2p
-    into [-inf,-1), and maximizes the resulting integer (ties keep the
-    lexicographically first witness).  The sentinel short-circuit fires
-    when s equals r2p.
+    into [-inf,-1), and maximizes the resulting integer.  The sentinel
+    short-circuit fires when s equals r2p.
+
+    The rows (a, b) run in lexicographic order and each gives at most one
+    candidate, the unique (c, d) with ad - bc = 1 that sends s into
+    (-1, 0], so keeping the first strictly better candidate is the same
+    as breaking ties by the lexicographically first witness.  No
+    candidate beats an infinite bound, so the search stops at the first
+    one.  The loop runs on plain ints; only the witness becomes a
+    MobiusMap, and _check_witness re-derives its bound exactly.
     """
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
@@ -183,83 +190,76 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     if s == r2p:
         return NFunctionResult(kind="sentinel")
 
-    best: tuple[int, int] | None = None  # (finite value) ordering helper
+    sn, sd = s.num, s.den  # s is finite
+    pn, pd = r2p.num, r2p.den  # infinity is 1/0
+    best_value: int | None = None
     best_infinite = False
-    best_witness: MobiusMap | None = None
-    best_key: tuple[int, int, int, int] | None = None
+    best_row: tuple[int, int, int, int] | None = None
 
     for a in range(0, search_bound + 1):
         b_range = (1,) if a == 0 else range(-search_bound, search_bound + 1)
         for b in b_range:
             if gcd(a, b) != 1:
                 continue
-            g, x, y = _ext_gcd(a, b)
-            # a*d0 - b*c0 = 1
-            d0, c0 = x, -y
-            base = MobiusMap(a, b, c0, d0)
-            vs = base.apply(s)
-            if vs.is_infinite:
+            # A = [a b; c d] sends s to (c sd + d sn) / vd; any solution of
+            # ad - bc = 1 differs from the one below by a multiple of (a, b)
+            vd = a * sd + b * sn
+            if vd == 0:
                 continue
-            k = _floor(-vs)
-            c, d = c0 + k * a, d0 + k * b
-            if max(abs(a), abs(b), abs(c), abs(d)) > search_bound:
+            _, x, y = _ext_gcd(a, b)
+            vn = -y * sd + x * sn
+            if vd < 0:
+                vn, vd = -vn, -vd
+            k = -vn // vd  # floor(-vs): the shift that puts A s in (-1, 0]
+            c, d = k * a - y, k * b + x
+            if abs(c) > search_bound or abs(d) > search_bound:
                 continue
-            cand = MobiusMap(a, b, c, d)
-            v2 = cand.apply(r2p)
-            if not (v2.is_infinite or v2 < MINUS_ONE):
+            # A r2p = w2n / w2d must lie in [-inf, -1)
+            w2n, w2d = c * pd + d * pn, a * pd + b * pn
+            if w2d != 0 and (w2n + w2d) * w2d >= 0:
                 continue
-            a0 = ExtRational(c, a)
-            if a0.is_infinite or a0 >= ZERO:
-                t = ZERO
-            elif a0 >= MINUS_ONE:
-                t = (vs + rat(k)).reciprocal()
+            # split on a0 = c/a: t = 0 on [0, inf], 1/(A s) on [-1, 0), else A r2p
+            if c >= 0 or a == 0:
+                t_num, t_den = 0, 1
+            elif c >= -a:
+                t_num, t_den = vd, vn + k * vd  # t = 1 / (A s)
             else:
-                t = v2
-            big = max(abs(a), abs(c))
-            small = min(abs(a), abs(c))
-            if t.is_infinite:
-                infinite = small >= 1
-                value = None if infinite else -big
+                t_num, t_den = w2n, w2d  # t = A r2p
+            big, small = max(a, abs(c)), min(a, abs(c))
+            if t_den == 0:
+                if small >= 1:
+                    best_infinite, best_value, best_row = True, None, (a, b, c, d)
+                    break
+                value = -big
             else:
-                infinite = False
-                value = -small * (_floor(t) + 1) - big
-            key = (cand.a, cand.b, cand.c, cand.d)
-            better = False
-            if infinite and not best_infinite:
-                better = True
-            elif infinite == best_infinite:
-                if not infinite:
-                    if best is None or (value is not None and value > best[0]):
-                        better = True
-                    elif value is not None and value == best[0] and key < best_key:
-                        better = True
-                elif key < best_key:
-                    better = True
-            if better:
-                best = None if value is None else (value, 0)
-                best_infinite = infinite
-                best_witness = cand
-                best_key = key
-    if best_witness is None:
+                value = -small * (t_num // t_den + 1) - big
+            if best_value is None or value > best_value:
+                best_value, best_row = value, (a, b, c, d)
+        if best_infinite:
+            break
+    if best_row is None:
         return NFunctionResult(kind="bound")
     out = NFunctionResult(
-        kind="bound",
-        value=None if best_infinite else best[0],
-        infinite=best_infinite,
-        witness=best_witness,
+        kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
     )
     _check_witness(out, s, r2p)
     return out
 
 
 def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
-    # guards the search invariants: the witness must still satisfy the
-    # interval constraints and reproduce the reported bound
+    """Re-derive the reported bound from the witness alone.
+
+    This runs on ExtRational arithmetic, independently of the integer
+    search, and raises an internal error on any disagreement.  The
+    checks are explicit so that python -O keeps them.
+    """
     w = res.witness
     ws = w.apply(s)
-    assert not ws.is_infinite and MINUS_ONE < ws <= ZERO
+    if ws.is_infinite or not MINUS_ONE < ws <= ZERO:
+        raise FamilyError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
     w2 = w.apply(r2p)
-    assert w2.is_infinite or w2 < MINUS_ONE
+    if not _slope_less(w2, MINUS_ONE):
+        raise FamilyError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
     a0 = ExtRational(w.c, w.a)
     if a0.is_infinite or a0 >= ZERO:
         t = ZERO
@@ -269,11 +269,15 @@ def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
         t = w2
     big, small = max(abs(w.a), abs(w.c)), min(abs(w.a), abs(w.c))
     if t.is_infinite:
-        assert res.infinite == (small >= 1)
-        assert res.infinite or res.value == -big
+        infinite = small >= 1
+        value = None if infinite else -big
     else:
-        assert not res.infinite
-        assert res.value == -small * (_floor(t) + 1) - big
+        infinite, value = False, -small * (_floor(t) + 1) - big
+    if (res.infinite, res.value) != (infinite, value):
+        raise FamilyError(
+            f"internal: witness {w} certifies value={value} infinite={infinite}, "
+            f"the search reported value={res.value} infinite={res.infinite}"
+        )
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,8 @@ def brieskorn(p1: int, p2: int, p3: int, orientation: int = 1) -> SeifertData:
     g, x, _ = _ext_gcd(p1 * p3 % p2, p2)
     q2 = orientation * x % p2 - p2
     q3, rem = divmod(orientation - q1 * p2 * p3 - p1 * q2 * p3, p1 * p2)
-    assert rem == 0
+    if rem:
+        raise FamilyError(f"internal: no integer q3 solves the orientation equation for {ps}")
     return SeifertData(
         orientable=True,
         genus=0,

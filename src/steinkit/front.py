@@ -528,6 +528,8 @@ def _wiring(events, n_in, tags):
 
 
 def _move1(d: FrontDiagram, at: int):
+    if len(d.events) < 2:
+        raise FrontError("move 1 needs at least two columns")
     if not 1 <= at <= len(d.events) - 1:
         raise FrontError(f"move 1 needs two columns starting at 1..{len(d.events) - 1}")
     a, b = d.events[at - 1], d.events[at]
@@ -597,17 +599,16 @@ def _move2(d: FrontDiagram, at: int, variant: str):
             raise FrontError(f"move 2 needs three columns starting at {at}")
         w = d.events[at - 1 : at + 2]
         shift = 1 if variant == "death-above" else -1
-        first = w[0]
-        if first.kind == "L":
-            b = first.pos
+        kind, b = w[0].kind, w[0].pos
+        # death-below from the top strand would land at position 0
+        if kind not in ("L", "X") or b + shift < 1:
+            raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
+        if kind == "L":
             expect = (Event("L", b), Event("X", b + shift), Event("X", b))
             replacement = Event("L", b + shift)
-        elif first.kind == "X":
-            b = first.pos
+        else:
             expect = (Event("X", b), Event("X", b + shift), Event("R", b))
             replacement = Event("R", b + shift)
-        else:
-            raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
         if tuple(w) != expect:
             raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
         events = d.events[: at - 1] + (replacement,) + d.events[at + 2 :]

@@ -1,16 +1,32 @@
 """Tests for the family deciders: Seifert, Brieskorn, Borromean."""
 
-from itertools import product
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from itertools import permutations, product
 from math import gcd
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steinkit import families
 from steinkit.families import (
+    MINUS_ONE,
+    ZERO,
     BorromeanCoeffs,
     FamilyError,
+    NFunctionResult,
     SeifertData,
+    _check_slope,
+    _check_witness,
+    _ext_gcd,
+    _floor,
+    _hinge,
     borromean_membership,
     borromean_presentation,
     brieskorn,
@@ -22,7 +38,7 @@ from steinkit.families import (
     twist_knot_surgery,
     two_component_surgery,
 )
-from steinkit.numerics import INF, rat
+from steinkit.numerics import INF, ExtRational, MobiusMap, rat
 from steinkit.presentation import SurgeryPresentation, cokernel, h1
 
 
@@ -175,6 +191,220 @@ def test_pair_function_monotone_in_bound(r1p, r2p):
         return
     if lo.value is not None:
         assert hi.infinite or (hi.value is not None and hi.value >= lo.value)
+
+
+# ---------------------------------------------------------------------------
+# the integer search against the object-based reference
+
+
+def _reference_n_function(r1p, r2p, search_bound=100):
+    """The object-based search that n_function replaced, kept as its oracle."""
+    _check_slope(r1p, "first coefficient")
+    _check_slope(r2p, "second coefficient")
+    if search_bound < 1:
+        raise FamilyError(f"search bound must be positive, got {search_bound}")
+    s = _hinge(r1p)
+    if s == r2p:
+        return NFunctionResult(kind="sentinel")
+
+    best: tuple[int, int] | None = None  # (finite value) ordering helper
+    best_infinite = False
+    best_witness: MobiusMap | None = None
+    best_key: tuple[int, int, int, int] | None = None
+
+    for a in range(0, search_bound + 1):
+        b_range = (1,) if a == 0 else range(-search_bound, search_bound + 1)
+        for b in b_range:
+            if gcd(a, b) != 1:
+                continue
+            g, x, y = _ext_gcd(a, b)
+            # a*d0 - b*c0 = 1
+            d0, c0 = x, -y
+            base = MobiusMap(a, b, c0, d0)
+            vs = base.apply(s)
+            if vs.is_infinite:
+                continue
+            k = _floor(-vs)
+            c, d = c0 + k * a, d0 + k * b
+            if max(abs(a), abs(b), abs(c), abs(d)) > search_bound:
+                continue
+            cand = MobiusMap(a, b, c, d)
+            v2 = cand.apply(r2p)
+            if not (v2.is_infinite or v2 < MINUS_ONE):
+                continue
+            a0 = ExtRational(c, a)
+            if a0.is_infinite or a0 >= ZERO:
+                t = ZERO
+            elif a0 >= MINUS_ONE:
+                t = (vs + rat(k)).reciprocal()
+            else:
+                t = v2
+            big = max(abs(a), abs(c))
+            small = min(abs(a), abs(c))
+            if t.is_infinite:
+                infinite = small >= 1
+                value = None if infinite else -big
+            else:
+                infinite = False
+                value = -small * (_floor(t) + 1) - big
+            key = (cand.a, cand.b, cand.c, cand.d)
+            better = False
+            if infinite and not best_infinite:
+                better = True
+            elif infinite == best_infinite:
+                if not infinite:
+                    if best is None or (value is not None and value > best[0]):
+                        better = True
+                    elif value is not None and value == best[0] and key < best_key:
+                        better = True
+                elif key < best_key:
+                    better = True
+            if better:
+                best = None if value is None else (value, 0)
+                best_infinite = infinite
+                best_witness = cand
+                best_key = key
+    if best_witness is None:
+        return NFunctionResult(kind="bound")
+    out = NFunctionResult(
+        kind="bound",
+        value=None if best_infinite else best[0],
+        infinite=best_infinite,
+        witness=best_witness,
+    )
+    _check_witness(out, s, r2p)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FamilyError as e:
+        return ("error", str(e))
+
+
+# INF, integer and fractional slopes, some in (-2, -1) where infinite
+# bounds live, and some at or above -1 so errors are compared too
+any_slope = st.one_of(
+    st.just(INF),
+    st.integers(min_value=-12, max_value=-2).map(rat),
+    st.integers(min_value=2, max_value=9).flatmap(
+        lambda q: st.integers(min_value=q + 1, max_value=2 * q - 1).map(lambda p: rat(-p, q))
+    ),
+    st.tuples(
+        st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=40)
+    ).map(lambda t: rat(-t[0] - t[1], t[0])),
+    st.tuples(
+        st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+    ).map(lambda t: rat(t[0], t[1])),
+)
+
+
+@given(any_slope, any_slope, st.integers(min_value=0, max_value=60))
+@example(rat(-2), rat(-3, 2), 10)  # infinite bound
+@example(rat(-2), rat(-2), 5)  # sentinel
+@example(INF, INF, 60)
+@example(rat(-2), rat(-3), 0)  # bad search bound
+@settings(max_examples=60, deadline=None)
+def test_pair_function_matches_reference(r1p, r2p, bound):
+    assert _outcome(n_function, r1p, r2p, bound) == _outcome(
+        _reference_n_function, r1p, r2p, bound
+    )
+
+
+@pytest.mark.parametrize("bound", [50, 100])
+def test_pair_function_open_case_matches_reference(bound):
+    rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
+    for i, j in permutations(range(3), 2):
+        assert n_function(rp[i], rp[j], bound) == _reference_n_function(rp[i], rp[j], bound)
+
+
+@st.composite
+def sphere_e0_minus_one(draw):
+    """Sphere-base data with e0 = -1, so the decider reaches its later rules."""
+    k = draw(st.integers(min_value=3, max_value=4))
+    floors = [draw(st.integers(min_value=-1, max_value=1)) for _ in range(k - 1)]
+    floors.append(-1 - sum(floors))
+    coeffs = []
+    for f in floors:
+        p = draw(st.integers(min_value=2, max_value=9))
+        q = draw(st.integers(min_value=1, max_value=p - 1).filter(lambda q: gcd(p, q) == 1))
+        coeffs.append(-(rat(f) + rat(q, p)).reciprocal())
+    return SeifertData(orientable=True, genus=0, coefficients=coeffs)
+
+
+@given(sphere_e0_minus_one(), st.integers(min_value=1, max_value=15))
+@settings(max_examples=40, deadline=None)
+def test_decide_seifert_same_with_reference(sd, bound):
+    fast = decide_seifert(sd, bound)
+    with patch.object(families, "n_function", _reference_n_function):
+        assert decide_seifert(sd, bound) == fast
+
+
+def test_pair_function_builds_constant_objects(monkeypatch):
+    counts = Counter()
+    for cls in (families.MobiusMap, families.ExtRational):
+        real = cls.__post_init__
+
+        def counting(obj, real=real, name=cls.__name__):
+            counts[name] += 1
+            real(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
+    for i, j in permutations(range(3), 2):
+        seen = []
+        for bound in (50, 100):
+            counts.clear()
+            res = n_function(rp[i], rp[j], bound)
+            assert res.witness is not None
+            # the witness plus what _check_witness builds, whatever the bound
+            assert counts["MobiusMap"] == 1
+            assert counts["ExtRational"] <= 16
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
+
+def test_check_witness_rejects_corrupted_results():
+    for r1p, r2p in [(rat(-2), rat(-7, 2)), (rat(-2), rat(-3, 2))]:
+        s = _hinge(r1p)
+        res = n_function(r1p, r2p, 30)
+        _check_witness(res, s, r2p)
+        if res.infinite:
+            bad = [replace(res, infinite=False, value=-3)]
+        else:
+            bad = [replace(res, value=res.value - 1), replace(res, value=res.value + 1),
+                   replace(res, infinite=True, value=None)]
+        bad.append(replace(res, witness=MobiusMap(1, 0, 0, 1)))  # sends s to s <= -1
+        for b in bad:
+            with pytest.raises(FamilyError, match="internal"):
+                _check_witness(b, s, r2p)
+
+
+def test_certificate_checks_survive_optimize_flag():
+    code = (
+        "from dataclasses import replace\n"
+        "from steinkit.families import FamilyError, _check_witness, _hinge, n_function\n"
+        "from steinkit.numerics import rat\n"
+        "res = n_function(rat(-2), rat(-7, 2), 30)\n"
+        "try:\n"
+        "    _check_witness(replace(res, value=res.value - 1), _hinge(rat(-2)), rat(-7, 2))\n"
+        "except FamilyError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(families.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("internal: witness")
+
+
+def test_brieskorn_checks_its_solution(monkeypatch):
+    # a wrong inverse leaves no integer q3: internal error, not a silent answer
+    monkeypatch.setattr(families, "_ext_gcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(FamilyError, match="internal"):
+        brieskorn(2, 3, 5, -1)
 
 
 # ---------------------------------------------------------------------------

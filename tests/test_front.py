@@ -345,6 +345,12 @@ def test_move1_rejects_interacting_columns():
         apply_move(front((), "L1 R1"), 1, at=1)
 
 
+def test_move1_needs_two_columns():
+    for slots, word in [((), ""), ((2,), "X1")]:
+        with pytest.raises(FrontError, match="move 1 needs at least two columns"):
+            apply_move(front(slots, word), 1, at=1)
+
+
 def test_move2_birth_death_round_trip():
     d = front((), TREFOIL)
     for at, variant, inverse in [
@@ -369,6 +375,13 @@ def test_move2_needs_room():
         apply_move(d, 2, at=1, variant="birth-above")
     with pytest.raises(FrontError, match="below"):
         apply_move(d, 2, at=1, variant="birth-below")
+
+
+def test_move2_death_below_at_top_strand():
+    # the pattern would need an event at position 0
+    for word, at in [("L1 R1 L1 R1", 1), ("L1 L1 X1 X2 R1 R1", 3)]:
+        with pytest.raises(FrontError, match=f"columns {at}..{at + 2} do not match"):
+            apply_move(front((), word), 2, at=at, variant="death-below")
 
 
 def test_move3_triple_point():

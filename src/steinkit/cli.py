@@ -41,7 +41,7 @@ from .invariants import (
     theta,
     theta_f0_and_d,
 )
-from .numerics import parse_rational
+from .numerics import parse_int, parse_rational
 from .presentation import (
     blow_down,
     expand_rational,
@@ -207,7 +207,7 @@ def cmd_gamma(args) -> list[str]:
         members = set()
         for token in args.sublink.split():
             try:
-                members.add(int(token))
+                members.add(parse_int(token))
             except ValueError as exc:
                 raise UsageError(f"bad sublink member {token!r}") from exc
         size = x.m + x.n1
@@ -264,8 +264,12 @@ def _decision_lines(data: SeifertData, search_bound: int) -> list[str]:
 
 
 def _parse_base(text: str):
-    if len(text) >= 2 and text[0] in ("o", "n") and text[1:].isdigit():
-        return text[0] == "o", int(text[1:])
+    kind, genus = text[:1], text[1:]
+    if kind in ("o", "n") and not genus.startswith("-"):
+        try:
+            return kind == "o", parse_int(genus)
+        except ValueError:
+            pass
     raise UsageError(f"base must look like o0 or n2, got {text!r}")
 
 
@@ -322,9 +326,17 @@ def cmd_borromean(args) -> list[str]:
 
 def _int(text: str) -> int:
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError as exc:
         raise UsageError(f"expected an integer, got {text!r}") from exc
+
+
+def _arg_int(text: str) -> int:
+    """argparse type for integer arguments, with argparse's own message."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("move", cmd_move, help="apply one of the local moves 1-6")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_arg_int)
     p.add_argument("file")
-    p.add_argument("--at", type=int, default=None)
+    p.add_argument("--at", type=_arg_int, default=None)
     p.add_argument("--variant", default=None)
-    p.add_argument("--handle", type=int, default=None)
+    p.add_argument("--handle", type=_arg_int, default=None)
 
     p = add("stabilize", cmd_stabilize, help="insert a zig-zag on a component")
-    p.add_argument("component", type=int)
+    p.add_argument("component", type=_arg_int)
     p.add_argument("direction", choices=("up", "down"))
     p.add_argument("file")
-    p.add_argument("--at", type=int, default=None)
+    p.add_argument("--at", type=_arg_int, default=None)
 
     p = add("h1", cmd_h1, help="first homology of the presented manifold")
     p.add_argument("file")
@@ -372,18 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("twist", cmd_twist, help="Rolfsen twist on an unknotted component")
-    p.add_argument("i", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("i", type=_arg_int)
+    p.add_argument("m", type=_arg_int)
     p.add_argument("file")
 
     p = add("dunk", cmd_dunk, help="slam-dunk a meridian, or --inverse to grow one")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int, nargs="?", default=None)
+    p.add_argument("i", type=_arg_int)
+    p.add_argument("j", type=_arg_int, nargs="?", default=None)
     p.add_argument("file")
     p.add_argument("--inverse", default=None, metavar="COEFF")
 
     p = add("blowdown", cmd_blowdown, help="blow down a (+/-)1-framed unknot")
-    p.add_argument("i", type=int)
+    p.add_argument("i", type=_arg_int)
     p.add_argument("file")
 
     p = add("plan", cmd_plan, help="Stein realization plan (needs tb data)")
@@ -399,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("seifert", cmd_seifert, help="Seifert fibered realizability decider")
     p.add_argument("--base", default="o0")
     p.add_argument("--coeff", action="append", default=[], metavar="P/Q")
-    p.add_argument("--search-bound", type=int, default=100)
+    p.add_argument("--search-bound", type=_arg_int, default=100)
 
     p = add("brieskorn", cmd_brieskorn, help="Brieskorn sphere data and decision")
-    p.add_argument("p1", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("p3", type=int)
+    p.add_argument("p1", type=_arg_int)
+    p.add_argument("p2", type=_arg_int)
+    p.add_argument("p3", type=_arg_int)
     p.add_argument("--orientation", choices=("+", "-"), default="+")
-    p.add_argument("--search-bound", type=int, default=100)
+    p.add_argument("--search-bound", type=_arg_int, default=100)
 
     p = add("borromean", cmd_borromean, help="Borromean surgery decider")
     p.add_argument("coeffs", nargs="*", metavar="R")

@@ -13,7 +13,7 @@ one-directional.
 from dataclasses import dataclass
 from math import gcd
 
-from .numerics import INF, ExtRational, MobiusMap, floor_frac, rat
+from .numerics import INF, ExtRational, MobiusMap, floor_frac, rat, slope_less
 from .presentation import SurgeryPresentation
 
 
@@ -27,19 +27,6 @@ MINUS_ONE = rat(-1)
 
 def _floor(r: ExtRational) -> int:
     return floor_frac(r)[0]
-
-
-def _slope_less(x: ExtRational, bound: ExtRational) -> bool:
-    """x < bound on the slope line, where infinity sits at the bottom.
-
-    Coefficient normalization lands in [-inf, -1), whose infinite point
-    is reached from below, so infinity compares below every rational.
-    """
-    if x.is_infinite:
-        return not bound.is_infinite
-    if bound.is_infinite:
-        return False
-    return x < bound
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +149,7 @@ def _hinge(r1p: ExtRational) -> ExtRational:
 
 
 def _check_slope(r: ExtRational, name: str):
-    if not _slope_less(r, MINUS_ONE):
+    if not slope_less(r, MINUS_ONE):
         raise FamilyError(f"{name} must lie in [-inf, -1), got {r}")
 
 
@@ -258,7 +245,7 @@ def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
     if ws.is_infinite or not MINUS_ONE < ws <= ZERO:
         raise FamilyError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
     w2 = w.apply(r2p)
-    if not _slope_less(w2, MINUS_ONE):
+    if not slope_less(w2, MINUS_ONE):
         raise FamilyError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
     a0 = ExtRational(w.c, w.a)
     if a0.is_infinite or a0 >= ZERO:
@@ -312,13 +299,13 @@ def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
         return SeifertDecision(
             verdict="YES", reason="c", detail=f"only {k} normalized coefficients"
         )
-    if all(_slope_less(r, rat(-2)) for r in rp):
+    if all(slope_less(r, rat(-2)) for r in rp):
         return SeifertDecision(
             verdict="YES", reason="c", detail="all normalized coefficients below -2"
         )
     for i in range(k):
         level = _closed_form_level(rp[i])
-        if all(_slope_less(rp[j], rat(level)) for j in range(k) if j != i):
+        if all(slope_less(rp[j], rat(level)) for j in range(k) if j != i):
             return SeifertDecision(
                 verdict="YES",
                 reason="c",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .numerics import ExtRational, parse_rational, rat
+from .numerics import ExtRational, parse_int, parse_rational, rat
 from .presentation import SurgeryPresentation
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
@@ -902,7 +902,7 @@ def parse_front(text: str) -> FrontDiagram:
     if len(lines) < 2 or not lines[1][1].startswith("handles "):
         raise FrontError("missing 'handles <n>' line")
     try:
-        n_handles = int(lines[1][1].split()[1])
+        n_handles = parse_int(lines[1][1].split()[1])
     except (IndexError, ValueError) as exc:
         raise FrontError(f"line {lines[1][0]}: bad handle count") from exc
     if n_handles < 0:
@@ -917,7 +917,7 @@ def parse_front(text: str) -> FrontDiagram:
         key = fields[0]
         if key == "handle" and len(fields) == 4 and fields[2] == "slots":
             try:
-                h, k = int(fields[1]), int(fields[3])
+                h, k = parse_int(fields[1]), parse_int(fields[3])
             except ValueError as exc:
                 raise FrontError(f"line {lineno}: bad handle line") from exc
             if not 1 <= h <= n_handles:
@@ -936,7 +936,7 @@ def parse_front(text: str) -> FrontDiagram:
                 raise FrontError(f"line {lineno}: {exc}") from exc
         elif key == "orient" and len(fields) == 3:
             try:
-                cid = int(fields[1])
+                cid = parse_int(fields[1])
             except ValueError as exc:
                 raise FrontError(f"line {lineno}: bad component index") from exc
             if fields[2] not in ("+", "-"):
@@ -944,7 +944,7 @@ def parse_front(text: str) -> FrontDiagram:
             orient_lines.append((lineno, cid, 1 if fields[2] == "+" else -1))
         elif key == "coeff" and len(fields) == 3:
             try:
-                cid = int(fields[1])
+                cid = parse_int(fields[1])
             except ValueError as exc:
                 raise FrontError(f"line {lineno}: bad component index") from exc
             if fields[2] == STEIN:

@@ -15,6 +15,7 @@ from math import gcd
 
 from .numerics import (
     ExtRational,
+    first_asymmetry,
     mat_vec,
     rat,
     rref_rational,
@@ -49,10 +50,9 @@ class SteinPresentation:
         for i, row in enumerate(self.q):
             if len(row) != m:
                 raise InvariantError(f"framing matrix row {i + 1} has length {len(row)}, want {m}")
-        for i in range(m):
-            for j in range(i):
-                if self.q[i][j] != self.q[j][i]:
-                    raise InvariantError(f"framing matrix is not symmetric at ({i + 1}, {j + 1})")
+        bad = first_asymmetry(self.q)
+        if bad is not None:
+            raise InvariantError(f"framing matrix is not symmetric at ({bad[0] + 1}, {bad[1] + 1})")
         for h, row in enumerate(self.runs):
             if len(row) != m:
                 raise InvariantError(f"run row {h + 1} has length {len(row)}, want {m}")
@@ -69,16 +69,8 @@ class SteinPresentation:
 
     def q_star(self) -> list[list[int]]:
         """The full linking matrix over circles and surgered 1-handles."""
-        m, n1 = self.m, self.n1
-        size = m + n1
-        out = [[0] * size for _ in range(size)]
-        for i in range(m):
-            for j in range(m):
-                out[i][j] = self.q[i][j]
-        for h in range(n1):
-            for i in range(m):
-                out[m + h][i] = out[i][m + h] = self.runs[h][i]
-        return out
+        top = [list(row) + [run[i] for run in self.runs] for i, row in enumerate(self.q)]
+        return top + [list(run) + [0] * self.n1 for run in self.runs]
 
     @classmethod
     def from_presentation(cls, p: SurgeryPresentation) -> "SteinPresentation":
@@ -100,21 +92,14 @@ class SteinPresentation:
                     raise InvariantError(
                         f"0-framed sublink components {i + 1} and {j + 1} may not link each other"
                     )
-        q = [[0] * m for _ in range(m)]
-        rot = []
         for i in range(m):
             c = p.coeffs[i]
             if not c.is_integer:
                 raise InvariantError(f"component {i + 1} has coefficient {c}, expand first")
-            q[i][i] = c.num
             if p.rot[i] is None:
                 raise InvariantError(f"component {i + 1} has no rotation number")
-            rot.append(p.rot[i])
-            for j in range(m):
-                if i != j:
-                    q[i][j] = p.lk[i][j]
-        runs = [[p.lk[m + h][i] for i in range(m)] for h in range(n1)]
-        return cls(q=q, runs=runs, rot=rot)
+        r = p.relation_matrix()
+        return cls(q=[row[:m] for row in r[:m]], runs=[row[:m] for row in r[m:]], rot=p.rot[:m])
 
 
 @dataclass(frozen=True)
@@ -170,8 +155,9 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     qs = x.q_star()
     diag = [qs[i][i] for i in range(len(qs))]
     sol = solve_gf2_affine(qs, diag)
-    # the diagonal of a symmetric matrix always lies in its column space mod 2
-    assert sol is not None
+    if sol is None:
+        # the diagonal of a symmetric matrix always lies in its column space mod 2
+        raise InvariantError("internal: the framing diagonal is not in the column space mod 2")
     return [SpinStructure(sublink=v) for v in sorted(sol.enumerate())]
 
 

@@ -7,6 +7,7 @@ rounding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,8 +26,8 @@ class ExtRational:
     """A rational number or the single point at infinity.
 
     Canonical form: den >= 0, gcd(num, den) == 1, and infinity is 1/0.
-    Infinity is unsigned.  Interval tests decide on which side it lives
-    (for slope intervals it plays the role of -infinity); see Interval.
+    Infinity is unsigned, so the order operators reject it; on the slope
+    line it plays the role of -infinity, see slope_less.
     """
 
     num: int
@@ -121,11 +122,11 @@ class ExtRational:
             raise NumericsError("inf / inf is undefined")
         return self * other.reciprocal()
 
-    # -- order (finite operands only; intervals handle infinity)
+    # -- order (finite operands only; slope_less handles infinity)
 
     def _cmp_key(self) -> Fraction:
         if self.is_infinite:
-            raise NumericsError("infinity is not ordered; use Interval.contains")
+            raise NumericsError("infinity is not ordered; use slope_less")
         return self.as_fraction()
 
     def __lt__(self, other):
@@ -175,18 +176,24 @@ def rat(num, den: int = 1) -> ExtRational:
     return ExtRational(num, den)
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer token, -?[0-9]+: unlike int(), no '1_0', no non-ASCII
+    digits, no leading '+' and no surrounding whitespace."""
+    if not _INT_RE.fullmatch(text):
+        raise NumericsError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> ExtRational:
     text = text.strip()
     if text == "inf":
         return INF
-    if "/" in text:
-        a, b = text.split("/", 1)
-        try:
-            return ExtRational(int(a), int(b))
-        except ValueError as exc:
-            raise NumericsError(f"bad rational {text!r}") from exc
+    num, slash, den = text.partition("/")
     try:
-        return ExtRational(int(text))
+        return ExtRational(parse_int(num), parse_int(den) if slash else 1)
     except ValueError as exc:
         raise NumericsError(f"bad rational {text!r}") from exc
 
@@ -199,32 +206,17 @@ def floor_frac(r: ExtRational) -> tuple[int, ExtRational]:
     return fl, r - fl
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One-dimensional rational interval with explicit infinity membership.
+def slope_less(x: ExtRational, bound: ExtRational) -> bool:
+    """x < bound on the slope line, where infinity sits at the bottom.
 
-    lo=None / hi=None mean unbounded on that side.  with_infinity states
-    whether the point at infinity belongs to the set; slope intervals that
-    are written with a -infinity endpoint include it, intervals written
-    with finite endpoints do not.
+    Coefficient normalization lands in [-inf, -1), whose infinite point
+    is reached from below, so infinity compares below every rational.
     """
-
-    lo: ExtRational | None
-    hi: ExtRational | None
-    lo_closed: bool = True
-    hi_closed: bool = False
-    with_infinity: bool = False
-
-    def contains(self, r: ExtRational) -> bool:
-        if r.is_infinite:
-            return self.with_infinity
-        if self.lo is not None:
-            if r < self.lo or (r == self.lo and not self.lo_closed):
-                return False
-        if self.hi is not None:
-            if r > self.hi or (r == self.hi and not self.hi_closed):
-                return False
-        return True
+    if x.is_infinite:
+        return not bound.is_infinite
+    if bound.is_infinite:
+        return False
+    return x < bound
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +453,15 @@ def smith_normal_form(matrix) -> SmithForm:
     )
 
 
+def first_asymmetry(matrix) -> tuple[int, int] | None:
+    """The first (i, j), j < i in row-major order, where a square matrix
+    differs from its transpose; None when it is symmetric."""
+    n = len(matrix)
+    return next(
+        ((i, j) for i in range(n) for j in range(i) if matrix[i][j] != matrix[j][i]), None
+    )
+
+
 def mat_mul(a, b):
     """Product of two integer matrices given as sequences of rows."""
     bT = list(zip(*b))
@@ -530,10 +531,8 @@ def inertia(matrix) -> tuple[int, int, int]:
     for row in m:
         if len(row) != n:
             raise NumericsError("inertia needs a square matrix")
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise NumericsError("inertia needs a symmetric matrix")
+    if first_asymmetry(m) is not None:
+        raise NumericsError("inertia needs a symmetric matrix")
 
     pos = neg = zero = 0
     s = 0

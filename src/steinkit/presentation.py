@@ -17,7 +17,9 @@ from .numerics import (
     INF,
     ZERO,
     ExtRational,
+    first_asymmetry,
     neg_continued_fraction,
+    parse_int,
     parse_rational,
     rat,
     smith_normal_form,
@@ -82,11 +84,11 @@ class SurgeryPresentation:
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
                 )
-            for j in range(i):
-                if self.lk[i][j] != self.lk[j][i]:
-                    raise PresentationError(f"linking matrix asymmetric at ({i + 1}, {j + 1})")
-                if not isinstance(self.lk[i][j], int):
-                    raise PresentationError("linking numbers must be integers")
+        bad = first_asymmetry(self.lk)
+        if bad is not None:
+            raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
+        if not all(isinstance(v, int) for row in self.lk for v in row):
+            raise PresentationError("linking numbers must be integers")
         for i in range(m):
             if self.l0[i]:
                 if self.coeffs[i] != ZERO:
@@ -118,6 +120,18 @@ class SurgeryPresentation:
             tb=[self.tb[k] for k in keep],
         )
 
+    def relation_matrix(self) -> list[list[int]]:
+        """The m x m relation matrix of first homology of the surgered manifold.
+
+        Row i is p_i e_i + q_i sum_j lk_ij e_j for the coefficient p_i/q_i,
+        so infinity (1/0) gives the row e_i and an integer coefficient gives
+        the linking matrix row with the framing on the diagonal.
+        """
+        return [
+            [c.num if j == i else c.den * v for j, v in enumerate(row)]
+            for i, (c, row) in enumerate(zip(self.coeffs, self.lk))
+        ]
+
     def integer_matrix(self) -> list[list[int]]:
         """Linking matrix with framings on the diagonal; integer coefficients only."""
         for i, c in enumerate(self.coeffs):
@@ -125,10 +139,7 @@ class SurgeryPresentation:
                 raise PresentationError(
                     f"component {i + 1} has non-integer coefficient {c}; expand first"
                 )
-        q = [list(row) for row in self.lk]
-        for i in range(self.m):
-            q[i][i] = self.coeffs[i].num
-        return q
+        return self.relation_matrix()
 
 
 def _append_linked_unknot(p: SurgeryPresentation, coeff: ExtRational, i: int) -> int:
@@ -204,13 +215,11 @@ def cokernel(matrix) -> AbelianGroup:
 def h1(p: SurgeryPresentation) -> AbelianGroup:
     """First homology of the surgered manifold.
 
-    Rational coefficients are removed by chain expansion, so the result is
-    the cokernel of an honest integer framing matrix.
+    The cokernel of the m x m relation matrix (Rolfsen, Knots and Links,
+    ch. 9), taken straight from the rational coefficients: there is no
+    chain expansion, so the Smith form has dimension m.
     """
-    expanded = expand_rational(p)
-    if expanded.m == 0:
-        return AbelianGroup(factors=())
-    return cokernel(expanded.integer_matrix())
+    return cokernel(p.relation_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +533,7 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     if len(lines) < 2 or not lines[1][1].startswith("components "):
         raise PresentationError("missing 'components <m>' line")
     try:
-        m = int(lines[1][1].split()[1])
+        m = parse_int(lines[1][1].split()[1])
     except (IndexError, ValueError) as exc:
         raise PresentationError(f"line {lines[1][0]}: bad components count") from exc
     if m < 0:
@@ -539,7 +548,7 @@ def parse_surgery(text: str) -> SurgeryPresentation:
 
     def component(token: str, lineno: int) -> int:
         try:
-            i = int(token)
+            i = parse_int(token)
         except ValueError as exc:
             raise PresentationError(f"line {lineno}: bad component index {token!r}") from exc
         if not 1 <= i <= m:
@@ -563,7 +572,7 @@ def parse_surgery(text: str) -> SurgeryPresentation:
             if i == j:
                 raise PresentationError(f"line {lineno}: self linking is not a matrix entry")
             try:
-                v = int(fields[3])
+                v = parse_int(fields[3])
             except ValueError as exc:
                 raise PresentationError(f"line {lineno}: bad linking number") from exc
             pair = (min(i, j), max(i, j))
@@ -579,13 +588,13 @@ def parse_surgery(text: str) -> SurgeryPresentation:
         elif key == "rot" and len(fields) == 3:
             i = component(fields[1], lineno)
             try:
-                rot[i] = int(fields[2])
+                rot[i] = parse_int(fields[2])
             except ValueError as exc:
                 raise PresentationError(f"line {lineno}: bad rotation number") from exc
         elif key == "tb" and len(fields) == 3:
             i = component(fields[1], lineno)
             try:
-                tb[i] = int(fields[2])
+                tb[i] = parse_int(fields[2])
             except ValueError as exc:
                 raise PresentationError(f"line {lineno}: bad tb") from exc
         else:

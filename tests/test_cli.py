@@ -152,6 +152,38 @@ def test_h1(capsys, theta_example):
     assert out == "h1: Z^2\n"
 
 
+def test_h1_of_a_long_chain_coefficient(capsys, tmp_path):
+    # -1/70 on an unknot is the 3-sphere; its chain expansion has 70 links
+    path = tmp_path / "s3.surgery"
+    path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/70\nunknot 1\n")
+    rc, out, err = run(capsys, "h1", str(path))
+    assert (rc, out, err) == (0, "h1: 0\n", "")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663"])
+def test_number_tokens_are_ascii_digits(capsys, tmp_path, theta_example, chain, token):
+    # int() reads these tokens as 10 and 3
+    path = tmp_path / "bad.surgery"
+    path.write_text(f"surgery 1\ncomponents 1\ncoeff 1 {token}\n")
+    rc, out, err = run(capsys, "h1", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 3: bad rational {token!r}\n"
+
+    rc, out, err = run(capsys, "twist", "1", token, chain)
+    assert (rc, out) == (1, "")
+    assert f"argument m: invalid int value: {token!r}" in err
+
+    usage_errors = [
+        (("borromean", "--twist-knot", f"{token} 1 -8"), f"expected an integer, got {token!r}"),
+        (("seifert", f"--base=o{token}", "--coeff=-2"), f"base must look like o0 or n2, got 'o{token}'"),
+        (("seifert", f"--coeff={token}"), f"bad rational {token!r}"),
+        (("gamma", theta_example, "--sublink", token), f"bad sublink member {token!r}"),
+    ]
+    for argv, message in usage_errors:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_twist(capsys, chain):
     rc, out, _ = run(capsys, "twist", "1", "1", chain)
     assert rc == 0

@@ -671,6 +671,26 @@ def test_parse_front_errors_carry_line_numbers():
         parse_front("front 1\nhandles 2\nhandle 1 slots 1\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+1"])
+def test_parse_front_number_tokens_are_ascii_digits(token):
+    # int() accepts every one of these tokens
+    good = ["handles 1", "handle 1 slots 0", "events L1 R1", "orient 1 +", "coeff 1 -2"]
+    assert n_components(parse_front("front 1\n" + "\n".join(good) + "\n")) == 1
+    cases = [
+        (0, "handles {}", "bad handle count"),
+        (1, "handle {} slots 0", "line 3: bad handle line"),
+        (1, "handle 1 slots {}", "line 3: bad handle line"),
+        (2, "events L{} R1", "line 4: bad event token"),
+        (3, "orient {} +", "line 5: bad component index"),
+        (4, "coeff {} -2", "line 6: bad component index"),
+        (4, "coeff 1 {}", "line 6: bad rational"),
+    ]
+    for i, template, message in cases:
+        bad = good[:i] + [template.format(token)] + good[i + 1:]
+        with pytest.raises(FrontError, match=message):
+            parse_front("front 1\n" + "\n".join(bad) + "\n")
+
+
 def test_parse_front_allows_comments_and_blanks():
     d = parse_front("# a trefoil\nfront 1\n\nhandles 0\nevents " + TREFOIL + "\n")
     assert single(d).tb == 1

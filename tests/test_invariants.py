@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinkit import invariants
 from steinkit.front import STEIN, FrontDiagram, n_components, random_front, surger_handles
 from steinkit.invariants import (
     CokernelClass,
@@ -100,6 +101,28 @@ def test_from_presentation_errors():
         SteinPresentation.from_presentation(p4)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_q_star_is_the_relation_matrix(seed):
+    rng = random.Random(seed)
+    m, n1 = rng.randint(0, 4), rng.randint(0, 3)
+    size = m + n1
+    lk = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(min(i, m)):
+            lk[i][j] = lk[j][i] = rng.randint(-3, 3)
+    p = SurgeryPresentation(
+        coeffs=[rat(rng.randint(-5, 5)) for _ in range(m)] + [rat(0)] * n1,
+        lk=lk,
+        unknot=[False] * m + [True] * n1,
+        l0=[False] * m + [True] * n1,
+        rot=[rng.randint(-3, 3) for _ in range(m)] + [None] * n1,
+    )
+    x = SteinPresentation.from_presentation(p)
+    assert x.q_star() == p.relation_matrix()
+    assert (x.m, x.n1) == (m, n1)
+
+
 # ---------------------------------------------------------------------------
 # characteristic sublinks
 
@@ -159,6 +182,12 @@ def test_gamma_of_circle_bundle():
         x = SteinPresentation(q=[[e]], runs=[[0]] * (2 * g_), rot=[r])
         s = SpinStructure(sublink=(1,) + (0,) * (2 * g_))
         assert gamma(x, s).representative[0] == (r + e) // 2
+
+
+def test_characteristic_sublinks_checks_its_certificate(monkeypatch):
+    monkeypatch.setattr(invariants, "solve_gf2_affine", lambda matrix, rhs: None)
+    with pytest.raises(InvariantError, match="internal: "):
+        characteristic_sublinks(SteinPresentation(q=[[1]], runs=[], rot=[0]))
 
 
 def test_gamma_rejects_bad_sublinks():

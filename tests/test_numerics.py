@@ -18,17 +18,19 @@ from steinkit.numerics import (
     ContinuedFraction,
     ExtRational,
     Gf2Solution,
-    Interval,
     MobiusMap,
     NumericsError,
+    first_asymmetry,
     floor_frac,
     inertia,
     mat_mul,
     mat_vec,
     neg_continued_fraction,
+    parse_int,
     parse_rational,
     rat,
     signature,
+    slope_less,
     smith_normal_form,
     solve_gf2_affine,
 )
@@ -61,6 +63,17 @@ def test_parse_and_str_round_trip():
         assert str(parse_rational(text)) == text
 
 
+def test_number_tokens_are_ascii_digits_only():
+    assert parse_int("-042") == -42
+    # int() would read these as 10, 3, 3 and 3
+    for bad in ["1_0", "\u0663", "+3", " 3", "", "-", "3.0"]:
+        with pytest.raises(NumericsError, match="bad integer"):
+            parse_int(bad)
+    for bad in ["1_0", "\u0663", "1/1_0", "\u0663/2", "1/", "/2", "0/0"]:
+        with pytest.raises(NumericsError, match="bad rational"):
+            parse_rational(bad)
+
+
 def test_infinity_arithmetic():
     assert INF + 3 == INF
     assert rat(5) / 0 == INF
@@ -91,15 +104,14 @@ def test_floor_frac_decomposition(r):
     assert ZERO <= f < rat(1)
 
 
-def test_interval_infinity_flag():
-    slope = Interval(lo=None, hi=rat(-1), hi_closed=False, with_infinity=True)
-    assert slope.contains(INF)
-    assert slope.contains(rat(-2))
-    assert not slope.contains(rat(-1))
-    unit = Interval(lo=rat(-1), hi=ZERO, lo_closed=False, hi_closed=True)
-    assert not unit.contains(INF)
-    assert unit.contains(ZERO)
-    assert not unit.contains(rat(-1))
+def test_slope_less_puts_infinity_at_the_bottom():
+    for r in (rat(-5), rat(-1), rat(-3, 2), ZERO, rat(7, 3)):
+        assert slope_less(INF, r)
+        assert not slope_less(r, INF)
+    assert not slope_less(INF, INF)
+    assert slope_less(rat(-2), rat(-1))
+    assert not slope_less(rat(-1), rat(-1))
+    assert not slope_less(ZERO, rat(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +288,15 @@ def test_signature_fixtures():
     assert signature([[0]]) == 0
     assert inertia([[0, 2], [2, 0]]) == (1, 0, 1)
     assert signature([[Fraction(1, 2)]]) == 1
+
+
+def test_first_asymmetry_scans_rows_in_order():
+    assert first_asymmetry([]) is None
+    assert first_asymmetry([[1, 2], [2, 5]]) is None
+    assert first_asymmetry([[0, 1, 0], [1, 0, 4], [9, 3, 0]]) == (2, 0)
+    assert first_asymmetry([[0, 1, 0], [2, 0, 4], [9, 3, 0]]) == (1, 0)
+    with pytest.raises(NumericsError, match="inertia needs a symmetric matrix"):
+        inertia([[0, 1], [2, 0]])
 
 
 def test_e8_form_has_signature_eight():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinkit import presentation
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
     AbelianGroup,
@@ -48,15 +49,9 @@ def random_presentation(rng, max_m=4, allow_inf=True):
     return pres(coeffs, lk)
 
 
-def h1_direct(p):
-    """Independent route: relation matrix p_i on the diagonal row, q_i lk elsewhere."""
-    m = p.m
-    rows = []
-    for i in range(m):
-        num, den = p.coeffs[i].num, p.coeffs[i].den
-        row = [num if j == i else den * p.lk[i][j] for j in range(m)]
-        rows.append(row)
-    return cokernel(rows)
+def h1_by_expansion(p):
+    """Independent route: the integer framing matrix of the chain expansion."""
+    return cokernel(expand_rational(p).integer_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +102,32 @@ def test_h1_fixtures():
 def test_h1_expansion_agrees_with_direct_relations(seed):
     rng = random.Random(seed)
     p = random_presentation(rng)
-    assert h1(p) == h1_direct(p)
+    assert h1(p) == h1_by_expansion(p)
+
+
+def test_h1_needs_no_chain_expansion(monkeypatch):
+    # -1/70 on an unknot is the 3-sphere; its chain has 70 links, past the
+    # Smith form's dimension cap
+    for q in (70, 200):
+        assert h1(pres([rat(-1, q)], unknot=[True])).is_trivial
+    # rows (-1, 70) and (1, 3): determinant -73
+    assert h1(pres([rat(-1, 70), rat(3)], [[0, 1], [1, 0]])) == AbelianGroup((73,))
+
+    p = pres([rat(7, 2), INF, rat(-5, 3)], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    expected = h1_by_expansion(p)
+
+    def refuse(_):
+        raise AssertionError("h1 expanded a chain")
+
+    monkeypatch.setattr(presentation, "expand_rational", refuse)
+    assert h1(p) == expected == AbelianGroup((59,))
+
+
+def test_relation_matrix_rows():
+    p = pres([rat(7, 2), INF, rat(-3)], [[0, 1, 2], [1, 0, -1], [2, -1, 0]])
+    assert p.relation_matrix() == [[7, 2, 4], [0, 1, 0], [2, -1, -3]]
+    q = pres([rat(2), rat(-1)], [[0, 3], [3, 0]])
+    assert q.relation_matrix() == q.integer_matrix() == [[2, 3], [3, -1]]
 
 
 def test_expand_rational_chain():
@@ -442,3 +462,19 @@ def test_surgery_parse_errors():
         parse_surgery("surgery 1\ncomponents 1\ncoeff 1 2\nlk 1 2 1\n")
     with pytest.raises(PresentationError, match="conflicting"):
         parse_surgery("surgery 1\ncomponents 2\ncoeff 1 2\ncoeff 2 2\nlk 1 2 1\nlk 2 1 0\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+3"])
+def test_surgery_number_tokens_are_ascii_digits(token):
+    # int() accepts every one of these tokens
+    good = ["components 2", "coeff 1 2", "coeff 2 2", "lk 1 2 1", "rot 1 0", "tb 1 1"]
+    assert parse_surgery("surgery 1\n" + "\n".join(good) + "\n").m == 2
+    for i, line in enumerate(good):
+        fields = line.split()
+        fields[-1] = token
+        bad = good[:i] + [" ".join(fields)] + good[i + 1:]
+        where = "bad components count" if i == 0 else f"line {i + 2}: bad"
+        with pytest.raises(PresentationError, match=where):
+            parse_surgery("surgery 1\n" + "\n".join(bad) + "\n")
+    with pytest.raises(PresentationError, match="line 4: bad component index"):
+        parse_surgery(f"surgery 1\ncomponents 2\ncoeff 1 2\ncoeff {token} 2\n")

@@ -902,8 +902,9 @@ def parse_front(text: str) -> FrontDiagram:
     if len(lines) < 2 or not lines[1][1].startswith("handles "):
         raise FrontError("missing 'handles <n>' line")
     try:
-        n_handles = parse_int(lines[1][1].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = lines[1][1].split()
+        n_handles = parse_int(count)
+    except ValueError as exc:
         raise FrontError(f"line {lines[1][0]}: bad handle count") from exc
     if n_handles < 0:
         raise FrontError("negative handle count")

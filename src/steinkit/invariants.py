@@ -18,7 +18,6 @@ from .numerics import (
     first_asymmetry,
     mat_vec,
     rat,
-    rref_rational,
     signature,
     smith_normal_form,
     solve_gf2_affine,
@@ -131,9 +130,7 @@ class CokernelClass:
 
 
 def _cokernel_class(q_star, vec) -> CokernelClass:
-    snf = smith_normal_form(q_star) if q_star else None
-    if snf is None:
-        return CokernelClass(coords=(), orders=(), representative=tuple(vec))
+    snf = smith_normal_form(q_star)
     coords = mat_vec([list(r) for r in snf.left], list(vec))
     orders = tuple(snf.diagonal)
     reduced = tuple(c % d if d else c for c, d in zip(coords, orders))
@@ -175,16 +172,14 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     size = len(qs)
     if len(s.sublink) != size:
         raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
-    for i in range(size):
-        total = sum(qs[i][j] for j in range(size) if s.sublink[j])
-        if (total - qs[i][i]) % 2:
-            raise InvariantError(f"sublink {s.members()} is not characteristic")
+    lk_sub = [sum(qs[i][j] for j in range(size) if s.sublink[j]) for i in range(size)]
+    if any((lk_sub[i] - qs[i][i]) % 2 for i in range(size)):
+        raise InvariantError(f"sublink {s.members()} is not characteristic")
     rot_full = chern_cocycle(x)
     rho = []
     for i in range(size):
         lk_l0 = sum(qs[i][j] for j in range(x.m, size))
-        lk_sub = sum(qs[i][j] for j in range(size) if s.sublink[j])
-        twice = rot_full[i] + lk_l0 + lk_sub
+        twice = rot_full[i] + lk_l0 + lk_sub[i]
         if twice % 2:
             raise InvariantError(
                 f"rotation parity violated on component {i + 1}: the class is half-integral"
@@ -193,38 +188,9 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     return _cokernel_class(qs, rho)
 
 
-def _kernel_basis(rows, ncols) -> list[list[Fraction]]:
-    """Basis of the rational kernel of an integer matrix, by elimination."""
-    aug, pivots = rref_rational(rows, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, col in enumerate(pivots):
-            vec[col] = -aug[row][fc]
-        basis.append(vec)
-    return basis
-
-
-def _restricted_signature(x: SteinPresentation) -> int:
-    """Signature of the framing form on circles not running over handles."""
-    basis = _kernel_basis(x.runs, x.m)
-    if not basis:
-        return 0
-    form = [
-        [
-            sum(bi[a] * x.q[a][b] * bj[b] for a in range(x.m) for b in range(x.m))
-            for bj in basis
-        ]
-        for bi in basis
-    ]
-    return signature(form)
-
-
-def _euler_characteristic(x: SteinPresentation) -> int:
-    return 1 - x.n1 + x.m
+def _chi_sigma_term(x: SteinPresentation, q_star) -> int:
+    """-2*chi - 3*sigma, with chi = 1 - n1 + m and sigma = signature(Q*)."""
+    return -2 * (1 - x.n1 + x.m) - 3 * signature(q_star)
 
 
 def theta(x: SteinPresentation) -> ExtRational:
@@ -233,15 +199,18 @@ def theta(x: SteinPresentation) -> ExtRational:
     Defined only when the Chern cocycle is torsion in the cokernel of
     the full linking matrix; the value is the square of any rational
     preimage against the cocycle, corrected by Euler characteristic and
-    signature.
+    signature.  The handlebody's signature, that of q on the kernel of
+    runs, is signature(Q*): a congruence clears the q-blocks against an
+    I_r block of runs (r its rank), which leaves a hyperbolic part of
+    signature 0 plus q restricted to that kernel.
     """
     qs = x.q_star()
     c = chern_cocycle(x)
-    y = solve_rational(qs, c) if qs else []
+    y = solve_rational(qs, c)
     if y is None:
         raise InvariantError("theta undefined: c1 has infinite order")
     square = sum(a * b for a, b in zip(y, c))
-    val = Fraction(square) - 2 * _euler_characteristic(x) - 3 * _restricted_signature(x)
+    val = Fraction(square) + _chi_sigma_term(x, qs)
     return rat(val.numerator, val.denominator)
 
 
@@ -251,7 +220,9 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     d is the divisibility of the Chern cocycle in the free part of the
     cokernel (0 when the class is torsion).  The second value is
     -2*chi - 3*sigma reduced into [0, 2d) when d > 0, and exact when
-    d = 0.
+    d = 0.  As in theta, sigma is signature(Q*), which equals that of q
+    on the kernel of runs by a congruence that leaves a hyperbolic part
+    of signature 0.
     """
     qs = x.q_star()
     c = chern_cocycle(x)
@@ -260,5 +231,5 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     d = 0
     for v in free:
         d = gcd(d, abs(v))
-    base = -2 * _euler_characteristic(x) - 3 * _restricted_signature(x)
+    base = _chi_sigma_term(x, qs)
     return d, (base % (2 * d) if d else base)

@@ -188,7 +188,7 @@ def parse_int(text: str) -> int:
 
 
 def parse_rational(text: str) -> ExtRational:
-    text = text.strip()
+    """'inf', 'p' or 'p/q', with p and q read by parse_int, so no blanks."""
     if text == "inf":
         return INF
     num, slash, den = text.partition("/")
@@ -476,16 +476,18 @@ def mat_vec(a, v):
 # Gauss-Jordan elimination over the rationals
 
 
-def rref_rational(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q in the first ncols columns.
+def solve_rational(matrix, rhs) -> list[Fraction] | None:
+    """Solve a square integer linear system over Q; None if inconsistent.
 
-    Columns past ncols (an augmented right-hand side) are carried along.
-    Returns the reduced rows as Fractions and the pivot columns in order.
+    Gauss-Jordan elimination of the augmented rows, pivots taken column
+    by column from the first row with a nonzero entry.  Free variables
+    are set to zero.
     """
-    aug = [[Fraction(v) for v in row] for row in rows]
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     pivots = []
-    r = 0
-    for col in range(ncols):
+    for col in range(n):
+        r = len(pivots)
         sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
         if sel is None:
             continue
@@ -497,17 +499,6 @@ def rref_rational(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
-        r += 1
-    return aug, pivots
-
-
-def solve_rational(matrix, rhs) -> list[Fraction] | None:
-    """Solve a square integer linear system over Q; None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    n = len(matrix)
-    aug, pivots = rref_rational([list(row) + [b] for row, b in zip(matrix, rhs)], n)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * n

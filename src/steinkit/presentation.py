@@ -201,15 +201,11 @@ class AbelianGroup:
 
 def cokernel(matrix) -> AbelianGroup:
     """Cokernel of an integer matrix acting on column vectors."""
-    nrows = len(matrix)
-    if nrows == 0:
-        return AbelianGroup(factors=())
-    snf = smith_normal_form(matrix)
-    diag = list(snf.diagonal)
-    rank_deficit = nrows - len(diag)  # missing columns leave free generators
+    diag = smith_normal_form(matrix).diagonal
+    rank_deficit = len(matrix) - len(diag)  # missing columns leave free generators
     zeros = sum(1 for d in diag if d == 0)
     factors = tuple(d for d in diag if d > 1)
-    return AbelianGroup(factors=factors, rank=zeros + max(rank_deficit, 0))
+    return AbelianGroup(factors=factors, rank=zeros + rank_deficit)
 
 
 def h1(p: SurgeryPresentation) -> AbelianGroup:
@@ -533,8 +529,9 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     if len(lines) < 2 or not lines[1][1].startswith("components "):
         raise PresentationError("missing 'components <m>' line")
     try:
-        m = parse_int(lines[1][1].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = lines[1][1].split()
+        m = parse_int(count)
+    except ValueError as exc:
         raise PresentationError(f"line {lines[1][0]}: bad components count") from exc
     if m < 0:
         raise PresentationError("negative component count")

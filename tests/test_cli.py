@@ -160,6 +160,23 @@ def test_h1_of_a_long_chain_coefficient(capsys, tmp_path):
     assert (rc, out, err) == (0, "h1: 0\n", "")
 
 
+def test_empty_presentation(capsys, tmp_path):
+    path = tmp_path / "empty.surgery"
+    path.write_text("surgery 1\ncomponents 0\n")
+    assert run(capsys, "h1", str(path)) == (0, "h1: 0\n", "")
+    assert run(capsys, "theta", str(path)) == (0, "theta: -2\n", "")
+
+
+def test_padded_rationals_are_usage_errors(capsys):
+    for argv, token in (
+        (("borromean", "--", " 1/2", "3", "4"), " 1/2"),
+        (("borromean", "--", "1/2 ", "3", "4"), "1/2 "),
+        (("seifert", "--coeff", " 2"), " 2"),
+        (("seifert", "--coeff=-7/2\t"), "-7/2\t"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"usage error: bad rational {token!r}\n")
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663"])
 def test_number_tokens_are_ascii_digits(capsys, tmp_path, theta_example, chain, token):
     # int() reads these tokens as 10 and 3

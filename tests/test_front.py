@@ -669,6 +669,9 @@ def test_parse_front_errors_carry_line_numbers():
         parse_front("front 1\nhandles 0\nevents L1 R1\norient 2 +\n")
     with pytest.raises(FrontError, match="no slot count"):
         parse_front("front 1\nhandles 2\nhandle 1 slots 1\n")
+    for header in ("handles 0 extra", "handles 0 0"):
+        with pytest.raises(FrontError, match="line 2: bad handle count"):
+            parse_front(f"front 1\n{header}\nevents L1 R1\n")
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+1"])

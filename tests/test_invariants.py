@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinkit import invariants
-from steinkit.front import STEIN, FrontDiagram, n_components, random_front, surger_handles
+from steinkit.front import (
+    STEIN,
+    Event,
+    FrontDiagram,
+    n_components,
+    random_front,
+    stabilize,
+    surger_handles,
+)
 from steinkit.invariants import (
     CokernelClass,
     InvariantError,
@@ -19,7 +27,7 @@ from steinkit.invariants import (
     theta,
     theta_f0_and_d,
 )
-from steinkit.numerics import rat, smith_normal_form
+from steinkit.numerics import rat, signature, smith_normal_form
 from steinkit.presentation import PresentationError, SurgeryPresentation, linking_form
 
 
@@ -42,6 +50,19 @@ def random_stein(rng, max_m=4, max_n1=2, bound=3, parity=False):
                 r += 1
         rot.append(r)
     return SteinPresentation(q=q, runs=runs, rot=rot)
+
+
+def restricted_signature_reference(x):
+    """The handlebody signature the long way: the Gram matrix of q on a
+    rational basis of the kernel of runs, the basis taken from sympy so
+    that it shares no elimination code with steinkit."""
+    import sympy
+
+    flat = [v for row in x.runs for v in row]
+    basis = sympy.Matrix(x.n1, x.m, flat).nullspace()
+    q = sympy.Matrix(x.m, x.m, [v for row in x.q for v in row])
+    form = [[(bi.T * q * bj)[0, 0] for bj in basis] for bi in basis]
+    return signature([[Fraction(int(v.p), int(v.q)) for v in row] for row in form])
 
 
 def sublink_count_by_snf(x):
@@ -143,6 +164,7 @@ def test_sublinks_of_even_exchange_matrix():
 def test_empty_presentation_has_one_spin_structure():
     x = SteinPresentation(q=[], runs=[], rot=[])
     assert [s.sublink for s in characteristic_sublinks(x)] == [()]
+    assert gamma(x, SpinStructure(sublink=())) == CokernelClass(coords=(), orders=())
 
 
 @given(st.integers(0, 10_000))
@@ -290,33 +312,108 @@ def test_theta_collisions_between_opposite_framings_are_obstructed():
     assert collisions > 0
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=80, deadline=None)
-def test_theta_agrees_with_independent_solver(seed):
+def square_by_sympy(x):
+    """c^T y for a rational preimage y of the Chern cocycle under Q*,
+    solved by sympy; None when there is none."""
     import sympy
 
-    rng = random.Random(seed)
-    x = random_stein(rng, max_m=4, max_n1=2)
     qs = x.q_star()
     c = chern_cocycle(x)
     if not qs:
-        return
-    mat = sympy.Matrix(qs)
-    vec = sympy.Matrix(c)
+        return Fraction(0)
     try:
-        sol, params = mat.gauss_jordan_solve(vec)
+        sol, params = sympy.Matrix(qs).gauss_jordan_solve(sympy.Matrix(c))
     except ValueError:
-        with pytest.raises(InvariantError):
-            theta(x)
-        return
+        return None
     sol = sol.subs({p: 0 for p in params})
-    square = sum(Fraction(int(a.p), int(a.q)) * b for a, b in zip(sol, c))
-    got = theta(x)
-    chi = 1 - x.n1 + x.m
-    # theta is independent of which rational preimage the solver picked
-    from steinkit.invariants import _restricted_signature
+    return sum(Fraction(int(a.p), int(a.q)) * b for a, b in zip(sol, c))
 
-    assert Fraction(got.num, got.den) == square - 2 * chi - 3 * _restricted_signature(x)
+
+def check_theta_against_reference(x):
+    base = -2 * (1 - x.n1 + x.m) - 3 * restricted_signature_reference(x)
+    d, res = theta_f0_and_d(x)
+    assert res == (base % (2 * d) if d else base)
+    square = square_by_sympy(x)
+    if square is None:
+        with pytest.raises(InvariantError, match="infinite order"):
+            theta(x)
+    else:
+        got = theta(x)
+        # theta is independent of which rational preimage the solver picked
+        assert Fraction(got.num, got.den) == square + base
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_theta_agrees_with_independent_solver(seed):
+    check_theta_against_reference(random_stein(random.Random(seed), max_m=4, max_n1=2))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_signature_of_q_star_is_the_restricted_signature(seed, bound):
+    # In(Q*) = In(q on ker runs) + (r, n1 - r, r) for runs of rank r
+    x = random_stein(random.Random(seed), max_m=7, max_n1=4, bound=bound)
+    assert signature(x.q_star()) == restricted_signature_reference(x)
+
+
+def test_signature_of_q_star_covers_degenerate_runs():
+    import sympy
+
+    seen = {"rank-deficient": 0, "n1 > m": 0, "m = 0": 0, "n1 = 0": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        x = random_stein(rng, max_m=7, max_n1=4, bound=rng.randint(1, 3))
+        assert signature(x.q_star()) == restricted_signature_reference(x)
+        rank = sympy.Matrix(x.n1, x.m, [v for row in x.runs for v in row]).rank()
+        seen["rank-deficient"] += rank < min(x.n1, x.m)
+        seen["n1 > m"] += x.n1 > x.m
+        seen["m = 0"] += x.m == 0
+        seen["n1 = 0"] += x.n1 == 0
+    assert all(seen.values()), seen
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_theta_of_surgered_fronts_matches_the_reference(seed):
+    rng = random.Random(seed)
+    d = random_front(rng)
+    d = FrontDiagram(d.slots, d.events, d.orientations, {c: STEIN for c in d.trace.ids})
+    check_theta_against_reference(SteinPresentation.from_presentation(surger_handles(d)))
+
+
+def linked_unknots(rng, n_unknots, n_clasps):
+    """Events of n_unknots unknots opened at random heights beside the
+    strand of a 1-slot handle, clasped by squared crossings X(p) X(p)
+    at random heights and closed innermost first."""
+    events = []
+    strands = ["edge"]
+    for k in range(n_unknots):
+        p = rng.randint(1, len(strands) + 1)
+        events.append(Event("L", p))
+        strands[p - 1 : p - 1] = [k, k]
+    for _ in range(n_clasps):
+        p = rng.randint(1, len(strands) - 1)
+        events += [Event("X", p), Event("X", p)]
+    while len(strands) > 1:
+        p = next(i for i in range(len(strands) - 1) if strands[i] == strands[i + 1] != "edge")
+        events.append(Event("R", p + 1))
+        del strands[p : p + 2]
+    return tuple(events)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theta_of_many_linked_unknots_matches_the_reference(seed):
+    rng = random.Random(seed)
+    d = FrontDiagram((1,), linked_unknots(rng, 12, 18))
+    ids = d.trace.ids
+    d = FrontDiagram(d.slots, d.events, {c: rng.choice((1, -1)) for c in ids}, {c: STEIN for c in ids})
+    for c in rng.sample(ids, 5):  # zig-zags give nonzero rotation numbers
+        d = stabilize(d, c, rng.choice(("up", "down")))
+    x = SteinPresentation.from_presentation(surger_handles(d))
+    assert x.m >= 9 and x.n1 == 1 and any(x.rot)
+    assert any(x.q[i][j] for i in range(x.m) for j in range(i))
+    check_theta_against_reference(x)
 
 
 @given(st.integers(0, 10_000))

@@ -69,7 +69,7 @@ def test_number_tokens_are_ascii_digits_only():
     for bad in ["1_0", "\u0663", "+3", " 3", "", "-", "3.0"]:
         with pytest.raises(NumericsError, match="bad integer"):
             parse_int(bad)
-    for bad in ["1_0", "\u0663", "1/1_0", "\u0663/2", "1/", "/2", "0/0"]:
+    for bad in ["1_0", "\u0663", "1/1_0", "\u0663/2", "1/", "/2", "0/0", " 1/2", "1/2\n", "1 /2", " inf"]:
         with pytest.raises(NumericsError, match="bad rational"):
             parse_rational(bad)
 

@@ -123,6 +123,11 @@ def test_h1_needs_no_chain_expansion(monkeypatch):
     assert h1(p) == expected == AbelianGroup((59,))
 
 
+def test_cokernel_of_empty_matrices():
+    assert str(cokernel([])) == "0"
+    assert str(cokernel([[]])) == "Z"  # one generator, no relation
+
+
 def test_relation_matrix_rows():
     p = pres([rat(7, 2), INF, rat(-3)], [[0, 1, 2], [1, 0, -1], [2, -1, 0]])
     assert p.relation_matrix() == [[7, 2, 4], [0, 1, 0], [2, -1, -3]]
@@ -454,6 +459,9 @@ def test_surgery_parse_errors():
         parse_surgery("surgery 1\n")
     with pytest.raises(PresentationError, match="no coefficient"):
         parse_surgery("surgery 1\ncomponents 1\n")
+    for header in ("components 2 junk", "components 2 2"):
+        with pytest.raises(PresentationError, match="line 2: bad components count"):
+            parse_surgery(f"surgery 1\n{header}\ncoeff 1 2\ncoeff 2 3\n")
     with pytest.raises(PresentationError, match="line 3"):
         parse_surgery("surgery 1\ncomponents 1\ncoeff 1 wat\n")
     with pytest.raises(PresentationError, match="unknown or malformed"):

@@ -204,8 +204,11 @@ def _gamma_lines(x: SteinPresentation, s: SpinStructure) -> list[str]:
 def cmd_gamma(args) -> list[str]:
     x = SteinPresentation.from_presentation(parse_input(args.file, "surgery"))
     if args.sublink is not None:
+        tokens = args.sublink.split()
+        if tokens == ["empty"]:  # how _gamma_lines prints the empty sublink
+            tokens = []
         members = set()
-        for token in args.sublink.split():
+        for token in tokens:
             try:
                 members.add(parse_int(token))
             except ValueError as exc:

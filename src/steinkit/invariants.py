@@ -10,11 +10,13 @@ characteristic and the signature, all computed exactly.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
 from .numerics import (
     ExtRational,
+    SmithForm,
     first_asymmetry,
     mat_vec,
     rat,
@@ -30,7 +32,7 @@ class InvariantError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteinPresentation:
     """Integer handle data: framings, linkings, runs and rotations.
 
@@ -38,25 +40,36 @@ class SteinPresentation:
     diagonal, linking number off it), runs[h][i] counts algebraic runs
     of attaching circle i over 1-handle h, and rot[i] is the rotation
     number of circle i.
+
+    Presentations are frozen: q and runs are stored as tuples of rows
+    and rot as a tuple.  Construction validates the data once and builds
+    Q* once; the Smith form of Q* is taken at most once, on first use.
     """
 
-    q: list[list[int]]
-    runs: list[list[int]]
-    rot: list[int]
+    q: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[int, ...], ...]
+    rot: tuple[int, ...]
+    _qs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.q)
-        for i, row in enumerate(self.q):
+        q, runs = tuple(map(tuple, self.q)), tuple(map(tuple, self.runs))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "rot", tuple(self.rot))
+        m = len(q)
+        for i, row in enumerate(q):
             if len(row) != m:
                 raise InvariantError(f"framing matrix row {i + 1} has length {len(row)}, want {m}")
-        bad = first_asymmetry(self.q)
+        bad = first_asymmetry(q)
         if bad is not None:
             raise InvariantError(f"framing matrix is not symmetric at ({bad[0] + 1}, {bad[1] + 1})")
-        for h, row in enumerate(self.runs):
+        for h, row in enumerate(runs):
             if len(row) != m:
                 raise InvariantError(f"run row {h + 1} has length {len(row)}, want {m}")
         if len(self.rot) != m:
             raise InvariantError(f"got {len(self.rot)} rotation numbers for {m} circles")
+        top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(q))
+        object.__setattr__(self, "_qs", top + tuple(run + (0,) * len(runs) for run in runs))
 
     @property
     def m(self) -> int:
@@ -68,8 +81,12 @@ class SteinPresentation:
 
     def q_star(self) -> list[list[int]]:
         """The full linking matrix over circles and surgered 1-handles."""
-        top = [list(row) + [run[i] for run in self.runs] for i, row in enumerate(self.q)]
-        return top + [list(run) + [0] * self.n1 for run in self.runs]
+        return [list(row) for row in self._qs]
+
+    @cached_property
+    def smith_form(self) -> SmithForm:
+        """The Smith form of Q*, computed on first use and kept."""
+        return smith_normal_form(self._qs)
 
     @classmethod
     def from_presentation(cls, p: SurgeryPresentation) -> "SteinPresentation":
@@ -80,7 +97,6 @@ class SteinPresentation:
         Every other component needs an integer coefficient and a known
         rotation number.
         """
-        p.validate()
         n1 = sum(1 for flag in p.l0 if flag)
         m = p.m - n1
         if any(p.l0[:m]) or not all(p.l0[m:]):
@@ -129,10 +145,10 @@ class CokernelClass:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _cokernel_class(q_star, vec) -> CokernelClass:
-    snf = smith_normal_form(q_star)
-    coords = mat_vec([list(r) for r in snf.left], list(vec))
-    orders = tuple(snf.diagonal)
+def _cokernel_class(snf: SmithForm, vec) -> CokernelClass:
+    """The class of vec in the cokernel of the matrix whose Smith form is snf."""
+    coords = mat_vec(snf.left, vec)
+    orders = snf.diagonal
     reduced = tuple(c % d if d else c for c, d in zip(coords, orders))
     return CokernelClass(coords=reduced, orders=orders, representative=tuple(vec))
 
@@ -149,7 +165,7 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     never empty; it has 2^k entries where k is the mod-2 nullity of the
     full linking matrix.
     """
-    qs = x.q_star()
+    qs = x._qs
     diag = [qs[i][i] for i in range(len(qs))]
     sol = solve_gf2_affine(qs, diag)
     if sol is None:
@@ -168,7 +184,7 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     rotation parity constraint, and is returned mod the column space of
     the full linking matrix.
     """
-    qs = x.q_star()
+    qs = x._qs
     size = len(qs)
     if len(s.sublink) != size:
         raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
@@ -185,12 +201,12 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
                 f"rotation parity violated on component {i + 1}: the class is half-integral"
             )
         rho.append(twice // 2)
-    return _cokernel_class(qs, rho)
+    return _cokernel_class(x.smith_form, rho)
 
 
-def _chi_sigma_term(x: SteinPresentation, q_star) -> int:
+def _chi_sigma_term(x: SteinPresentation) -> int:
     """-2*chi - 3*sigma, with chi = 1 - n1 + m and sigma = signature(Q*)."""
-    return -2 * (1 - x.n1 + x.m) - 3 * signature(q_star)
+    return -2 * (1 - x.n1 + x.m) - 3 * signature(x._qs)
 
 
 def theta(x: SteinPresentation) -> ExtRational:
@@ -204,13 +220,12 @@ def theta(x: SteinPresentation) -> ExtRational:
     I_r block of runs (r its rank), which leaves a hyperbolic part of
     signature 0 plus q restricted to that kernel.
     """
-    qs = x.q_star()
     c = chern_cocycle(x)
-    y = solve_rational(qs, c)
+    y = solve_rational(x._qs, c)
     if y is None:
         raise InvariantError("theta undefined: c1 has infinite order")
     square = sum(a * b for a, b in zip(y, c))
-    val = Fraction(square) + _chi_sigma_term(x, qs)
+    val = Fraction(square) + _chi_sigma_term(x)
     return rat(val.numerator, val.denominator)
 
 
@@ -224,12 +239,10 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     on the kernel of runs by a congruence that leaves a hyperbolic part
     of signature 0.
     """
-    qs = x.q_star()
-    c = chern_cocycle(x)
-    cls = _cokernel_class(qs, c)
+    cls = _cokernel_class(x.smith_form, chern_cocycle(x))
     free = [v for v, order in zip(cls.coords, cls.orders) if order == 0]
     d = 0
     for v in free:
         d = gcd(d, abs(v))
-    base = _chi_sigma_term(x, qs)
+    base = _chi_sigma_term(x)
     return d, (base % (2 * d) if d else base)

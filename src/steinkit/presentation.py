@@ -10,7 +10,7 @@ twist, slam-dunk, blow-down, chain expansion) preserve the oriented boundary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -31,7 +31,7 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurgeryPresentation:
     """A framed link with rational coefficients and exact linking data.
 
@@ -39,47 +39,37 @@ class SurgeryPresentation:
     coeffs, never on the diagonal.  l0 marks components that arose from
     surgering one-handles (coefficient 0, geometric unknots); rot and tb
     are optional Legendrian data carried along for Stein constructions.
+
+    Presentations are frozen: every field is stored as a tuple (lk as a
+    tuple of rows), empty flag fields are filled with their defaults, and
+    the data is validated once, on construction.  Rewrites return new
+    presentations.
     """
 
-    coeffs: list[ExtRational]
-    lk: list[list[int]]
-    unknot: list[bool] = field(default_factory=list)
-    l0: list[bool] = field(default_factory=list)
-    rot: list[int | None] = field(default_factory=list)
-    tb: list[int | None] = field(default_factory=list)
+    coeffs: tuple[ExtRational, ...]
+    lk: tuple[tuple[int, ...], ...]
+    unknot: tuple[bool, ...] = ()
+    l0: tuple[bool, ...] = ()
+    rot: tuple[int | None, ...] = ()
+    tb: tuple[int | None, ...] = ()
 
     def __post_init__(self):
         m = len(self.coeffs)
-        if not self.unknot:
-            self.unknot = [False] * m
-        if not self.l0:
-            self.l0 = [False] * m
-        if not self.rot:
-            self.rot = [None] * m
-        if not self.tb:
-            self.tb = [None] * m
-        self.validate()
-
-    @property
-    def m(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def n_l0(self) -> int:
-        return sum(self.l0)
-
-    def validate(self):
-        m = self.m
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "lk", tuple(map(tuple, self.lk)))
+        for name, blank in (("unknot", False), ("l0", False), ("rot", None), ("tb", None)):
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(value) if value else (blank,) * m)
         for name in ("lk", "unknot", "l0", "rot", "tb"):
             if len(getattr(self, name)) != m:
                 raise PresentationError(f"{name} has wrong length for {m} components")
         for i, c in enumerate(self.coeffs):
             if not isinstance(c, ExtRational):
                 raise PresentationError(f"coefficient {i + 1} is not an ExtRational")
-        for i in range(m):
-            if len(self.lk[i]) != m:
+        for i, row in enumerate(self.lk):
+            if len(row) != m:
                 raise PresentationError("linking matrix is not square")
-            if self.lk[i][i] != 0:
+            if row[i] != 0:
                 raise PresentationError(
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
@@ -89,36 +79,23 @@ class SurgeryPresentation:
             raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
         if not all(isinstance(v, int) for row in self.lk for v in row):
             raise PresentationError("linking numbers must be integers")
-        for i in range(m):
+        for i, c in enumerate(self.coeffs):
             if self.l0[i]:
-                if self.coeffs[i] != ZERO:
+                if c != ZERO:
                     raise PresentationError(
-                        f"component {i + 1} is marked l0 but has coefficient {self.coeffs[i]}"
+                        f"component {i + 1} is marked l0 but has coefficient {c}"
                     )
                 if not self.unknot[i]:
                     raise PresentationError(f"component {i + 1} is marked l0 but not unknot")
 
-    def clone(self) -> "SurgeryPresentation":
-        return SurgeryPresentation(
-            coeffs=list(self.coeffs),
-            lk=[list(row) for row in self.lk],
-            unknot=list(self.unknot),
-            l0=list(self.l0),
-            rot=list(self.rot),
-            tb=list(self.tb),
-        )
+    @property
+    def m(self) -> int:
+        return len(self.coeffs)
 
     def delete(self, index: int) -> "SurgeryPresentation":
         """Remove one component (0-based), dropping its linking data."""
-        keep = [k for k in range(self.m) if k != index]
-        return SurgeryPresentation(
-            coeffs=[self.coeffs[k] for k in keep],
-            lk=[[self.lk[a][b] for b in keep] for a in keep],
-            unknot=[self.unknot[k] for k in keep],
-            l0=[self.l0[k] for k in keep],
-            rot=[self.rot[k] for k in keep],
-            tb=[self.tb[k] for k in keep],
-        )
+        chains = _own_chains(self)
+        return _rechain(self, [None if k == index else ch for k, ch in enumerate(chains)])
 
     def relation_matrix(self) -> list[list[int]]:
         """The m x m relation matrix of first homology of the surgered manifold.
@@ -140,24 +117,6 @@ class SurgeryPresentation:
                     f"component {i + 1} has non-integer coefficient {c}; expand first"
                 )
         return self.relation_matrix()
-
-
-def _append_linked_unknot(p: SurgeryPresentation, coeff: ExtRational, i: int) -> int:
-    """Append, in place, an unknot with coefficient coeff linking component
-    i (0-based) once; returns the new component's index.  The caller
-    revalidates by building a fresh presentation."""
-    p.coeffs.append(coeff)
-    p.unknot.append(True)
-    p.l0.append(False)
-    p.rot.append(None)
-    p.tb.append(None)
-    for row in p.lk:
-        row.append(0)
-    new_row = [0] * p.m
-    new_row[i] = 1
-    p.lk.append(new_row)
-    p.lk[i][p.m - 1] = 1
-    return p.m - 1
 
 
 def _check_index(p: SurgeryPresentation, i: int) -> int:
@@ -245,6 +204,44 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
 # chain expansion of rational coefficients
 
 
+def _own_chains(p: SurgeryPresentation) -> list:
+    """Every component of p as a one-entry chain, for _rechain."""
+    return [((c, r, t),) for c, r, t in zip(p.coeffs, p.rot, p.tb)]
+
+
+def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
+    """The one presentation in which component i of p becomes chains[i].
+
+    chains[i] is None to delete the component, or a sequence of
+    (coefficient, rot, tb) entries: the first replaces the component's
+    own, and each later entry is an unknot appended after all kept
+    components, chain by chain, linking its predecessor once.  Kept
+    components keep their linking numbers and unknot flag, and their l0
+    flag while their coefficient stays 0.
+    """
+    keep = [i for i, chain in enumerate(chains) if chain is not None]
+    entries = [chains[i][0] for i in keep]
+    links = []  # (appended component, the component it links)
+    for k, i in enumerate(keep):
+        prev = k
+        for entry in chains[i][1:]:
+            links.append((len(entries), prev))
+            prev = len(entries)
+            entries.append(entry)
+    n, extra = len(entries), len(links)
+    lk = [[p.lk[a][b] for b in keep] + [0] * extra for a in keep] + [[0] * n for _ in links]
+    for k, i in links:
+        lk[k][i] = lk[i][k] = 1
+    return SurgeryPresentation(
+        coeffs=[c for c, _, _ in entries],
+        lk=lk,
+        unknot=[p.unknot[i] for i in keep] + [True] * extra,
+        l0=[p.l0[i] and c == ZERO for i, (c, _, _) in zip(keep, entries)] + [False] * extra,
+        rot=[r for _, r, _ in entries],
+        tb=[t for _, _, t in entries],
+    )
+
+
 def expand_rational(p: SurgeryPresentation) -> SurgeryPresentation:
     """Replace every rational coefficient by its integer chain.
 
@@ -254,26 +251,16 @@ def expand_rational(p: SurgeryPresentation) -> SurgeryPresentation:
     the chain unknots are appended, each linking its predecessor once.
     The boundary manifold is unchanged.
     """
-    out = p.clone()
-    for i in reversed(range(out.m)):
-        if out.coeffs[i].is_infinite:
-            out = out.delete(i)
-
-    chains = []  # (source index, tail terms)
-    for i in range(out.m):
-        c = out.coeffs[i]
-        if not c.is_integer:
-            cf = neg_continued_fraction(c)
-            out.coeffs[i] = rat(cf.terms[0])
-            chains.append((i, cf.terms[1:]))
-
-    for source, tail in chains:
-        prev = source
-        for a in tail:
-            prev = _append_linked_unknot(out, rat(a), prev)
-    return SurgeryPresentation(
-        coeffs=out.coeffs, lk=out.lk, unknot=out.unknot, l0=out.l0, rot=out.rot, tb=out.tb
-    )
+    chains = []
+    for c, r, t in zip(p.coeffs, p.rot, p.tb):
+        if c.is_infinite:
+            chains.append(None)
+        elif c.is_integer:
+            chains.append(((c, r, t),))
+        else:
+            head, *tail = neg_continued_fraction(c).terms
+            chains.append(((rat(head), r, t), *((rat(a), None, None) for a in tail)))
+    return _rechain(p, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +281,18 @@ def rolfsen_twist(p: SurgeryPresentation, i: int, m: int) -> SurgeryPresentation
     if not p.unknot[idx]:
         raise PresentationError(f"component {i} is not known to be an unknot")
     if m == 0:
-        return p.clone()
-    out = p.clone()
-    c = out.coeffs[idx]
-    out.coeffs[idx] = ExtRational(c.num, c.den + m * c.num)
-    for j in range(out.m):
-        if j == idx:
-            continue
-        out.coeffs[j] = out.coeffs[j] + m * out.lk[idx][j] ** 2
-        out.unknot[j] = False
-        out.l0[j] = False
-        for k in range(j + 1, out.m):
-            if k == idx:
-                continue
-            delta = m * out.lk[idx][j] * out.lk[idx][k]
-            out.lk[j][k] += delta
-            out.lk[k][j] += delta
-    if out.l0[idx] and out.coeffs[idx] != ZERO:
-        out.l0[idx] = False
-    out.rot = [None] * out.m
-    out.tb = [None] * out.m
+        return p
+    c = p.coeffs[idx]
+    twisted = ExtRational(c.num, c.den + m * c.num)
+    row = p.lk[idx]
     return SurgeryPresentation(
-        coeffs=out.coeffs, lk=out.lk, unknot=out.unknot, l0=out.l0, rot=out.rot, tb=out.tb
+        coeffs=[twisted if j == idx else cj + m * row[j] ** 2 for j, cj in enumerate(p.coeffs)],
+        lk=[
+            [v + m * row[j] * row[k] if j != k else v for k, v in enumerate(r)]
+            for j, r in enumerate(p.lk)
+        ],
+        unknot=[j == idx and u for j, u in enumerate(p.unknot)],
+        l0=[j == idx and f and twisted == ZERO for j, f in enumerate(p.l0)],
     )
 
 
@@ -337,20 +314,17 @@ def slam_dunk(p: SurgeryPresentation, i: int, j: int) -> SurgeryPresentation:
     for k in range(p.m):
         if k not in (idx, jdx) and p.lk[jdx][k] != 0:
             raise PresentationError(f"component {j} links component {k + 1}; cannot dunk")
-    out = p.clone()
-    rj = out.coeffs[jdx]
+    ri, rj = p.coeffs[idx], p.coeffs[jdx]
     if not rj.is_infinite:
-        ri = out.coeffs[idx]
         if ri.is_infinite or not ri.is_integer:
             raise PresentationError(
                 f"slam-dunk needs an integer coefficient on component {i}, got {ri}"
             )
-        out.coeffs[idx] = ri - rj.reciprocal()
-    if out.l0[idx] and out.coeffs[idx] != ZERO:
-        out.l0[idx] = False
-    out.rot[idx] = None
-    out.tb[idx] = None
-    return out.delete(jdx)
+        ri = ri - rj.reciprocal()
+    chains = _own_chains(p)
+    chains[idx] = ((ri, None, None),)
+    chains[jdx] = None
+    return _rechain(p, chains)
 
 
 def slam_dunk_inverse(p: SurgeryPresentation, i: int, meridian_coeff: ExtRational) -> SurgeryPresentation:
@@ -365,23 +339,16 @@ def slam_dunk_inverse(p: SurgeryPresentation, i: int, meridian_coeff: ExtRationa
     c = meridian_coeff
     if c == ZERO:
         raise PresentationError("meridian coefficient 0 is not dunkable")
-    out = p.clone()
-    new_ri = out.coeffs[idx] + c.reciprocal()
+    new_ri = p.coeffs[idx] + c.reciprocal()
     # an infinite meridian dunks away unconditionally, anything else only
     # from an integer coefficient
     if not c.is_infinite and (new_ri.is_infinite or not new_ri.is_integer):
         raise PresentationError(
             f"inverse dunk needs an integral result, got r_i + 1/c = {new_ri}"
         )
-    out.coeffs[idx] = new_ri
-    if out.l0[idx] and out.coeffs[idx] != ZERO:
-        out.l0[idx] = False
-    out.rot[idx] = None
-    out.tb[idx] = None
-    _append_linked_unknot(out, c, idx)
-    return SurgeryPresentation(
-        coeffs=out.coeffs, lk=out.lk, unknot=out.unknot, l0=out.l0, rot=out.rot, tb=out.tb
-    )
+    chains = _own_chains(p)
+    chains[idx] = ((new_ri, None, None), (c, None, None))
+    return _rechain(p, chains)
 
 
 def blow_down(p: SurgeryPresentation, i: int) -> SurgeryPresentation:
@@ -393,23 +360,16 @@ def blow_down(p: SurgeryPresentation, i: int) -> SurgeryPresentation:
     if c not in (rat(1), rat(-1)):
         raise PresentationError(f"blow-down needs coefficient +1 or -1, got {c}")
     eps = c.num
-    out = p.clone()
-    for j in range(out.m):
-        if j == idx or out.lk[idx][j] == 0:
-            continue
-        out.coeffs[j] = out.coeffs[j] - eps * out.lk[idx][j] ** 2
-        out.unknot[j] = False
-        out.l0[j] = False
-        out.rot[j] = None
-        out.tb[j] = None
-    for j in range(out.m):
-        for k in range(j + 1, out.m):
-            if j == idx or k == idx:
-                continue
-            delta = eps * out.lk[idx][j] * out.lk[idx][k]
-            out.lk[j][k] -= delta
-            out.lk[k][j] -= delta
-    return out.delete(idx)
+    row = p.lk[idx]
+    keep = [j for j in range(p.m) if j != idx]
+    return SurgeryPresentation(
+        coeffs=[p.coeffs[j] - eps * row[j] ** 2 if row[j] else p.coeffs[j] for j in keep],
+        lk=[[p.lk[j][k] - eps * row[j] * row[k] if j != k else 0 for k in keep] for j in keep],
+        unknot=[p.unknot[j] and not row[j] for j in keep],
+        l0=[p.l0[j] and not row[j] for j in keep],
+        rot=[None if row[j] else p.rot[j] for j in keep],
+        tb=[None if row[j] else p.tb[j] for j in keep],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,70 +402,40 @@ class SteinPlan:
     expanded: SurgeryPresentation | None
 
 
-def stein_plan(p: SurgeryPresentation, tb_of: dict[int, int] | None = None) -> SteinPlan:
-    """Plan a Stein realisation of the surgered manifold.
+def stein_plan(p: SurgeryPresentation) -> SteinPlan:
+    """Plan a Stein realisation of the surgered manifold from p's tb data.
 
     Every finite coefficient must satisfy r_i < tb(K_i); components with
     coefficient infinity are erased.  Each coefficient is expanded into its
     integer chain; the head component is stabilised down to tb = a_0 + 1
     and each chain unknot is built from the tb = -1 unknot with -a_j - 2
-    upward zig-zags, so framing = tb - 1 holds throughout.
-
-    tb_of optionally supplies or overrides tb per 1-based component.
+    upward zig-zags, so framing = tb - 1 holds throughout.  The expanded
+    presentation carries those tb and rotation targets.
     """
-    if tb_of:
-        p = p.clone()
-        for cid, t in tb_of.items():
-            p.tb[_check_index(p, cid)] = t
     violations = []
-    for i in range(p.m):
-        c = p.coeffs[i]
+    for i, (c, t) in enumerate(zip(p.coeffs, p.tb), start=1):
         if c.is_infinite:
             continue
-        t = p.tb[i]
         if t is None:
-            violations.append((i + 1, "no tb data"))
+            violations.append((i, "no tb data"))
         elif not c < rat(t):
-            violations.append((i + 1, f"coefficient {c} is not below tb = {t}"))
+            violations.append((i, f"coefficient {c} is not below tb = {t}"))
     if violations:
         return SteinPlan(ok=False, violations=tuple(violations), rows=(), expanded=None)
 
-    rows = []
-    survivors = [i for i in range(p.m) if not p.coeffs[i].is_infinite]
-    for i in survivors:
-        c = p.coeffs[i]
-        t = p.tb[i]
-        cf = neg_continued_fraction(c)
-        zigzags = [t - 1 - cf.terms[0]]
-        tb_targets = [cf.terms[0] + 1]
-        r0 = p.rot[i]
-        rot_targets = [None if r0 is None else r0 - zigzags[0]]
-        for a in cf.terms[1:]:
-            zigzags.append(-a - 2)
-            tb_targets.append(a + 1)
-            rot_targets.append(a + 2)  # from the tb = -1, rot = 0 unknot
-        rows.append(
-            PlanRow(
-                component=i + 1,
-                chain=cf.terms,
-                zigzags=tuple(zigzags),
-                tb_targets=tuple(tb_targets),
-                rot_targets=tuple(rot_targets),
-            )
-        )
-
-    expanded = expand_rational(p)
-    pos = {i + 1: idx for idx, i in enumerate(survivors)}
-    next_new = len(survivors)
-    for row in rows:
-        idx = pos[row.component]
-        expanded.tb[idx] = row.tb_targets[0]
-        expanded.rot[idx] = row.rot_targets[0]
-        for t, (tb_t, rot_t) in enumerate(zip(row.tb_targets[1:], row.rot_targets[1:])):
-            expanded.tb[next_new] = tb_t
-            expanded.rot[next_new] = rot_t
-            next_new += 1
-    return SteinPlan(ok=True, violations=(), rows=tuple(rows), expanded=expanded)
+    rows, chains = [], []
+    for i, (c, r0, t) in enumerate(zip(p.coeffs, p.rot, p.tb), start=1):
+        if c.is_infinite:
+            chains.append(None)
+            continue
+        terms = neg_continued_fraction(c).terms
+        zigzags = (t - 1 - terms[0],) + tuple(-a - 2 for a in terms[1:])
+        tb_targets = tuple(a + 1 for a in terms)
+        # chain unknots start from the tb = -1, rot = 0 unknot
+        rot_targets = (None if r0 is None else r0 - zigzags[0],) + tuple(a + 2 for a in terms[1:])
+        rows.append(PlanRow(i, terms, zigzags, tb_targets, rot_targets))
+        chains.append(tuple(zip(map(rat, terms), rot_targets, tb_targets)))
+    return SteinPlan(ok=True, violations=(), rows=tuple(rows), expanded=_rechain(p, chains))
 
 
 # ---------------------------------------------------------------------------

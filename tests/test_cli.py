@@ -146,6 +146,43 @@ def test_gamma_explicit_sublink(capsys, theta_example):
     assert out == "sublink: 1\ngamma: (0,0) mod im(Q*)\n"
 
 
+# One 0-framed unknot: its characteristic sublinks are empty and {1}.
+ZERO_KNOT = "surgery 1\ncomponents 1\ncoeff 1 0\nunknot 1\nrot 1 0\n"
+
+# 16 characteristic sublinks over Z/2 + Z/2 + Z/4 + Z.
+TORSION = """\
+surgery 1
+components 4
+coeff 1 2
+coeff 2 -2
+coeff 3 0
+coeff 4 0
+lk 1 2 2
+lk 1 3 2
+lk 2 3 -2
+l0 3
+l0 4
+rot 1 -2
+rot 2 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [ZERO_KNOT, THETA_EXAMPLE, TORSION], ids=["zero-knot", "theta-example", "torsion"]
+)
+def test_gamma_sublink_lines_round_trip(capsys, tmp_path, text):
+    path = tmp_path / "x.surgery"
+    path.write_text(text)
+    rc, out, err = run(capsys, "gamma", str(path))
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "sublink: empty"
+    for sub, gam in zip(lines[::2], lines[1::2]):
+        members = sub.removeprefix("sublink: ")
+        assert run(capsys, "gamma", "--sublink", members, str(path)) == (0, f"{sub}\n{gam}\n", "")
+    assert run(capsys, "gamma", "--sublink", "", str(path)) == (0, "\n".join(lines[:2]) + "\n", "")
+
+
 def test_h1(capsys, theta_example):
     rc, out, _ = run(capsys, "h1", theta_example)
     assert rc == 0

@@ -599,11 +599,11 @@ def test_surger_kinked_core_strand():
     p = surger_handles(d)
     assert p.m == 2
     assert [str(c) for c in p.coeffs] == ["-3", "0"]
-    assert p.lk == [[0, 1], [1, 0]]
-    assert p.l0 == [False, True]
-    assert p.unknot == [False, True]
-    assert p.rot == [0, 0]
-    assert p.tb == [-2, None]
+    assert p.lk == ((0, 1), (1, 0))
+    assert p.l0 == (False, True)
+    assert p.unknot == (False, True)
+    assert p.rot == (0, 0)
+    assert p.tb == (-2, None)
 
 
 def test_surger_requires_coefficients():
@@ -618,7 +618,7 @@ def test_surger_two_handles():
     assert p.m == 4
     assert p.lk[0][2] == 1 and p.lk[1][3] == 1
     assert p.lk[0][1] == 0 and p.lk[2][3] == 0
-    assert p.l0 == [False, False, True, True]
+    assert p.l0 == (False, False, True, True)
 
 
 # ---------------------------------------------------------------------------

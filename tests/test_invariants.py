@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from steinkit.invariants import (
     theta,
     theta_f0_and_d,
 )
-from steinkit.numerics import rat, signature, smith_normal_form
+from steinkit.numerics import mat_vec, rat, signature, smith_normal_form
 from steinkit.presentation import PresentationError, SurgeryPresentation, linking_form
 
 
@@ -97,8 +98,21 @@ def test_from_presentation_reads_surgered_front():
         rot=[0, 0],
     )
     x = SteinPresentation.from_presentation(p)
-    assert x.q == [[-3]] and x.runs == [[1]] and x.rot == [0]
+    assert x.q == ((-3,),) and x.runs == ((1,),) and x.rot == (0,)
     assert x.q_star() == [[-3, 1], [1, 0]]
+
+
+def test_stein_presentations_are_frozen():
+    x = SteinPresentation(q=[[2, 1], [1, 0]], runs=[[1, 0]], rot=[0, 1])
+    for name in ("q", "runs", "rot"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, getattr(x, name))
+    for seq, value in ((x.q, (0, 0)), (x.q[0], 3), (x.rot, 2)):
+        with pytest.raises(TypeError):
+            seq[0] = value
+    qs = x.q_star()
+    qs[0][0] = 7  # a copy: the presentation keeps its own Q*
+    assert x.q_star() == [[2, 1, 1], [1, 0, 0], [1, 0, 0]]
 
 
 def test_from_presentation_errors():
@@ -187,7 +201,7 @@ def test_gamma_of_exchange_matrix_family():
         assert g.representative == (p, 0)
         assert g.coords == (p, 0) and g.orders == (2 * p, 2 * p)
         # the two generators of the cokernel stay distinct
-        swapped = _cokernel_class(x.q_star(), [0, p])
+        swapped = _cokernel_class(x.smith_form, [0, p])
         assert g != swapped
 
 
@@ -227,17 +241,74 @@ def test_gamma_rejects_parity_violation():
         gamma(x, SpinStructure(sublink=(0,)))
 
 
+def cokernel_class_reference(q_star, vec):
+    """(coords, orders) of vec from a fresh Smith form of q_star."""
+    snf = smith_normal_form(q_star)
+    coords = mat_vec(snf.left, vec)
+    return tuple(c % d if d else c for c, d in zip(coords, snf.diagonal)), snf.diagonal
+
+
+# Q* = [[2, 2, 2, 0], [2, -2, -2, 0], [2, -2, 0, 0], [0, 0, 0, 0]]: 16
+# characteristic sublinks, 8 distinct classes, orders (2, 2, 4, 0)
+GAMMA_LISTING = [
+    ((), (0, 0, 3, 0)),
+    ((4,), (0, 0, 3, 0)),
+    ((3,), (1, 1, 3, 0)),
+    ((3, 4), (1, 1, 3, 0)),
+    ((2,), (1, 0, 1, 0)),
+    ((2, 4), (1, 0, 1, 0)),
+    ((2, 3), (0, 1, 1, 0)),
+    ((2, 3, 4), (0, 1, 1, 0)),
+    ((1,), (1, 0, 3, 0)),
+    ((1, 4), (1, 0, 3, 0)),
+    ((1, 3), (0, 1, 3, 0)),
+    ((1, 3, 4), (0, 1, 3, 0)),
+    ((1, 2), (0, 0, 1, 0)),
+    ((1, 2, 4), (0, 0, 1, 0)),
+    ((1, 2, 3), (1, 1, 1, 0)),
+    ((1, 2, 3, 4), (1, 1, 1, 0)),
+]
+
+
+def test_gamma_listing_takes_one_smith_form(monkeypatch):
+    x = SteinPresentation(q=[[2, 2], [2, -2]], runs=[[2, -2], [0, 0]], rot=[-2, 0])
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(invariants, "smith_normal_form", counting)
+    theta(x)  # needs no Smith form
+    assert calls == []
+    listing = [(s.members(), gamma(x, s)) for s in characteristic_sublinks(x)]
+    theta_f0_and_d(x)
+    assert len(calls) == 1
+    assert [(members, g.coords) for members, g in listing] == GAMMA_LISTING
+    for _, g in listing:
+        assert (g.coords, g.orders) == cokernel_class_reference(x.q_star(), g.representative)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_gamma_matches_a_fresh_smith_form(seed):
+    x = random_stein(random.Random(seed), parity=True)
+    for s in characteristic_sublinks(x):
+        g = gamma(x, s)
+        assert (g.coords, g.orders) == cokernel_class_reference(x.q_star(), g.representative)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_twice_gamma_is_the_chern_class(seed):
     rng = random.Random(seed)
     x = random_stein(rng, parity=True)
-    qs = x.q_star()
+    snf = x.smith_form
     c = chern_cocycle(x)
     for s in characteristic_sublinks(x):
         g = gamma(x, s)
-        doubled = _cokernel_class(qs, [2 * v for v in g.representative])
-        assert doubled == _cokernel_class(qs, c)
+        doubled = _cokernel_class(snf, [2 * v for v in g.representative])
+        assert doubled == _cokernel_class(snf, c)
 
 
 @given(st.integers(0, 10_000))
@@ -423,8 +494,8 @@ def test_theta_adds_over_disjoint_unions(seed):
     a = random_stein(rng, max_m=3, max_n1=1)
     b = random_stein(rng, max_m=3, max_n1=1)
     ma, mb = a.m, b.m
-    q = [row + [0] * mb for row in a.q] + [[0] * ma + row for row in b.q]
-    runs = [row + [0] * mb for row in a.runs] + [[0] * ma + row for row in b.runs]
+    q = [list(row) + [0] * mb for row in a.q] + [[0] * ma + list(row) for row in b.q]
+    runs = [list(row) + [0] * mb for row in a.runs] + [[0] * ma + list(row) for row in b.runs]
     both = SteinPresentation(q=q, runs=runs, rot=a.rot + b.rot)
     try:
         ta, tb_ = theta(a), theta(b)

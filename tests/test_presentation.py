@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,50 @@ def test_validation_errors():
         SurgeryPresentation(coeffs=[rat(1)], lk=[[0]], l0=[True], unknot=[True])
     with pytest.raises(PresentationError, match="not unknot"):
         SurgeryPresentation(coeffs=[rat(0)], lk=[[0]], l0=[True], unknot=[False])
+
+
+def test_presentations_are_frozen():
+    p = pres([rat(1), rat(-2)], [[0, 1], [1, 0]], unknot=[True, False], rot=[0, None])
+    for name in ("coeffs", "lk", "unknot", "l0", "rot", "tb"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
+    for seq, value in ((p.lk, (0, 2)), (p.lk[0], 2), (p.coeffs, rat(2)), (p.rot, 1)):
+        with pytest.raises(TypeError):
+            seq[0] = value
+    assert p.lk == ((0, 1), (1, 0)) and p.coeffs == (rat(1), rat(-2)) and p.rot == (0, None)
+
+
+def test_each_rewrite_builds_one_presentation(monkeypatch):
+    hopf = pres([rat(1), rat(-2)], [[0, 1], [1, 0]], unknot=[True, True], rot=[1, 0], tb=[2, -1])
+    # rational and infinite coefficients: -7/2 and 5/3 expand into chains of 2 and 3
+    mixed = pres(
+        [rat(-7, 2), INF, rat(3), rat(5, 3)],
+        [[0, 1, 2, 0], [1, 0, 0, 1], [2, 0, 0, 1], [0, 1, 1, 0]],
+        unknot=[True, False, False, False],
+    )
+    text = serialize_surgery(mixed)
+    built = []
+    original = SurgeryPresentation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SurgeryPresentation, "__post_init__", counting)
+    calls = {
+        "rolfsen_twist": lambda: rolfsen_twist(hopf, 1, -2),
+        "slam_dunk": lambda: slam_dunk(hopf, 2, 1),
+        "slam_dunk_inverse": lambda: slam_dunk_inverse(hopf, 2, rat(1, 3)),
+        "blow_down": lambda: blow_down(hopf, 1),
+        "delete": lambda: mixed.delete(1),
+        "expand_rational": lambda: expand_rational(mixed),
+        "parse_surgery": lambda: parse_surgery(text),
+    }
+    for name, call in calls.items():
+        built.clear()
+        out = call()
+        assert len(built) == 1 and built[0] is out, name
+    assert expand_rational(mixed).m == 6
 
 
 def test_integer_matrix_requires_integers():
@@ -139,9 +184,9 @@ def test_expand_rational_chain():
     p = pres([rat(-7, 2)], unknot=[True])
     q = expand_rational(p)
     assert [str(c) for c in q.coeffs] == ["-4", "-2"]
-    assert q.lk == [[0, 1], [1, 0]]
-    assert q.unknot == [True, True]
-    assert q.l0 == [False, False]
+    assert q.lk == ((0, 1), (1, 0))
+    assert q.unknot == (True, True)
+    assert q.l0 == (False, False)
 
 
 def test_expand_rational_deletes_infinity():
@@ -162,13 +207,13 @@ def test_rolfsen_twist_fixture():
     assert str(q.coeffs[0]) == "3/7"
     assert str(q.coeffs[1]) == "9"  # 5 + 1 * 2^2
     assert q.lk[0][1] == 2
-    assert q.unknot == [True, False]
+    assert q.unknot == (True, False)
 
 
 def test_rolfsen_twist_identity():
     p = pres([rat(3, 4)], unknot=[True])
     q = rolfsen_twist(p, 1, 0)
-    assert q.coeffs == p.coeffs and q.unknot == [True]
+    assert q.coeffs == p.coeffs and q.unknot == (True,)
 
 
 def test_rolfsen_twist_unknot_reciprocal():
@@ -204,7 +249,7 @@ def test_rolfsen_twist_preserves_h1(seed, m):
     rng = random.Random(seed)
     p = random_presentation(rng)
     i = rng.randint(1, p.m)
-    p.unknot[i - 1] = True
+    p = replace(p, unknot=[u or k == i - 1 for k, u in enumerate(p.unknot)])
     assert h1(rolfsen_twist(p, i, m)) == h1(p)
 
 
@@ -268,7 +313,7 @@ def test_slam_dunk_inverse_spec_example():
     p = pres([rat(-2)], unknot=[True])
     q = slam_dunk_inverse(p, 1, rat(1, 3))
     assert [str(c) for c in q.coeffs] == ["1", "1/3"]
-    assert q.lk == [[0, 1], [1, 0]]
+    assert q.lk == ((0, 1), (1, 0))
     assert q.unknot[1] is True
     back = slam_dunk(q, 1, 2)
     assert str(back.coeffs[0]) == "-2"
@@ -292,15 +337,15 @@ def test_blow_down_fixture():
     q = blow_down(p, 1)
     assert q.m == 2
     assert [str(c) for c in q.coeffs] == ["-1", "4"]
-    assert q.lk == [[0, -1], [-1, 0]]
-    assert q.unknot == [False, False]
+    assert q.lk == ((0, -1), (-1, 0))
+    assert q.unknot == (False, False)
 
 
 def test_blow_down_leaves_split_components_alone():
     p = pres([rat(-1), rat(7)], unknot=[True, True])
     q = blow_down(p, 1)
     assert q.m == 1 and str(q.coeffs[0]) == "7"
-    assert q.unknot == [True]
+    assert q.unknot == (True,)
 
 
 def test_blow_down_preconditions():
@@ -317,10 +362,66 @@ def test_blow_down_preserves_h1(seed):
     p = random_presentation(rng)
     i = rng.randint(1, p.m)
     eps = rng.choice([1, -1])
-    p.coeffs[i - 1] = rat(eps)
-    p.unknot[i - 1] = True
-    p.l0[i - 1] = False
+    p = replace(
+        p,
+        coeffs=[rat(eps) if k == i - 1 else c for k, c in enumerate(p.coeffs)],
+        unknot=[u or k == i - 1 for k, u in enumerate(p.unknot)],
+        l0=[f and k != i - 1 for k, f in enumerate(p.l0)],
+    )
     assert h1(blow_down(p, i)) == h1(p)
+
+
+def fields(p):
+    return [str(c) for c in p.coeffs], p.lk, p.unknot, p.l0, p.rot, p.tb
+
+
+def test_rewrites_drop_the_data_they_invalidate():
+    # an l0 unknot, a +1 unknot linking it and a knot, and a split component
+    p = pres(
+        [rat(0), rat(1), rat(-3), rat(5)],
+        [[0, 1, 0, 0], [1, 0, 2, 0], [0, 2, 0, 0], [0, 0, 0, 0]],
+        unknot=[True, True, False, False],
+        l0=[True, False, False, False],
+        rot=[0, 1, 2, 3],
+        tb=[None, 2, -2, 6],
+    )
+    # blowing down forgets everything about the components it links
+    assert fields(blow_down(p, 2)) == (
+        ["-1", "-7", "5"],
+        ((0, -2, 0), (-2, 0, 0), (0, 0, 0)),
+        (False, False, False),
+        (False, False, False),
+        (None, None, 3),
+        (None, None, 6),
+    )
+    # a meridian moves the l0 coefficient off 0, so the l0 flag goes
+    q = slam_dunk_inverse(p, 1, rat(1))
+    lk5 = ((0, 1, 0, 0, 1), (1, 0, 2, 0, 0), (0, 2, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+    assert fields(q) == (
+        ["1", "1", "-3", "5", "1"],
+        lk5,
+        (True, True, False, False, True),
+        (False, False, False, False, False),
+        (None, 1, 2, 3, None),
+        (None, 2, -2, 6, None),
+    )
+    assert fields(slam_dunk(q, 1, 5)) == (
+        ["0", "1", "-3", "5"],
+        p.lk,
+        p.unknot,
+        (False, False, False, False),
+        (None, 1, 2, 3),
+        (None, 2, -2, 6),
+    )
+    # an infinite meridian leaves the coefficient at 0 and the flag on
+    assert fields(slam_dunk_inverse(p, 1, INF)) == (
+        ["0", "1", "-3", "5", "inf"],
+        lk5,
+        (True, True, False, False, True),
+        (True, False, False, False, False),
+        (None, 1, 2, 3, None),
+        (None, 2, -2, 6, None),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +459,8 @@ def test_stein_plan_trefoil_example():
     assert row.zigzags == (4, 0)
     assert row.tb_targets == (-3, -1)
     assert row.rot_targets == (-4, 0)
-    assert plan.expanded.tb == [-3, -1]
-    assert plan.expanded.rot == [-4, 0]
+    assert plan.expanded.tb == (-3, -1)
+    assert plan.expanded.rot == (-4, 0)
     assert [str(c) for c in plan.expanded.coeffs] == ["-4", "-2"]
 
 
@@ -384,7 +485,7 @@ def test_stein_plan_drops_infinity():
     assert plan.expanded.m == 1
     assert plan.rows[0].component == 2
     assert plan.rows[0].zigzags == (1,)
-    assert plan.expanded.rot == [0]
+    assert plan.expanded.rot == (0,)
 
 
 @given(st.integers(0, 10_000))
@@ -393,9 +494,8 @@ def test_stein_plan_framing_discipline(seed):
     # whenever the plan succeeds, every target satisfies coeff = tb - 1
     rng = random.Random(seed)
     p = random_presentation(rng, allow_inf=False)
-    for i in range(p.m):
-        p.tb[i] = rng.randint(-2, 3)
-        p.rot[i] = rng.randint(-2, 2)
+    data = [(rng.randint(-2, 3), rng.randint(-2, 2)) for _ in range(p.m)]
+    p = replace(p, tb=[t for t, _ in data], rot=[r for _, r in data])
     plan = stein_plan(p)
     if not plan.ok:
         aff = {c for c, _ in plan.violations}
@@ -445,8 +545,8 @@ def test_surgery_format_fixture():
     )
     p = parse_surgery(text)
     assert str(p.coeffs[0]) == "-3"
-    assert p.l0 == [False, True]
-    assert p.unknot == [False, True]  # l0 implies unknot
+    assert p.l0 == (False, True)
+    assert p.unknot == (False, True)  # l0 implies unknot
     assert serialize_surgery(p) == text.replace("rot 1 0\n", "rot 1 0\nrot 2 0\n") or True
     # canonical form writes what was parsed
     assert parse_surgery(serialize_surgery(p)).lk == p.lk

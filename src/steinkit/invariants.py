@@ -221,7 +221,7 @@ def theta(x: SteinPresentation) -> ExtRational:
     signature 0 plus q restricted to that kernel.
     """
     c = chern_cocycle(x)
-    y = solve_rational(x._qs, c)
+    (y,) = solve_rational(x._qs, c)
     if y is None:
         raise InvariantError("theta undefined: c1 has infinite order")
     square = sum(a * b for a, b in zip(y, c))

@@ -302,10 +302,11 @@ class ContinuedFraction:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")
 
     def evaluate(self) -> ExtRational:
-        value = rat(self.terms[-1])
+        num, den = self.terms[-1], 1
         for term in reversed(self.terms[:-1]):
-            value = rat(term) - value.reciprocal()
-        return value
+            # a tail value num/den is <= -1, so term - den/num is finite
+            num, den = term * num - den, num
+        return ExtRational(num, den)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -315,19 +316,22 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
     """The unique expansion of a finite rational with tail terms <= -2."""
     if r.is_infinite:
         raise NumericsError("infinity has no continued fraction expansion")
-    terms = []
+    num, den, terms = r.num, r.den, []
     while True:
-        fl, f = floor_frac(r)
+        fl, rem = divmod(num, den)
         terms.append(fl)
-        if f == ZERO:
+        if rem == 0:
             return ContinuedFraction(tuple(terms))
-        # r = fl - 1/r' means r' = -1/(r - fl), which lands in (-inf, -1)
-        r = -f.reciprocal()
+        # r = fl + rem/den = fl - 1/r' means r' = -den/rem, in (-inf, -1)
+        num, den = -den, rem
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form with unimodular witnesses
 
+# Guards only the witnessed form below, whose left and right witnesses can
+# grow to thousands of bits on dense input.  invariant_factors builds no
+# witness and takes no cap.
 MAX_SNF_DIM = 64
 
 
@@ -453,6 +457,69 @@ def smith_normal_form(matrix) -> SmithForm:
     )
 
 
+def _nearest_quotient(a: int, b: int) -> int:
+    """The integer nearest a/b, so a - q*b lies in (-|b|/2, |b|/2]."""
+    return (2 * a + b) // (2 * b)
+
+
+def invariant_factors(matrix) -> tuple[int, ...]:
+    """The diagonal of smith_normal_form(matrix), without the witnesses.
+
+    Column-local Euclid: the smallest nonzero entry of the current column
+    is the pivot, and row operations clear the rest of that column.  Then
+    the column has one nonzero entry, so the column operations that reduce
+    the pivot row mod |pivot| touch that row alone.  A nonzero remainder is
+    a smaller pivot: its column becomes the current one.  Otherwise the
+    pivot splits off as a 1x1 block.  The block values are then normalised
+    to a divisor chain by gcd/lcm, which keeps the group they present.
+    Taking the smallest pivot and rounded quotients keeps entries from the
+    growth a plain extended-gcd sweep shows, and no witness is built, so
+    no dimension cap applies.
+    """
+    rows = [[int(v) for v in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
+        raise NumericsError("ragged matrix")
+    blocks = []
+    while rows and rows[0]:
+        c = len(rows[0]) - 1  # the current column is always the last one
+        while True:
+            live = [r for r in rows if r[c]]
+            if not live:
+                break  # a zero column contributes a zero factor
+            while len(live) > 1:
+                piv = min(live, key=lambda r: abs(r[c]))
+                p, left = piv[c], [piv]
+                for r in live:
+                    if r is not piv:
+                        q = _nearest_quotient(r[c], p)
+                        r[:] = [x - q * y for x, y in zip(r, piv)]
+                        if r[c]:
+                            left.append(r)
+                live = left
+            piv = live[0]
+            ap = abs(piv[c])
+            for j in range(c):
+                piv[j] -= ap * _nearest_quotient(piv[j], ap)
+            rem = min((j for j in range(c) if piv[j]), key=lambda j: abs(piv[j]), default=None)
+            if rem is None:
+                rows = [r for r in rows if r is not piv]
+                blocks.append(ap)
+                break
+            for r in rows:
+                r[rem], r[c] = r[c], r[rem]
+        for r in rows:
+            r.pop()
+    chain = sorted(d for d in blocks if d > 1)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    ones = len(blocks) - len(chain)
+    return (1,) * ones + tuple(chain) + (0,) * (min(nrows, ncols) - len(blocks))
+
+
 def first_asymmetry(matrix) -> tuple[int, int] | None:
     """The first (i, j), j < i in row-major order, where a square matrix
     differs from its transpose; None when it is symmetric."""
@@ -476,15 +543,16 @@ def mat_vec(a, v):
 # Gauss-Jordan elimination over the rationals
 
 
-def solve_rational(matrix, rhs) -> list[Fraction] | None:
-    """Solve a square integer linear system over Q; None if inconsistent.
+def solve_rational(matrix, *rhs) -> tuple[list[Fraction] | None, ...]:
+    """Solve square integer linear systems over Q, one per right-hand side.
 
-    Gauss-Jordan elimination of the augmented rows, pivots taken column
-    by column from the first row with a nonzero entry.  Free variables
-    are set to zero.
+    One Gauss-Jordan elimination of the rows augmented by every right-hand
+    side, pivots taken column by column from the first row with a nonzero
+    entry.  Free variables are set to zero; a system that is inconsistent
+    gets None in place of its solution.
     """
     n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(matrix)]
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -499,12 +567,16 @@ def solve_rational(matrix, rhs) -> list[Fraction] | None:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][n]
-    return x
+    solutions = []
+    for k in range(n, n + len(rhs)):
+        if any(row[k] != 0 for row in aug[len(pivots):]):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for row, col in enumerate(pivots):
+            x[col] = aug[row][k]
+        solutions.append(x)
+    return tuple(solutions)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from .numerics import (
     ZERO,
     ExtRational,
     first_asymmetry,
+    invariant_factors,
     neg_continued_fraction,
     parse_int,
     parse_rational,
     rat,
-    smith_normal_form,
     solve_rational,
 )
 
@@ -94,6 +94,8 @@ class SurgeryPresentation:
 
     def delete(self, index: int) -> "SurgeryPresentation":
         """Remove one component (0-based), dropping its linking data."""
+        if not 0 <= index < self.m:
+            raise PresentationError(f"component index {index} out of range 0..{self.m - 1}")
         chains = _own_chains(self)
         return _rechain(self, [None if k == index else ch for k, ch in enumerate(chains)])
 
@@ -159,8 +161,12 @@ class AbelianGroup:
 
 
 def cokernel(matrix) -> AbelianGroup:
-    """Cokernel of an integer matrix acting on column vectors."""
-    diag = smith_normal_form(matrix).diagonal
+    """Cokernel of an integer matrix acting on column vectors.
+
+    Read off the invariant factors alone (numerics.invariant_factors): no
+    unimodular witnesses are built and no dimension is capped.
+    """
+    diag = invariant_factors(matrix)
     rank_deficit = len(matrix) - len(diag)  # missing columns leave free generators
     zeros = sum(1 for d in diag if d == 0)
     factors = tuple(d for d in diag if d > 1)
@@ -172,7 +178,9 @@ def h1(p: SurgeryPresentation) -> AbelianGroup:
 
     The cokernel of the m x m relation matrix (Rolfsen, Knots and Links,
     ch. 9), taken straight from the rational coefficients: there is no
-    chain expansion, so the Smith form has dimension m.
+    chain expansion, so the matrix has dimension m.  Only the invariant
+    factors are computed, by cokernel's diagonal-only route, so no Smith
+    form witness is built and m is not capped.
     """
     return cokernel(p.relation_matrix())
 
@@ -185,16 +193,16 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
     Classes are integer vectors in meridian coordinates.  The value is
-    -x . Q^(-1) y mod 1, computed rationally; both inputs must be torsion
-    in the cokernel, otherwise the pairing is undefined.
+    -x . Q^(-1) y mod 1, computed rationally by one elimination that solves
+    for both classes; both inputs must be torsion in the cokernel,
+    otherwise the pairing is undefined.
     """
     q = p.integer_matrix()
     m = p.m
     if len(x) != m or len(y) != m:
         raise PresentationError("class vectors must have one entry per component")
-    zy = solve_rational(q, list(y))
-    zx = solve_rational(q, list(x))
-    if zy is None or zx is None:
+    zx, zy = solve_rational(q, x, y)
+    if zx is None or zy is None:
         raise PresentationError("linking form undefined: class is not torsion")
     total = -sum(Fraction(a) * b for a, b in zip(x, zy))
     return total - (total // 1)
@@ -209,6 +217,13 @@ def _own_chains(p: SurgeryPresentation) -> list:
     return [((c, r, t),) for c, r, t in zip(p.coeffs, p.rot, p.tb)]
 
 
+# A rewrite builds an m x m linking matrix, and the chain of -1/n alone has
+# n entries, so a rewrite may not grow a presentation past this many
+# components.  It is far above the longest expansion that the tests and
+# the benchmark build.
+MAX_COMPONENTS = 1000
+
+
 def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
     """The one presentation in which component i of p becomes chains[i].
 
@@ -217,9 +232,17 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
     own, and each later entry is an unknot appended after all kept
     components, chain by chain, linking its predecessor once.  Kept
     components keep their linking numbers and unknot flag, and their l0
-    flag while their coefficient stays 0.
+    flag while their coefficient stays 0.  A result with more than
+    MAX_COMPONENTS components, and more than p has, is refused before
+    its linking matrix is built.
     """
     keep = [i for i, chain in enumerate(chains) if chain is not None]
+    n = sum(len(chains[i]) for i in keep)
+    if n > max(MAX_COMPONENTS, p.m):
+        raise PresentationError(
+            f"the rewritten presentation would have {n} components; "
+            f"the limit is {MAX_COMPONENTS}"
+        )
     entries = [chains[i][0] for i in keep]
     links = []  # (appended component, the component it links)
     for k, i in enumerate(keep):
@@ -228,7 +251,7 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
             links.append((len(entries), prev))
             prev = len(entries)
             entries.append(entry)
-    n, extra = len(entries), len(links)
+    extra = len(links)
     lk = [[p.lk[a][b] for b in keep] + [0] * extra for a in keep] + [[0] * n for _ in links]
     for k, i in links:
         lk[k][i] = lk[i][k] = 1

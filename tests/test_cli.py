@@ -7,6 +7,7 @@ decisions), 1 on usage errors, 2 on invalid input files.
 
 import pytest
 
+from steinkit import presentation
 from steinkit.cli import main
 from steinkit.front import parse_front
 from steinkit.presentation import parse_surgery
@@ -195,6 +196,30 @@ def test_h1_of_a_long_chain_coefficient(capsys, tmp_path):
     path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/70\nunknot 1\n")
     rc, out, err = run(capsys, "h1", str(path))
     assert (rc, out, err) == (0, "h1: 0\n", "")
+
+
+def test_h1_of_an_expanded_long_chain(capsys, tmp_path):
+    # the expansion has 70 components, past the witnessed Smith form's cap
+    path = tmp_path / "s3.surgery"
+    path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/70\n")
+    rc, out, err = run(capsys, "expand", str(path))
+    assert (rc, err) == (0, "")
+    expanded = tmp_path / "expanded.surgery"
+    expanded.write_text(out)
+    assert parse_surgery(out).m == 70
+    assert run(capsys, "h1", str(expanded)) == (0, "h1: 0\n", "")
+
+
+def test_expansion_past_the_component_limit_is_invalid_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    path = tmp_path / "long.surgery"
+    path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/6\ntb 1 0\n")
+    message = "error: the rewritten presentation would have 6 components; the limit is 5\n"
+    for verb in ("expand", "plan"):
+        assert run(capsys, verb, str(path)) == (2, "", message)
+    path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/5\ntb 1 0\n")
+    rc, out, err = run(capsys, "expand", str(path))
+    assert (rc, err, parse_surgery(out).m) == (0, "", 5)
 
 
 def test_empty_presentation(capsys, tmp_path):

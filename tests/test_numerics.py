@@ -5,7 +5,9 @@ Smith normal forms, Descartes' rule on the characteristic polynomial for
 signatures, and exhaustive enumeration for small GF(2) systems.
 """
 
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -23,6 +25,7 @@ from steinkit.numerics import (
     first_asymmetry,
     floor_frac,
     inertia,
+    invariant_factors,
     mat_mul,
     mat_vec,
     neg_continued_fraction,
@@ -172,6 +175,10 @@ def test_continued_fraction_fixtures():
     assert neg_continued_fraction(rat(3, 2)).terms == (1, -2)
     assert neg_continued_fraction(rat(5)).terms == (5,)
     assert neg_continued_fraction(rat(-1, 3)).terms == (-1, -2, -2)
+    assert neg_continued_fraction(rat(-1, 200)).terms == (-1,) + (-2,) * 199
+    assert ContinuedFraction((-4, -2)).evaluate() == rat(-7, 2)
+    assert ContinuedFraction((0, -3, -2, -2)).evaluate() == rat(3, 7)
+    assert ContinuedFraction((7,)).evaluate() == rat(7)
 
 
 def test_continued_fraction_normal_form_enforced():
@@ -248,6 +255,72 @@ def test_smith_matches_sympy_invariant_factors(rows):
         if ref[i, i] not in (0, 1, -1)
     ]
     assert ours == theirs
+
+
+# every shape from 0x0 up to 7x7, with repeated rows (singular) and
+# negative entries; rows are left empty when there are no columns
+any_matrices = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), max_size=3).map(lambda extra: rows + extra)
+        if rows
+        else st.just(rows)
+    )
+)
+
+
+@settings(max_examples=300)
+@given(any_matrices)
+def test_invariant_factors_are_the_smith_diagonal(rows):
+    assert invariant_factors(rows) == smith_normal_form(rows).diagonal
+
+
+def test_invariant_factors_fixtures():
+    assert invariant_factors([]) == smith_normal_form([]).diagonal == ()
+    assert invariant_factors([[]]) == smith_normal_form([[]]).diagonal == ()
+    assert invariant_factors([[], []]) == ()
+    assert invariant_factors([[0, 0], [0, 0], [0, 0]]) == (0, 0)
+    assert invariant_factors([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == (1, 2, 12)
+    assert invariant_factors([[-6]]) == (6,)
+    with pytest.raises(NumericsError, match="ragged"):
+        invariant_factors([[1, 2], [3]])
+
+
+def _bareiss_det(rows) -> int:
+    """Fraction-free Gaussian elimination: every division is exact."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def test_invariant_factors_of_a_dense_64x64_matrix():
+    # the largest size the witnessed form admits, where its witnesses reach
+    # thousands of bits; the factors multiply to |det|
+    rng = random.Random(64)
+    n = 64
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+    factors = invariant_factors(rows)
+    assert len(factors) == n and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    det = _bareiss_det(rows)
+    assert det != 0
+    assert prod(factors) == abs(det)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import presentation
+from steinkit import numerics, presentation
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
     AbelianGroup,
@@ -168,6 +168,28 @@ def test_h1_needs_no_chain_expansion(monkeypatch):
     assert h1(p) == expected == AbelianGroup((59,))
 
 
+def test_h1_takes_no_witnessed_smith_form(monkeypatch):
+    def refuse(_):
+        raise AssertionError("h1 built Smith form witnesses")
+
+    for module in (numerics, presentation):
+        monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+    rng = random.Random(7)
+    for _ in range(20):
+        h1(random_presentation(rng))
+    assert h1(pres([rat(-1, 70)], unknot=[True])).is_trivial
+
+
+@pytest.mark.parametrize("q", [70, 200])
+def test_h1_of_an_expansion_past_64_components(q):
+    # the expanded relation matrix is larger than the witnessed Smith
+    # form's cap; h1 reads only its invariant factors
+    p = pres([rat(-1, q), rat(3, 7), rat(2)], [[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+    expanded = expand_rational(p)
+    assert expanded.m > 64
+    assert h1(expanded) == h1(p) != AbelianGroup(())
+
+
 def test_cokernel_of_empty_matrices():
     assert str(cokernel([])) == "0"
     assert str(cokernel([[]])) == "Z"  # one generator, no relation
@@ -194,6 +216,32 @@ def test_expand_rational_deletes_infinity():
     q = expand_rational(p)
     assert q.m == 1
     assert str(q.coeffs[0]) == "3"
+
+
+def test_delete_rejects_indices_out_of_range():
+    p = pres([1, 2], [[0, 1], [1, 0]])
+    for index in (-1, p.m):
+        with pytest.raises(PresentationError, match="out of range 0..1"):
+            p.delete(index)
+    assert p.delete(1).coeffs == (rat(1),)
+
+
+def test_rewrites_stop_at_the_component_limit(monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    # the chain of -1/n has n entries
+    at_limit = pres([rat(-1, 5)], unknot=[True], tb=[0])
+    assert expand_rational(at_limit).m == 5
+    assert stein_plan(at_limit).expanded.m == 5
+    over = pres([rat(-1, 6)], unknot=[True], tb=[0])
+    for rewrite in (expand_rational, stein_plan):
+        with pytest.raises(PresentationError, match="would have 6 components; the limit is 5"):
+            rewrite(over)
+    # a presentation already past the limit may shrink, or keep its size
+    big = pres([1] * 7)
+    assert big.delete(0).m == 6
+    assert expand_rational(big).m == 7
+    with pytest.raises(PresentationError, match="would have 8 components"):
+        slam_dunk_inverse(big, 1, rat(1))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +486,25 @@ def test_linking_form_lens_space():
 def test_linking_form_rejects_free_classes():
     with pytest.raises(PresentationError, match="not torsion"):
         linking_form(pres([0]), [1], [1])
+
+
+def test_linking_form_solves_both_classes_at_once(monkeypatch):
+    calls = []
+    original = presentation.solve_rational
+
+    def counting(matrix, *rhs):
+        calls.append(len(rhs))
+        return original(matrix, *rhs)
+
+    monkeypatch.setattr(presentation, "solve_rational", counting)
+    p = pres([4, 6], [[0, 1], [1, 0]])
+    assert linking_form(p, [1, 0], [0, 1]) == Fraction(1, 23)
+    assert calls == [2]
+    # either class alone being free is enough to refuse
+    free_second = pres([0, 3])
+    for x, y in (([1, 0], [0, 1]), ([0, 1], [1, 0])):
+        with pytest.raises(PresentationError, match="not torsion"):
+            linking_form(free_second, x, y)
 
 
 def test_linking_form_is_symmetric():

@@ -10,6 +10,7 @@ a leading "--" separator or the --flag=value spelling.
 """
 
 import argparse
+import os
 import sys
 
 from .families import (
@@ -446,11 +447,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        for line in result:
-            print(line)
+    text = result if isinstance(result, str) else "".join(f"{line}\n" for line in result)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, which fails no part of this call.  Point
+        # stdout at devnull so the flush at interpreter exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -13,7 +13,7 @@ one-directional.
 from dataclasses import dataclass
 from math import gcd
 
-from .numerics import INF, ExtRational, MobiusMap, floor_frac, rat, slope_less
+from .numerics import INF, ZERO, ExtRational, MobiusMap, floor_frac, rat, slope_less
 from .presentation import SurgeryPresentation
 
 
@@ -21,7 +21,6 @@ class FamilyError(ValueError):
     pass
 
 
-ZERO = rat(0)
 MINUS_ONE = rat(-1)
 
 

@@ -908,6 +908,8 @@ def parse_front(text: str) -> FrontDiagram:
         raise FrontError(f"line {lines[1][0]}: bad handle count") from exc
     if n_handles < 0:
         raise FrontError("negative handle count")
+    if n_handles > len(lines) - 2:  # each handle needs its own handle line
+        raise FrontError(f"handles {n_handles} exceeds the body lines, so one has no slot count")
 
     slots: dict[int, int] = {}
     events: tuple[Event, ...] | None = None

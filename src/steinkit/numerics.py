@@ -7,6 +7,7 @@ rounding.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ class ExtRational:
     """A rational number or the single point at infinity.
 
     Canonical form: den >= 0, gcd(num, den) == 1, and infinity is 1/0.
+    Arithmetic and order run on num/den alone; int is the only other operand.
     Infinity is unsigned, so the order operators reject it; on the slope
     line it plays the role of -infinity, see slope_less.
     """
@@ -60,17 +62,6 @@ class ExtRational:
     def is_integer(self) -> bool:
         return self.den == 1
 
-    # -- conversions
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise NumericsError("infinity has no Fraction value")
-        return Fraction(self.num, self.den)
-
-    @staticmethod
-    def from_fraction(f: Fraction) -> "ExtRational":
-        return ExtRational(f.numerator, f.denominator)
-
     # -- arithmetic (finite-only unless a rule below applies)
 
     def _coerce(self, other) -> "ExtRational":
@@ -78,8 +69,6 @@ class ExtRational:
             return other
         if isinstance(other, int):
             return ExtRational(other)
-        if isinstance(other, Fraction):
-            return ExtRational.from_fraction(other)
         raise NumericsError(f"cannot combine ExtRational with {other!r}")
 
     def __add__(self, other) -> "ExtRational":
@@ -88,7 +77,7 @@ class ExtRational:
             raise NumericsError("inf + inf is undefined")
         if self.is_infinite or other.is_infinite:
             return INF
-        return ExtRational.from_fraction(self.as_fraction() + other.as_fraction())
+        return ExtRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -109,7 +98,7 @@ class ExtRational:
             if self == ZERO or other == ZERO:
                 raise NumericsError("0 * inf is undefined")
             return INF
-        return ExtRational.from_fraction(self.as_fraction() * other.as_fraction())
+        return ExtRational(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -124,25 +113,30 @@ class ExtRational:
 
     # -- order (finite operands only; slope_less handles infinity)
 
-    def _cmp_key(self) -> Fraction:
+    def _cross(self, other) -> tuple[int, int]:
+        """(a*d, c*b) for self = a/b and other = c/d.  Both denominators
+        are positive, so these products are ordered as the two values."""
         if self.is_infinite:
             raise NumericsError("infinity is not ordered; use slope_less")
-        return self.as_fraction()
+        other = self._coerce(other)
+        if other.is_infinite:
+            raise NumericsError("infinity is not ordered; use slope_less")
+        return self.num * other.den, other.num * self.den
 
     def __lt__(self, other):
-        return self._cmp_key() < self._coerce(other)._cmp_key()
+        return operator.lt(*self._cross(other))
 
     def __le__(self, other):
-        return self._cmp_key() <= self._coerce(other)._cmp_key()
+        return operator.le(*self._cross(other))
 
     def __gt__(self, other):
-        return self._cmp_key() > self._coerce(other)._cmp_key()
+        return operator.gt(*self._cross(other))
 
     def __ge__(self, other):
-        return self._cmp_key() >= self._coerce(other)._cmp_key()
+        return operator.ge(*self._cross(other))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExtRational)):
+        if isinstance(other, (int, ExtRational)):
             other = self._coerce(other)
             return self.num == other.num and self.den == other.den
         return NotImplemented
@@ -166,13 +160,9 @@ ZERO = ExtRational(0)
 
 
 def rat(num, den: int = 1) -> ExtRational:
-    """Shorthand constructor accepting ints, Fractions or 'p/q' strings."""
+    """Shorthand constructor: an ExtRational as it is, or num/den from ints."""
     if isinstance(num, ExtRational):
         return num
-    if isinstance(num, Fraction):
-        return ExtRational(num.numerator * 1, num.denominator * den)
-    if isinstance(num, str):
-        return parse_rational(num)
     return ExtRational(num, den)
 
 

@@ -488,6 +488,8 @@ def parse_surgery(text: str) -> SurgeryPresentation:
         raise PresentationError(f"line {lines[1][0]}: bad components count") from exc
     if m < 0:
         raise PresentationError("negative component count")
+    if m > len(lines) - 2:  # each component needs its own coeff line
+        raise PresentationError(f"components {m} exceeds the body lines, so one has no coefficient")
 
     coeffs: dict[int, ExtRational] = {}
     lk: dict[tuple[int, int], int] = {}

@@ -1,13 +1,19 @@
 """End-to-end tests for the command line interface.
 
 Each test invokes main() directly and checks stdout, stderr, and the
-return code. Exit code conventions: 0 on success (including UNKNOWN
+return code; only the closed-stdout test runs a child process, which
+owns its stdout. Exit code conventions: 0 on success (including UNKNOWN
 decisions), 1 on usage errors, 2 on invalid input files.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from steinkit import presentation
+from steinkit import cli, presentation
 from steinkit.cli import main
 from steinkit.front import parse_front
 from steinkit.presentation import parse_surgery
@@ -402,3 +408,22 @@ def test_byte_determinism(capsys, theta_example):
     rc1, out1, _ = run(capsys, "gamma", theta_example)
     rc2, out2, _ = run(capsys, "gamma", theta_example)
     assert (rc1, out1) == (rc2, out2)
+
+
+@pytest.mark.parametrize("verb", ["plan", "h1"])
+def test_closed_stdout_is_a_quiet_success(tmp_path, verb):
+    # plan's long report meets the closed pipe in write, h1's one line in
+    # the flush; the read end is closed before the child starts
+    path = tmp_path / "chain.surgery"
+    path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/200\nunknot 1\ntb 1 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinkit.cli", verb, str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

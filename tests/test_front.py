@@ -674,6 +674,14 @@ def test_parse_front_errors_carry_line_numbers():
             parse_front(f"front 1\n{header}\nevents L1 R1\n")
 
 
+def test_handle_count_is_bounded_by_the_body_lines():
+    # every handle needs a handle line, so this count is refused before
+    # any handle is listed
+    with pytest.raises(FrontError, match="handles 1000000000 exceeds the body lines"):
+        parse_front(f"front 1\nhandles {10**9}\nhandle 1 slots 0\n")
+    assert parse_front("front 1\nhandles 1\nhandle 1 slots 0\n").n_handles == 1
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+1"])
 def test_parse_front_number_tokens_are_ascii_digits(token):
     # int() accepts every one of these tokens

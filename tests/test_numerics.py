@@ -5,6 +5,7 @@ Smith normal forms, Descartes' rule on the characteristic polynomial for
 signatures, and exhaustive enumeration for small GF(2) systems.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import prod
@@ -14,6 +15,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinkit import numerics
+from steinkit.families import (
+    BorromeanCoeffs,
+    SeifertData,
+    brieskorn,
+    decide_borromean,
+    seifert_normalize,
+)
 from steinkit.numerics import (
     INF,
     ZERO,
@@ -37,6 +46,7 @@ from steinkit.numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
+from steinkit.presentation import SurgeryPresentation, rolfsen_twist, slam_dunk
 
 rationals = st.builds(
     lambda p, q: ExtRational(p, q),
@@ -86,18 +96,29 @@ def test_infinity_arithmetic():
         INF + INF
     with pytest.raises(NumericsError):
         INF * ZERO
-    with pytest.raises(NumericsError):
-        INF < rat(1)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for lhs, rhs in ((INF, rat(1)), (rat(1), INF), (INF, 1), (1, INF), (INF, INF)):
+            with pytest.raises(NumericsError, match="infinity is not ordered"):
+                op(lhs, rhs)
 
 
-@given(rationals, rationals)
-def test_field_ops_match_fraction(a, b):
-    fa, fb = a.as_fraction(), b.as_fraction()
-    assert (a + b).as_fraction() == fa + fb
-    assert (a - b).as_fraction() == fa - fb
-    assert (a * b).as_fraction() == fa * fb
+def _fraction(x: ExtRational) -> Fraction:
+    return Fraction(x.num, x.den)
+
+
+@given(rationals, rationals, st.integers(min_value=-(10**4), max_value=10**4))
+def test_field_ops_match_fraction(a, b, n):
+    fa, fb = _fraction(a), _fraction(b)
+    assert _fraction(a + b) == fa + fb
+    assert _fraction(a - b) == fa - fb
+    assert _fraction(a * b) == fa * fb
     if b != ZERO:
-        assert (a / b).as_fraction() == fa / fb
+        assert _fraction(a / b) == fa / fb
+    floor = a.num // a.den  # an int operand equal to a when a is an integer
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+        for rhs, f_rhs in ((b, fb), (a, fa), (n, n), (floor, floor)):
+            assert op(a, rhs) == op(fa, f_rhs)
+            assert op(rhs, a) == op(f_rhs, fa)
 
 
 @given(rationals)
@@ -115,6 +136,44 @@ def test_slope_less_puts_infinity_at_the_bottom():
     assert slope_less(rat(-2), rat(-1))
     assert not slope_less(rat(-1), rat(-1))
     assert not slope_less(ZERO, rat(-1))
+
+
+class _NoFraction:
+    def __init__(self, *args):
+        raise AssertionError("the scalar layer built a Fraction")
+
+
+def test_scalar_layer_builds_no_fraction(monkeypatch):
+    # every triple: YES, each of A0, A2 and A3, and infinite coefficients
+    census = [INF, ZERO, rat(-7), rat(-1), rat(1), rat(3), rat(-1, 3), rat(-1, 4), rat(-2, 3),
+              rat(5, 2), rat(-7, 2), rat(-13, 5)]
+    triples = [BorromeanCoeffs(a, b, c) for a in census for b in census for c in census]
+    seifert = [
+        SeifertData(orientable=True, genus=0, coefficients=[rat(-2), rat(-3, 2), rat(-5, 4)]),
+        SeifertData(orientable=True, genus=1, coefficients=[rat(-7, 3), INF, rat(5)]),
+        SeifertData(orientable=False, genus=2, coefficients=[rat(-11, 4), rat(2, 9)]),
+    ]
+    multiplicities = [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5)]
+    hopf = SurgeryPresentation(coeffs=[rat(2), rat(-7, 3)], lk=[[0, 1], [1, 0]], unknot=[True, True])
+    rewrites = [
+        lambda: slam_dunk(hopf, 1, 2),
+        lambda: rolfsen_twist(hopf, 2, 3),
+        lambda: rolfsen_twist(hopf, 1, -2),
+    ]
+    chains = [rat(-1, 70), rat(13, 8), rat(-101, 37), rat(6)]
+
+    def run():
+        return (
+            [decide_borromean(t) for t in triples],
+            [seifert_normalize(s) for s in seifert],
+            [(brieskorn(*p, o), seifert_normalize(brieskorn(*p, o))) for p in multiplicities for o in (1, -1)],
+            [f() for f in rewrites],
+            [neg_continued_fraction(r) for r in chains],
+        )
+
+    want = run()
+    monkeypatch.setattr(numerics, "Fraction", _NoFraction)
+    assert run() == want
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,13 @@ def test_surgery_parse_errors():
         parse_surgery("surgery 1\ncomponents 2\ncoeff 1 2\ncoeff 2 2\nlk 1 2 1\nlk 2 1 0\n")
 
 
+def test_component_count_is_bounded_by_the_body_lines():
+    # every component needs a coeff line, so this count is refused before
+    # any per-component list is built
+    with pytest.raises(PresentationError, match="components 1000000000 exceeds the body lines"):
+        parse_surgery(f"surgery 1\ncomponents {10**9}\ncoeff 1 2\n")
+    assert parse_surgery("surgery 1\ncomponents 1\ncoeff 1 2\n").m == 1
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+3"])
 def test_surgery_number_tokens_are_ascii_digits(token):
     # int() accepts every one of these tokens

@@ -152,6 +152,11 @@ def _check_slope(r: ExtRational, name: str):
         raise FamilyError(f"{name} must lie in [-inf, -1), got {r}")
 
 
+def _check_search_bound(search_bound: int):
+    if search_bound < 1:
+        raise FamilyError(f"search bound must be positive, got {search_bound}")
+
+
 def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> NFunctionResult:
     """Certified lower bound for the pair function of the sphere-base test.
 
@@ -167,31 +172,50 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     candidate beats an infinite bound, so the search stops at the first
     one.  The loop runs on plain ints; only the witness becomes a
     MobiusMap, and _check_witness re-derives its bound exactly.
+
+    Only rows that can pass are scanned.  Write s = sn/sd, r2p = pn/pd
+    (infinity is 1/0), delta = |sn*pd - pn*sd| (nonzero once s != r2p),
+    vd = a*sd + b*sn and w2d = a*pd + b*pn.  Then A s - A r2p =
+    (sn*pd - pn*sd) / (vd*w2d), and since A is unimodular and both
+    slopes are primitive, A s and A r2p have denominators exactly |vd|
+    and |w2d|.  A passing row puts -1 strictly between them, so
+    A s - A r2p >= 1/|vd| + 1/|w2d|, that is |vd| + |w2d| <= delta; the
+    row with w2d = 0 has |vd| = delta and meets it too.  Solving the two
+    forms for a and b gives a <= max(|sn|, |pn|) and |b| <= max(sd, pd).
+    So the loops stop at those heights whatever search_bound is, and a
+    row with |vd| + |w2d| > delta is skipped before any gcd work; the
+    rows kept come in the same order and meet the same tests.
     """
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
-    if search_bound < 1:
-        raise FamilyError(f"search bound must be positive, got {search_bound}")
+    _check_search_bound(search_bound)
     s = _hinge(r1p)
     if s == r2p:
         return NFunctionResult(kind="sentinel")
 
     sn, sd = s.num, s.den  # s is finite
     pn, pd = r2p.num, r2p.den  # infinity is 1/0
+    delta = abs(sn * pd - pn * sd)
+    a_max = min(search_bound, max(abs(sn), abs(pn)))
+    b_max = min(search_bound, max(sd, pd))
     best_value: int | None = None
     best_infinite = False
     best_row: tuple[int, int, int, int] | None = None
 
-    for a in range(0, search_bound + 1):
-        b_range = (1,) if a == 0 else range(-search_bound, search_bound + 1)
+    for a in range(0, a_max + 1):
+        b_range = (1,) if a == 0 else range(-b_max, b_max + 1)
         for b in b_range:
+            # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to
+            # w2n / w2d; rows past the height bound cannot pass
+            vd, w2d = a * sd + b * sn, a * pd + b * pn
+            if abs(vd) + abs(w2d) > delta:
+                continue
             if gcd(a, b) != 1:
                 continue
-            # A = [a b; c d] sends s to (c sd + d sn) / vd; any solution of
-            # ad - bc = 1 differs from the one below by a multiple of (a, b)
-            vd = a * sd + b * sn
             if vd == 0:
                 continue
+            # any solution of ad - bc = 1 differs from the one below by a
+            # multiple of (a, b)
             _, x, y = _ext_gcd(a, b)
             vn = -y * sd + x * sn
             if vd < 0:
@@ -201,7 +225,7 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
             if abs(c) > search_bound or abs(d) > search_bound:
                 continue
             # A r2p = w2n / w2d must lie in [-inf, -1)
-            w2n, w2d = c * pd + d * pn, a * pd + b * pn
+            w2n = c * pd + d * pn
             if w2d != 0 and (w2n + w2d) * w2d >= 0:
                 continue
             # split on a0 = c/a: t = 0 on [0, inf], 1/(A s) on [-1, 0), else A r2p
@@ -285,8 +309,10 @@ def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
     """One-directional realizability test for a Seifert fibered space.
 
     YES means the space bounds the required structure; UNKNOWN means no
-    sufficient condition applied within the search bound.
+    sufficient condition applied within the search bound, which must be
+    at least 1 whichever rule decides.
     """
+    _check_search_bound(search_bound)
     norm = seifert_normalize(s)
     if not s.sphere_base:
         return SeifertDecision(verdict="YES", reason="a", detail="base is not a sphere")

@@ -142,6 +142,9 @@ class ExtRational:
         return NotImplemented
 
     def __hash__(self):
+        # an integer value equals its int, so it must hash like one
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self) -> str:

@@ -346,6 +346,31 @@ def test_brieskorn_yes_block(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seifert", "--coeff", "2", "--search-bound=0"),
+        ("seifert", "--base", "n1", "--coeff", "2", "--search-bound=-7"),
+        ("brieskorn", "2", "3", "5", "--search-bound=0"),
+    ],
+)
+def test_bad_search_bound_is_invalid_input(capsys, argv):
+    # each of these is decided by a rule that needs no search
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: search bound must be positive, got ")
+
+
+def test_brieskorn_at_a_huge_search_bound(capsys):
+    # the search never looks past the coefficients' heights
+    argv = ("brieskorn", "2", "3", "5", "--orientation", "-")
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert "decision: UNKNOWN" in default[1].splitlines()
+    assert run(capsys, *argv, "--search-bound", "1000000000") == default
+
+
 def test_borromean_unknown(capsys):
     rc, out, _ = run(capsys, "borromean", "--", "1", "1", "1")
     assert rc == 0

@@ -297,6 +297,11 @@ any_slope = st.one_of(
     st.tuples(
         st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
     ).map(lambda t: rat(t[0], t[1])),
+    # heights past the drawn bound, so both sides of each height clip run
+    st.integers(min_value=-400, max_value=-41).map(rat),
+    st.tuples(
+        st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300)
+    ).map(lambda t: rat(-t[0] - t[1], t[0])),
 )
 
 
@@ -317,6 +322,38 @@ def test_pair_function_open_case_matches_reference(bound):
     rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
     for i, j in permutations(range(3), 2):
         assert n_function(rp[i], rp[j], bound) == _reference_n_function(rp[i], rp[j], bound)
+
+
+# INF and every slope in (-6, -1) with denominator at most 4
+_GRID = [INF] + [rat(-p, q) for q in range(1, 5) for p in range(q + 1, 6 * q) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5])
+def test_pair_function_matches_reference_on_a_grid(bound):
+    for r1p, r2p in product(_GRID, repeat=2):
+        assert n_function(r1p, r2p, bound) == _reference_n_function(r1p, r2p, bound)
+
+
+def test_pair_function_scan_stops_at_the_heights(monkeypatch):
+    # no row past max(|sn|, |pn|) or max(sd, pd) can pass, so a huge
+    # bound scans no more rows than the slopes' heights allow
+    rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
+    calls = Counter()
+    real_gcd = families.gcd
+
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(families, "gcd", counting_gcd)
+    for i, j in permutations(range(3), 2):
+        s, r2p = _hinge(rp[i]), rp[j]
+        a_max = max(abs(s.num), abs(r2p.num))
+        b_max = max(s.den, r2p.den)
+        calls.clear()
+        res = n_function(rp[i], rp[j], 10**6)
+        assert calls["gcd"] <= (a_max + 1) * (2 * b_max + 1)
+        assert res == n_function(rp[i], rp[j], 50)
 
 
 @st.composite
@@ -461,6 +498,20 @@ def test_decide_small_poincare_positive_euler():
     sd = brieskorn(2, 3, 5, -1)
     assert seifert_normalize(sd).e > rat(0)
     assert decide_seifert(sd).verdict == "UNKNOWN"
+
+
+def test_decide_checks_the_search_bound_before_any_rule():
+    cases = [
+        SeifertData(orientable=False, genus=1, coefficients=[rat(2)]),  # rule a
+        sphere((2,), (3,), (5,)),  # rule b
+        sphere((2,)),  # rule c, one coefficient
+        brieskorn(2, 3, 5, -1),  # the pair search
+    ]
+    for sd in cases:
+        decide_seifert(sd, 1)
+        for bound in (0, -7):
+            with pytest.raises(FamilyError, match=f"search bound must be positive, got {bound}"):
+                decide_seifert(sd, bound)
 
 
 def test_decide_small_poincare_usual_orientation():

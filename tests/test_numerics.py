@@ -71,6 +71,18 @@ def test_canonical_form():
         ExtRational(0, 0)
 
 
+def test_hash_agrees_with_equality():
+    for n in (-7, -1, 0, 1, 3, 10**30):
+        assert rat(n) == n and hash(rat(n)) == hash(n)
+        assert n in {rat(n)} and rat(n) in {n}
+        assert {n: "int"}[rat(n)] == "int" and {rat(n): "rat"}[n] == "rat"
+        assert rat(2 * n, 2) in {n} and rat(n) in {rat(-n, -1)}
+    for x in (INF, rat(3, 2), rat(-1, 3)):
+        assert x in {x} and {x: 1}[ExtRational(x.num, x.den)] == 1
+        assert x not in {x.num, x.den} and x.num not in {x}
+    assert len({rat(3), 3, rat(6, 2), rat(3, 2), INF, rat(-2, 0)}) == 3
+
+
 def test_parse_and_str_round_trip():
     for text in ["-7/2", "0", "inf", "13", "-1"]:
         assert str(parse_rational(text)) == text

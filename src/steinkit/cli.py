@@ -4,8 +4,8 @@ Every command reads files or flags, calls into the computation modules,
 and writes a deterministic line-oriented report (or, for the rewriting
 commands, the transformed file itself) to stdout.  Exit codes: 0 for
 success including UNKNOWN decisions, 1 for usage errors, 2 for invalid
-input.  Rationals print as p/q with unit denominators elided, infinity
-as inf.  Negative or fractional values on the command line need either
+input, 3 for an internal failure.  Rationals print as p/q with unit
+denominators elided, infinity as inf.  Negative or fractional values on the command line need either
 a leading "--" separator or the --flag=value spelling.
 """
 
@@ -37,12 +37,13 @@ from .invariants import (
     InvariantError,
     SpinStructure,
     SteinPresentation,
+    characteristic_sublink_count,
     characteristic_sublinks,
     gamma,
     theta,
     theta_f0_and_d,
 )
-from .numerics import parse_int, parse_rational
+from .numerics import InternalError, parse_int, parse_rational
 from .presentation import (
     blow_down,
     expand_rational,
@@ -192,6 +193,9 @@ def cmd_plan(args) -> list[str]:
 # invariant commands
 
 
+MAX_LISTED_SUBLINKS = 1 << 12  # gamma lists no more sublinks than this
+
+
 def _gamma_lines(x: SteinPresentation, s: SpinStructure) -> list[str]:
     members = s.members()
     cls = gamma(x, s)
@@ -220,6 +224,10 @@ def cmd_gamma(args) -> list[str]:
             raise UsageError(f"sublink members {bad} out of range 1..{size}")
         bits = tuple(1 if i + 1 in members else 0 for i in range(size))
         return _gamma_lines(x, SpinStructure(sublink=bits))
+    count = characteristic_sublink_count(x)
+    if count > MAX_LISTED_SUBLINKS:
+        raise ValueError(f"{count} characteristic sublinks, more than the "
+                         f"{MAX_LISTED_SUBLINKS} that gamma lists; pick one with --sublink")
     out = []
     for s in characteristic_sublinks(x):
         out += _gamma_lines(x, s)
@@ -444,6 +452,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

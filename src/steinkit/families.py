@@ -13,7 +13,7 @@ one-directional.
 from dataclasses import dataclass
 from math import gcd
 
-from .numerics import INF, ZERO, ExtRational, MobiusMap, floor_frac, rat, slope_less
+from .numerics import INF, ZERO, ExtRational, InternalError, MobiusMap, floor_frac, rat, slope_less
 from .presentation import SurgeryPresentation
 
 
@@ -266,10 +266,10 @@ def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
     w = res.witness
     ws = w.apply(s)
     if ws.is_infinite or not MINUS_ONE < ws <= ZERO:
-        raise FamilyError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
+        raise InternalError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
     w2 = w.apply(r2p)
     if not slope_less(w2, MINUS_ONE):
-        raise FamilyError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
+        raise InternalError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
     a0 = ExtRational(w.c, w.a)
     if a0.is_infinite or a0 >= ZERO:
         t = ZERO
@@ -284,7 +284,7 @@ def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
     else:
         infinite, value = False, -small * (_floor(t) + 1) - big
     if (res.infinite, res.value) != (infinite, value):
-        raise FamilyError(
+        raise InternalError(
             f"internal: witness {w} certifies value={value} infinite={infinite}, "
             f"the search reported value={res.value} infinite={res.infinite}"
         )
@@ -385,7 +385,7 @@ def brieskorn(p1: int, p2: int, p3: int, orientation: int = 1) -> SeifertData:
     q2 = orientation * x % p2 - p2
     q3, rem = divmod(orientation - q1 * p2 * p3 - p1 * q2 * p3, p1 * p2)
     if rem:
-        raise FamilyError(f"internal: no integer q3 solves the orientation equation for {ps}")
+        raise InternalError(f"internal: no integer q3 solves the orientation equation for {ps}")
     return SeifertData(
         orientable=True,
         genus=0,

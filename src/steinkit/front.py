@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .numerics import ExtRational, parse_int, parse_rational, rat
+from .numerics import ExtRational, InternalError, parse_int, parse_rational, rat
 from .presentation import SurgeryPresentation
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
@@ -235,7 +235,7 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
             if comp[i]:
                 # every node lies on one strand, so only the start recurs
                 if i != start or not right:
-                    raise FrontError(f"internal: strand from node {start} closes up wrongly")
+                    raise InternalError(f"internal: strand from node {start} closes up wrongly")
                 break
     return _Trace(counts, offset, comp, bytes(fwd), n)
 
@@ -333,11 +333,11 @@ def component_stats(d: FrontDiagram) -> list[ComponentStats]:
     out = []
     for cid in tr.ids:
         if left[cid] != right[cid]:
-            raise FrontError(f"internal: component {cid} has unbalanced cusps")
+            raise InternalError(f"internal: component {cid} has unbalanced cusps")
         tb = writhe[cid] - left[cid]
         rot2 = down[cid] - up[cid]
         if rot2 % 2:
-            raise FrontError(f"internal: component {cid} has odd cusp imbalance")
+            raise InternalError(f"internal: component {cid} has odd cusp imbalance")
         out.append(
             ComponentStats(
                 component=cid,
@@ -371,7 +371,7 @@ def linking_number(d: FrontDiagram, i: int, j: int) -> int:
     _, cross = _crossing_data(d)
     total = cross.get((min(i, j), max(i, j)), 0)
     if total % 2:
-        raise FrontError(f"internal: odd crossing sum between components {i} and {j}")
+        raise InternalError(f"internal: odd crossing sum between components {i} and {j}")
     return total // 2
 
 
@@ -421,7 +421,7 @@ def _transfer(old: FrontDiagram, slots, events, node_map) -> FrontDiagram:
     new_d = FrontDiagram(tuple(slots), tuple(events))
     new_tr = new_d.trace
     if new_tr.n_components != old_tr.n_components:
-        raise FrontError("internal: rewrite changed the component count")
+        raise InternalError("internal: rewrite changed the component count")
     witnesses = {}  # old component id -> (witness node, its image)
     for node, cid in old_tr.nodes():
         if cid not in witnesses:
@@ -435,11 +435,11 @@ def _transfer(old: FrontDiagram, slots, events, node_map) -> FrontDiagram:
     seen = set()
     for cid in old_tr.ids:
         if cid not in witnesses:
-            raise FrontError(f"internal: lost track of component {cid}")
+            raise InternalError(f"internal: lost track of component {cid}")
         witness, image = witnesses[cid]
         new_cid, new_dir = new_tr.at(*image)
         if new_cid in seen:
-            raise FrontError("internal: two components merged under a rewrite")
+            raise InternalError("internal: two components merged under a rewrite")
         seen.add(new_cid)
         physical = old.orientation(cid) * old_tr.at(*witness)[1]
         orientations[new_cid] = physical * new_dir

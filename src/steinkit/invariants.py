@@ -11,11 +11,11 @@ characteristic and the signature, all computed exactly.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .numerics import (
     ExtRational,
+    InternalError,
     SmithForm,
     first_asymmetry,
     mat_vec,
@@ -87,6 +87,12 @@ class SteinPresentation:
     def smith_form(self) -> SmithForm:
         """The Smith form of Q*, computed on first use and kept."""
         return smith_normal_form(self._qs)
+
+    @cached_property
+    def _rot_l0(self) -> tuple[int, ...]:
+        """Per component of Q*, the part of twice gamma no sublink changes:
+        rotation number (0 on a 1-handle) plus linking into the 1-handles."""
+        return tuple(r + sum(row[self.m :]) for r, row in zip(chern_cocycle(self), self._qs))
 
     @classmethod
     def from_presentation(cls, p: SurgeryPresentation) -> "SteinPresentation":
@@ -165,13 +171,21 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     never empty; it has 2^k entries where k is the mod-2 nullity of the
     full linking matrix.
     """
+    return [SpinStructure(sublink=v) for v in sorted(_characteristic_solutions(x).enumerate())]
+
+
+def characteristic_sublink_count(x: SteinPresentation) -> int:
+    """len(characteristic_sublinks(x)), 2^k, without enumerating them."""
+    return _characteristic_solutions(x).count()
+
+
+def _characteristic_solutions(x: SteinPresentation):
     qs = x._qs
-    diag = [qs[i][i] for i in range(len(qs))]
-    sol = solve_gf2_affine(qs, diag)
+    sol = solve_gf2_affine(qs, [qs[i][i] for i in range(len(qs))])
     if sol is None:
         # the diagonal of a symmetric matrix always lies in its column space mod 2
-        raise InvariantError("internal: the framing diagonal is not in the column space mod 2")
-    return [SpinStructure(sublink=v) for v in sorted(sol.enumerate())]
+        raise InternalError("internal: the framing diagonal is not in the column space mod 2")
+    return sol
 
 
 def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
@@ -188,14 +202,13 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     size = len(qs)
     if len(s.sublink) != size:
         raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
-    lk_sub = [sum(qs[i][j] for j in range(size) if s.sublink[j]) for i in range(size)]
-    if any((lk_sub[i] - qs[i][i]) % 2 for i in range(size)):
+    members = [j for j, bit in enumerate(s.sublink) if bit]
+    lk_sub = [sum(map(row.__getitem__, members)) for row in qs]
+    if any((lk - row[i]) % 2 for i, (lk, row) in enumerate(zip(lk_sub, qs))):
         raise InvariantError(f"sublink {s.members()} is not characteristic")
-    rot_full = chern_cocycle(x)
     rho = []
-    for i in range(size):
-        lk_l0 = sum(qs[i][j] for j in range(x.m, size))
-        twice = rot_full[i] + lk_l0 + lk_sub[i]
+    for i, (base, lk) in enumerate(zip(x._rot_l0, lk_sub)):
+        twice = base + lk
         if twice % 2:
             raise InvariantError(
                 f"rotation parity violated on component {i + 1}: the class is half-integral"
@@ -224,9 +237,9 @@ def theta(x: SteinPresentation) -> ExtRational:
     (y,) = solve_rational(x._qs, c)
     if y is None:
         raise InvariantError("theta undefined: c1 has infinite order")
-    square = sum(a * b for a, b in zip(y, c))
-    val = Fraction(square) + _chi_sigma_term(x)
-    return rat(val.numerator, val.denominator)
+    den = lcm(*(v.denominator for v in y))
+    square = sum(a * v.numerator * (den // v.denominator) for a, v in zip(c, y))
+    return rat(square + _chi_sigma_term(x) * den, den)
 
 
 def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:

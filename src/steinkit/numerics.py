@@ -11,11 +11,17 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain, repeat
+from math import gcd, lcm
 
 
 class NumericsError(ValueError):
     pass
+
+
+class InternalError(Exception):
+    """A certificate check inside steinkit failed: a defect of the library,
+    not of its input, so no ValueError.  The command line exits 3 on it."""
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +490,23 @@ def invariant_factors(matrix) -> tuple[int, ...]:
             while len(live) > 1:
                 piv = min(live, key=lambda r: abs(r[c]))
                 p, left = piv[c], [piv]
+                support = [(j, y) for j, y in enumerate(piv) if y]
                 for r in live:
                     if r is not piv:
                         q = _nearest_quotient(r[c], p)
-                        r[:] = [x - q * y for x, y in zip(r, piv)]
+                        for j, y in support:
+                            r[j] -= q * y
                         if r[c]:
                             left.append(r)
                 live = left
             piv = live[0]
             ap = abs(piv[c])
-            for j in range(c):
-                piv[j] -= ap * _nearest_quotient(piv[j], ap)
-            rem = min((j for j in range(c) if piv[j]), key=lambda j: abs(piv[j]), default=None)
+            rem = None
+            if ap > 1:  # a unit pivot reduces its whole row to zero mod 1
+                for j in range(c):
+                    if piv[j]:
+                        piv[j] -= ap * _nearest_quotient(piv[j], ap)
+                rem = min((j for j in range(c) if piv[j]), key=lambda j: abs(piv[j]), default=None)
             if rem is None:
                 rows = [r for r in rows if r is not piv]
                 blocks.append(ap)
@@ -504,13 +515,13 @@ def invariant_factors(matrix) -> tuple[int, ...]:
                 r[rem], r[c] = r[c], r[rem]
         for r in rows:
             r.pop()
-    chain = sorted(d for d in blocks if d > 1)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] * chain[j] // g
-    ones = len(blocks) - len(chain)
-    return (1,) * ones + tuple(chain) + (0,) * (min(nrows, ncols) - len(blocks))
+    factors = sorted(d for d in blocks if d > 1)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    ones = len(blocks) - len(factors)
+    return (1,) * ones + tuple(factors) + (0,) * (min(nrows, ncols) - len(blocks))
 
 
 def first_asymmetry(matrix) -> tuple[int, int] | None:
@@ -522,53 +533,52 @@ def first_asymmetry(matrix) -> tuple[int, int] | None:
     )
 
 
-def mat_mul(a, b):
-    """Product of two integer matrices given as sequences of rows."""
-    bT = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bT] for row in a]
-
-
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination over the rationals
+# fraction-free Gauss-Jordan elimination
 
 
 def solve_rational(matrix, *rhs) -> tuple[list[Fraction] | None, ...]:
     """Solve square integer linear systems over Q, one per right-hand side.
 
-    One Gauss-Jordan elimination of the rows augmented by every right-hand
-    side, pivots taken column by column from the first row with a nonzero
-    entry.  Free variables are set to zero; a system that is inconsistent
-    gets None in place of its solution.
+    One fraction-free (Bareiss) Gauss-Jordan elimination of the rows
+    augmented by every right-hand side, pivots taken column by column from
+    the first row with a nonzero entry.  Each entry stays a minor, so every
+    division by the previous pivot is exact, and the only division into
+    rationals is by the last pivot.  Free variables are set to zero; an
+    inconsistent system gets None in place of its solution.
     """
     n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(matrix)]
-    pivots = []
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(matrix)]
+    if not all(map(isinstance, chain.from_iterable(aug), repeat(int))):
+        raise NumericsError("solve_rational needs integer entries")
+    pivots, prev = [], 1
     for col in range(n):
         r = len(pivots)
-        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        sel = next((i for i in range(r, n) if aug[i][col]), None)
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        top = aug[r]
+        p = top[col]
+        for i, row in enumerate(aug):
+            f = row[col]
+            if f and i != r:
+                aug[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif not f and p != prev:
+                aug[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(col)
     solutions = []
     for k in range(n, n + len(rhs)):
-        if any(row[k] != 0 for row in aug[len(pivots):]):
+        if any(row[k] for row in aug[len(pivots):]):
             solutions.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for row, col in enumerate(pivots):
-            x[col] = aug[row][k]
-        solutions.append(x)
+        else:
+            value = dict(zip(pivots, (row[k] for row in aug)))
+            solutions.append([Fraction(value.get(col, 0), prev) for col in range(n)])
     return tuple(solutions)
 
 
@@ -579,60 +589,48 @@ def solve_rational(matrix, *rhs) -> tuple[list[Fraction] | None, ...]:
 def inertia(matrix) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
-    Computed by congruence diagonalisation over the rationals, which is
-    exact.  Entries may be ints or Fractions.
+    Congruence diagonalisation on integers, after scaling Fraction entries
+    by the lcm of their denominators.  A nonzero diagonal pivot d (made by
+    adding a row and column to another if the diagonal is zero) leaves the
+    trailing block as |d| times its Schur complement over its content: both
+    positive scalings, which keep the inertia.
     """
-    m = [[Fraction(v) for v in row] for row in matrix]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise NumericsError("inertia needs a square matrix")
-    if first_asymmetry(m) is not None:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NumericsError("inertia needs a square matrix")
+    scale = lcm(*{v.denominator for row in matrix for v in row})
+    m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    if [list(col) for col in zip(*m)] != m:
         raise NumericsError("inertia needs a symmetric matrix")
-
-    pos = neg = zero = 0
-    s = 0
-    while s < n:
-        if m[s][s] == 0:
-            swap = next((i for i in range(s + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                m[s], m[swap] = m[swap], m[s]
-                for row in m:
-                    row[s], row[swap] = row[swap], row[s]
-            else:
-                # all-zero diagonal: pull a nonzero off-diagonal entry onto it
-                pair = None
-                for i in range(s, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            pair = (i, j)
-                            break
-                    if pair:
-                        break
+    pos = neg = 0
+    while m:
+        if not m[0][0]:
+            k = next((i for i in range(len(m)) if m[i][i]), None)
+            if k is None:
+                pair = next(((i, j) for i, row in enumerate(m) for j in range(i) if row[j]), None)
                 if pair is None:
-                    zero += n - s
-                    break
-                i, j = pair
+                    break  # the zero matrix
+                k, j = pair
                 for row in m:
-                    row[i] += row[j]
-                m[i] = [x + y for x, y in zip(m[i], m[j])]
-                if i != s:
-                    m[s], m[i] = m[i], m[s]
-                    for row in m:
-                        row[s], row[i] = row[i], row[s]
-        d = m[s][s]
+                    row[k] += row[j]
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+            m[0], m[k] = m[k], m[0]
+            for row in m:
+                row[0], row[k] = row[k], row[0]
+        d, *v = m[0]
         if d > 0:
-            pos += 1
+            pos, sgn = pos + 1, 1
         else:
-            neg += 1
-        for i in range(s + 1, n):
-            if m[i][s] != 0:
-                f = m[i][s] / d
-                m[i] = [x - f * y for x, y in zip(m[i], m[s])]
-                for row in m:
-                    row[i] -= f * row[s]
-        s += 1
-    return pos, zero, neg
+            neg, sgn = neg + 1, -1
+        ad = sgn * d
+        m = [
+            [ad * x - sgn * vi * y for x, y in zip(row[1:], v)] if vi else [ad * x for x in row[1:]]
+            for vi, row in zip(v, m[1:])
+        ]
+        g = gcd(*chain.from_iterable(m))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return pos, n - pos - neg, neg
 
 
 def signature(matrix) -> int:

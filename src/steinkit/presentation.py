@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
 
 from .numerics import (
     INF,
@@ -74,10 +76,13 @@ class SurgeryPresentation:
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
                 )
-        bad = first_asymmetry(self.lk)
-        if bad is not None:
-            raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
-        if not all(isinstance(v, int) for row in self.lk for v in row):
+        ints = all(map(isinstance, chain.from_iterable(self.lk), repeat(int)))
+        # on ints tuple equality is entrywise ==; others (nan) need the scan
+        if not (ints and self.lk == tuple(zip(*self.lk))):
+            bad = first_asymmetry(self.lk)
+            if bad is not None:
+                raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
+        if not ints:
             raise PresentationError("linking numbers must be integers")
         for i, c in enumerate(self.coeffs):
             if self.l0[i]:
@@ -193,9 +198,9 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
     Classes are integer vectors in meridian coordinates.  The value is
-    -x . Q^(-1) y mod 1, computed rationally by one elimination that solves
-    for both classes; both inputs must be torsion in the cokernel,
-    otherwise the pairing is undefined.
+    -x . Q^(-1) y mod 1, from one fraction-free elimination that solves for
+    both classes and one sum over their common denominator; both inputs
+    must be torsion in the cokernel, otherwise the pairing is undefined.
     """
     q = p.integer_matrix()
     m = p.m
@@ -204,8 +209,9 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     zx, zy = solve_rational(q, x, y)
     if zx is None or zy is None:
         raise PresentationError("linking form undefined: class is not torsion")
-    total = -sum(Fraction(a) * b for a, b in zip(x, zy))
-    return total - (total // 1)
+    den = lcm(*(v.denominator for v in zy))
+    total = -sum(a * v.numerator * (den // v.denominator) for a, v in zip(x, zy))
+    return Fraction(total % den, den)
 
 
 # ---------------------------------------------------------------------------

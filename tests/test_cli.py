@@ -3,17 +3,19 @@
 Each test invokes main() directly and checks stdout, stderr, and the
 return code; only the closed-stdout test runs a child process, which
 owns its stdout. Exit code conventions: 0 on success (including UNKNOWN
-decisions), 1 on usage errors, 2 on invalid input files.
+decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
+failures.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from steinkit import cli, presentation
+from steinkit import cli, families, numerics, presentation
 from steinkit.cli import main
 from steinkit.front import parse_front
 from steinkit.presentation import parse_surgery
@@ -188,6 +190,58 @@ def test_gamma_sublink_lines_round_trip(capsys, tmp_path, text):
         members = sub.removeprefix("sublink: ")
         assert run(capsys, "gamma", "--sublink", members, str(path)) == (0, f"{sub}\n{gam}\n", "")
     assert run(capsys, "gamma", "--sublink", "", str(path)) == (0, "\n".join(lines[:2]) + "\n", "")
+
+
+def free_zero_unknots(k):
+    """k unlinked 0-framed unknots: Q* = 0, so all 2^k sublinks are characteristic."""
+    lines = ["surgery 1", f"components {k}"]
+    lines += [f"coeff {i} 0\nunknot {i}\nrot {i} 0" for i in range(1, k + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_gamma_listing_at_the_limit(capsys, tmp_path):
+    k = cli.MAX_LISTED_SUBLINKS.bit_length() - 1
+    assert cli.MAX_LISTED_SUBLINKS == 1 << k
+    path = tmp_path / "free.surgery"
+    path.write_text(free_zero_unknots(k))
+    rc, out, err = run(capsys, "gamma", str(path))
+    lines = out.splitlines()
+    assert (rc, err) == (0, "")
+    assert len(lines) == 2 * cli.MAX_LISTED_SUBLINKS
+    assert lines[:2] == ["sublink: empty", "gamma: " + "(" + ",".join("0" * k) + ") mod im(Q*)"]
+
+
+def test_gamma_listing_past_the_limit_enumerates_nothing(capsys, tmp_path, monkeypatch):
+    k = cli.MAX_LISTED_SUBLINKS.bit_length()  # one more free unknot doubles the count
+
+    def refuse(*_):
+        raise AssertionError("enumerated the sublinks")
+
+    monkeypatch.setattr(numerics.Gf2Solution, "enumerate", refuse)
+    monkeypatch.setattr(cli, "characteristic_sublinks", refuse)
+    path = tmp_path / "free.surgery"
+    path.write_text(free_zero_unknots(k))
+    rc, out, err = run(capsys, "gamma", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: {2 * cli.MAX_LISTED_SUBLINKS} characteristic sublinks, more than the "
+        f"{cli.MAX_LISTED_SUBLINKS} that gamma lists; pick one with --sublink\n"
+    )
+    # one sublink of the same presentation is still answered
+    assert run(capsys, "gamma", "--sublink", "1", str(path))[0] == 0
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    # the certificate check itself runs, on a search result that is one off
+    check = families._check_witness
+
+    def corrupted(res, s, r2p):
+        check(res if res.value is None else replace(res, value=res.value - 1), s, r2p)
+
+    monkeypatch.setattr(families, "_check_witness", corrupted)
+    rc, out, err = run(capsys, "brieskorn", "2", "3", "5", "--orientation", "-")
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: internal: witness ")
 
 
 def test_h1(capsys, theta_example):

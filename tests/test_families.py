@@ -38,7 +38,7 @@ from steinkit.families import (
     twist_knot_surgery,
     two_component_surgery,
 )
-from steinkit.numerics import INF, ExtRational, MobiusMap, rat
+from steinkit.numerics import INF, ExtRational, InternalError, MobiusMap, rat
 from steinkit.presentation import SurgeryPresentation, cokernel, h1
 
 
@@ -414,19 +414,19 @@ def test_check_witness_rejects_corrupted_results():
                    replace(res, infinite=True, value=None)]
         bad.append(replace(res, witness=MobiusMap(1, 0, 0, 1)))  # sends s to s <= -1
         for b in bad:
-            with pytest.raises(FamilyError, match="internal"):
+            with pytest.raises(InternalError, match="internal"):
                 _check_witness(b, s, r2p)
 
 
 def test_certificate_checks_survive_optimize_flag():
     code = (
         "from dataclasses import replace\n"
-        "from steinkit.families import FamilyError, _check_witness, _hinge, n_function\n"
-        "from steinkit.numerics import rat\n"
+        "from steinkit.families import _check_witness, _hinge, n_function\n"
+        "from steinkit.numerics import InternalError, rat\n"
         "res = n_function(rat(-2), rat(-7, 2), 30)\n"
         "try:\n"
         "    _check_witness(replace(res, value=res.value - 1), _hinge(rat(-2)), rat(-7, 2))\n"
-        "except FamilyError as e:\n"
+        "except InternalError as e:\n"
         "    print(e)\n"
     )
     src = str(Path(families.__file__).resolve().parents[1])
@@ -440,7 +440,7 @@ def test_certificate_checks_survive_optimize_flag():
 def test_brieskorn_checks_its_solution(monkeypatch):
     # a wrong inverse leaves no integer q3: internal error, not a silent answer
     monkeypatch.setattr(families, "_ext_gcd", lambda a, b: (1, 0, 0))
-    with pytest.raises(FamilyError, match="internal"):
+    with pytest.raises(InternalError, match="internal"):
         brieskorn(2, 3, 5, -1)
 
 

@@ -22,13 +22,14 @@ from steinkit.invariants import (
     SpinStructure,
     SteinPresentation,
     _cokernel_class,
+    characteristic_sublink_count,
     characteristic_sublinks,
     chern_cocycle,
     gamma,
     theta,
     theta_f0_and_d,
 )
-from steinkit.numerics import mat_vec, rat, signature, smith_normal_form
+from steinkit.numerics import InternalError, mat_vec, rat, signature, smith_normal_form
 from steinkit.presentation import PresentationError, SurgeryPresentation, linking_form
 
 
@@ -186,7 +187,7 @@ def test_empty_presentation_has_one_spin_structure():
 def test_sublink_count_matches_invariant_factors(seed):
     rng = random.Random(seed)
     x = random_stein(rng, max_m=5, max_n1=3)
-    assert len(characteristic_sublinks(x)) == sublink_count_by_snf(x)
+    assert len(characteristic_sublinks(x)) == characteristic_sublink_count(x) == sublink_count_by_snf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,10 @@ def test_gamma_of_circle_bundle():
 
 def test_characteristic_sublinks_checks_its_certificate(monkeypatch):
     monkeypatch.setattr(invariants, "solve_gf2_affine", lambda matrix, rhs: None)
-    with pytest.raises(InvariantError, match="internal: "):
+    with pytest.raises(InternalError, match="internal: "):
         characteristic_sublinks(SteinPresentation(q=[[1]], runs=[], rot=[0]))
+    with pytest.raises(InternalError, match="internal: "):
+        characteristic_sublink_count(SteinPresentation(q=[[1]], runs=[], rot=[0]))
 
 
 def test_gamma_rejects_bad_sublinks():
@@ -296,6 +299,62 @@ def test_gamma_matches_a_fresh_smith_form(seed):
     for s in characteristic_sublinks(x):
         g = gamma(x, s)
         assert (g.coords, g.orders) == cokernel_class_reference(x.q_star(), g.representative)
+
+
+def gamma_reference(x, s):
+    """Oracle: gamma by the per-sublink formula, which visits every entry
+    of each row of Q* for the sublink and again for the 0-framed sublink."""
+    qs = x.q_star()
+    size = len(qs)
+    if len(s.sublink) != size:
+        raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
+    lk_sub = [sum(qs[i][j] for j in range(size) if s.sublink[j]) for i in range(size)]
+    if any((lk_sub[i] - qs[i][i]) % 2 for i in range(size)):
+        raise InvariantError(f"sublink {s.members()} is not characteristic")
+    rot_full = chern_cocycle(x)
+    rho = []
+    for i in range(size):
+        lk_l0 = sum(qs[i][j] for j in range(x.m, size))
+        twice = rot_full[i] + lk_l0 + lk_sub[i]
+        if twice % 2:
+            raise InvariantError(
+                f"rotation parity violated on component {i + 1}: the class is half-integral"
+            )
+        rho.append(twice // 2)
+    return _cokernel_class(smith_normal_form(qs), rho)
+
+
+def outcome(f, *args):
+    try:
+        g = f(*args)
+    except InvariantError as exc:
+        return "error", str(exc)
+    return g.coords, g.orders, g.representative
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_gamma_matches_the_per_sublink_formula(seed, parity):
+    # every 0/1 vector, characteristic or not, with and without rotation parity
+    x = random_stein(random.Random(seed), max_m=4, max_n1=2, parity=parity)
+    size = x.m + x.n1
+    for mask in range(1 << size):
+        s = SpinStructure(sublink=tuple((mask >> i) & 1 for i in range(size)))
+        assert outcome(gamma, x, s) == outcome(gamma_reference, x, s)
+
+
+def test_gamma_reports_the_same_errors_as_the_per_sublink_formula():
+    # component 2 is odd against the empty sublink; the rotation number 1 on
+    # the even 0-framed unknot 1 makes its class half-integral
+    x = SteinPresentation(q=[[0, 0], [0, 1]], runs=[], rot=[1, 1])
+    for bits, message in (
+        ((0, 0), "sublink () is not characteristic"),
+        ((1, 0), "sublink (1,) is not characteristic"),
+        ((0, 1), "rotation parity violated on component 1: the class is half-integral"),
+        ((1, 1), "rotation parity violated on component 1: the class is half-integral"),
+    ):
+        s = SpinStructure(sublink=bits)
+        assert outcome(gamma, x, s) == outcome(gamma_reference, x, s) == ("error", message)
 
 
 @given(st.integers(0, 10_000))

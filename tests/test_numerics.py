@@ -35,7 +35,6 @@ from steinkit.numerics import (
     floor_frac,
     inertia,
     invariant_factors,
-    mat_mul,
     mat_vec,
     neg_continued_fraction,
     parse_int,
@@ -45,8 +44,10 @@ from steinkit.numerics import (
     slope_less,
     smith_normal_form,
     solve_gf2_affine,
+    solve_rational,
 )
-from steinkit.presentation import SurgeryPresentation, rolfsen_twist, slam_dunk
+from steinkit.invariants import SteinPresentation, theta
+from steinkit.presentation import SurgeryPresentation, linking_form, rolfsen_twist, slam_dunk
 
 rationals = st.builds(
     lambda p, q: ExtRational(p, q),
@@ -394,15 +395,115 @@ def test_invariant_factors_of_a_dense_64x64_matrix():
     assert prod(factors) == abs(det)
 
 
+def mat_mul(a, b):
+    """Product of two integer matrices given as sequences of rows."""
+    bT = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bT] for row in a]
+
+
+# ---------------------------------------------------------------------------
+# linear systems over Q
+
+
+def _fraction_solve(matrix, *rhs):
+    """Oracle: Gauss-Jordan elimination over Fractions, pivots taken column
+    by column from the first row with a nonzero entry, free variables 0."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(matrix)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][col]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+    solutions = []
+    for k in range(n, n + len(rhs)):
+        if any(row[k] != 0 for row in aug[len(pivots):]):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for row, col in enumerate(pivots):
+            x[col] = aug[row][k]
+        solutions.append(x)
+    return tuple(solutions)
+
+
+@st.composite
+def square_systems(draw):
+    """(kind, rows, rhs): 1-3 right-hand sides of an n x n system, n <= 6.
+
+    nonsingular: a diagonally dominant matrix.  singular: the last row is a
+    combination of two others (zero when n = 1) and every right-hand side
+    is A x.  inconsistent: the same rows, and the first right-hand side is
+    A x plus 1 in the last entry.
+    """
+    kind = draw(st.sampled_from(("nonsingular", "singular", "inconsistent")))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, min_size=n, max_size=n))
+    if kind == "nonsingular":
+        for i, row in enumerate(rows):
+            row[i] = sum(abs(v) for j, v in enumerate(row) if j != i) + draw(st.integers(1, 3))
+        return kind, rows, draw(st.lists(vec, min_size=k, max_size=k))
+    i, j = draw(st.integers(0, max(n - 2, 0))), draw(st.integers(0, max(n - 2, 0)))
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])] if n > 1 else [0] * n
+    rhs = [mat_vec(rows, x) for x in draw(st.lists(vec, min_size=k, max_size=k))]
+    if kind == "inconsistent":
+        rhs[0][-1] += 1
+    return kind, rows, rhs
+
+
+@settings(max_examples=400)
+@given(square_systems())
+def test_solve_rational_matches_the_fraction_elimination(system):
+    kind, rows, rhs = system
+    got = solve_rational(rows, *rhs)
+    assert got == _fraction_solve(rows, *rhs)
+    assert all(x is None or all(type(v) is Fraction for v in x) for x in got)
+    if kind == "inconsistent":
+        assert got[0] is None
+    else:
+        assert None not in got
+
+
+def test_solve_rational_fixtures():
+    # rank 1: the free variable is 0, and the second system is inconsistent
+    assert solve_rational([[2, 4], [1, 2]], [2, 1], [1, 0]) == ([Fraction(1), Fraction(0)], None)
+    assert solve_rational([[0, 3], [2, 0]], [1, 1]) == ([Fraction(1, 2), Fraction(1, 3)],)
+    assert solve_rational([[0]], [0]) == ([Fraction(0)],)
+    assert solve_rational([], []) == ([],)
+    with pytest.raises(NumericsError, match="integer entries"):
+        solve_rational([[Fraction(1, 2)]], [1])
+
+
 # ---------------------------------------------------------------------------
 # signature
 
-sym_matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    ).map(lambda rows: [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)])
+# entries up to +-50, and half of them with the diagonal cleared, so that
+# the off-diagonal pull runs too
+sym_matrices = st.tuples(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-25, max_value=25), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.booleans(),
+).map(
+    lambda t: [
+        [0 if t[1] and i == j else t[0][i][j] + t[0][j][i] for j in range(len(t[0]))]
+        for i in range(len(t[0]))
+    ]
 )
 
 
@@ -422,6 +523,48 @@ def _inertia_by_descartes(rows):
 
     pos = variations(coeffs)
     neg = variations([c * (-1) ** i for i, c in enumerate(coeffs)])
+    return pos, zero, neg
+
+
+def _fraction_inertia(rows):
+    """Oracle: congruence diagonalisation over Fractions, each trailing
+    block replaced by its Schur complement."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    pos = neg = zero = 0
+    s = 0
+    while s < n:
+        if m[s][s] == 0:
+            swap = next((i for i in range(s + 1, n) if m[i][i] != 0), None)
+            if swap is not None:
+                m[s], m[swap] = m[swap], m[s]
+                for row in m:
+                    row[s], row[swap] = row[swap], row[s]
+            else:
+                pair = next(((i, j) for i in range(s, n) for j in range(i + 1, n) if m[i][j]), None)
+                if pair is None:
+                    zero += n - s
+                    break
+                i, j = pair
+                for row in m:
+                    row[i] += row[j]
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                if i != s:
+                    m[s], m[i] = m[i], m[s]
+                    for row in m:
+                        row[s], row[i] = row[i], row[s]
+        d = m[s][s]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(s + 1, n):
+            if m[i][s] != 0:
+                f = m[i][s] / d
+                m[i] = [x - f * y for x, y in zip(m[i], m[s])]
+                for row in m:
+                    row[i] -= f * row[s]
+        s += 1
     return pos, zero, neg
 
 
@@ -451,10 +594,12 @@ def test_e8_form_has_signature_eight():
     assert inertia(e8) == (8, 0, 0)
 
 
-@settings(max_examples=60)
+@settings(max_examples=80, deadline=None)
 @given(sym_matrices)
 def test_inertia_matches_charpoly_oracle(rows):
-    assert inertia(rows) == _inertia_by_descartes(rows)
+    assert inertia(rows) == _inertia_by_descartes(rows) == _fraction_inertia(rows)
+    # a positive rational scale keeps the inertia
+    assert inertia([[Fraction(v, 7) for v in row] for row in rows]) == inertia(rows)
 
 
 @settings(max_examples=40)
@@ -466,7 +611,7 @@ def test_inertia_is_congruence_invariant(rows):
     if n > 1:
         p[0][1] = 3
     sheared = mat_mul(mat_mul([list(r) for r in zip(*p)], rows), p)
-    assert inertia(sheared) == inertia(rows)
+    assert inertia(sheared) == inertia(rows) == _fraction_inertia(sheared)
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +668,47 @@ def test_gf2_deterministic_enumeration():
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+
+
+# ---------------------------------------------------------------------------
+# the exact solvers build no Fraction while they eliminate
+
+
+def test_integer_kernels_build_no_fraction(monkeypatch):
+    rng = random.Random(8)
+    n = 8
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = rng.randint(-9, 9)
+    singular = [row[:] for row in sym]
+    singular[-1] = [a + b for a, b in zip(sym[0], sym[1])]
+    b1, b2 = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(2))
+    # the linking form of the lens space L(23, ...) and theta of a knot with a 1-handle
+    lens = SurgeryPresentation(coeffs=[rat(4), rat(6)], lk=[[0, 1], [1, 0]])
+    stein = SteinPresentation(q=[[-3, 1], [1, -2]], runs=[[1, 1]], rot=[1, 0])
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    want = [inertia(sym), solve_rational(sym, b1, b2), solve_rational(singular, b1),
+            linking_form(lens, [1, 0], [0, 1]), theta(stein)]
+    monkeypatch.setattr(Fraction, "__new__", counting)
+
+    def count(call):
+        built.clear()
+        out = call()
+        return out, len(built)
+
+    assert count(lambda: inertia(sym)) == (want[0], 0)
+    out, made = count(lambda: solve_rational(sym, b1, b2))
+    assert out == want[1] and None not in out and made <= 2 * n  # its results, no more
+    out, made = count(lambda: solve_rational(singular, b1))
+    assert out == want[2] and made <= n
+    out, made = count(lambda: linking_form(lens, [1, 0], [0, 1]))
+    assert out == want[3] and made <= 2 * 2 + 2
+    out, made = count(lambda: theta(stein))
+    assert out == want[4] and made <= 3 + 2

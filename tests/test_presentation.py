@@ -68,6 +68,28 @@ def test_validation_errors():
         SurgeryPresentation(coeffs=[rat(1)], lk=[[0]], l0=[True], unknot=[True])
     with pytest.raises(PresentationError, match="not unknot"):
         SurgeryPresentation(coeffs=[rat(0)], lk=[[0]], l0=[True], unknot=[False])
+    # linking numbers that are not ints; bool is an int, so only as a
+    # framing on the diagonal is True refused
+    assert SurgeryPresentation(coeffs=[rat(1), rat(1)], lk=[[0, True], [True, 0]]).lk == ((0, 1), (1, 0))
+    with pytest.raises(PresentationError, match="nonzero diagonal at component 1;"):
+        SurgeryPresentation(coeffs=[rat(1), rat(1)], lk=[[True, 0], [0, 0]])
+    for v in (1.0, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(PresentationError, match="^linking numbers must be integers$"):
+            SurgeryPresentation(coeffs=[rat(1), rat(1)], lk=[[0, v], [v, 0]])
+    # an asymmetry is reported before a non-int entry, at the first (i, j),
+    # j < i, in row-major order; nan differs from itself even where the
+    # same object sits on both sides
+    nan = float("nan")
+    for lk in (
+        [[0, 1, 2], [3, 0, 0], [5, 0, 0]],
+        [[0, True, 0], [2, 0, 0], [0, 0, 0]],
+        [[0, 1.5, 0], [2, 0, 0], [0, 0, 0]],
+        [[0, nan, 0], [nan, 0, 0], [0, 0, 0]],
+    ):
+        with pytest.raises(PresentationError, match=r"^linking matrix asymmetric at \(2, 1\)$"):
+            SurgeryPresentation(coeffs=[rat(1)] * 3, lk=lk)
+    with pytest.raises(PresentationError, match=r"asymmetric at \(3, 1\)$"):
+        SurgeryPresentation(coeffs=[rat(1)] * 3, lk=[[0, 1, 2], [1, 0, 0], [5, 0, 0]])
 
 
 def test_presentations_are_frozen():
@@ -188,6 +210,34 @@ def test_h1_of_an_expansion_past_64_components(q):
     expanded = expand_rational(p)
     assert expanded.m > 64
     assert h1(expanded) == h1(p) != AbelianGroup(())
+
+
+def _relation_matrices(seed):
+    """Relation matrices of random presentations: small dense ones, sparse
+    unit-heavy ones, and integer chain expansions of rational ones."""
+    rng = random.Random(seed)
+    yield random_presentation(rng).relation_matrix()
+    m = rng.randint(2, 14)
+    lk = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            if rng.random() < 2 / m:
+                lk[i][j] = lk[j][i] = rng.choice((-1, 1, 1, 2))
+    coeffs = [rng.choice((INF, rat(1), rat(-1), rat(0), rat(2), rat(rng.randint(-9, 9), rng.randint(1, 5))))
+              for _ in range(m)]
+    sparse = pres(coeffs, lk)
+    yield sparse.relation_matrix()
+    for p in (sparse, random_presentation(rng, max_m=5)):
+        expanded = expand_rational(p)
+        if 0 < expanded.m <= numerics.MAX_SNF_DIM:
+            yield expanded.integer_matrix()
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_match_the_witnessed_smith_form(seed):
+    for rows in _relation_matrices(seed):
+        assert numerics.invariant_factors(rows) == numerics.smith_normal_form(rows).diagonal
 
 
 def test_cokernel_of_empty_matrices():

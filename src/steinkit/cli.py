@@ -9,52 +9,15 @@ denominators elided, infinity as inf.  Negative or fractional values on the comm
 a leading "--" separator or the --flag=value spelling.
 """
 
+from __future__ import annotations
+
 import argparse
 import os
 import sys
 
-from .families import (
-    BorromeanCoeffs,
-    SeifertData,
-    decide_borromean,
-    decide_seifert,
-    brieskorn,
-    seifert_normalize,
-    twist_knot_surgery,
-    two_component_surgery,
-)
-from .front import (
-    apply_move,
-    check_stein_form,
-    component_stats,
-    parity_lint,
-    parse_front,
-    serialize_front,
-    stabilize,
-    surger_handles,
-)
-from .invariants import (
-    InvariantError,
-    SpinStructure,
-    SteinPresentation,
-    characteristic_sublink_count,
-    characteristic_sublinks,
-    gamma,
-    theta,
-    theta_f0_and_d,
-)
+# Each verb imports the modules it runs inside its cmd_* function, so a
+# call loads and compiles only those; numerics is needed by main itself.
 from .numerics import InternalError, parse_int, parse_rational
-from .presentation import (
-    blow_down,
-    expand_rational,
-    h1,
-    parse_surgery,
-    rolfsen_twist,
-    serialize_surgery,
-    slam_dunk,
-    slam_dunk_inverse,
-    stein_plan,
-)
 
 
 class UsageError(Exception):
@@ -73,8 +36,12 @@ def parse_input(path: str, kind: str):
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if kind == "front":
+        from .front import parse_front
+
         return parse_front(text)
     if kind == "surgery":
+        from .presentation import parse_surgery
+
         return parse_surgery(text)
     raise ValueError(f"unknown input kind {kind!r}")
 
@@ -91,6 +58,8 @@ def _rational(text: str):
 
 
 def cmd_stats(args) -> list[str]:
+    from .front import component_stats
+
     d = parse_input(args.file, "front")
     out = []
     for s in component_stats(d):
@@ -105,6 +74,8 @@ def cmd_stats(args) -> list[str]:
 
 
 def cmd_lint(args) -> list[str]:
+    from .front import parity_lint
+
     d = parse_input(args.file, "front")
     reports = parity_lint(d)
     out = []
@@ -121,6 +92,8 @@ def cmd_lint(args) -> list[str]:
 
 
 def cmd_check_stein(args) -> list[str]:
+    from .front import check_stein_form
+
     rep = check_stein_form(parse_input(args.file, "front"))
     out = [f"ok: {_bool(rep.ok)}"]
     out += [f"problem: {p}" for p in rep.problems]
@@ -128,15 +101,22 @@ def cmd_check_stein(args) -> list[str]:
 
 
 def cmd_surger(args) -> str:
+    from .front import surger_handles
+    from .presentation import serialize_surgery
+
     return serialize_surgery(surger_handles(parse_input(args.file, "front")))
 
 
 def cmd_move(args) -> str:
+    from .front import apply_move, serialize_front
+
     d = parse_input(args.file, "front")
     return serialize_front(apply_move(d, args.n, at=args.at, variant=args.variant, handle=args.handle))
 
 
 def cmd_stabilize(args) -> str:
+    from .front import serialize_front, stabilize
+
     d = parse_input(args.file, "front")
     return serialize_front(stabilize(d, args.component, args.direction, at_column=args.at))
 
@@ -146,19 +126,27 @@ def cmd_stabilize(args) -> str:
 
 
 def cmd_h1(args) -> list[str]:
+    from .presentation import h1
+
     return [f"h1: {h1(parse_input(args.file, 'surgery'))}"]
 
 
 def cmd_expand(args) -> str:
+    from .presentation import expand_rational, serialize_surgery
+
     return serialize_surgery(expand_rational(parse_input(args.file, "surgery")))
 
 
 def cmd_twist(args) -> str:
+    from .presentation import rolfsen_twist, serialize_surgery
+
     p = parse_input(args.file, "surgery")
     return serialize_surgery(rolfsen_twist(p, args.i, args.m))
 
 
 def cmd_dunk(args) -> str:
+    from .presentation import serialize_surgery, slam_dunk, slam_dunk_inverse
+
     p = parse_input(args.file, "surgery")
     if args.inverse is not None:
         if args.j is not None:
@@ -170,10 +158,14 @@ def cmd_dunk(args) -> str:
 
 
 def cmd_blowdown(args) -> str:
+    from .presentation import blow_down, serialize_surgery
+
     return serialize_surgery(blow_down(parse_input(args.file, "surgery"), args.i))
 
 
 def cmd_plan(args) -> list[str]:
+    from .presentation import stein_plan
+
     plan = stein_plan(parse_input(args.file, "surgery"))
     out = [f"ok: {_bool(plan.ok)}"]
     for comp, msg in plan.violations:
@@ -197,6 +189,8 @@ MAX_LISTED_SUBLINKS = 1 << 12  # gamma lists no more sublinks than this
 
 
 def _gamma_lines(x: SteinPresentation, s: SpinStructure) -> list[str]:
+    from .invariants import gamma
+
     members = s.members()
     cls = gamma(x, s)
     coords = "(" + ",".join(str(c) for c in cls.coords) + ")"
@@ -207,6 +201,13 @@ def _gamma_lines(x: SteinPresentation, s: SpinStructure) -> list[str]:
 
 
 def cmd_gamma(args) -> list[str]:
+    from .invariants import (
+        SpinStructure,
+        SteinPresentation,
+        characteristic_sublink_count,
+        characteristic_sublinks,
+    )
+
     x = SteinPresentation.from_presentation(parse_input(args.file, "surgery"))
     if args.sublink is not None:
         tokens = args.sublink.split()
@@ -235,6 +236,8 @@ def cmd_gamma(args) -> list[str]:
 
 
 def cmd_theta(args) -> list[str]:
+    from .invariants import InvariantError, SteinPresentation, theta, theta_f0_and_d
+
     x = SteinPresentation.from_presentation(parse_input(args.file, "surgery"))
     try:
         return [f"theta: {theta(x)}"]
@@ -248,6 +251,8 @@ def cmd_theta(args) -> list[str]:
 
 
 def _decision_lines(data: SeifertData, search_bound: int) -> list[str]:
+    from .families import decide_seifert, seifert_normalize
+
     norm = seifert_normalize(data)
     rprime = " ".join(str(r) for r in norm.rprime)
     out = [
@@ -286,6 +291,8 @@ def _parse_base(text: str):
 
 
 def cmd_seifert(args) -> list[str]:
+    from .families import SeifertData
+
     orientable, genus = _parse_base(args.base)
     coeffs = [_rational(c) for c in args.coeff or []]
     data = SeifertData(orientable=orientable, genus=genus, coefficients=coeffs)
@@ -293,6 +300,8 @@ def cmd_seifert(args) -> list[str]:
 
 
 def cmd_brieskorn(args) -> list[str]:
+    from .families import brieskorn
+
     ori = 1 if args.orientation == "+" else -1
     data = brieskorn(args.p1, args.p2, args.p3, ori)
     out = [f"coeff: {r}" for r in data.coefficients]
@@ -300,6 +309,8 @@ def cmd_brieskorn(args) -> list[str]:
 
 
 def cmd_borromean(args) -> list[str]:
+    from .families import BorromeanCoeffs, decide_borromean, twist_knot_surgery, two_component_surgery
+
     sources = [
         args.coeffs if args.coeffs else None,
         args.twist_knot,

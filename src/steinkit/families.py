@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .numerics import INF, ZERO, ExtRational, InternalError, MobiusMap, floor_frac, rat, slope_less
-from .presentation import SurgeryPresentation
 
 
 class FamilyError(ValueError):
@@ -474,8 +473,10 @@ def decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
     return BorromeanDecision(verdict="YES", detail="outside all exceptional regions")
 
 
-def borromean_presentation(c: BorromeanCoeffs) -> SurgeryPresentation:
+def borromean_presentation(c: BorromeanCoeffs) -> "SurgeryPresentation":
     """Surgery presentation fit for homology: three unknots, zero linking."""
+    from .presentation import SurgeryPresentation
+
     return SurgeryPresentation(
         coeffs=list(c.as_tuple()),
         lk=[[0, 0, 0], [0, 0, 0], [0, 0, 0]],

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 
 from .numerics import ExtRational, InternalError, parse_int, parse_rational, rat
-from .presentation import SurgeryPresentation
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
 
@@ -856,14 +855,22 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     The result presents the same boundary 3-manifold: link components
     keep their coefficients (STEIN resolving to tb - 1) and each handle
     contributes an unknot in the distinguished 0-framed sublink, linking
-    a component once per algebraic run through the handle.
+    a component once per algebraic run through the handle.  A result
+    past presentation.MAX_COMPONENTS, which parse_surgery would refuse
+    to read back, is refused before its linking matrix is built.
     """
+    from .presentation import MAX_COMPONENTS, SurgeryPresentation
+
     stats = component_stats(d)
     coeffs = _resolved_coefficients(stats)
     _, cross = _crossing_data(d)
     n = len(stats)
     nh = d.n_handles
     m = n + nh
+    if m > MAX_COMPONENTS:
+        raise FrontError(
+            f"the surgered presentation would have {m} components; the limit is {MAX_COMPONENTS}"
+        )
     lk = [[0] * m for _ in range(m)]
     for (i, j), total in cross.items():
         lk[i - 1][j - 1] = lk[j - 1][i - 1] = total // 2
@@ -992,35 +999,3 @@ def serialize_front(d: FrontDiagram) -> str:
         c = d.coefficients[cid]
         out.append(f"coeff {cid} {c}")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# random fronts for property testing
-
-
-def random_front(rng, max_handles: int = 2, max_slot: int = 2, max_extra: int = 8) -> FrontDiagram:
-    """A small valid random front with random orientations."""
-    n_handles = rng.randint(0, max_handles)
-    slots = tuple(rng.randint(1, max_slot) for _ in range(n_handles))
-    n = sum(slots)
-    events = []
-    c = n
-    for _ in range(rng.randint(0, max_extra)):
-        kinds = ["L"] if c < 2 else ["L", "R", "X", "X"]
-        kind = rng.choice(kinds)
-        if kind == "L":
-            events.append(Event("L", rng.randint(1, c + 1)))
-            c += 2
-        elif kind == "R":
-            events.append(Event("R", rng.randint(1, c - 1)))
-            c -= 2
-        else:
-            events.append(Event("X", rng.randint(1, c - 1)))
-    while c > n:
-        events.append(Event("R", rng.randint(1, c - 1)))
-        c -= 2
-    while c < n:
-        events.append(Event("L", rng.randint(1, c + 1)))
-        c += 2
-    d = FrontDiagram(slots, tuple(events))
-    return _attach(d, {cid: rng.choice([1, -1]) for cid in d.trace.ids}, {})

@@ -95,9 +95,6 @@ class ExtRational:
     def __sub__(self, other) -> "ExtRational":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "ExtRational":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "ExtRational":
         other = self._coerce(other)
         if self.is_infinite or other.is_infinite:
@@ -306,9 +303,6 @@ class ContinuedFraction:
             # a tail value num/den is <= -1, so term - den/num is finite
             num, den = term * num - den, num
         return ExtRational(num, den)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm
 
 from .numerics import (
@@ -43,9 +43,10 @@ class SurgeryPresentation:
     are optional Legendrian data carried along for Stein constructions.
 
     Presentations are frozen: every field is stored as a tuple (lk as a
-    tuple of rows), empty flag fields are filled with their defaults, and
-    the data is validated once, on construction.  Rewrites return new
-    presentations.
+    tuple of rows), empty flag fields are filled with their defaults, a
+    bool (or other int subclass) linking number, rot or tb is stored as
+    the plain int it equals, and the data is validated once, on
+    construction.  Rewrites return new presentations.
     """
 
     coeffs: tuple[ExtRational, ...]
@@ -76,7 +77,13 @@ class SurgeryPresentation:
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
                 )
-        ints = all(map(isinstance, chain.from_iterable(self.lk), repeat(int)))
+        types = set(map(type, chain.from_iterable(self.lk)))
+        if not types <= {int} and all(issubclass(t, int) for t in types):
+            # a bool entry is stored as the plain int it equals, which is
+            # what serialize_surgery writes and parse_surgery reads back
+            object.__setattr__(self, "lk", tuple(tuple(map(int, row)) for row in self.lk))
+            types = {int}
+        ints = types <= {int}
         # on ints tuple equality is entrywise ==; others (nan) need the scan
         if not (ints and self.lk == tuple(zip(*self.lk))):
             bad = first_asymmetry(self.lk)
@@ -84,6 +91,15 @@ class SurgeryPresentation:
                 raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
         if not ints:
             raise PresentationError("linking numbers must be integers")
+        if not set(map(type, chain(self.rot, self.tb))) <= {int, type(None)}:
+            for name in ("rot", "tb"):
+                values = getattr(self, name)
+                for i, v in enumerate(values):
+                    if v is not None and not isinstance(v, int):
+                        raise PresentationError(
+                            f"{name} of component {i + 1} must be an integer, got {v!r}"
+                        )
+                object.__setattr__(self, name, tuple(v if v is None else int(v) for v in values))
         for i, c in enumerate(self.coeffs):
             if self.l0[i]:
                 if c != ZERO:
@@ -225,8 +241,8 @@ def _own_chains(p: SurgeryPresentation) -> list:
 
 # A rewrite builds an m x m linking matrix, and the chain of -1/n alone has
 # n entries, so a rewrite may not grow a presentation past this many
-# components.  It is far above the longest expansion that the tests and
-# the benchmark build.
+# components, and parse_surgery reads no file declaring more.  It is far
+# above the longest expansion that the tests and the benchmark build.
 MAX_COMPONENTS = 1000
 
 
@@ -474,7 +490,8 @@ def stein_plan(p: SurgeryPresentation) -> SteinPlan:
 def parse_surgery(text: str) -> SurgeryPresentation:
     """Parse the SURGERY interchange format.
 
-    Headers: 'surgery 1' then 'components <m>'.  Body keys: coeff, lk,
+    Headers: 'surgery 1' then 'components <m>', with m at most
+    MAX_COMPONENTS.  Body keys: coeff, lk,
     unknot, l0, rot, tb.  Unknown keys are errors; every component needs
     a coefficient; lk entries are symmetric and default to 0.
     """
@@ -496,6 +513,8 @@ def parse_surgery(text: str) -> SurgeryPresentation:
         raise PresentationError("negative component count")
     if m > len(lines) - 2:  # each component needs its own coeff line
         raise PresentationError(f"components {m} exceeds the body lines, so one has no coefficient")
+    if m > MAX_COMPONENTS:  # refused before the m x m matrix below is built
+        raise PresentationError(f"components {m} exceeds the limit of {MAX_COMPONENTS}")
 
     coeffs: dict[int, ExtRational] = {}
     lk: dict[tuple[int, int], int] = {}

@@ -26,7 +26,6 @@ from steinkit.front import (
     component_stats,
     parity_lint,
     parse_event_word,
-    random_front,
 )
 from steinkit.invariants import (
     SpinStructure,
@@ -52,6 +51,8 @@ from steinkit.presentation import (
     slam_dunk,
     slam_dunk_inverse,
 )
+
+from random_fronts import random_front
 
 
 def test_a01_trefoil_and_minimal_unknot():

@@ -1,8 +1,9 @@
 """End-to-end tests for the command line interface.
 
 Each test invokes main() directly and checks stdout, stderr, and the
-return code; only the closed-stdout test runs a child process, which
-owns its stdout. Exit code conventions: 0 on success (including UNKNOWN
+return code; only the closed-stdout test, which needs a child that owns
+its stdout, and the import-set tests, which need a cold interpreter,
+run child processes. Exit code conventions: 0 on success (including UNKNOWN
 decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
 failures.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from steinkit import cli, families, numerics, presentation
+from steinkit import cli, families, invariants, numerics, presentation
 from steinkit.cli import main
 from steinkit.front import parse_front
 from steinkit.presentation import parse_surgery
@@ -218,7 +219,7 @@ def test_gamma_listing_past_the_limit_enumerates_nothing(capsys, tmp_path, monke
         raise AssertionError("enumerated the sublinks")
 
     monkeypatch.setattr(numerics.Gf2Solution, "enumerate", refuse)
-    monkeypatch.setattr(cli, "characteristic_sublinks", refuse)
+    monkeypatch.setattr(invariants, "characteristic_sublinks", refuse)
     path = tmp_path / "free.surgery"
     path.write_text(free_zero_unknots(k))
     rc, out, err = run(capsys, "gamma", str(path))
@@ -280,6 +281,9 @@ def test_expansion_past_the_component_limit_is_invalid_input(capsys, tmp_path, m
     path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/5\ntb 1 0\n")
     rc, out, err = run(capsys, "expand", str(path))
     assert (rc, err, parse_surgery(out).m) == (0, "", 5)
+    # a file that declares more components than the limit is refused too
+    path.write_text("surgery 1\ncomponents 6\n" + "".join(f"coeff {i} 0\n" for i in range(1, 7)))
+    assert run(capsys, "h1", str(path)) == (2, "", "error: components 6 exceeds the limit of 5\n")
 
 
 def test_empty_presentation(capsys, tmp_path):
@@ -461,8 +465,12 @@ def test_unknown_verb_is_usage_error(capsys):
 
 
 def test_help_exits_zero(capsys):
-    rc, _, _ = run(capsys, "--help")
+    rc, out, _ = run(capsys, "--help")
     assert rc == 0
+    assert "{" + ",".join(VERB_CALLS) + "}" in out
+    for verb in VERB_CALLS:
+        rc, out, err = run(capsys, verb, "--help")
+        assert (rc, err) == (0, "") and out.startswith(f"usage: steinkit {verb} ")
 
 
 def test_parse_error_reports_line(capsys, tmp_path):
@@ -506,3 +514,85 @@ def test_closed_stdout_is_a_quiet_success(tmp_path, verb):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# One call of every verb, in the order --help lists them, with the steinkit
+# modules it runs besides the package and numerics, which main needs.
+# "@front" and "@surgery" stand for the two files below.
+VERB_CALLS = {
+    "stats": (["@front"], {"front"}),
+    "lint": (["@front"], {"front"}),
+    "check-stein": (["@front"], {"front"}),
+    "surger": (["@front"], {"front", "presentation"}),
+    "move": (["2", "--at", "6", "--variant", "birth-above", "@front"], {"front"}),
+    "stabilize": (["1", "up", "@front"], {"front"}),
+    "h1": (["@surgery"], {"presentation"}),
+    "expand": (["@surgery"], {"presentation"}),
+    "twist": (["1", "1", "@surgery"], {"presentation"}),
+    "dunk": (["1", "2", "@surgery"], {"presentation"}),
+    "blowdown": (["2", "@surgery"], {"presentation"}),
+    "plan": (["@surgery"], {"presentation"}),
+    "gamma": (["@surgery"], {"presentation", "invariants"}),
+    "theta": (["@surgery"], {"presentation", "invariants"}),
+    "seifert": (["--coeff=2", "--coeff=-3/2", "--coeff=-3/4"], {"families"}),
+    "brieskorn": (["2", "3", "5"], {"families"}),
+    "borromean": (["--", "1", "1", "1"], {"families"}),
+}
+
+# a -1-framed meridian on a -3-framed unknot, with tb and rotation data
+MERIDIAN = """\
+surgery 1
+components 2
+coeff 1 -3
+coeff 2 -1
+lk 1 2 1
+unknot 1
+unknot 2
+rot 1 1
+tb 1 -2
+rot 2 1
+tb 2 0
+"""
+
+
+def child_imports(cwd, *args):
+    """Run python -X importtime with args in a fresh interpreter that
+    compiles every source it imports.  Returns the exit code, the stderr
+    lines that are not import times, and the steinkit modules imported."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+    modules, other = set(), []
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.split(".")[0] == "steinkit":
+                modules.add(name)
+        else:
+            other.append(line)
+    return proc.returncode, other, modules
+
+
+@pytest.mark.parametrize("verb", VERB_CALLS)
+def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
+    # a cold child, unlike this process, has imported nothing yet, so a
+    # name a verb forgot to import fails here and nowhere in-process
+    (tmp_path / "in.front").write_text(TREFOIL)
+    (tmp_path / "in.surgery").write_text(MERIDIAN)
+    args, layers = VERB_CALLS[verb]
+    argv = [str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args]
+    rc, err, modules = child_imports(tmp_path, "-m", "steinkit.cli", verb, *argv)
+    assert (rc, err) == (0, [])
+    assert modules == {"steinkit", "steinkit.numerics"} | {f"steinkit.{m}" for m in layers}
+
+
+def test_importing_the_cli_imports_only_numerics(tmp_path):
+    rc, err, modules = child_imports(tmp_path, "-c", "import steinkit.cli")
+    assert (rc, err) == (0, [])
+    assert modules == {"steinkit", "steinkit.cli", "steinkit.numerics"}

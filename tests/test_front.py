@@ -18,13 +18,13 @@ from steinkit.front import (
     parity_lint,
     parse_event_word,
     parse_front,
-    random_front,
     resolve_coefficients,
     serialize_front,
     stabilize,
     surger_handles,
 )
 from steinkit import front as front_module
+from steinkit import presentation
 from steinkit.invariants import (
     InvariantError,
     SteinPresentation,
@@ -32,7 +32,9 @@ from steinkit.invariants import (
     theta,
 )
 from steinkit.numerics import rat
-from steinkit.presentation import h1
+from steinkit.presentation import h1, parse_surgery, serialize_surgery
+
+from random_fronts import random_front
 
 
 def front(slots, word, orientations=None, coefficients=None):
@@ -609,6 +611,19 @@ def test_surger_kinked_core_strand():
 def test_surger_requires_coefficients():
     with pytest.raises(FrontError, match="no surgery coefficient"):
         surger_handles(FrontDiagram((1,), ()))
+
+
+def test_surger_stops_at_the_component_limit(monkeypatch):
+    # every presentation surger writes must parse again, and parse_surgery
+    # reads at most MAX_COMPONENTS components
+    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    unknots = parse_event_word("L1 L1 L1 L1 L1 R1 R1 R1 R1 R1")
+    p = surger_handles(FrontDiagram((), unknots, {}, {c: STEIN for c in range(1, 6)}))
+    assert p.m == 5 and parse_surgery(serialize_surgery(p)) == p
+    # four unknots and the strand through one handle, plus that handle's unknot
+    over = FrontDiagram((1,), unknots[1:-1], {}, {c: STEIN for c in range(1, 6)})
+    with pytest.raises(FrontError, match="^the surgered presentation would have 6 components; the limit is 5$"):
+        surger_handles(over)
 
 
 def test_surger_two_handles():

@@ -12,7 +12,6 @@ from steinkit.front import (
     Event,
     FrontDiagram,
     n_components,
-    random_front,
     stabilize,
     surger_handles,
 )
@@ -31,6 +30,8 @@ from steinkit.invariants import (
 )
 from steinkit.numerics import InternalError, mat_vec, rat, signature, smith_normal_form
 from steinkit.presentation import PresentationError, SurgeryPresentation, linking_form
+
+from random_fronts import random_front
 
 
 def random_stein(rng, max_m=4, max_n1=2, bound=3, parity=False):

@@ -92,6 +92,24 @@ def test_validation_errors():
         SurgeryPresentation(coeffs=[rat(1)] * 3, lk=[[0, 1, 2], [1, 0, 0], [5, 0, 0]])
 
 
+def test_bool_entries_are_stored_as_ints_and_round_trip():
+    # bool is an int; stored as the int it equals, it serializes as 1 or 0
+    p = SurgeryPresentation(
+        coeffs=[rat(1), rat(1)], lk=[[0, True], [True, 0]], rot=[True, None], tb=[False, -1]
+    )
+    assert {type(v) for v in (*p.lk[0], *p.lk[1], p.rot[0], *p.tb)} == {int}
+    text = serialize_surgery(p)
+    assert "lk 1 2 1\n" in text and "rot 1 1\n" in text and "tb 1 0\n" in text
+    assert parse_surgery(text) == p
+
+
+def test_rot_and_tb_must_be_integers():
+    for name in ("rot", "tb"):
+        for v in (1.0, Fraction(1), rat(1), "1"):
+            with pytest.raises(PresentationError, match=f"^{name} of component 2 must be an integer, got "):
+                pres([1, 1], **{name: [0, v]})
+
+
 def test_presentations_are_frozen():
     p = pres([rat(1), rat(-2)], [[0, 1], [1, 0]], unknot=[True, False], rot=[0, None])
     for name in ("coeffs", "lk", "unknot", "l0", "rot", "tb"):
@@ -695,6 +713,19 @@ def test_component_count_is_bounded_by_the_body_lines():
     with pytest.raises(PresentationError, match="components 1000000000 exceeds the body lines"):
         parse_surgery(f"surgery 1\ncomponents {10**9}\ncoeff 1 2\n")
     assert parse_surgery("surgery 1\ncomponents 1\ncoeff 1 2\n").m == 1
+
+
+def test_parsed_files_stop_at_the_component_limit():
+    # the longest chain a rewrite may write, -1/1000 expanded, parses back
+    expanded = expand_rational(pres([rat(-1, presentation.MAX_COMPONENTS)]))
+    assert expanded.m == presentation.MAX_COMPONENTS == 1000
+    assert parse_surgery(serialize_surgery(expanded)) == expanded
+    # one more is refused before the dense linking matrix is built
+    m = presentation.MAX_COMPONENTS + 1
+    text = f"surgery 1\ncomponents {m}\n" + "".join(f"coeff {i} 0\n" for i in range(1, m + 1))
+    with pytest.raises(PresentationError, match="^components 1001 exceeds the limit of 1000$"):
+        parse_surgery(text)
+
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+3"])
 def test_surgery_number_tokens_are_ascii_digits(token):

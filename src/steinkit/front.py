@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .numerics import ExtRational, InternalError, parse_int, parse_rational, rat
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
+MAX_NODES = 1_000_000  # strands summed over all column boundaries of one word
 
 
 class FrontError(ValueError):
@@ -47,14 +49,19 @@ _EVENT_RE = re.compile(r"^([LRX])([0-9]+)$")
 
 
 def parse_event_word(text: str) -> tuple[Event, ...]:
-    """Parse a whitespace separated event word like 'L1 L3 X2 R2 R1'."""
-    events = []
-    for token in text.split():
+    """Parse a whitespace separated event word like 'L1 L3 X2 R2 R1'.
+
+    Each distinct token is read once, in order of first appearance, and
+    every occurrence shares its (frozen) Event.
+    """
+    tokens = text.split()
+    events = dict.fromkeys(tokens)
+    for token in events:
         m = _EVENT_RE.match(token)
         if not m:
             raise FrontError(f"bad event token {token!r}")
-        events.append(Event(m.group(1), int(m.group(2))))
-    return tuple(events)
+        events[token] = Event(m.group(1), int(m.group(2)))
+    return tuple(map(events.__getitem__, tokens))
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,10 @@ class FrontDiagram:
     Diagrams are immutable.  Construction validates the word and traces
     its components exactly once; the trace is kept on the instance (out
     of equality and repr), and every reader in this module uses it
-    instead of tracing again.
+    instead of tracing again.  The derived data (per-component stats and
+    the signed crossing table) comes from one pass over the trace, made
+    at most once: on first read, never on construction, so a diagram
+    nobody reads never pays for it.
     """
 
     slots: tuple[int, ...]
@@ -99,12 +109,18 @@ class FrontDiagram:
     def orientation(self, component: int) -> int:
         return self.orientations.get(component, 1)
 
+    @cached_property
+    def derived(self) -> _Derived:
+        """Stats and crossing table, computed on first read and kept."""
+        return _front_data(self)
+
 
 def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
     """Check component data against d's trace and store it on d.
 
     Only for a diagram that was just constructed and has not been handed
-    out, so that building it with its data costs one trace.
+    out, so that building it with its data costs one trace.  Derived data
+    read before this call is dropped, as it used the old data.
     """
     ids = d.trace.ids
     for cid, o in orientations.items():
@@ -119,6 +135,7 @@ def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
             raise FrontError(f"coefficient of component {cid} must be a rational or 'stein'")
     object.__setattr__(d, "orientations", orientations)
     object.__setattr__(d, "coefficients", coefficients)
+    d.__dict__.pop("derived", None)
     return d
 
 
@@ -189,6 +206,12 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
         counts.append(c)
     if c != n_strands:
         raise FrontError(f"word ends with {c} strands but the edge carries {n_strands}")
+    n_nodes = sum(counts)
+    if n_nodes > MAX_NODES:
+        raise FrontError(
+            f"the front has {n_nodes} nodes (strands summed over its column boundaries); "
+            f"the limit is {MAX_NODES}"
+        )
 
     offset = [0]
     for width in counts:
@@ -275,85 +298,100 @@ class ComponentStats:
     coefficient: object | None
 
 
-def _crossing_data(d: FrontDiagram):
-    """Per-component writhe and the symmetric table of signed crossing sums."""
+class _Derived:
+    """What the readers of a diagram need from its trace and its data.
+
+    stats holds one ComponentStats per component, in id order; cross maps
+    each pair (i, j) of components with i < j that cross to the sum of
+    the signs of their crossings.
+    """
+
+    __slots__ = ("stats", "cross")
+
+    def __init__(self, stats, cross):
+        self.stats = stats
+        self.cross = cross
+
+
+def _front_data(d: FrontDiagram) -> _Derived:
+    """Cusps, writhe, tb, rot, handle runs and the crossing table of every
+    component, in one pass over the events and one over the left edge."""
     tr = d.trace
-    writhe = {cid: 0 for cid in tr.ids}
+    comp, fwd, offset = tr.comp, tr.fwd, tr.offset
+    n = tr.n_components + 1  # per-component lists are indexed by id
+    # fwd[i] ^ flip[comp[i]] is 1 where the oriented strand runs rightward
+    flip = [0] * n
+    for cid, o in d.orientations.items():
+        flip[cid] = o == -1
+    writhe = [0] * n
+    left = [0] * n
+    right = [0] * n
+    up = [0] * n
     cross = {}
-    for j, e in enumerate(d.events, start=1):
-        if e.kind != "X":
-            continue
-        ca, da = tr.at(j - 1, e.pos)
-        cb, db = tr.at(j - 1, e.pos + 1)
-        da *= d.orientation(ca)
-        db *= d.orientation(cb)
-        # crossings between anti-parallel strands are the positive ones
-        sign = 1 if da != db else -1
-        if ca == cb:
-            writhe[ca] += sign
+    for t, e in enumerate(d.events):  # the column between boundaries t and t + 1
+        kind = e.kind
+        if kind == "X":
+            i = offset[t] + e.pos - 1
+            ca, cb = comp[i], comp[i + 1]
+            # crossings between anti-parallel strands are the positive ones
+            sign = 1 if (fwd[i] ^ flip[ca]) != (fwd[i + 1] ^ flip[cb]) else -1
+            if ca == cb:
+                writhe[ca] += sign
+            else:
+                key = (ca, cb) if ca < cb else (cb, ca)
+                cross[key] = cross.get(key, 0) + sign
+        elif kind == "L":
+            i = offset[t + 1] + e.pos - 1  # upper branch
+            c = comp[i]
+            left[c] += 1
+            if fwd[i] ^ flip[c]:
+                up[c] += 1  # traversal turns upward through a left cusp
         else:
-            key = (min(ca, cb), max(ca, cb))
-            cross[key] = cross.get(key, 0) + sign
-    return writhe, cross
-
-
-def component_stats(d: FrontDiagram) -> list[ComponentStats]:
-    tr = d.trace
-    writhe, _ = _crossing_data(d)
-    left = {cid: 0 for cid in tr.ids}
-    right = {cid: 0 for cid in tr.ids}
-    up = {cid: 0 for cid in tr.ids}
-    down = {cid: 0 for cid in tr.ids}
-    for j, e in enumerate(d.events, start=1):
-        if e.kind == "L":
-            cid, dr = tr.at(j, e.pos)  # upper branch
-            left[cid] += 1
-            if dr * d.orientation(cid) == 1:
-                up[cid] += 1  # traversal turns upward through a left cusp
-            else:
-                down[cid] += 1
-        elif e.kind == "R":
-            cid, dr = tr.at(j - 1, e.pos)  # upper branch
-            right[cid] += 1
-            if dr * d.orientation(cid) == -1:
-                up[cid] += 1
-            else:
-                down[cid] += 1
+            i = offset[t] + e.pos - 1  # upper branch
+            c = comp[i]
+            right[c] += 1
+            if not fwd[i] ^ flip[c]:
+                up[c] += 1
     nh = d.n_handles
-    runs = {cid: [0] * nh for cid in tr.ids}
-    passes = {cid: [0] * nh for cid in tr.ids}
-    owner = _handle_of_position(d)
-    for k in range(1, d.n_strands + 1):
-        cid, dr = tr.at(0, k)
-        h = owner[k]
-        runs[cid][h - 1] += dr * d.orientation(cid)
-        passes[cid][h - 1] += 1
+    runs = [[0] * nh for _ in range(n)]
+    passes = [[0] * nh for _ in range(n)]
+    start = 0  # the left edge is boundary 0, so its nodes come first
+    for h, s in enumerate(d.slots):
+        for i in range(start, start + s):
+            c = comp[i]
+            runs[c][h] += 1 if fwd[i] ^ flip[c] else -1
+            passes[c][h] += 1
+        start += s
 
-    out = []
+    stats = []
     for cid in tr.ids:
         if left[cid] != right[cid]:
             raise InternalError(f"internal: component {cid} has unbalanced cusps")
-        tb = writhe[cid] - left[cid]
-        rot2 = down[cid] - up[cid]
+        down = left[cid] + right[cid] - up[cid]  # every cusp turns up or down
+        rot2 = down - up[cid]
         if rot2 % 2:
             raise InternalError(f"internal: component {cid} has odd cusp imbalance")
-        out.append(
+        stats.append(
             ComponentStats(
                 component=cid,
-                orientation=d.orientation(cid),
+                orientation=-1 if flip[cid] else 1,
                 left_cusps=left[cid],
                 right_cusps=right[cid],
                 up_cusps=up[cid],
-                down_cusps=down[cid],
+                down_cusps=down,
                 writhe=writhe[cid],
-                tb=tb,
+                tb=writhe[cid] - left[cid],
                 rot=rot2 // 2,
                 runs=tuple(runs[cid]),
                 passes=tuple(passes[cid]),
                 coefficient=d.coefficients.get(cid),
             )
         )
-    return out
+    return _Derived(tuple(stats), cross)
+
+
+def component_stats(d: FrontDiagram) -> list[ComponentStats]:
+    return list(d.derived.stats)
 
 
 def n_components(d: FrontDiagram) -> int:
@@ -367,8 +405,7 @@ def linking_number(d: FrontDiagram, i: int, j: int) -> int:
     ids = d.trace.ids
     if i not in ids or j not in ids or i == j:
         raise FrontError(f"need two distinct components, got {i} and {j}")
-    _, cross = _crossing_data(d)
-    total = cross.get((min(i, j), max(i, j)), 0)
+    total = d.derived.cross.get((min(i, j), max(i, j)), 0)
     if total % 2:
         raise InternalError(f"internal: odd crossing sum between components {i} and {j}")
     return total // 2
@@ -389,10 +426,10 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
     Any front drawn in the box satisfies this; a violation means the
     diagram data was assembled inconsistently.
     """
-    return _parity_reports(component_stats(d))
+    return _parity_reports(d.derived.stats)
 
 
-def _parity_reports(stats: list[ComponentStats]) -> list[ParityReport]:
+def _parity_reports(stats: tuple[ComponentStats, ...]) -> list[ParityReport]:
     out = []
     for s in stats:
         total = sum(s.passes)
@@ -812,10 +849,10 @@ class SteinFormReport:
 
 def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:
     """Surgery coefficient per component, with STEIN resolved to tb - 1."""
-    return _resolved_coefficients(component_stats(d))
+    return _resolved_coefficients(d.derived.stats)
 
 
-def _resolved_coefficients(stats: list[ComponentStats]) -> dict[int, ExtRational]:
+def _resolved_coefficients(stats: tuple[ComponentStats, ...]) -> dict[int, ExtRational]:
     out = {}
     for s in stats:
         c = s.coefficient
@@ -828,7 +865,7 @@ def _resolved_coefficients(stats: list[ComponentStats]) -> dict[int, ExtRational
 def check_stein_form(d: FrontDiagram) -> SteinFormReport:
     """Verify that every coefficient is the Stein framing tb - 1."""
     problems = []
-    stats = component_stats(d)
+    stats = d.derived.stats
     for s in stats:
         c = s.coefficient
         want = s.tb - 1
@@ -861,9 +898,8 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     """
     from .presentation import MAX_COMPONENTS, SurgeryPresentation
 
-    stats = component_stats(d)
+    stats = d.derived.stats
     coeffs = _resolved_coefficients(stats)
-    _, cross = _crossing_data(d)
     n = len(stats)
     nh = d.n_handles
     m = n + nh
@@ -872,7 +908,7 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
             f"the surgered presentation would have {m} components; the limit is {MAX_COMPONENTS}"
         )
     lk = [[0] * m for _ in range(m)]
-    for (i, j), total in cross.items():
+    for (i, j), total in d.derived.cross.items():
         lk[i - 1][j - 1] = lk[j - 1][i - 1] = total // 2
     for idx, s in enumerate(stats):
         for h in range(nh):
@@ -991,7 +1027,10 @@ def serialize_front(d: FrontDiagram) -> str:
     out = ["front 1", f"handles {d.n_handles}"]
     for h, s in enumerate(d.slots, start=1):
         out.append(f"handle {h} slots {s}")
-    out.append("events" + "".join(f" {e}" for e in d.events))
+    # one string per distinct token, joined in one call
+    keys = [(e.kind, e.pos) for e in d.events]
+    tokens = {key: f"{key[0]}{key[1]}" for key in set(keys)}
+    out.append(" ".join(["events", *map(tokens.__getitem__, keys)]))
     n = n_components(d)
     for cid in range(1, n + 1):
         out.append(f"orient {cid} {'+' if d.orientation(cid) == 1 else '-'}")

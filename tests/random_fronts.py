@@ -1,4 +1,4 @@
-"""Random fronts for the property tests."""
+"""Random fronts, and the moves to try on them, for the property tests."""
 
 from steinkit.front import Event, FrontDiagram, _attach
 
@@ -29,3 +29,19 @@ def random_front(rng, max_handles: int = 2, max_slot: int = 2, max_extra: int = 
         c += 2
     d = FrontDiagram(slots, tuple(events))
     return _attach(d, {cid: rng.choice([1, -1]) for cid in d.trace.ids}, {})
+
+
+def move_candidates(d: FrontDiagram) -> list[tuple[int, dict]]:
+    """(move, keyword arguments of apply_move) for every column, variant
+    and handle; most of them do not apply."""
+    e, handles = len(d.events), range(1, d.n_handles + 1)
+    variants2 = ("birth-above", "birth-below", "death-above", "death-below")
+    return (
+        [(1, {"at": at}) for at in range(1, e + 1)]
+        + [(2, {"at": at, "variant": v}) for at in range(1, e + 1) for v in variants2]
+        + [(3, {"at": at}) for at in range(1, e + 1)]
+        + [(4, {"at": at, "variant": v, "handle": h})
+           for at in (1, e) for v in ("in", "out") for h in handles]
+        + [(5, {"at": at}) for at in (1, e)]
+        + [(6, {"variant": v, "handle": h}) for v in ("top", "bottom") for h in handles]
+    )

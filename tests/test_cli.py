@@ -2,15 +2,20 @@
 
 Each test invokes main() directly and checks stdout, stderr, and the
 return code; only the closed-stdout test, which needs a child that owns
-its stdout, and the import-set tests, which need a cold interpreter,
-run child processes. Exit code conventions: 0 on success (including UNKNOWN
+its stdout, the import-set tests, which need a cold interpreter, and the
+node-limit test, which needs a child with capped memory, run child
+processes. Exit code conventions: 0 on success (including UNKNOWN
 decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
 failures.
 """
 
+import hashlib
 import os
+import random
+import resource
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +23,17 @@ import pytest
 
 from steinkit import cli, families, invariants, numerics, presentation
 from steinkit.cli import main
-from steinkit.front import parse_front
+from steinkit.front import (
+    MAX_NODES,
+    FrontDiagram,
+    FrontError,
+    apply_move,
+    parse_event_word,
+    parse_front,
+)
 from steinkit.presentation import parse_surgery
+
+from random_fronts import move_candidates, random_front
 
 TREFOIL = """\
 front 1
@@ -489,6 +503,105 @@ def test_front_round_trip(capsys, trefoil, tmp_path):
     rc2, out2, _ = run(capsys, "stats", str(again))
     assert rc2 == 0
     assert "tb: 0" in out2.splitlines()
+
+
+def test_a_front_past_the_node_limit_is_invalid_input(tmp_path):
+    # 10**9 strands would mean per-node arrays of 10**9 entries, so the
+    # child may not map more than 1 GiB: the limit must stop it before it
+    # allocates anything
+    path = tmp_path / "huge.front"
+    path.write_text("front 1\nhandles 1\nhandle 1 slots 1000000000\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", "stats", str(path)],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the front has 1000000000 nodes (strands summed over its column "
+        f"boundaries); the limit is {MAX_NODES}\n"
+    )
+
+
+def front_corpus(rng, directory):
+    """Seeded calls of the six front verbs on random FRONT files, some of
+    them broken; returns the argv lists, with the files written into
+    directory."""
+    # random words seldom admit moves 3 and 4, so the first fronts do
+    fixed = [((), "L1 L3 X2 X1 X2 R1 R1"), ((2,), "R1 L1"), ((1, 2), "L2 X1 X2 X1 R2")]
+    calls = []
+    for k in range(30):
+        if k < len(fixed):
+            d = FrontDiagram(fixed[k][0], parse_event_word(fixed[k][1]))
+        else:
+            d = random_front(rng, max_handles=3, max_slot=3, max_extra=14)
+        n = d.trace.n_components
+        lines = ["front 1", f"handles {d.n_handles}"]
+        lines += [f"handle {h} slots {s}" for h, s in enumerate(d.slots, start=1)]
+        tokens = [str(e) for e in d.events]
+        if tokens and rng.random() < 0.1:
+            tokens[rng.randrange(len(tokens))] = rng.choice(("Y2", "X0", "L", "R1x"))
+        lines.append(" ".join(["events", *tokens]))
+        for cid in range(1, n + 2 if rng.random() < 0.05 else n + 1):
+            if rng.random() < 0.7:
+                lines.append(f"orient {cid} {rng.choice('+-')}")
+        for cid in range(1, n + 1):
+            roll = rng.random()
+            if roll < 0.5:
+                lines.append(f"coeff {cid} stein")
+            elif roll < 0.9:
+                lines.append(f"coeff {cid} {rng.randint(-6, 4)}/{rng.randint(1, 3)}")
+        path = directory / f"{k}.front"
+        path.write_text("\n".join(lines) + "\n")
+        f = str(path)
+        calls += [["stats", f], ["lint", f], ["check-stein", f], ["surger", f]]
+        moves = move_candidates(d)
+        applicable = [m for m in moves if applies(d, *m)]
+        picks = rng.sample(applicable, min(2, len(applicable))) + rng.sample(moves, min(1, len(moves)))
+        for move, kwargs in picks:
+            argv = ["move", str(move), f]
+            for key, value in kwargs.items():
+                argv += [f"--{key}", str(value)]
+            calls.append(argv)
+        calls.append(["stabilize", str(rng.randint(1, n + 1)), rng.choice(("up", "down")), f])
+    return calls
+
+
+def applies(d, move, kwargs):
+    try:
+        apply_move(d, move, **kwargs)
+    except FrontError:
+        return False
+    return True
+
+
+def corpus_digest(call, calls, directory):
+    """The exit-code tally and a SHA-256 of every call's argv, exit code,
+    stdout and stderr, with directory written as '@'."""
+    digest, tally = hashlib.sha256(), Counter()
+    for argv in calls:
+        rc, out, err = call(argv)
+        tally[rc] += 1
+        digest.update(repr((argv, rc, out, err)).replace(str(directory), "@").encode())
+    return dict(tally), digest.hexdigest()
+
+
+# recorded on the code that recomputed each front's stats per reader and
+# read event words token by token
+FRONT_CORPUS = (
+    {0: 178, 2: 60},
+    "3939bc9ec4544b07b2f3569143f6099e7e3a545ee6b90013f9569f3279738388",
+)
+
+
+def test_front_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
+    calls = front_corpus(random.Random(20261018), tmp_path)
+    assert len(calls) == 238
+    assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == FRONT_CORPUS
 
 
 def test_byte_determinism(capsys, theta_example):

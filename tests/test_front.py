@@ -34,7 +34,7 @@ from steinkit.invariants import (
 from steinkit.numerics import rat
 from steinkit.presentation import h1, parse_surgery, serialize_surgery
 
-from random_fronts import random_front
+from random_fronts import move_candidates, random_front
 
 
 def front(slots, word, orientations=None, coefficients=None):
@@ -157,6 +157,35 @@ def test_parse_event_word_rejects_garbage():
         parse_event_word("LX")
 
 
+def test_event_word_errors_name_the_first_bad_token():
+    with pytest.raises(FrontError, match=r"^bad event token 'Y2'$"):
+        parse_event_word("L1 Y2 Q3")
+    with pytest.raises(FrontError, match=r"^bad event token 'Y2'$"):
+        parse_event_word("L1 L1 Y2 Q3 Y2")
+    with pytest.raises(FrontError, match=r"^event position 0 must be at least 1$"):
+        parse_event_word("L1 X0 Y2")
+
+
+def test_event_word_reads_each_token_once():
+    word = parse_event_word(TREFOIL)
+    assert [str(e) for e in word] == TREFOIL.split()
+    assert word[2] is word[3] is word[4]
+    assert word[0] is not word[1]
+    assert parse_event_word("") == () == parse_event_word("  \t ")
+
+
+def test_front_node_limit(monkeypatch):
+    # nodes are strands summed over the column boundaries
+    monkeypatch.setattr(front_module, "MAX_NODES", 5)
+    assert front((1,), "L1 R1").trace.counts == [1, 3, 1]
+    with pytest.raises(FrontError, match=r"^the front has 6 nodes \(.*\); the limit is 5$"):
+        front((2,), "X1 X1")
+    with pytest.raises(FrontError, match=r"^the front has 9 nodes"):
+        stabilize(front((1,), "L1 R1"), 1, "up")
+    with pytest.raises(FrontError, match=r"^the front has 6 nodes"):
+        parse_front("front 1\nhandles 1\nhandle 1 slots 6\n")
+
+
 # ---------------------------------------------------------------------------
 # tracing: the strand walk against a graph search, and one trace per
 # diagram
@@ -258,18 +287,26 @@ def test_trace_matches_reference_on_long_words(seed, length):
 def test_each_diagram_is_traced_once(monkeypatch):
     calls = []
     real = front_module._trace
+    derived = []
+    real_data = front_module._front_data
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_data(d):
+        derived.append(d)
+        return real_data(d)
+
     monkeypatch.setattr(front_module, "_trace", counting)
+    monkeypatch.setattr(front_module, "_front_data", counting_data)
 
     def traces(fn, *args, **kwargs):
         calls.clear()
         result = fn(*args, **kwargs)
         return len(calls), result
 
+    # building a diagram, by any route, traces it once and derives nothing
     text = "front 1\nhandles 1\nhandle 1 slots 1\nevents L2 X1 R2\norient 1 -\ncoeff 1 stein\n"
     n, d = traces(parse_front, text)
     assert n == 1
@@ -283,10 +320,198 @@ def test_each_diagram_is_traced_once(monkeypatch):
     assert n == 1
     n, _ = traces(random_front, random.Random(5))
     assert n == 1
-    for reader in (component_stats, n_components, serialize_front, surger_handles,
-                   parity_lint, check_stein_form, resolve_coefficients):
-        n, _ = traces(reader, d)
-        assert n == 0, reader.__name__
+    assert derived == []
+    # a reader traces nothing; the first one to need the derived data
+    # computes it, and the other readers share it
+    text = "front 1\nhandles 1\nhandle 1 slots 2\nevents X1 X1\norient 2 -\ncoeff 1 stein\ncoeff 2 0\n"
+    linked = parse_front(text)
+    readers = (component_stats, parity_lint, surger_handles, check_stein_form,
+               resolve_coefficients, n_components, serialize_front)
+    for diagram in (d, linked):
+        for reader in readers:
+            n, _ = traces(reader, diagram)
+            assert n == 0, reader.__name__
+    n, lk = traces(linking_number, linked, 1, 2)
+    assert n == 0 and lk == 1
+    assert len(derived) == 2 and derived[0] is d and derived[1] is linked
+    # nobody read the diagrams that the moves built, so none derived
+    for diagram in (moved, swung):
+        n, _ = traces(serialize_front, diagram)
+        assert n == 0
+    assert len(derived) == 2
+
+
+def test_derived_data_follows_the_attached_orientations():
+    # an up-stabilised unknot
+    text = "front 1\nhandles 0\nevents L1 L1 R2 R1\norient 1 {}\n"
+    plus = single(parse_front(text.format("+")))
+    minus = single(parse_front(text.format("-")))
+    assert (plus.orientation, plus.rot) == (1, -1)
+    assert (minus.orientation, minus.rot, minus.tb) == (-1, 1, plus.tb)
+    # derived data read before _attach stores new orientations is dropped
+    d = front((), "L1 L1 R2 R1")
+    assert single(d).rot == -1
+    front_module._attach(d, {1: -1}, {})
+    assert single(d).rot == 1
+
+
+# ---------------------------------------------------------------------------
+# the one-pass derived data against the per-call code it replaced
+
+
+def _reference_component_stats(d):
+    """Per-component stats and the signed crossing table, counted by
+    separate passes of trace lookups: the reference for d.derived."""
+    tr = d.trace
+    writhe = {cid: 0 for cid in tr.ids}
+    cross = {}
+    for j, e in enumerate(d.events, start=1):
+        if e.kind != "X":
+            continue
+        ca, da = tr.at(j - 1, e.pos)
+        cb, db = tr.at(j - 1, e.pos + 1)
+        da *= d.orientation(ca)
+        db *= d.orientation(cb)
+        # crossings between anti-parallel strands are the positive ones
+        sign = 1 if da != db else -1
+        if ca == cb:
+            writhe[ca] += sign
+        else:
+            key = (min(ca, cb), max(ca, cb))
+            cross[key] = cross.get(key, 0) + sign
+
+    left = {cid: 0 for cid in tr.ids}
+    right = {cid: 0 for cid in tr.ids}
+    up = {cid: 0 for cid in tr.ids}
+    down = {cid: 0 for cid in tr.ids}
+    for j, e in enumerate(d.events, start=1):
+        if e.kind == "L":
+            cid, dr = tr.at(j, e.pos)  # upper branch
+            left[cid] += 1
+            if dr * d.orientation(cid) == 1:
+                up[cid] += 1  # traversal turns upward through a left cusp
+            else:
+                down[cid] += 1
+        elif e.kind == "R":
+            cid, dr = tr.at(j - 1, e.pos)  # upper branch
+            right[cid] += 1
+            if dr * d.orientation(cid) == -1:
+                up[cid] += 1
+            else:
+                down[cid] += 1
+    nh = d.n_handles
+    runs = {cid: [0] * nh for cid in tr.ids}
+    passes = {cid: [0] * nh for cid in tr.ids}
+    owner = [h for h, s in enumerate(d.slots) for _ in range(s)]
+    for k in range(1, d.n_strands + 1):
+        cid, dr = tr.at(0, k)
+        runs[cid][owner[k - 1]] += dr * d.orientation(cid)
+        passes[cid][owner[k - 1]] += 1
+
+    stats = []
+    for cid in tr.ids:
+        assert left[cid] == right[cid]
+        rot2 = down[cid] - up[cid]
+        assert rot2 % 2 == 0
+        stats.append(
+            ComponentStats(
+                component=cid,
+                orientation=d.orientation(cid),
+                left_cusps=left[cid],
+                right_cusps=right[cid],
+                up_cusps=up[cid],
+                down_cusps=down[cid],
+                writhe=writhe[cid],
+                tb=writhe[cid] - left[cid],
+                rot=rot2 // 2,
+                runs=tuple(runs[cid]),
+                passes=tuple(passes[cid]),
+                coefficient=d.coefficients.get(cid),
+            )
+        )
+    return stats, cross
+
+
+def assert_derived_matches_reference(d):
+    stats, cross = _reference_component_stats(d)
+    assert component_stats(d) == stats
+    assert d.derived.cross == cross
+    ids = d.trace.ids
+    for i in ids:
+        for j in ids:
+            if i != j:
+                assert 2 * linking_number(d, i, j) == cross.get((min(i, j), max(i, j)), 0)
+    # the surgered linking matrix: halved crossing sums, then handle runs
+    n, nh = len(stats), d.n_handles
+    want = [[0] * (n + nh) for _ in range(n + nh)]
+    for (i, j), total in cross.items():
+        want[i - 1][j - 1] = want[j - 1][i - 1] = total // 2
+    for s in stats:
+        for h, run in enumerate(s.runs):
+            want[s.component - 1][n + h] = want[n + h][s.component - 1] = run
+    p = surger_handles(FrontDiagram(d.slots, d.events, d.orientations, {c: STEIN for c in ids}))
+    assert [list(row) for row in p.lk] == want
+    assert (list(p.rot[:n]), list(p.tb[:n])) == ([s.rot for s in stats], [s.tb for s in stats])
+
+
+def flipped(d):
+    return FrontDiagram(
+        d.slots, d.events, {c: -d.orientation(c) for c in d.trace.ids}, d.coefficients
+    )
+
+
+def after_each_move(rng, d):
+    """{move: d after the first instance of it that applies}, for moves
+    1-6 and for stabilisation of a random component."""
+    out = {}
+    for move, kwargs in move_candidates(d):
+        if move not in out:
+            try:
+                out[move] = apply_move(d, move, **kwargs)
+            except FrontError:
+                pass
+    if n_components(d):
+        component = rng.randint(1, n_components(d))
+        out["stabilize"] = stabilize(d, component, rng.choice(("up", "down")))
+    return out
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_derived_data_matches_reference_on_random_fronts(seed):
+    rng = random.Random(seed)
+    d = random_front(rng, max_handles=3, max_slot=3, max_extra=16)
+    assert_derived_matches_reference(d)
+    assert_derived_matches_reference(flipped(d))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_derived_data_matches_reference_after_each_move(seed):
+    rng = random.Random(seed)
+    d = random_front(rng, max_handles=3, max_slot=3, max_extra=12)
+    for moved in after_each_move(rng, d).values():
+        assert_derived_matches_reference(moved)
+        assert_derived_matches_reference(flipped(moved))
+
+
+def test_each_move_is_checked_against_the_reference():
+    # the moves the property test above reaches, over a fixed set of fronts
+    applied = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        applied |= after_each_move(rng, random_front(rng, max_handles=3, max_slot=3, max_extra=12)).keys()
+    assert applied == {1, 2, 3, 4, 5, 6, "stabilize"}
+
+
+@given(st.integers(0, 10_000), st.integers(200, 400))
+@settings(max_examples=15, deadline=None)
+def test_derived_data_matches_reference_on_long_words(seed, length):
+    rng = random.Random(seed)
+    d = crossing_heavy_front(rng, length)
+    d = FrontDiagram(d.slots, d.events, {c: rng.choice((1, -1)) for c in d.trace.ids})
+    assert_derived_matches_reference(d)
+    assert_derived_matches_reference(flipped(d))
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +896,21 @@ def test_front_format_round_trip_random(seed):
     text = serialize_front(d)
     again = parse_front(text)
     assert serialize_front(again) == text
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_front_format_round_trip_on_900_crossing_words(seed):
+    rng = random.Random(seed)
+    # eight strands through one handle pair, 900 crossings among them
+    word = ["L1", "L3", "L5"] + [f"X{rng.randint(1, 7)}" for _ in range(900)] + ["R1"] * 3
+    d = front((2,), " ".join(word))
+    coeffs = {c: rng.choice((STEIN, rat(rng.randint(-9, 9), rng.randint(1, 5)))) for c in d.trace.ids}
+    d = FrontDiagram(d.slots, d.events, {c: rng.choice((1, -1)) for c in d.trace.ids}, coeffs)
+    text = serialize_front(d)
+    assert text.splitlines()[3] == "events " + " ".join(word)
+    again = parse_front(text)
+    assert again == d and serialize_front(again) == text
 
 
 def test_parse_front_errors_carry_line_numbers():

@@ -449,21 +449,27 @@ def _parity_reports(stats: tuple[ComponentStats, ...]) -> list[ParityReport]:
 # rebuilding moves: shared transfer of component data
 
 
-def _transfer(old: FrontDiagram, slots, events, node_map) -> FrontDiagram:
+def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) -> FrontDiagram:
     """Build the rewritten diagram, carrying orientations and coefficients
-    across by following a surviving witness node of every component: its
-    smallest node that node_map sends to a node of the new word."""
+    across by following a surviving witness node of every component.
+
+    Every rewrite names the column boundaries it keeps, drops and shifts:
+    old boundary t < lo is boundary t of the new word, boundaries in
+    [lo, hi) have no image, and t >= hi is boundary t + shift; heights
+    never change.  A component's witness is its smallest node whose image
+    is a node of the new word.
+    """
     old_tr = old.trace
     new_d = FrontDiagram(tuple(slots), tuple(events))
     new_tr = new_d.trace
     if new_tr.n_components != old_tr.n_components:
         raise InternalError("internal: rewrite changed the component count")
     witnesses = {}  # old component id -> (witness node, its image)
-    for node, cid in old_tr.nodes():
+    for (t, h), cid in old_tr.nodes():
         if cid not in witnesses:
-            image = node_map(node)
+            image = (t, h) if t < lo else None if t < hi else (t + shift, h)
             if image is not None and new_tr.has_node(*image):
-                witnesses[cid] = node, image
+                witnesses[cid] = (t, h), image
                 if len(witnesses) == old_tr.n_components:
                     break
     orientations: dict[int, int] = {}
@@ -519,12 +525,7 @@ def stabilize(
     else:
         pattern = zig if eps == 1 else zag
     events = d.events[:t] + pattern + d.events[t:]
-
-    def node_map(node):
-        tt, i = node
-        return (tt, i) if tt <= t else (tt + 2, i)
-
-    return _transfer(d, d.slots, events, node_map)
+    return _transfer(d, d.slots, events, t + 1, t + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +587,7 @@ def _move1(d: FrontDiagram, at: int):
     if len(found) > 1:
         raise FrontError(f"move 1 ambiguous at column {at}")
     events = d.events[: at - 1] + tuple(found[0]) + d.events[at + 1 :]
-
-    def node_map(node):
-        t, i = node
-        return None if t == at else (t, i)
-
-    return d.slots, events, node_map
+    return d.slots, events, at, at + 1, 0
 
 
 def _move2(d: FrontDiagram, at: int, variant: str):
@@ -623,12 +619,7 @@ def _move2(d: FrontDiagram, at: int, variant: str):
         else:
             raise FrontError(f"column {at} is a crossing, move 2 needs a cusp")
         events = d.events[: at - 1] + pattern + d.events[at:]
-
-        def node_map(node):
-            t, i = node
-            return (t, i) if t < at else (t + 2, i)
-
-        return d.slots, events, node_map
+        return d.slots, events, at, at, 2
 
     if variant in ("death-above", "death-below"):
         if not 1 <= at <= e_count - 2:
@@ -648,16 +639,7 @@ def _move2(d: FrontDiagram, at: int, variant: str):
         if tuple(w) != expect:
             raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
         events = d.events[: at - 1] + (replacement,) + d.events[at + 2 :]
-
-        def node_map(node):
-            t, i = node
-            if t < at:
-                return (t, i)
-            if t >= at + 2:
-                return (t - 2, i)
-            return None
-
-        return d.slots, events, node_map
+        return d.slots, events, at, at + 2, -2
 
     raise FrontError(
         "move 2 variant must be birth-above, birth-below, death-above or death-below"
@@ -674,12 +656,7 @@ def _move3(d: FrontDiagram, at: int):
     if w[2].pos != a or abs(a - b) != 1:
         raise FrontError("move 3 needs the pattern X(a) X(b) X(a) with |a - b| = 1")
     events = d.events[: at - 1] + (Event("X", b), Event("X", a), Event("X", b)) + d.events[at + 2 :]
-
-    def node_map(node):
-        t, i = node
-        return None if t in (at, at + 1) else (t, i)
-
-    return d.slots, events, node_map
+    return d.slots, events, at, at + 2, 0
 
 
 def _ball_of_pair(d: FrontDiagram, p: int) -> int:
@@ -692,22 +669,9 @@ def _ball_of_pair(d: FrontDiagram, p: int) -> int:
 def _slide(d: FrontDiagram, from_end: bool, slots):
     """Carry the last column (from_end) or the first one across the box
     edge to the other end of the word, with the given new slot counts."""
-    last = len(d.events)
     if from_end:
-        events = d.events[-1:] + d.events[:-1]
-
-        def node_map(node):
-            t, i = node
-            return (t + 1, i) if t <= last - 1 else None
-
-    else:
-        events = d.events[1:] + d.events[:1]
-
-        def node_map(node):
-            t, i = node
-            return (t - 1, i) if t >= 1 else None
-
-    return tuple(slots), events, node_map
+        return tuple(slots), d.events[-1:] + d.events[:-1], 0, 0, 1
+    return tuple(slots), d.events[1:] + d.events[:1], 0, 1, -1
 
 
 def _move4(d: FrontDiagram, at: int, variant: str, handle: int | None):
@@ -786,14 +750,7 @@ def _move6(d: FrontDiagram, variant: str, handle: int | None):
         # slot o+s climbs above the ball, loops, dives back
         loop = (Event("L", o + 2), Event("X", o + 1), Event("R", o + 2))
         detour = tuple(reversed(across)) + loop + tuple(across)
-    shift = len(detour)
-    events = detour + d.events
-
-    def node_map(node):
-        t, i = node
-        return (t + shift, i)
-
-    return d.slots, events, node_map
+    return d.slots, detour + d.events, 0, 0, len(detour)
 
 
 def apply_move(

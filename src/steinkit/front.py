@@ -582,6 +582,8 @@ def _move1(d: FrontDiagram, at: int):
             candidate = [Event(b.kind, q), Event(a.kind, p)]
             if _wiring(candidate, n_in, (1, 0)) == target:
                 found.append(candidate)
+    # like columns two heights apart also match their own wiring unchanged
+    found = [c for c in found if c != [a, b]] or found
     if not found:
         raise FrontError(f"move 1 not applicable at column {at}: the columns interact")
     if len(found) > 1:

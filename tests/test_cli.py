@@ -590,11 +590,13 @@ def corpus_digest(call, calls, directory):
     return dict(tally), digest.hexdigest()
 
 
-# recorded on the code that recomputed each front's stats per reader and
-# read event words token by token
+# recorded once move 1 swapped like columns two heights apart, which it had
+# refused as ambiguous; that changes which moves the corpus picks, and the
+# calls picked before the change still replay to the earlier digest
+# 3939bc9e... on this code
 FRONT_CORPUS = (
     {0: 178, 2: 60},
-    "3939bc9ec4544b07b2f3569143f6099e7e3a545ee6b90013f9569f3279738388",
+    "f55a993a8827ef612874bad34e0d59441d21c6ecbf17af83a53df99cd098203e",
 )
 
 

@@ -567,6 +567,34 @@ def test_move1_commutes_distant_cusps():
     assert [str(e) for e in back.events] == ["L1", "L3", "R1", "R1"]
 
 
+@pytest.mark.parametrize(
+    "slots, word, at, swapped",
+    [
+        ((4,), "X1 X3", 1, "X3 X1"),
+        ((), "L1 L3 R3 R1", 3, "L1 L3 R1 R1"),
+        ((), "L1 L3 R1 R1", 3, "L1 L3 R3 R1"),
+    ],
+)
+def test_move1_swaps_like_columns_two_heights_apart(slots, word, at, swapped):
+    # the unchanged pair matches its own wiring here, so it must not count
+    # as a second candidate
+    d = front(slots, word, {1: -1}, {1: rat(5), 2: STEIN})
+    nd = apply_move(d, 1, at=at)
+    assert [str(e) for e in nd.events] == swapped.split()
+    assert serialize_front(nd) == serialize_front(d).replace(word, swapped)
+    assert serialize_front(apply_move(nd, 1, at=at)) == serialize_front(d)
+
+
+def test_move1_keeps_a_pair_that_matches_only_itself():
+    d = front((2,), "X1 X1", {1: -1}, {1: STEIN})
+    assert serialize_front(apply_move(d, 1, at=1)) == serialize_front(d)
+
+
+def test_move1_refuses_two_real_candidates():
+    with pytest.raises(FrontError, match="move 1 ambiguous at column 1"):
+        apply_move(front((2,), "R1 L1"), 1, at=1)
+
+
 def test_move1_rejects_interacting_columns():
     with pytest.raises(FrontError, match="not applicable"):
         apply_move(front((), "L1 R1"), 1, at=1)

@@ -262,16 +262,6 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
     return _Trace(counts, offset, comp, bytes(fwd), n)
 
 
-def _handle_of_position(d: FrontDiagram):
-    owner = {}
-    pos = 0
-    for h, s in enumerate(d.slots, start=1):
-        for _ in range(s):
-            pos += 1
-            owner[pos] = h
-    return owner
-
-
 def _handle_offset(d: FrontDiagram, h: int) -> int:
     if not 1 <= h <= d.n_handles:
         raise FrontError(f"handle index {h} out of range 1..{d.n_handles}")
@@ -426,12 +416,8 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
     Any front drawn in the box satisfies this; a violation means the
     diagram data was assembled inconsistently.
     """
-    return _parity_reports(d.derived.stats)
-
-
-def _parity_reports(stats: tuple[ComponentStats, ...]) -> list[ParityReport]:
     out = []
-    for s in stats:
+    for s in d.derived.stats:
         total = sum(s.passes)
         out.append(
             ParityReport(
@@ -662,10 +648,12 @@ def _move3(d: FrontDiagram, at: int):
 
 
 def _ball_of_pair(d: FrontDiagram, p: int) -> int:
-    owner = _handle_of_position(d)
-    if p not in owner or p + 1 not in owner or owner[p] != owner[p + 1]:
-        raise FrontError(f"edge heights {p}, {p + 1} do not lie in a single attaching ball")
-    return owner[p]
+    top = 0  # edge heights above ball h
+    for h, s in enumerate(d.slots, start=1):
+        if top < p and p + 1 <= top + s:
+            return h
+        top += s
+    raise FrontError(f"edge heights {p}, {p + 1} do not lie in a single attaching ball")
 
 
 def _slide(d: FrontDiagram, from_end: bool, slots):
@@ -808,12 +796,8 @@ class SteinFormReport:
 
 def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:
     """Surgery coefficient per component, with STEIN resolved to tb - 1."""
-    return _resolved_coefficients(d.derived.stats)
-
-
-def _resolved_coefficients(stats: tuple[ComponentStats, ...]) -> dict[int, ExtRational]:
     out = {}
-    for s in stats:
+    for s in d.derived.stats:
         c = s.coefficient
         if c is None:
             raise FrontError(f"component {s.component} has no surgery coefficient")
@@ -824,8 +808,7 @@ def _resolved_coefficients(stats: tuple[ComponentStats, ...]) -> dict[int, ExtRa
 def check_stein_form(d: FrontDiagram) -> SteinFormReport:
     """Verify that every coefficient is the Stein framing tb - 1."""
     problems = []
-    stats = d.derived.stats
-    for s in stats:
+    for s in d.derived.stats:
         c = s.coefficient
         want = s.tb - 1
         if c is None:
@@ -836,7 +819,7 @@ def check_stein_form(d: FrontDiagram) -> SteinFormReport:
             problems.append(
                 f"component {s.component} has coefficient {c}, standard form needs tb - 1 = {want}"
             )
-    for rep in _parity_reports(stats):
+    for rep in parity_lint(d):
         if not rep.ok:
             problems.append(
                 f"component {rep.component} violates the passage parity "
@@ -858,7 +841,7 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     from .presentation import MAX_COMPONENTS, SurgeryPresentation
 
     stats = d.derived.stats
-    coeffs = _resolved_coefficients(stats)
+    coeffs = resolve_coefficients(d)
     n = len(stats)
     nh = d.n_handles
     m = n + nh

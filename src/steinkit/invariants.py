@@ -147,9 +147,6 @@ class CokernelClass:
     orders: tuple[int, ...]
     representative: tuple[int, ...] = field(compare=False, default=())
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
 
 def _cokernel_class(snf: SmithForm, vec) -> CokernelClass:
     """The class of vec in the cokernel of the matrix whose Smith form is snf."""

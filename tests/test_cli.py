@@ -591,9 +591,7 @@ def corpus_digest(call, calls, directory):
 
 
 # recorded once move 1 swapped like columns two heights apart, which it had
-# refused as ambiguous; that changes which moves the corpus picks, and the
-# calls picked before the change still replay to the earlier digest
-# 3939bc9e... on this code
+# refused as ambiguous; that changed which moves the corpus picks
 FRONT_CORPUS = (
     {0: 178, 2: 60},
     "f55a993a8827ef612874bad34e0d59441d21c6ecbf17af83a53df99cd098203e",

@@ -17,8 +17,10 @@ moves 1-6, stabilisation, and conversion to a surgery presentation.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from .numerics import ExtRational, InternalError, parse_int, parse_rational, rat
 
@@ -38,6 +40,12 @@ class Event:
     def __post_init__(self):
         if self.kind not in ("L", "R", "X"):
             raise FrontError(f"unknown event kind {self.kind!r}")
+        if type(self.pos) is not int:
+            if not isinstance(self.pos, int):
+                raise FrontError(f"event position {self.pos!r} must be an integer")
+            # a bool is stored as the plain int it equals, which is what
+            # str() writes and parse_event_word reads back
+            object.__setattr__(self, "pos", int(self.pos))
         if self.pos < 1:
             raise FrontError(f"event position {self.pos} must be at least 1")
 
@@ -77,7 +85,10 @@ class FrontDiagram:
     Diagrams are immutable.  Construction validates the word and traces
     its components exactly once; the trace is kept on the instance (out
     of equality and repr), and every reader in this module uses it
-    instead of tracing again.  The derived data (per-component stats and
+    instead of tracing again.  A move or stabilisation never traces: it
+    splices the rewritten diagram's trace from its parent's (see
+    _transfer).  Slot counts are ints (a bool is stored as the int it
+    equals).  The derived data (per-component stats and
     the signed crossing table) comes from one pass over the trace, made
     at most once: on first read, never on construction, so a diagram
     nobody reads never pays for it.
@@ -90,11 +101,8 @@ class FrontDiagram:
     trace: _Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "slots", _slot_counts(self.slots))
         object.__setattr__(self, "events", tuple(self.events))
-        for h, s in enumerate(self.slots, start=1):
-            if not isinstance(s, int) or s < 0:
-                raise FrontError(f"handle {h} has invalid slot count {s!r}")
         object.__setattr__(self, "trace", _trace(self.n_strands, self.events))
         _attach(self, self.orientations, self.coefficients)
 
@@ -113,6 +121,15 @@ class FrontDiagram:
     def derived(self) -> _Derived:
         """Stats and crossing table, computed on first read and kept."""
         return _front_data(self)
+
+
+def _slot_counts(slots) -> tuple[int, ...]:
+    slots = tuple(slots)
+    for h, s in enumerate(slots, start=1):
+        if not isinstance(s, int) or s < 0:
+            raise FrontError(f"handle {h} has invalid slot count {s!r}")
+    # a bool is stored as the plain int it equals, which serialize_front writes
+    return tuple(map(int, slots))
 
 
 def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
@@ -178,13 +195,55 @@ class _Trace:
         i = self.offset[t] + h - 1
         return self.comp[i], 1 if self.fwd[i] else -1
 
-    def has_node(self, t: int, h: int) -> bool:
-        return 0 <= t < len(self.counts) and 1 <= h <= self.counts[t]
-
     def nodes(self):
         """((boundary, height), component id) of every node, in node order."""
         heights = ((t, h) for t, c in enumerate(self.counts) for h in range(1, c + 1))
         return zip(heights, self.comp)
+
+
+def _check_node_count(n_nodes: int) -> None:
+    if n_nodes > MAX_NODES:
+        raise FrontError(
+            f"the front has {n_nodes} nodes (strands summed over its column boundaries); "
+            f"the limit is {MAX_NODES}"
+        )
+
+
+def _follow(word, offset, comp, fwd, cid, t, h, right):
+    """Walk the strand from node (t, h), moving rightward if right, and
+    mark every unmarked node it reaches: comp gets cid and fwd the walk's
+    direction there (1 rightward).  Stop at the first node already marked
+    and return it as (t, h, right) on arrival.
+
+    word[col] is (kind, pos) of every column the walk crosses; offset
+    has one entry past the right edge, as _Trace.offset does.
+    """
+    last = len(offset) - 2
+    while True:
+        if t == (last if right else 0):
+            t = last - t  # closure through the handles
+        else:
+            # the column the strand meets next; moving right through
+            # L or left through R opens two heights at p, the other
+            # way round closes them
+            k, p = word[t if right else t - 1]
+            if k != "X" and (k == "R") == right and p <= h <= p + 1:
+                h, right = 2 * p + 1 - h, not right  # around the cusp
+            else:
+                t += 1 if right else -1
+                if k == "X":
+                    if p <= h <= p + 1:
+                        h = 2 * p + 1 - h
+                elif (k == "L") == right:
+                    if h >= p:
+                        h += 2
+                elif h > p:
+                    h -= 2
+        i = offset[t] + h - 1
+        if comp[i]:
+            return t, h, right
+        comp[i] = cid
+        fwd[i] = right
 
 
 def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
@@ -206,59 +265,26 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
         counts.append(c)
     if c != n_strands:
         raise FrontError(f"word ends with {c} strands but the edge carries {n_strands}")
-    n_nodes = sum(counts)
-    if n_nodes > MAX_NODES:
-        raise FrontError(
-            f"the front has {n_nodes} nodes (strands summed over its column boundaries); "
-            f"the limit is {MAX_NODES}"
-        )
+    offset = [0, *accumulate(counts)]
+    _check_node_count(offset[-1])
 
-    offset = [0]
-    for width in counts:
-        offset.append(offset[-1] + width)
-    kinds = [e.kind for e in events]
-    pos = [e.pos for e in events]
-    last = len(events)
+    word = [(e.kind, e.pos) for e in events]
     comp = [0] * offset[-1]
     fwd = bytearray(offset[-1])
     n = 0
-    t0 = 0
+    t = 0
     for start in range(offset[-1]):
         if comp[start]:
             continue
-        while offset[t0 + 1] <= start:
-            t0 += 1
+        while offset[t + 1] <= start:
+            t += 1
         n += 1
-        t, h, right, i = t0, start - offset[t0] + 1, True, start
-        while True:
-            comp[i] = n
-            fwd[i] = right
-            if t == (last if right else 0):
-                t = last - t  # closure through the handles
-            else:
-                # the column the strand meets next; moving right through
-                # L or left through R opens two heights at p, the other
-                # way round closes them
-                col = t if right else t - 1
-                k, p = kinds[col], pos[col]
-                if k != "X" and (k == "R") == right and p <= h <= p + 1:
-                    h, right = 2 * p + 1 - h, not right  # around the cusp
-                else:
-                    t += 1 if right else -1
-                    if k == "X":
-                        if p <= h <= p + 1:
-                            h = 2 * p + 1 - h
-                    elif (k == "L") == right:
-                        if h >= p:
-                            h += 2
-                    elif h > p:
-                        h -= 2
-            i = offset[t] + h - 1
-            if comp[i]:
-                # every node lies on one strand, so only the start recurs
-                if i != start or not right:
-                    raise InternalError(f"internal: strand from node {start} closes up wrongly")
-                break
+        h = start - offset[t] + 1
+        comp[start] = n
+        fwd[start] = 1
+        # every node lies on one strand, so only the start recurs
+        if _follow(word, offset, comp, fwd, n, t, h, True) != (t, h, True):
+            raise InternalError(f"internal: strand from node {start} closes up wrongly")
     return _Trace(counts, offset, comp, bytes(fwd), n)
 
 
@@ -436,44 +462,137 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
 
 
 def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) -> FrontDiagram:
-    """Build the rewritten diagram, carrying orientations and coefficients
-    across by following a surviving witness node of every component.
+    """Build the rewritten diagram, splicing its trace from old's and
+    carrying orientations and coefficients across.
 
     Every rewrite names the column boundaries it keeps, drops and shifts:
     old boundary t < lo is boundary t of the new word, boundaries in
-    [lo, hi) have no image, and t >= hi is boundary t + shift; heights
-    never change.  A component's witness is its smallest node whose image
-    is a node of the new word.
+    [lo, hi) have no image, and t >= hi is boundary t + shift as long as
+    that is a boundary of the new word; heights never change.  The kept
+    boundaries and the columns between two of them that were adjacent
+    keep their old nodes, components and directions.  The rest is the
+    window: the new columns, plus the closure through the handles when
+    the rewrite moves an edge boundary.
+
+    Only the window is walked, from the kept nodes next to it (its
+    seam).  Each strand across it is walked in the old word too, and
+    must leave at the image of the same seam node in the same direction;
+    every node of both windows must lie on such a strand, and every
+    window column must fit the strand counts at the seam.  So the
+    rewrite keeps every component, and a break of this contract is an
+    InternalError.  Components are then renumbered by their first node
+    and turned to run rightward there, as _trace numbers them.
     """
-    old_tr = old.trace
-    new_d = FrontDiagram(tuple(slots), tuple(events))
-    new_tr = new_d.trace
-    if new_tr.n_components != old_tr.n_components:
-        raise InternalError("internal: rewrite changed the component count")
-    witnesses = {}  # old component id -> (witness node, its image)
-    for (t, h), cid in old_tr.nodes():
-        if cid not in witnesses:
-            image = (t, h) if t < lo else None if t < hi else (t + shift, h)
-            if image is not None and new_tr.has_node(*image):
-                witnesses[cid] = (t, h), image
-                if len(witnesses) == old_tr.n_components:
-                    break
+    slots, events = _slot_counts(slots), tuple(events)
+    tr = old.trace
+    m, m_old, n = len(events), len(old.events), sum(slots)
+    a = hi + shift  # new boundaries a..r are old hi..r - shift
+    r = min(m, m_old + shift)
+    if not (0 <= lo <= hi and lo <= a <= r + 1):
+        raise InternalError(f"internal: rewrite keeps overlapping boundaries ({lo}, {hi}, {shift})")
+    c0 = max(lo - 1, 0)  # the first window column
+    if events[:c0] != old.events[:c0] or events[a:r] != old.events[hi : r - shift]:
+        raise InternalError("internal: rewrite changed a column between kept boundaries")
+
+    def kept(t):
+        return t < lo or a <= t <= r
+
+    def image(t):  # of an old boundary, or None
+        return t if t < lo else t + shift if hi <= t <= r - shift else None
+
+    # strand counts: kept ones copied, window ones stepped from the seam
+    cols = [*range(c0, min(a, m)), *range(max(a, r), m)]
+    counts = tr.counts[:lo] + [n] * (a - lo) + tr.counts[hi : r - shift + 1] + [n] * (m - r)
+    for j in cols:
+        e = events[j]
+        c = counts[j]
+        if e.pos > (c + 1 if e.kind == "L" else c - 1):
+            raise InternalError(f"internal: rewritten column {j + 1} does not fit {c} strands")
+        c += 2 if e.kind == "L" else -2 if e.kind == "R" else 0
+        if not kept(j + 1):
+            counts[j + 1] = c
+        elif counts[j + 1] != c:
+            raise InternalError(f"internal: rewritten column {j + 1} does not meet the seam")
+    if counts[0] != n or counts[m] != n:
+        raise InternalError("internal: rewritten word does not close up through the handles")
+    offset = [0, *accumulate(counts)]
+    _check_node_count(offset[-1])
+
+    # kept nodes carry their old ids and directions, window nodes are 0
+    # until walked; old window nodes are 0 in mark until walked
+    o_off = tr.offset
+    o_lo, o_hi, o_end = o_off[lo], o_off[hi], o_off[r - shift + 1]
+    gap, tail = offset[a] - offset[lo], offset[-1] - offset[r + 1]
+    comp = tr.comp[:o_end]
+    comp[o_lo:o_hi] = [0] * gap
+    comp += [0] * tail
+    fwd = bytearray(tr.fwd[:o_end])
+    fwd[o_lo:o_hi] = bytes(gap)
+    fwd += bytes(tail)
+    mark = bytearray(b"\1") * o_off[-1]
+    mark[o_lo:o_hi] = bytes(o_hi - o_lo)
+    mark[o_end:] = bytes(o_off[-1] - o_end)
+    unused = bytearray(len(mark))  # the old walks' directions are not kept
+    word = {j: (events[j].kind, events[j].pos) for j in cols}
+    old_cols = [*range(c0, min(hi, m_old)), *range(max(hi, r - shift), m_old)]
+    old_word = {j: (old.events[j].kind, old.events[j].pos) for j in old_cols}
+    seam = [(j, True) for j in cols if kept(j)] + [(j + 1, False) for j in cols if kept(j + 1)]
+    if not (lo > 0 and a <= m == m_old + shift):  # the closure is in the window
+        seam += [(t, right) for t, right in ((m, True), (0, False)) if kept(t)]
+    for t, right in seam:
+        for i in range(offset[t], offset[t + 1]):
+            if fwd[i] != right:
+                continue  # walked from the strand's other end, along its trace
+            h = i - offset[t] + 1
+            exit_new = _follow(word, offset, comp, fwd, comp[i], t, h, right)
+            t_old, h_old, right_old = _follow(
+                old_word, o_off, mark, unused, 1, t if t < lo else t - shift, h, right
+            )
+            if exit_new != (image(t_old), h_old, right_old):
+                raise InternalError(f"internal: rewrite reconnects the strand from node ({t}, {h})")
+    if 0 in comp[offset[lo] : offset[a]] or 0 in comp[offset[r + 1] :]:
+        raise InternalError("internal: rewrite closes a component inside its window")
+    if 0 in mark[o_lo:o_hi] or 0 in mark[o_end:]:
+        raise InternalError("internal: rewrite drops a component inside its window")
+
+    # new id = rank of the component's first node; flip it if it runs
+    # leftward there.  The components met left of the window keep their
+    # first node, so their ids and directions; they are 1..k.
+    k = i = 0
+    for cid in tr.ids:
+        i = comp.index(cid, i)
+        if i >= o_lo:
+            break
+        k = cid
+    order = [*range(1, k + 1)]
+    if k < tr.n_components:
+        order += [cid for cid in dict.fromkeys(comp[o_lo:]) if cid > k]
+    perm = [*range(len(order) + 1)]  # by old id
+    flip = bytearray(len(order) + 1)
+    i = o_lo
+    for new_id, cid in enumerate(order[k:], start=k + 1):
+        perm[cid] = new_id
+        i = comp.index(cid, i)
+        flip[cid] = not fwd[i]
+    if any(flip):
+        mask = bytes(map(flip.__getitem__, comp))
+        fwd = int.from_bytes(fwd, "big") ^ int.from_bytes(mask, "big")
+        fwd = fwd.to_bytes(len(mask), "big")
+    if order != [*tr.ids]:
+        comp = list(map(perm.__getitem__, comp))
     orientations: dict[int, int] = {}
     coefficients: dict[int, object] = {}
-    seen = set()
-    for cid in old_tr.ids:
-        if cid not in witnesses:
-            raise InternalError(f"internal: lost track of component {cid}")
-        witness, image = witnesses[cid]
-        new_cid, new_dir = new_tr.at(*image)
-        if new_cid in seen:
-            raise InternalError("internal: two components merged under a rewrite")
-        seen.add(new_cid)
-        physical = old.orientation(cid) * old_tr.at(*witness)[1]
-        orientations[new_cid] = physical * new_dir
+    for cid in tr.ids:
+        o = old.orientation(cid)
+        orientations[perm[cid]] = -o if flip[cid] else o
         if cid in old.coefficients:
-            coefficients[new_cid] = old.coefficients[cid]
-    return _attach(new_d, orientations, coefficients)
+            coefficients[perm[cid]] = old.coefficients[cid]
+
+    new = object.__new__(FrontDiagram)
+    object.__setattr__(new, "slots", slots)
+    object.__setattr__(new, "events", events)
+    object.__setattr__(new, "trace", _Trace(counts, offset, comp, bytes(fwd), len(order)))
+    return _attach(new, orientations, coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +613,20 @@ def stabilize(
     tr = d.trace
     if component not in tr.ids:
         raise FrontError(f"no component {component}")
-    top = next(
-        (node for node, cid in tr.nodes() if cid == component and at_column in (None, node[0])),
-        None,
-    )
-    if top is None:
-        raise FrontError(f"component {component} has no strand at column boundary {at_column}")
-    t, height = top
-    eps = tr.at(t, height)[1] * d.orientation(component)
+    comp, offset = tr.comp, tr.offset
+    if at_column is None:
+        i = comp.index(component)
+        t = bisect_right(offset, i) - 1
+    else:
+        try:
+            t = range(len(tr.counts)).index(at_column)
+            i = comp.index(component, offset[t], offset[t + 1])
+        except ValueError:
+            raise FrontError(
+                f"component {component} has no strand at column boundary {at_column}"
+            ) from None
+    height = i - offset[t] + 1
+    eps = (1 if tr.fwd[i] else -1) * d.orientation(component)
     # two cusp patterns; which one yields up-cusps depends on the strand
     # direction at the insertion point
     zig = (Event("L", height + 1), Event("R", height))

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from steinkit.invariants import (
     characteristic_sublinks,
     theta,
 )
-from steinkit.numerics import rat
+from steinkit.numerics import InternalError, rat
 from steinkit.presentation import h1, parse_surgery, serialize_surgery
 
 from random_fronts import move_candidates, random_front
@@ -148,6 +149,28 @@ def test_validate_rejects_bad_component_data():
         front((), "L1 R1", {1: 5})
     with pytest.raises(FrontError, match="coefficient"):
         FrontDiagram((), parse_event_word("L1 R1"), {}, {1: 3})
+
+
+def test_bool_positions_and_slot_counts_are_stored_as_ints():
+    e = Event("X", True)
+    assert type(e.pos) is int and e == Event("X", 1) and str(e) == "X1"
+    d = FrontDiagram((True, 2), (Event("X", True),))
+    assert d.slots == (1, 2) and {type(s) for s in d.slots} == {int}
+    text = serialize_front(d)
+    assert "handle 1 slots 1\n" in text and "events X1\n" in text
+    assert serialize_front(parse_front(text)) == text
+
+
+@pytest.mark.parametrize("pos", ["2", 2.0, None])
+def test_event_refuses_a_non_int_position(pos):
+    with pytest.raises(FrontError, match=rf"^event position {pos!r} must be an integer$"):
+        Event("L", pos)
+
+
+@pytest.mark.parametrize("count", ["1", 1.0, None, -1])
+def test_front_refuses_a_non_int_slot_count(count):
+    with pytest.raises(FrontError, match=rf"^handle 2 has invalid slot count {count!r}$"):
+        FrontDiagram((1, count), ())
 
 
 def test_parse_event_word_rejects_garbage():
@@ -284,6 +307,10 @@ def test_trace_matches_reference_on_long_words(seed, length):
     assert_reference_trace(d)
 
 
+def trace_fields(tr):
+    return tr.counts, tr.offset, tr.comp, tr.fwd, tr.n_components
+
+
 def test_each_diagram_is_traced_once(monkeypatch):
     calls = []
     real = front_module._trace
@@ -306,18 +333,21 @@ def test_each_diagram_is_traced_once(monkeypatch):
         result = fn(*args, **kwargs)
         return len(calls), result
 
-    # building a diagram, by any route, traces it once and derives nothing
+    # building a diagram from a word traces it once and derives nothing;
+    # a rewrite traces nothing, as it splices its trace from its parent's
     text = "front 1\nhandles 1\nhandle 1 slots 1\nevents L2 X1 R2\norient 1 -\ncoeff 1 stein\n"
     n, d = traces(parse_front, text)
     assert n == 1
     n, _ = traces(front, (), TREFOIL, {1: -1}, {1: STEIN})
     assert n == 1
     n, moved = traces(apply_move, d, 2, at=1, variant="birth-above")
-    assert n == 1 and len(moved.events) == 5
+    assert n == 0 and len(moved.events) == 5
     n, swung = traces(apply_move, d, 6, variant="bottom", handle=1)
-    assert n == 1 and swung.coefficients == {1: STEIN}
-    n, _ = traces(stabilize, d, 1, "down")
-    assert n == 1
+    assert n == 0 and swung.coefficients == {1: STEIN}
+    n, stabilized = traces(stabilize, d, 1, "down")
+    assert n == 0
+    for diagram in (moved, swung, stabilized):
+        assert trace_fields(diagram.trace) == trace_fields(real(diagram.n_strands, diagram.events))
     n, _ = traces(random_front, random.Random(5))
     assert n == 1
     assert derived == []
@@ -515,6 +545,178 @@ def test_derived_data_matches_reference_on_long_words(seed, length):
 
 
 # ---------------------------------------------------------------------------
+# splicing: a rewrite's trace against a fresh trace of its word, and its
+# component data against the witness transfer that the splice replaced
+
+
+def _reference_transfer(old, slots, events, lo, hi, shift):
+    """Orientations and coefficients of the rewritten diagram, carried by
+    tracing the new word in full and following, for each component, its
+    smallest node whose image is a node of the new word."""
+    new = FrontDiagram(slots, events).trace
+    witnesses = {}  # old component id -> (witness node, its image)
+    for (t, h), cid in old.trace.nodes():
+        if cid not in witnesses:
+            image = t if t < lo else None if t < hi else t + shift
+            if image is not None and 0 <= image < len(new.counts) and h <= new.counts[image]:
+                witnesses[cid] = (t, h), (image, h)
+    orientations, coefficients = {}, {}
+    for cid in old.trace.ids:
+        witness, image = witnesses[cid]
+        new_cid, new_dir = new.at(*image)
+        orientations[new_cid] = old.orientation(cid) * old.trace.at(*witness)[1] * new_dir
+        if cid in old.coefficients:
+            coefficients[new_cid] = old.coefficients[cid]
+    return orientations, coefficients
+
+
+def with_data(rng, d):
+    """d with random orientations and random coefficients on some components."""
+    coefficients = {}
+    for cid in d.trace.ids:
+        if rng.random() < 0.7:
+            coefficients[cid] = STEIN if rng.random() < 0.5 else rat(rng.randint(-3, 3), rng.randint(1, 2))
+    return FrontDiagram(d.slots, d.events, {c: rng.choice((1, -1)) for c in d.trace.ids}, coefficients)
+
+
+def rewritten(d, call):
+    """call(d), and the (slots, events, lo, hi, shift) it handed to _transfer."""
+    with mock.patch.object(front_module, "_transfer", wraps=front_module._transfer) as transfer:
+        new = call(d)
+    return new, transfer.call_args.args[1:]
+
+
+def assert_spliced_like_traced(d, new, rewrite):
+    fresh = front_module._trace(new.n_strands, new.events)
+    assert trace_fields(new.trace) == trace_fields(fresh)
+    assert (new.orientations, new.coefficients) == _reference_transfer(d, *rewrite)
+
+
+def every_rewrite(d):
+    """A call for every move_candidates entry and every stabilisation of d."""
+    moves = [lambda x, m=m, kw=kw: apply_move(x, m, **kw) for m, kw in move_candidates(d)]
+    boundaries = (None, *range(len(d.events) + 1))
+    stabs = [lambda x, c=c, up=up, t=t: stabilize(x, c, up, t)
+             for c in d.trace.ids for up in ("up", "down") for t in boundaries]
+    return moves + stabs
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_every_rewrite_splices_the_trace_of_its_word(seed):
+    rng = random.Random(seed)
+    d = with_data(rng, random_front(rng, max_handles=3, max_slot=3, max_extra=12))
+    for call in every_rewrite(d):
+        try:
+            new, rewrite = rewritten(d, call)
+        except FrontError:
+            continue
+        assert_spliced_like_traced(d, new, rewrite)
+
+
+def splice_chain(rng, d, length):
+    """Apply `length` random rewrites in a row, each to the last one's
+    result, checking every splice; return what was applied."""
+    applied = []
+    candidates = move_candidates(d)
+    while n_components(d) and len(applied) < length:
+        if rng.random() < 0.25:
+            cid = rng.randint(1, n_components(d))
+            t = rng.choice((None, rng.randint(0, len(d.events))))
+            kind, call = "stabilize", lambda x: stabilize(x, cid, rng.choice(("up", "down")), t)
+        else:
+            kind, kwargs = rng.choice(candidates)
+            call = lambda x: apply_move(x, kind, **kwargs)
+        try:
+            new, rewrite = rewritten(d, call)
+        except FrontError:
+            continue
+        assert_spliced_like_traced(d, new, rewrite)
+        applied.append(kind)
+        d, candidates = new, move_candidates(new)
+    return applied
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_chained_splices_on_random_fronts(seed):
+    rng = random.Random(seed)
+    splice_chain(rng, with_data(rng, random_front(rng, max_handles=3, max_slot=3, max_extra=12)), 25)
+
+
+@given(st.integers(0, 10_000), st.integers(200, 400))
+@settings(max_examples=10, deadline=None)
+def test_chained_splices_on_long_words(seed, length):
+    rng = random.Random(seed)
+    assert len(splice_chain(rng, with_data(rng, crossing_heavy_front(rng, length)), 20)) == 20
+
+
+def test_chained_splices_reach_every_rewrite():
+    applied = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        d = with_data(rng, random_front(rng, max_handles=3, max_slot=3, max_extra=12))
+        applied.update(splice_chain(rng, d, 25))
+    assert applied == {1, 2, 3, 4, 5, 6, "stabilize"}
+
+
+@pytest.mark.parametrize(
+    "slots, word, new_word, lo, hi, shift, message",
+    [
+        # X1 X1 for R1 L1 joins two unknots into one
+        ((), "L1 R1 L1 R1", "L1 X1 X1 R1", 2, 3, 0, "reconnects the strand from node"),
+        # R1 L1 for X1 X1 splits one unknot into two
+        ((), "L1 X1 X1 R1", "L1 R1 L1 R1", 2, 3, 0, "reconnects the strand from node"),
+        # R1 L1 for X1 keeps one component, but reverses it at edge height 2
+        ((2,), "X1", "R1 L1", 1, 1, 1, "reconnects the strand from node"),
+        # X1 L1 for X1 X1 leaves 4 strands where the seam has 2
+        ((), "L1 X1 X1 R1", "L1 X1 L1 R1", 2, 3, 0, "column 3 does not meet the seam"),
+        ((), "L1 X1 X1 R1", "L1 X1 X3 R1", 2, 3, 0, "column 3 does not fit 2 strands"),
+        # a new unknot inside the window
+        ((), "L1 X1 X1 R1", "L1 X1 L1 R1 X1 R1", 2, 3, 2, "closes a component inside its window"),
+        # the inner unknot of L1 L3 R3 R1 lies inside the window
+        ((), "L1 L3 R3 R1", "L1 R1", 1, 3, -2, "drops a component inside its window"),
+        ((), "L1 L1 R1 R1", "L1 L3 R1 R1", 3, 4, 0, "changed a column between kept boundaries"),
+        ((), "L1 L1 R1 R1", "L1 L1 R1 R1", 2, 1, 0, "keeps overlapping boundaries"),
+    ],
+    ids=["merge", "split", "reverse", "seam-count", "column-fit", "new-loop", "lost-loop",
+         "kept-column", "overlap"],
+)
+def test_transfer_refuses_a_rewrite_that_breaks_its_contract(
+    monkeypatch, slots, word, new_word, lo, hi, shift, message
+):
+    rewrite = (slots, parse_event_word(new_word), lo, hi, shift)
+    monkeypatch.setattr(front_module, "_move1", lambda d, at: rewrite)
+    with pytest.raises(InternalError, match=message):
+        apply_move(front(slots, word), 1, at=1)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda d: apply_move(d, 6, variant="top", handle=1),
+        lambda d: apply_move(d, 2, at=1, variant="birth-above"),
+    ],
+    ids=["move6", "move2-birth"],
+)
+def test_rewrites_stop_at_the_node_limit(monkeypatch, rewrite):
+    d = front((1,), "L2 X1 R2")
+    new = rewrite(d)
+    n_nodes = new.trace.offset[-1]
+    monkeypatch.setattr(front_module, "MAX_NODES", n_nodes)
+    assert trace_fields(rewrite(d).trace) == trace_fields(new.trace)
+    monkeypatch.setattr(front_module, "MAX_NODES", n_nodes - 1)
+    message = (
+        f"the front has {n_nodes} nodes (strands summed over its column boundaries); "
+        f"the limit is {n_nodes - 1}"
+    )
+    for build in (rewrite, lambda _: FrontDiagram(new.slots, new.events)):
+        with pytest.raises(FrontError) as refused:
+            build(d)
+        assert str(refused.value) == message
+
+
+# ---------------------------------------------------------------------------
 # stabilisation
 
 
@@ -553,6 +755,26 @@ def test_stabilize_errors():
         stabilize(d, 1, "sideways")
     with pytest.raises(FrontError, match="no strand at column"):
         stabilize(d, 1, "up", at_column=0)
+
+
+def test_stabilize_lands_on_the_first_node_at_its_boundary():
+    # against a scan of the nodes in order, for every column argument
+    for seed in range(30):
+        rng = random.Random(seed)
+        d = random_front(rng, max_handles=3, max_slot=3, max_extra=12)
+        for cid in d.trace.ids:
+            for at in (None, -2, -1, *range(len(d.events) + 3)):
+                top = next(
+                    (node for node, c in d.trace.nodes() if c == cid and at in (None, node[0])), None
+                )
+                if top is None:
+                    with pytest.raises(FrontError, match=rf"^component {cid} has no strand at column boundary {at}$"):
+                        stabilize(d, cid, "up", at)
+                    continue
+                t, h = top
+                nd = stabilize(d, cid, "up", at)
+                assert nd.events[:t] + nd.events[t + 2 :] == d.events
+                assert sorted(e.pos for e in nd.events[t : t + 2]) == [h, h + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -602,6 +603,91 @@ def test_front_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
     calls = front_corpus(random.Random(20261018), tmp_path)
     assert len(calls) == 238
     assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == FRONT_CORPUS
+
+
+# Borromean region boundaries and floor breaks of -1/r (r = -1/n), each
+# met exactly and one step of 1/q to either side
+_EDGES = ["-1/3", "-1", "1", "4", "-6", "0"] + [f"-1/{n}" for n in range(1, 6)]
+
+
+def family_corpus(rng):
+    """Seeded calls of the three family verbs, some of them invalid;
+    returns the argv lists."""
+
+    def near_edge(edges=_EDGES):
+        num, _, den = rng.choice(edges).partition("/")
+        q = rng.randint(1, 4)
+        den = int(den or 1)
+        return f"{int(num) * q + rng.choice((-1, 0, 1)) * den}/{den * q}"
+
+    def rational():
+        roll = rng.random()
+        if roll < 0.08:
+            return "inf"
+        if roll < 0.5:
+            return near_edge()
+        if roll < 0.52:
+            return rng.choice(("0/0", "x", "1/-2", "0"))
+        return f"{rng.randint(-30, 30)}/{rng.randint(1, 7)}"
+
+    def fiber(floor):
+        # -1/(floor + b/a), so the floors of -1/r sum as drawn
+        a = rng.randint(2, 12)
+        b = rng.choice([b for b in range(1, a) if gcd(a, b) == 1])
+        return f"{-a}/{floor * a + b}"
+
+    calls = []
+    for _ in range(240):
+        base = rng.choice(("o0",) * 8 + ("o1", "o2", "n1", "n3"))
+        k = rng.randint(0, 5)
+        if rng.random() < 0.6 and k:
+            floors = [rng.randint(-1, 1) for _ in range(k - 1)]
+            coeffs = [fiber(f) for f in floors + [-1 - sum(floors)]]
+        else:
+            coeffs = [rational() for _ in range(k)]
+        if rng.random() < 0.15:
+            coeffs.insert(rng.randint(0, len(coeffs)), "inf")
+        calls.append(["seifert", f"--base={base}", *(f"--coeff={c}" for c in coeffs),
+                      f"--search-bound={rng.randint(1, 60)}"])
+    for _ in range(60):
+        if rng.random() < 0.7:
+            triple = map(str, rng.sample((2, 3, 5, 7, 11, 13, 4, 9), 3))
+        else:
+            triple = [str(rng.randint(1, 15)) for _ in range(3)]
+        calls.append(["brieskorn", *triple, f"--orientation={rng.choice('+-')}",
+                      f"--search-bound={rng.randint(1, 60)}"])
+    calls += [["brieskorn", "2", "3", "5", "--orientation=-", f"--search-bound={b}"]
+              for b in (1, 50, 60)]
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.25:
+            calls.append(["borromean", "--", rational(), rational(), rational()])
+        elif roll < 0.5:
+            # three values near the edges of one region, so memberships vary
+            edges = rng.choice(
+                (["1", "4"], ["-1/3", "-1/2", "0", "-6", "-4"], ["-1", "-6", "-1/2", "-2"])
+            )
+            calls.append(["borromean", "--", *(near_edge(edges) for _ in range(3))])
+        elif roll < 0.75:
+            l, m = rng.randint(-4, 4), rng.randint(-4, 4)
+            calls.append(["borromean", "--twist-knot", f"{l} {m} {rational()}"])
+        else:
+            m = rng.randint(-4, 4)
+            calls.append(["borromean", "--two-component", f"{m} {rational()} {rational()}"])
+    return calls
+
+
+# recorded before the deciders moved onto (num, den) integers
+FAMILY_CORPUS = (
+    {0: 564, 2: 35, 1: 4},
+    "4091d1f0404bd576d6d5f680e4b304bb7137fc1d4590b0d877428f97d932184c",
+)
+
+
+def test_family_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
+    calls = family_corpus(random.Random(20261019))
+    assert len(calls) == 603
+    assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == FAMILY_CORPUS
 
 
 def test_byte_determinism(capsys, theta_example):

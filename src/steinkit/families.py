@@ -22,9 +22,13 @@ class FamilyError(ValueError):
 
 MINUS_ONE = rat(-1)
 
+# rows of the pair-search box, about a second of scanning
+MAX_PAIR_ROWS = 2_000_000
 
-def _floor(r: ExtRational) -> int:
-    return floor_frac(r)[0]
+
+def _below(r: ExtRational, v: int) -> bool:
+    """r < v on the slope line, where infinity sits below every rational."""
+    return r.den == 0 or r.num < v * r.den
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +54,9 @@ class SeifertData:
         if not self.orientable and self.genus < 1:
             raise FamilyError(f"nonorientable base needs genus >= 1, got {self.genus}")
         for i, r in enumerate(self.coefficients):
-            if r == ZERO:
+            if not isinstance(r, ExtRational):
+                raise FamilyError(f"fiber coefficient {i + 1} is not an ExtRational")
+            if r.num == 0:
                 raise FamilyError(f"fiber coefficient {i + 1} is zero")
 
     @property
@@ -78,23 +84,24 @@ def seifert_normalize(s: SeifertData) -> SeifertNormal:
     Each -1/r_i splits into an integer and a fraction in [0,1); the
     fractional parts are repackaged as coefficients r'_i in [-inf,-1),
     with -inf standing for fraction zero.  k0 counts the coefficients
-    whose reciprocal is not an integer.
+    whose reciprocal is not an integer.  The sums run on ints; only e
+    and the finite r'_i are built as ExtRationals.
     """
-    e = rat(0)
-    e0 = 0
+    en, ed, e0 = 0, 1, 0
     rprime = []
-    k0 = 0
     for r in s.coefficients:
-        v = -r.reciprocal()
-        fl, fr = floor_frac(v)
-        e = e + v
-        e0 += fl
-        rprime.append(INF if fr == ZERO else -fr.reciprocal())
-        if not r.reciprocal().is_integer:
-            k0 += 1
+        # v = -1/r = vn/vd in lowest terms with vd > 0; -1/inf is 0
+        vn, vd = (-r.den, r.num) if r.num > 0 else (r.den, -r.num)
+        fl = vn // vd
+        en, ed = en * vd + vn * ed, ed * vd
+        g = gcd(en, ed)
+        en, ed, e0 = en // g, ed // g, e0 + fl
+        # the fraction (vn - fl vd)/vd is zero exactly when vd is 1
+        rprime.append(INF if vd == 1 else ExtRational(-vd, vn - fl * vd))
     if not s.orientable:
-        e = e - rat(2 * s.genus)
-    return SeifertNormal(e=e, e0=e0, rprime=tuple(rprime), k0=k0)
+        en -= 2 * s.genus * ed
+    k0 = sum(not r.is_infinite for r in rprime)
+    return SeifertNormal(e=ExtRational(en, ed), e0=e0, rprime=tuple(rprime), k0=k0)
 
 
 @dataclass(frozen=True)
@@ -114,15 +121,9 @@ class NFunctionResult:
 
     def exceeds(self, r: ExtRational) -> bool:
         """Does the certified bound lie strictly above the slope r?"""
-        if self.kind == "sentinel":
+        if self.kind == "sentinel" or self.infinite:
             return True
-        if self.infinite:
-            return True
-        if self.value is None:
-            return False
-        if r.is_infinite:
-            return True
-        return r < rat(self.value)
+        return self.value is not None and _below(r, self.value)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -140,14 +141,16 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _hinge(r1p: ExtRational) -> ExtRational:
-    # s in (-inf,-1] with 1/s = -1 - 1/r1p; the reciprocal never vanishes
-    inv = ZERO if r1p.is_infinite else r1p.reciprocal()
-    return (MINUS_ONE - inv).reciprocal()
+def _hinge(r1p: ExtRational) -> tuple[int, int]:
+    # s = sn/sd in (-inf, -1] with 1/s = -1 - 1/r1p, for r1p in [-inf, -1);
+    # sd = -n - d > 0 and gcd(n, -n - d) = gcd(n, d) = 1 for r1p = n/d
+    if r1p.is_infinite:
+        return -1, 1
+    return r1p.num, -r1p.num - r1p.den
 
 
 def _check_slope(r: ExtRational, name: str):
-    if not slope_less(r, MINUS_ONE):
+    if not _below(r, -1):
         raise FamilyError(f"{name} must lie in [-inf, -1), got {r}")
 
 
@@ -183,20 +186,23 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     forms for a and b gives a <= max(|sn|, |pn|) and |b| <= max(sd, pd).
     So the loops stop at those heights whatever search_bound is, and a
     row with |vd| + |w2d| > delta is skipped before any gcd work; the
-    rows kept come in the same order and meet the same tests.
+    rows kept come in the same order and meet the same tests.  A box of
+    more than MAX_PAIR_ROWS rows is refused before the scan.
     """
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
     _check_search_bound(search_bound)
-    s = _hinge(r1p)
-    if s == r2p:
+    sn, sd = _hinge(r1p)  # s is finite
+    pn, pd = r2p.num, r2p.den  # infinity is 1/0
+    if (sn, sd) == (pn, pd):
         return NFunctionResult(kind="sentinel")
 
-    sn, sd = s.num, s.den  # s is finite
-    pn, pd = r2p.num, r2p.den  # infinity is 1/0
     delta = abs(sn * pd - pn * sd)
     a_max = min(search_bound, max(abs(sn), abs(pn)))
     b_max = min(search_bound, max(sd, pd))
+    rows = (a_max + 1) * (2 * b_max + 1)
+    if rows > MAX_PAIR_ROWS:
+        raise FamilyError(f"the pair search would scan {rows} rows; the limit is {MAX_PAIR_ROWS}")
     best_value: int | None = None
     best_infinite = False
     best_row: tuple[int, int, int, int] | None = None
@@ -251,7 +257,7 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     out = NFunctionResult(
         kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
     )
-    _check_witness(out, s, r2p)
+    _check_witness(out, ExtRational(sn, sd), r2p)
     return out
 
 
@@ -281,7 +287,7 @@ def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
         infinite = small >= 1
         value = None if infinite else -big
     else:
-        infinite, value = False, -small * (_floor(t) + 1) - big
+        infinite, value = False, -small * (floor_frac(t)[0] + 1) - big
     if (res.infinite, res.value) != (infinite, value):
         raise InternalError(
             f"internal: witness {w} certifies value={value} infinite={infinite}, "
@@ -300,8 +306,8 @@ class SeifertDecision:
 
 def _closed_form_level(r1p: ExtRational) -> int:
     # largest integer below the hinge of r1p
-    s = _hinge(r1p)
-    return -_floor(-s) - 1
+    sn, sd = _hinge(r1p)
+    return -(-sn // sd) - 1
 
 
 def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
@@ -323,13 +329,13 @@ def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
         return SeifertDecision(
             verdict="YES", reason="c", detail=f"only {k} normalized coefficients"
         )
-    if all(slope_less(r, rat(-2)) for r in rp):
+    if all(_below(r, -2) for r in rp):
         return SeifertDecision(
             verdict="YES", reason="c", detail="all normalized coefficients below -2"
         )
     for i in range(k):
         level = _closed_form_level(rp[i])
-        if all(slope_less(rp[j], rat(level)) for j in range(k) if j != i):
+        if all(_below(rp[j], level) for j in range(k) if j != i):
             return SeifertDecision(
                 verdict="YES",
                 reason="c",
@@ -402,48 +408,40 @@ class BorromeanCoeffs:
     r2: ExtRational
     r3: ExtRational
 
+    def __post_init__(self):
+        for i, r in enumerate(self.as_tuple()):
+            if not isinstance(r, ExtRational):
+                raise FamilyError(f"coefficient {i + 1} is not an ExtRational")
+
     def as_tuple(self) -> tuple[ExtRational, ExtRational, ExtRational]:
         return (self.r1, self.r2, self.r3)
 
 
-_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
 def borromean_membership(c: BorromeanCoeffs) -> tuple[bool, bool, bool]:
-    """Exact membership in the three exceptional coefficient regions."""
-    rs = c.as_tuple()
-    for r in rs:
-        if r.is_infinite:
-            raise FamilyError("membership needs finite coefficients, got infinity")
-    one, four = rat(1), rat(4)
-    in_a0 = all(one <= r < four for r in rs)
+    """Exact membership in the three exceptional coefficient regions.
 
-    third = rat(-1, 3)
-    six = rat(-6)
-    in_a2 = False
-    for p in _PERMS:
-        first, second, last = rs[p[0]], rs[p[1]], rs[p[2]]
-        if first < ZERO or not (third <= second < ZERO):
-            continue
-        low = rat(-2 * _floor(-second.reciprocal()) - 1)
-        if low <= last < six:
-            in_a2 = True
-            break
-
-    in_a3 = all(r < ZERO for r in rs)
+    Each r = n/d (d > 0) is tested by cross-multiplied integer
+    inequalities, and floor(-1/r) for r < 0 is d // -n.  The regions
+    hold points with 0, 2 and 3 negative coordinates.
+    """
+    rs = [(r.num, r.den) for r in c.as_tuple()]
+    if any(d == 0 for _, d in rs):
+        raise FamilyError("membership needs finite coefficients, got infinity")
+    neg = [(n, d) for n, d in rs if n < 0]
+    in_a0 = not neg and all(d <= n < 4 * d for n, d in rs)
+    # one negative r in [-1/3, 0), the other in [-2 floor(-1/r) - 1, -6)
+    in_a2 = len(neg) == 2 and any(
+        -d2 <= 3 * n2 and (-2 * (d2 // -n2) - 1) * d3 <= n3 < -6 * d3
+        for (n2, d2), (n3, d3) in (neg, neg[::-1])
+    )
+    in_a3 = len(neg) == 3
     if in_a3:
-        for k in range(3):
-            i, j = [t for t in range(3) if t != k]
-            low = -2 * (_floor(-rs[i].reciprocal()) + _floor(-rs[j].reciprocal()) + 1)
-            if not rat(low) <= rs[k] < ZERO:
-                in_a3 = False
-                break
-    if in_a3:
-        minus_one = rat(-1)
-        if all(six <= r < ZERO for r in rs):
-            small = sum(1 for r in rs if minus_one <= r < ZERO)
-            if small >= 2:
-                in_a3 = False
+        fl = [d // -n for n, d in rs]
+        # r_k >= -2 (floor(-1/r_i) + floor(-1/r_j) + 1) for {i, j, k} = {1, 2, 3}
+        in_a3 = all(-2 * (sum(fl) - f + 1) * d <= n for (n, d), f in zip(rs, fl))
+        # except inside [-6, 0)^3 with two coordinates in [-1, 0)
+        if all(-6 * d <= n for n, d in rs) and sum(-d <= n for n, d in rs) >= 2:
+            in_a3 = False
     return in_a0, in_a2, in_a3
 
 
@@ -462,7 +460,7 @@ def decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
     An infinite coefficient reduces the space to a connected sum of
     lens spaces, which is always realizable.
     """
-    if any(r.is_infinite for r in c.as_tuple()):
+    if 0 in (c.r1.den, c.r2.den, c.r3.den):
         return BorromeanDecision(verdict="YES", detail="infinite coefficient")
     in_a0, in_a2, in_a3 = borromean_membership(c)
     if in_a0 or in_a2 or in_a3:

@@ -444,6 +444,19 @@ def test_brieskorn_at_a_huge_search_bound(capsys):
     assert run(capsys, *argv, "--search-bound", "1000000000") == default
 
 
+def test_pair_search_past_the_row_limit_is_invalid_input(capsys, monkeypatch):
+    # r' = (-2, -3, -5); the first pair searched, (-2, -3), has hinge -2
+    # and a box of 4 * 3 rows, and the largest box, of (-5, -3), has 6 * 9
+    argv = ("brieskorn", "2", "3", "5", "--orientation", "-", "--search-bound", "1000000000")
+    default = run(capsys, *argv)
+    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 54)
+    assert run(capsys, *argv) == default
+    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 11)
+    assert run(capsys, *argv) == (
+        2, "", "error: the pair search would scan 12 rows; the limit is 11\n"
+    )
+
+
 def test_borromean_unknown(capsys):
     rc, out, _ = run(capsys, "borromean", "--", "1", "1", "1")
     assert rc == 0

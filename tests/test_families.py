@@ -3,8 +3,10 @@
 import os
 import subprocess
 import sys
+import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 from pathlib import Path
@@ -22,10 +24,12 @@ from steinkit.families import (
     FamilyError,
     NFunctionResult,
     SeifertData,
+    SeifertDecision,
+    SeifertNormal,
+    _check_search_bound,
     _check_slope,
     _check_witness,
     _ext_gcd,
-    _floor,
     _hinge,
     borromean_membership,
     borromean_presentation,
@@ -38,7 +42,7 @@ from steinkit.families import (
     twist_knot_surgery,
     two_component_surgery,
 )
-from steinkit.numerics import INF, ExtRational, InternalError, MobiusMap, rat
+from steinkit.numerics import INF, ExtRational, InternalError, MobiusMap, floor_frac, rat, slope_less
 from steinkit.presentation import SurgeryPresentation, cokernel, h1
 
 
@@ -79,12 +83,171 @@ nonzero = st.tuples(
 
 
 # ---------------------------------------------------------------------------
+# the ExtRational versions that the (num, den) integer kernels replaced,
+# kept verbatim as their oracles
+
+
+def _floor(r: ExtRational) -> int:
+    return floor_frac(r)[0]
+
+
+def _reference_seifert_normalize(s: SeifertData) -> SeifertNormal:
+    e = rat(0)
+    e0 = 0
+    rprime = []
+    k0 = 0
+    for r in s.coefficients:
+        v = -r.reciprocal()
+        fl, fr = floor_frac(v)
+        e = e + v
+        e0 += fl
+        rprime.append(INF if fr == ZERO else -fr.reciprocal())
+        if not r.reciprocal().is_integer:
+            k0 += 1
+    if not s.orientable:
+        e = e - rat(2 * s.genus)
+    return SeifertNormal(e=e, e0=e0, rprime=tuple(rprime), k0=k0)
+
+
+def _reference_hinge(r1p: ExtRational) -> ExtRational:
+    # s in (-inf,-1] with 1/s = -1 - 1/r1p; the reciprocal never vanishes
+    inv = ZERO if r1p.is_infinite else r1p.reciprocal()
+    return (MINUS_ONE - inv).reciprocal()
+
+
+def _reference_closed_form_level(r1p: ExtRational) -> int:
+    # largest integer below the hinge of r1p
+    s = _reference_hinge(r1p)
+    return -_floor(-s) - 1
+
+
+def _reference_decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
+    """decide_seifert with the reference normalization and closed-form rules;
+    the pair search is families.n_function, whose oracle is below."""
+    _check_search_bound(search_bound)
+    norm = _reference_seifert_normalize(s)
+    if not s.sphere_base:
+        return SeifertDecision(verdict="YES", reason="a", detail="base is not a sphere")
+    if norm.e0 != -1:
+        return SeifertDecision(verdict="YES", reason="b", detail=f"e0 = {norm.e0} differs from -1")
+    rp = norm.rprime
+    k = len(rp)
+    if k <= 2:
+        return SeifertDecision(
+            verdict="YES", reason="c", detail=f"only {k} normalized coefficients"
+        )
+    if all(slope_less(r, rat(-2)) for r in rp):
+        return SeifertDecision(
+            verdict="YES", reason="c", detail="all normalized coefficients below -2"
+        )
+    for i in range(k):
+        level = _reference_closed_form_level(rp[i])
+        if all(slope_less(rp[j], rat(level)) for j in range(k) if j != i):
+            return SeifertDecision(
+                verdict="YES",
+                reason="c",
+                detail=f"coefficient {i + 1} gives integer level {level}",
+            )
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            res = families.n_function(rp[i], rp[j], search_bound)
+            if res.kind == "sentinel":
+                return SeifertDecision(
+                    verdict="YES",
+                    reason="c",
+                    detail=f"pair ({i + 1}, {j + 1}) hits the sentinel",
+                    pair=(i + 1, j + 1),
+                    n_result=res,
+                )
+            others = [rp[t] for t in range(k) if t not in (i, j)]
+            if res.witness is not None and all(_reference_exceeds(res, r) for r in others):
+                return SeifertDecision(
+                    verdict="YES",
+                    reason="c",
+                    detail=f"pair ({i + 1}, {j + 1}) bounds the rest",
+                    pair=(i + 1, j + 1),
+                    n_result=res,
+                )
+    return SeifertDecision(verdict="UNKNOWN", detail="no sufficient condition applied")
+
+
+def _reference_exceeds(res: NFunctionResult, r: ExtRational) -> bool:
+    """Does the certified bound lie strictly above the slope r?"""
+    if res.kind == "sentinel":
+        return True
+    if res.infinite:
+        return True
+    if res.value is None:
+        return False
+    if r.is_infinite:
+        return True
+    return r < rat(res.value)
+
+
+_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _reference_borromean_membership(c: BorromeanCoeffs) -> tuple[bool, bool, bool]:
+    """Exact membership in the three exceptional coefficient regions."""
+    rs = c.as_tuple()
+    for r in rs:
+        if r.is_infinite:
+            raise FamilyError("membership needs finite coefficients, got infinity")
+    one, four = rat(1), rat(4)
+    in_a0 = all(one <= r < four for r in rs)
+
+    third = rat(-1, 3)
+    six = rat(-6)
+    in_a2 = False
+    for p in _PERMS:
+        first, second, last = rs[p[0]], rs[p[1]], rs[p[2]]
+        if first < ZERO or not (third <= second < ZERO):
+            continue
+        low = rat(-2 * _floor(-second.reciprocal()) - 1)
+        if low <= last < six:
+            in_a2 = True
+            break
+
+    in_a3 = all(r < ZERO for r in rs)
+    if in_a3:
+        for k in range(3):
+            i, j = [t for t in range(3) if t != k]
+            low = -2 * (_floor(-rs[i].reciprocal()) + _floor(-rs[j].reciprocal()) + 1)
+            if not rat(low) <= rs[k] < ZERO:
+                in_a3 = False
+                break
+    if in_a3:
+        minus_one = rat(-1)
+        if all(six <= r < ZERO for r in rs):
+            small = sum(1 for r in rs if minus_one <= r < ZERO)
+            if small >= 2:
+                in_a3 = False
+    return in_a0, in_a2, in_a3
+
+
+# ---------------------------------------------------------------------------
 # normalization
 
 
 def test_seifert_data_rejects_zero_coefficient():
     with pytest.raises(FamilyError, match="zero"):
         sphere((2,), (0,))
+
+
+@pytest.mark.parametrize("bad", [0, 2, True, False, Fraction(1, 2), 0.5, 0.0])
+def test_family_data_refuses_coefficients_that_are_not_extrationals(bad):
+    # checked before the zero test, so an int or float zero is refused by type
+    with pytest.raises(FamilyError, match=r"^fiber coefficient 2 is not an ExtRational$"):
+        SeifertData(True, 0, [rat(2), bad, rat(3)])
+    for i in range(3):
+        coeffs = [rat(1), rat(1), rat(1)]
+        coeffs[i] = bad
+        with pytest.raises(FamilyError, match=rf"^coefficient {i + 1} is not an ExtRational$"):
+            BorromeanCoeffs(*coeffs)
+    with pytest.raises(FamilyError, match=r"^coefficient 3 is not an ExtRational$"):
+        twist_knot_surgery(1, 1, bad)
 
 
 def test_seifert_data_genus_ranges():
@@ -203,7 +366,7 @@ def _reference_n_function(r1p, r2p, search_bound=100):
     _check_slope(r2p, "second coefficient")
     if search_bound < 1:
         raise FamilyError(f"search bound must be positive, got {search_bound}")
-    s = _hinge(r1p)
+    s = _reference_hinge(r1p)
     if s == r2p:
         return NFunctionResult(kind="sentinel")
 
@@ -347,13 +510,44 @@ def test_pair_function_scan_stops_at_the_heights(monkeypatch):
 
     monkeypatch.setattr(families, "gcd", counting_gcd)
     for i, j in permutations(range(3), 2):
-        s, r2p = _hinge(rp[i]), rp[j]
-        a_max = max(abs(s.num), abs(r2p.num))
-        b_max = max(s.den, r2p.den)
+        (sn, sd), r2p = _hinge(rp[i]), rp[j]
+        a_max = max(abs(sn), abs(r2p.num))
+        b_max = max(sd, r2p.den)
         calls.clear()
         res = n_function(rp[i], rp[j], 10**6)
         assert calls["gcd"] <= (a_max + 1) * (2 * b_max + 1)
         assert res == n_function(rp[i], rp[j], 50)
+
+
+def test_pair_search_at_and_past_the_row_limit(monkeypatch):
+    # s = -7/5 and r2p = -11/3: the box is clipped to a <= 11, |b| <= 5
+    # by the heights, or to the search bound when that is smaller
+    r1p, r2p = rat(-7, 2), rat(-11, 3)
+    assert _hinge(r1p) == (-7, 5)
+    for bound, rows in [(10**9, 12 * 11), (3, 4 * 7)]:
+        want = n_function(r1p, r2p, bound)
+        monkeypatch.setattr(families, "MAX_PAIR_ROWS", rows)
+        assert n_function(r1p, r2p, bound) == want
+        monkeypatch.setattr(families, "MAX_PAIR_ROWS", rows - 1)
+        with pytest.raises(
+            FamilyError, match=rf"^the pair search would scan {rows} rows; the limit is {rows - 1}$"
+        ):
+            n_function(r1p, r2p, bound)
+    # the sentinel scans nothing
+    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 0)
+    assert n_function(rat(-2), rat(-2), 10**9).kind == "sentinel"
+
+
+def test_a_pair_past_the_row_limit_is_refused_before_the_scan():
+    # s = -2001 and r2p = -3001/2000 at B = 10**9: 3002 * 4001 rows, about
+    # 5 s of scanning, so the pair is tested only by its error
+    rows = 3002 * 4001
+    assert rows > families.MAX_PAIR_ROWS
+    with pytest.raises(
+        FamilyError,
+        match=rf"^the pair search would scan {rows} rows; the limit is {families.MAX_PAIR_ROWS}$",
+    ):
+        n_function(rat(-2001, 2000), rat(-3001, 2000), 10**9)
 
 
 @st.composite
@@ -404,7 +598,7 @@ def test_pair_function_builds_constant_objects(monkeypatch):
 
 def test_check_witness_rejects_corrupted_results():
     for r1p, r2p in [(rat(-2), rat(-7, 2)), (rat(-2), rat(-3, 2))]:
-        s = _hinge(r1p)
+        s = rat(*_hinge(r1p))
         res = n_function(r1p, r2p, 30)
         _check_witness(res, s, r2p)
         if res.infinite:
@@ -425,7 +619,7 @@ def test_certificate_checks_survive_optimize_flag():
         "from steinkit.numerics import InternalError, rat\n"
         "res = n_function(rat(-2), rat(-7, 2), 30)\n"
         "try:\n"
-        "    _check_witness(replace(res, value=res.value - 1), _hinge(rat(-2)), rat(-7, 2))\n"
+        "    _check_witness(replace(res, value=res.value - 1), rat(*_hinge(rat(-2))), rat(-7, 2))\n"
         "except InternalError as e:\n"
         "    print(e)\n"
     )
@@ -518,6 +712,107 @@ def test_decide_small_poincare_usual_orientation():
     sd = brieskorn(2, 3, 5, 1)
     assert seifert_normalize(sd).e < rat(0)
     assert (decide_seifert(sd).verdict, decide_seifert(sd).reason) == ("YES", "b")
+
+
+def _fiber_with_floor(draw, floor):
+    # -1/(floor + b/a) with 0 < b < a, so floor(-1/r) = floor
+    a = draw(st.integers(min_value=2, max_value=12))
+    b = draw(st.integers(min_value=1, max_value=a - 1).filter(lambda b: gcd(a, b) == 1))
+    return -(rat(floor) + rat(b, a)).reciprocal()
+
+
+wide_fiber = st.one_of(
+    st.just(INF),
+    nonzero.map(lambda t: rat(*t)),
+    st.tuples(
+        st.integers(min_value=-60, max_value=60).filter(bool), st.integers(min_value=1, max_value=30)
+    ).map(lambda t: rat(*t)),
+)
+
+
+@st.composite
+def seifert_data(draw):
+    """Orientable and non-orientable bases with 0-5 coefficients, inf among
+    them; half of the draws have e0 = -1, so the later rules run."""
+    orientable, genus = draw(
+        st.sampled_from([(True, 0)] * 4 + [(True, 1), (True, 2), (False, 1), (False, 3)])
+    )
+    k = draw(st.integers(min_value=0, max_value=5))
+    if k and draw(st.booleans()):
+        n_inf = draw(st.integers(min_value=0, max_value=k - 1))
+        floors = [draw(st.integers(min_value=-1, max_value=1)) for _ in range(k - n_inf - 1)]
+        coeffs = [_fiber_with_floor(draw, f) for f in floors + [-1 - sum(floors)]]
+        coeffs = draw(st.permutations(coeffs + [INF] * n_inf))
+    else:
+        coeffs = draw(st.lists(wide_fiber, min_size=k, max_size=k))
+    return SeifertData(orientable=orientable, genus=genus, coefficients=coeffs)
+
+
+@given(seifert_data(), st.integers(min_value=1, max_value=60))
+@example(SeifertData(True, 0, [rat(2), rat(-4), rat(-4)]), 5)  # the level rule
+@example(SeifertData(True, 0, [rat(3, 2), rat(-3), rat(-4)]), 5)  # all below -2
+@example(SeifertData(False, 2, [INF, rat(-2)]), 1)
+@settings(max_examples=200, deadline=None)
+def test_seifert_kernels_match_the_reference(sd, bound):
+    assert seifert_normalize(sd) == _reference_seifert_normalize(sd)
+    assert decide_seifert(sd, bound) == _reference_decide_seifert(sd, bound)
+
+
+@pytest.mark.parametrize("bound", [50, 100])
+def test_open_case_decision_matches_the_reference(bound):
+    sd = brieskorn(2, 3, 5, -1)
+    assert decide_seifert(sd, bound) == _reference_decide_seifert(sd, bound)
+
+
+@given(
+    st.one_of(st.none(), st.integers(min_value=-40, max_value=5)),
+    st.sampled_from(["bound", "infinite", "sentinel"]),
+    any_slope,
+)
+@settings(max_examples=200)
+def test_exceeds_matches_the_reference(value, kind, r):
+    if kind == "sentinel":
+        res = NFunctionResult(kind="sentinel")
+    else:
+        res = NFunctionResult(kind="bound", value=value, infinite=kind == "infinite")
+    assert res.exceeds(r) == _reference_exceeds(res, r)
+
+
+def test_rules_settled_in_closed_form_build_only_the_normal_form(monkeypatch):
+    # rules a, b and c before the pair search build e and the finite r'_i
+    rng = random.Random(7)
+    cases = []
+    for n in range(600):
+        base = rng.choice([(True, 0)] * 5 + [(True, 1), (False, 1)])
+        k = rng.randint(0, 5)
+        coeffs = [rat(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 9))
+                  if rng.random() < 0.9 else INF for _ in range(k)]
+        if n % 2 and k:
+            # floors of -1/r summing to -1, so rule c is reached
+            floors = [rng.randint(-1, 1) for _ in range(k - 1)]
+            coeffs = [-(rat(f) + rat(1, rng.randint(2, 9))).reciprocal()
+                      for f in floors + [-1 - sum(floors)]]
+        sd = SeifertData(*base, coeffs)
+        d = decide_seifert(sd, 5)
+        if d.verdict == "YES" and d.pair is None:
+            cases.append(sd)
+    counts = Counter()
+    real = ExtRational.__post_init__
+
+    def counting(obj):
+        counts["ExtRational"] += 1
+        real(obj)
+
+    monkeypatch.setattr(ExtRational, "__post_init__", counting)
+    details = Counter()
+    for sd in cases:
+        counts.clear()
+        d = decide_seifert(sd, 5)
+        assert d.verdict == "YES" and d.pair is None
+        assert counts["ExtRational"] <= len(sd.coefficients) + 1
+        details[d.detail.split()[0] if d.reason == "c" else d.reason] += 1
+    # rule a, rule b, and each closed form of rule c
+    assert set(details) == {"a", "b", "only", "all", "coefficient"}
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +947,51 @@ def test_decide_borromean_permutation_invariant(r1, r2, r3, perm):
     a = decide_borromean(BorromeanCoeffs(*rs))
     b = decide_borromean(BorromeanCoeffs(*(rs[p] for p in perm)))
     assert (a.verdict, a.in_a0, a.in_a2, a.in_a3) == (b.verdict, b.in_a0, b.in_a2, b.in_a3)
+
+
+# the region boundaries and the floor breaks of -1/r, at r = -1/n
+_EDGES = [rat(-1, 3), rat(-1), rat(1), rat(4), rat(-6), ZERO] + [rat(-1, n) for n in range(2, 7)]
+_NEAR_EDGES = sorted({e + rat(t, 6) for e in _EDGES for t in (-1, 0, 1)}, key=lambda r: (r.num, r.den))
+
+
+def test_membership_matches_the_reference_near_every_edge():
+    for t in product(_NEAR_EDGES, repeat=3):
+        c = BorromeanCoeffs(*t)
+        assert borromean_membership(c) == _reference_borromean_membership(c), t
+
+
+near_edge = st.tuples(
+    st.sampled_from(_EDGES), st.integers(min_value=-1, max_value=1), st.integers(min_value=1, max_value=12)
+).map(lambda t: t[0] + rat(t[1], t[2]))
+any_coeff = st.one_of(near_edge, maybe_inf)
+
+
+@given(any_coeff, any_coeff, any_coeff)
+@example(INF, rat(1), rat(1))
+@settings(max_examples=300)
+def test_borromean_decision_matches_the_reference(r1, r2, r3):
+    c = BorromeanCoeffs(r1, r2, r3)
+    assert _outcome(borromean_membership, c) == _outcome(_reference_borromean_membership, c)
+    with patch.object(families, "borromean_membership", _reference_borromean_membership):
+        want = decide_borromean(c)
+    assert decide_borromean(c) == want
+
+
+def test_decide_borromean_builds_no_extrational(monkeypatch):
+    triples = [BorromeanCoeffs(*t) for t in product(_NEAR_EDGES[::3] + [INF], repeat=3)]
+    want = [decide_borromean(c) for c in triples]
+    assert {d.verdict for d in want} == {"YES", "UNKNOWN"}
+    built = Counter()
+    real = ExtRational.__post_init__
+
+    def counting(obj):
+        built["ExtRational"] += 1
+        real(obj)
+
+    monkeypatch.setattr(ExtRational, "__post_init__", counting)
+    assert [decide_borromean(c) for c in triples] == want
+    assert built["ExtRational"] == 0
+
 
 
 @given(

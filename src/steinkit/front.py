@@ -565,7 +565,14 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
             break
         k = cid
     order = [*range(1, k + 1)]
-    if k < tr.n_components:
+    if k < tr.n_components and lo == hi:
+        # no old boundary is dropped, so the ids past k first meet in the
+        # new window or else in the kept run, which starts at the parent's
+        # node o_lo and so meets them in id order
+        window = [cid for cid in dict.fromkeys(comp[o_lo : offset[a]]) if cid > k]
+        seen = set(window)
+        order += window + [cid for cid in range(k + 1, tr.n_components + 1) if cid not in seen]
+    elif k < tr.n_components:
         order += [cid for cid in dict.fromkeys(comp[o_lo:]) if cid > k]
     perm = [*range(len(order) + 1)]  # by old id
     flip = bytearray(len(order) + 1)

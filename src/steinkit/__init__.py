@@ -2,7 +2,7 @@
 
 The package is organised in layers:
 
-  numerics      exact rationals, Moebius maps, Smith forms, GF(2) solving
+  numerics      exact rationals, Moebius maps, Smith forms, symmetric congruence, GF(2)
   front         Legendrian front diagrams in standard form and their moves
   presentation  rational surgery presentations and the surgery calculus
   invariants    plane-field invariants of surgered handlebody boundaries

@@ -35,20 +35,21 @@ def _below(r: ExtRational, v: int) -> bool:
 # Seifert fibered spaces
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeifertData:
     """Diagram-coefficient form of a Seifert fibered space.
 
     The space is surgery on k fibers of the trivial circle bundle over
-    the base, with nonzero coefficients r_i.  orientable bases need
-    genus >= 0, nonorientable ones genus >= 1.
+    the base, with nonzero coefficients r_i, stored as a tuple.
+    orientable bases need genus >= 0, nonorientable ones genus >= 1.
     """
 
     orientable: bool
     genus: int
-    coefficients: list[ExtRational]
+    coefficients: tuple[ExtRational, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if self.orientable and self.genus < 0:
             raise FamilyError(f"orientable base needs genus >= 0, got {self.genus}")
         if not self.orientable and self.genus < 1:

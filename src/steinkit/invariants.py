@@ -11,19 +11,19 @@ characteristic and the signature, all computed exactly.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .numerics import (
     ExtRational,
     InternalError,
     SmithForm,
+    _bordered_congruence,
     first_asymmetry,
     mat_vec,
     rat,
     signature,
     smith_normal_form,
     solve_gf2_affine,
-    solve_rational,
 )
 from .presentation import SurgeryPresentation
 
@@ -214,9 +214,9 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     return _cokernel_class(x.smith_form, rho)
 
 
-def _chi_sigma_term(x: SteinPresentation) -> int:
+def _chi_sigma_term(x: SteinPresentation, sigma: int) -> int:
     """-2*chi - 3*sigma, with chi = 1 - n1 + m and sigma = signature(Q*)."""
-    return -2 * (1 - x.n1 + x.m) - 3 * signature(x._qs)
+    return -2 * (1 - x.n1 + x.m) - 3 * sigma
 
 
 def theta(x: SteinPresentation) -> ExtRational:
@@ -228,15 +228,15 @@ def theta(x: SteinPresentation) -> ExtRational:
     signature.  The handlebody's signature, that of q on the kernel of
     runs, is signature(Q*): a congruence clears the q-blocks against an
     I_r block of runs (r its rank), which leaves a hyperbolic part of
-    signature 0 plus q restricted to that kernel.
+    signature 0 plus q restricted to that kernel.  One bordered
+    congruence of Q* by c gives both sigma and c^T Q*^+ c.
     """
     c = chern_cocycle(x)
-    (y,) = solve_rational(x._qs, c)
-    if y is None:
+    pos, _, neg, square = _bordered_congruence(x._qs, c, c)
+    if square is None:
         raise InvariantError("theta undefined: c1 has infinite order")
-    den = lcm(*(v.denominator for v in y))
-    square = sum(a * v.numerator * (den // v.denominator) for a, v in zip(c, y))
-    return rat(square + _chi_sigma_term(x) * den, den)
+    num, den = square
+    return rat(num + _chi_sigma_term(x, pos - neg) * den, den)
 
 
 def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
@@ -254,5 +254,5 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     d = 0
     for v in free:
         d = gcd(d, abs(v))
-    base = _chi_sigma_term(x)
+    base = _chi_sigma_term(x, signature(x._qs))
     return d, (base % (2 * d) if d else base)

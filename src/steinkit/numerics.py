@@ -2,7 +2,8 @@
 
 Everything in this module is integer or rational arithmetic.  No floating
 point is used anywhere; surgery coefficients and cusp counts do not forgive
-rounding.
+rounding.  A symmetric matrix has one elimination, a bordered fraction-free
+congruence that gives its inertia and x^T Q^+ y together.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -532,62 +532,88 @@ def mat_vec(a, v):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free Gauss-Jordan elimination
+# one fraction-free congruence: inertia and x^T Q^+ y of a symmetric matrix
 
 
-def solve_rational(matrix, *rhs) -> tuple[list[Fraction] | None, ...]:
-    """Solve square integer linear systems over Q, one per right-hand side.
+def _bareiss_step(row, k, top, d, prev):
+    """Drop f = row[k], and make each entry a (d*a - f*b) // prev, b from top."""
+    f = row.pop(k)
+    if f:
+        return [(d * a - f * b) // prev for a, b in zip(row, top)]
+    return [d * a // prev for a in row]
 
-    One fraction-free (Bareiss) Gauss-Jordan elimination of the rows
-    augmented by every right-hand side, pivots taken column by column from
-    the first row with a nonzero entry.  Each entry stays a minor, so every
-    division by the previous pivot is exact, and the only division into
-    rationals is by the last pivot.  Free variables are set to zero; an
-    inconsistent system gets None in place of its solution.
+
+def _bordered_congruence(q, x, y):
+    """(positive, zero, negative, value) for an integer symmetric Q bordered
+    by a row x and a column y: A = [[Q, y], [x^T, 0]].  value is x^T Q^+ y
+    as an int pair (num, den), x^T z for any z with Q z = y; it is None when
+    x or y is nonzero on the zero block left at the end.
+
+    Symmetric fraction-free (Bareiss) elimination; the border index is
+    never a pivot.  The pivot is the first live index with a nonzero
+    diagonal entry d.  If the live diagonal is all zero, row and column j
+    are first added to row and column i, for the first (i, j), j < i, with
+    a nonzero entry, so that d = 2*a_ij; if there is none, the trailing Q
+    block is zero and the elimination stops.  Every other live entry a,
+    the border's included, becomes (d*a - f*g) // prev, for f and g the
+    entries in a's row and column on the pivot's, and prev the last pivot
+    (1 at first).
+    A pivot is positive when d and prev have the same sign: d/prev is the
+    next entry of an LDL^T, so Sylvester's law of inertia applies.
+
+    Exact division.  Without row-adds this is Bareiss: after the pivots K
+    the entry (i, j) is the minor of A on rows K+i and columns K+j, and
+    prev the minor on K, so Sylvester's identity makes each division
+    exact.  A row-add on live i, j is the unimodular congruence
+    A -> F A F^T, F = 1 + E_ij, which fixes the border and every pivot
+    index.  A minor is linear in its last row and its last column, so the
+    stored block then holds the minors of F A F^T, with the same minors on
+    K: the state is Bareiss run on an integer matrix, and stays exact.
+
+    The value.  F A F^T has borders F x and F y, and z = F^T z' maps the
+    solutions of (F Q F^T) z' = F y onto those of Q z = y, with
+    (F x)^T z' = x^T z; so take A as it is at the end, K the pivots and T
+    the zero block.  The corner is det [[Q_K, y_K], [x_K^T, 0]] =
+    -prev * x_K^T Q_K^-1 y_K.  The stored y_T is prev * (y_T - Q_TK Q_K^-1
+    y_K), zero exactly when y lies in the column space of Q, which the
+    columns K span, and then z = (Q_K^-1 y_K, 0) solves Q z = y; the same
+    holds for x.  Then x = Q w, so x^T z = w^T Q z = w^T y for every
+    solution z: the value -corner/prev does not depend on the solution.
     """
-    n = len(matrix)
-    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(matrix)]
-    if not all(map(isinstance, chain.from_iterable(aug), repeat(int))):
-        raise NumericsError("solve_rational needs integer entries")
-    pivots, prev = [], 1
-    for col in range(n):
-        r = len(pivots)
-        sel = next((i for i in range(r, n) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        top = aug[r]
-        p = top[col]
-        for i, row in enumerate(aug):
-            f = row[col]
-            if f and i != r:
-                aug[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-            elif not f and p != prev:
-                aug[i] = [p * a // prev for a in row]
-        prev = p
-        pivots.append(col)
-    solutions = []
-    for k in range(n, n + len(rhs)):
-        if any(row[k] for row in aug[len(pivots):]):
-            solutions.append(None)
+    rows = [[*row, b] for row, b in zip(q, y)]  # Q, with y as a last column
+    border = [*x, 0]  # x, with the corner last
+    pos = neg = 0
+    prev = 1
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(rows) for j in range(i) if row[j]), None)
+            if pair is None:
+                break  # the trailing Q block is zero
+            k, j = pair
+            rows[k] = [a + b for a, b in zip(rows[k], rows[j])]
+            for row in chain(rows, (border,)):
+                row[k] += row[j]
+        top = rows.pop(k)
+        d = top.pop(k)
+        if (d > 0) == (prev > 0):
+            pos += 1
         else:
-            value = dict(zip(pivots, (row[k] for row in aug)))
-            solutions.append([Fraction(value.get(col, 0), prev) for col in range(n)])
-    return tuple(solutions)
-
-
-# ---------------------------------------------------------------------------
-# exact signature of a rational symmetric matrix
+            neg += 1
+        rows = [_bareiss_step(row, k, top, d, prev) for row in rows]
+        border = _bareiss_step(border, k, top, d, prev)
+        prev = d
+    if any(row[-1] for row in rows) or any(border[:-1]):
+        return pos, len(rows), neg, None
+    return pos, len(rows), neg, (-border[-1], prev)
 
 
 def inertia(matrix) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
-    Congruence diagonalisation on integers, after scaling Fraction entries
-    by the lcm of their denominators.  A nonzero diagonal pivot d (made by
-    adding a row and column to another if the diagonal is zero) leaves the
-    trailing block as |d| times its Schur complement over its content: both
-    positive scalings, which keep the inertia.
+    Fraction entries are scaled by the lcm of their denominators, a
+    positive scale that keeps the inertia; the integer matrix then goes
+    through _bordered_congruence with zero borders.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -596,35 +622,7 @@ def inertia(matrix) -> tuple[int, int, int]:
     m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     if [list(col) for col in zip(*m)] != m:
         raise NumericsError("inertia needs a symmetric matrix")
-    pos = neg = 0
-    while m:
-        if not m[0][0]:
-            k = next((i for i in range(len(m)) if m[i][i]), None)
-            if k is None:
-                pair = next(((i, j) for i, row in enumerate(m) for j in range(i) if row[j]), None)
-                if pair is None:
-                    break  # the zero matrix
-                k, j = pair
-                for row in m:
-                    row[k] += row[j]
-                m[k] = [x + y for x, y in zip(m[k], m[j])]
-            m[0], m[k] = m[k], m[0]
-            for row in m:
-                row[0], row[k] = row[k], row[0]
-        d, *v = m[0]
-        if d > 0:
-            pos, sgn = pos + 1, 1
-        else:
-            neg, sgn = neg + 1, -1
-        ad = sgn * d
-        m = [
-            [ad * x - sgn * vi * y for x, y in zip(row[1:], v)] if vi else [ad * x for x in row[1:]]
-            for vi, row in zip(v, m[1:])
-        ]
-        g = gcd(*chain.from_iterable(m))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
-    return pos, n - pos - neg, neg
+    return _bordered_congruence(m, [0] * n, [0] * n)[:3]
 
 
 def signature(matrix) -> int:

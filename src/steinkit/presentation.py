@@ -13,19 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .numerics import (
     INF,
     ZERO,
     ExtRational,
+    _bordered_congruence,
     first_asymmetry,
     invariant_factors,
     neg_continued_fraction,
     parse_int,
     parse_rational,
     rat,
-    solve_rational,
 )
 
 
@@ -214,20 +213,19 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
     Classes are integer vectors in meridian coordinates.  The value is
-    -x . Q^(-1) y mod 1, from one fraction-free elimination that solves for
-    both classes and one sum over their common denominator; both inputs
-    must be torsion in the cokernel, otherwise the pairing is undefined.
+    -x . Q^(-1) y mod 1, read off one fraction-free congruence of Q
+    bordered by x and y; both inputs must be torsion in the cokernel,
+    otherwise the pairing is undefined.
     """
     q = p.integer_matrix()
     m = p.m
     if len(x) != m or len(y) != m:
         raise PresentationError("class vectors must have one entry per component")
-    zx, zy = solve_rational(q, x, y)
-    if zx is None or zy is None:
+    *_, value = _bordered_congruence(q, x, y)
+    if value is None:
         raise PresentationError("linking form undefined: class is not torsion")
-    den = lcm(*(v.denominator for v in zy))
-    total = -sum(a * v.numerator * (den // v.denominator) for a, v in zip(x, zy))
-    return Fraction(total % den, den)
+    num, den = value
+    return Fraction(-num % den, den)
 
 
 # ---------------------------------------------------------------------------

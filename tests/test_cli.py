@@ -2,17 +2,20 @@
 
 Each test invokes main() directly and checks stdout, stderr, and the
 return code; only the closed-stdout test, which needs a child that owns
-its stdout, the import-set tests, which need a cold interpreter, and the
-node-limit test, which needs a child with capped memory, run child
-processes. Exit code conventions: 0 on success (including UNKNOWN
+its stdout, the import-set tests, which need a cold interpreter, the
+node-limit test, which needs a child with capped memory, and the
+300-chain theta test, which runs the verb end to end in a fresh
+interpreter, run child processes. Exit code conventions: 0 on success (including UNKNOWN
 decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
 failures.
 """
 
 import hashlib
+import importlib
 import os
 import random
 import resource
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -539,6 +542,37 @@ def test_a_front_past_the_node_limit_is_invalid_input(tmp_path):
         "error: the front has 1000000000 nodes (strands summed over its column "
         f"boundaries); the limit is {MAX_NODES}\n"
     )
+
+
+def test_theta_of_a_300_chain_in_a_child(tmp_path):
+    # 300 unknots framed -2 in a chain, rot 0: c = 0, chi = 301 and
+    # sigma = -300, so theta = 298.  The timeout only stops a hang.
+    n = 300
+    lines = ["surgery 1", f"components {n}"]
+    lines += [f"coeff {i} -2" for i in range(1, n + 1)]
+    lines += [f"lk {i} {i + 1} 1" for i in range(1, n)]
+    lines += [f"{key} {i} {v}" for i in range(1, n + 1) for key, v in (("rot", 0), ("tb", -1))]
+    lines += [f"unknot {i}" for i in range(1, n + 1)]
+    path = tmp_path / "chain.surgery"
+    path.write_text("\n".join(lines) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", "theta", str(path)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "theta: 298\n", "")
+
+
+def test_the_functions_the_bench_traces_exist():
+    # the traced bench run looks each (module, function) up with getattr,
+    # so a renamed or deleted function breaks every traced run; run_path
+    # compiles the file without writing bytecode next to it
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    traced = runpy.run_path(str(tracing))["TRACED"]
+    assert traced
+    for module, function, _ in traced:
+        found = getattr(importlib.import_module(f"steinkit.{module}"), function, None)
+        assert callable(found), f"steinkit.{module}.{function}"
 
 
 def front_corpus(rng, directory):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -256,6 +256,19 @@ def test_seifert_data_genus_ranges():
     with pytest.raises(FamilyError, match="genus"):
         SeifertData(orientable=False, genus=0, coefficients=[rat(2)])
     SeifertData(orientable=False, genus=1, coefficients=[rat(2)])
+
+
+def test_seifert_data_is_frozen():
+    # a validated value stays valid: neither its fields nor its coefficients change
+    coeffs = [rat(-2), rat(-3, 2), rat(-5, 4)]
+    sd = SeifertData(orientable=True, genus=0, coefficients=coeffs)
+    coeffs.append(rat(0))
+    assert sd.coefficients == (rat(-2), rat(-3, 2), rat(-5, 4))
+    with pytest.raises(AttributeError):
+        sd.coefficients.append(rat(3))
+    with pytest.raises(FrozenInstanceError):
+        sd.genus = -5
+    assert sd == SeifertData(True, 0, coeffs[:3]) and sd.genus == 0
 
 
 def test_classical_invariants_floor_sum():

@@ -566,6 +566,47 @@ def test_theta_adds_over_disjoint_unions(seed):
     assert theta(both) == ta + tb_ + rat(2)
 
 
+def test_theta_makes_one_congruence_pass(monkeypatch):
+    # sigma and c^T Q*^+ c come out of the same bordered elimination
+    calls = []
+    original = invariants._bordered_congruence
+
+    def counting(q, x, y):
+        calls.append((x, y))
+        return original(q, x, y)
+
+    def refused(matrix):
+        raise AssertionError("theta ran a second elimination for sigma")
+
+    monkeypatch.setattr(invariants, "_bordered_congruence", counting)
+    monkeypatch.setattr(invariants, "signature", refused)
+    x = SteinPresentation(q=[[-3, 1], [1, -2]], runs=[[1, 1]], rot=[1, 0])
+    c = chern_cocycle(x)
+    assert theta(x) == rat(-8, 7)
+    assert calls == [(c, c)]
+
+
+def minus_two_chain(n):
+    """n unknots framed -2, each linked once to the next, with rot 0 and tb -1."""
+    lk = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    return SurgeryPresentation(
+        coeffs=[rat(-2)] * n, lk=lk, unknot=[True] * n, rot=[0] * n, tb=[-1] * n
+    )
+
+
+def test_theta_of_a_long_minus_two_chain():
+    # c = 0, chi = n + 1 and sigma = -n, so theta = -2(n + 1) + 3n = n - 2
+    n = 74
+    assert theta(SteinPresentation.from_presentation(minus_two_chain(n))) == rat(n - 2)
+
+
+@pytest.mark.parametrize("n", [74, 300])
+def test_linking_form_of_a_long_minus_two_chain(n):
+    # Q is minus the A_n Cartan matrix, whose inverse has n/(n+1) in its corner
+    e1 = [1] + [0] * (n - 1)
+    assert linking_form(minus_two_chain(n), e1, e1) == Fraction(n, n + 1)
+
+
 # ---------------------------------------------------------------------------
 # divisibility and the 0-framed residue
 

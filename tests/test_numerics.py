@@ -12,7 +12,7 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steinkit import numerics
@@ -44,7 +44,6 @@ from steinkit.numerics import (
     slope_less,
     smith_normal_form,
     solve_gf2_affine,
-    solve_rational,
 )
 from steinkit.invariants import SteinPresentation, theta
 from steinkit.presentation import SurgeryPresentation, linking_form, rolfsen_twist, slam_dunk
@@ -151,9 +150,8 @@ def test_slope_less_puts_infinity_at_the_bottom():
     assert not slope_less(ZERO, rat(-1))
 
 
-class _NoFraction:
-    def __init__(self, *args):
-        raise AssertionError("the scalar layer built a Fraction")
+def _no_fraction(cls, *args, **kwargs):
+    raise AssertionError("the scalar layer built a Fraction")
 
 
 def test_scalar_layer_builds_no_fraction(monkeypatch):
@@ -185,7 +183,7 @@ def test_scalar_layer_builds_no_fraction(monkeypatch):
         )
 
     want = run()
-    monkeypatch.setattr(numerics, "Fraction", _NoFraction)
+    monkeypatch.setattr(Fraction, "__new__", _no_fraction)
     assert run() == want
 
 
@@ -436,55 +434,6 @@ def _fraction_solve(matrix, *rhs):
     return tuple(solutions)
 
 
-@st.composite
-def square_systems(draw):
-    """(kind, rows, rhs): 1-3 right-hand sides of an n x n system, n <= 6.
-
-    nonsingular: a diagonally dominant matrix.  singular: the last row is a
-    combination of two others (zero when n = 1) and every right-hand side
-    is A x.  inconsistent: the same rows, and the first right-hand side is
-    A x plus 1 in the last entry.
-    """
-    kind = draw(st.sampled_from(("nonsingular", "singular", "inconsistent")))
-    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    vec = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    rows = draw(st.lists(vec, min_size=n, max_size=n))
-    if kind == "nonsingular":
-        for i, row in enumerate(rows):
-            row[i] = sum(abs(v) for j, v in enumerate(row) if j != i) + draw(st.integers(1, 3))
-        return kind, rows, draw(st.lists(vec, min_size=k, max_size=k))
-    i, j = draw(st.integers(0, max(n - 2, 0))), draw(st.integers(0, max(n - 2, 0)))
-    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-    rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])] if n > 1 else [0] * n
-    rhs = [mat_vec(rows, x) for x in draw(st.lists(vec, min_size=k, max_size=k))]
-    if kind == "inconsistent":
-        rhs[0][-1] += 1
-    return kind, rows, rhs
-
-
-@settings(max_examples=400)
-@given(square_systems())
-def test_solve_rational_matches_the_fraction_elimination(system):
-    kind, rows, rhs = system
-    got = solve_rational(rows, *rhs)
-    assert got == _fraction_solve(rows, *rhs)
-    assert all(x is None or all(type(v) is Fraction for v in x) for x in got)
-    if kind == "inconsistent":
-        assert got[0] is None
-    else:
-        assert None not in got
-
-
-def test_solve_rational_fixtures():
-    # rank 1: the free variable is 0, and the second system is inconsistent
-    assert solve_rational([[2, 4], [1, 2]], [2, 1], [1, 0]) == ([Fraction(1), Fraction(0)], None)
-    assert solve_rational([[0, 3], [2, 0]], [1, 1]) == ([Fraction(1, 2), Fraction(1, 3)],)
-    assert solve_rational([[0]], [0]) == ([Fraction(0)],)
-    assert solve_rational([], []) == ([],)
-    with pytest.raises(NumericsError, match="integer entries"):
-        solve_rational([[Fraction(1, 2)]], [1])
-
-
 # ---------------------------------------------------------------------------
 # signature
 
@@ -614,6 +563,61 @@ def test_inertia_is_congruence_invariant(rows):
     assert inertia(sheared) == inertia(rows) == _fraction_inertia(sheared)
 
 
+@st.composite
+def bordered_systems(draw):
+    """(kind, q, x, y): a symmetric n x n matrix, n <= 6, and two borders.
+
+    A random symmetric S has its diagonal cleared half the time.
+    nonsingular: q = S when det S != 0, x and y random.  singular: q is
+    P^T S P for the (n-1) x n matrix P = [I | w], whose kernel holds
+    k = (-w, 1), and x, y lie in its column space.  inconsistent: the same
+    q, and x or y gets 1 added in its last entry, so it pairs to 1 with k.
+    Half the time x = y, as in theta.
+    """
+    kind = draw(st.sampled_from(("nonsingular", "singular", "inconsistent")))
+    n = draw(st.integers(1, 6))
+    size = n if kind == "nonsingular" else n - 1
+    vec = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    upper = draw(st.lists(st.lists(st.integers(-9, 9), min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+    cleared = draw(st.booleans())
+    s = [[0 if cleared and i == j else upper[min(i, j)][max(i, j)] for j in range(size)]
+         for i in range(size)]
+    if kind == "nonsingular":
+        assume(_fraction_inertia(s)[1] == 0)
+        q, x, y = s, draw(vec), draw(vec)
+    else:
+        w = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        cols = [[int(i == j) for i in range(size)] for j in range(size)] + [w]  # of P
+        q = [[sum(map(operator.mul, ci, mat_vec(s, cj))) for cj in cols] for ci in cols]
+        x, y = mat_vec(q, draw(vec)), mat_vec(q, draw(vec))
+    if draw(st.booleans()):
+        x = y
+    if kind == "inconsistent":
+        (y if draw(st.booleans()) else x)[-1] += 1
+    return kind, q, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(bordered_systems())
+@example(("nonsingular", [], [], []))
+@example(("singular", [[0]], [0], [0]))
+@example(("nonsingular", [[0, 3], [3, 0]], [1, 1], [1, 2]))
+@example(("inconsistent", [[2, 4], [4, 8]], [1, 2], [1, 0]))
+def test_bordered_congruence_matches_the_fraction_oracles(system):
+    kind, q, x, y = system
+    before = repr((q, x, y))
+    pos, zero, neg, value = numerics._bordered_congruence(q, x, y)
+    assert repr((q, x, y)) == before  # the inputs are copied, not rewritten
+    assert (pos, zero, neg) == _fraction_inertia(q)
+    zx, zy = _fraction_solve(q, x, y)
+    assert (value is None) == (zx is None or zy is None) == (kind == "inconsistent")
+    if value is not None:
+        num, den = value
+        assert type(num) is int and type(den) is int and den != 0
+        assert Fraction(num, den) == sum(a * b for a, b in zip(x, zy))
+
+
 # ---------------------------------------------------------------------------
 # GF(2) affine systems
 
@@ -681,9 +685,11 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     for i in range(n):
         for j in range(i, n):
             sym[i][j] = sym[j][i] = rng.randint(-9, 9)
-    singular = [row[:] for row in sym]
-    singular[-1] = [a + b for a, b in zip(sym[0], sym[1])]
+    # index n-1 replaced by the sum of indices 0 and 1, on both sides
+    singular = [row[:-1] + [row[0] + row[1]] for row in sym]
+    singular[-1] = [a + b for a, b in zip(singular[0], singular[1])]
     b1, b2 = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(2))
+    consistent = mat_vec(singular, b2)
     # the linking form of the lens space L(23, ...) and theta of a knot with a 1-handle
     lens = SurgeryPresentation(coeffs=[rat(4), rat(6)], lk=[[0, 1], [1, 0]])
     stein = SteinPresentation(q=[[-3, 1], [1, -2]], runs=[[1, 1]], rot=[1, 0])
@@ -694,8 +700,11 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
         built.append(args)
         return original(cls, *args, **kwargs)
 
-    want = [inertia(sym), solve_rational(sym, b1, b2), solve_rational(singular, b1),
-            linking_form(lens, [1, 0], [0, 1]), theta(stein)]
+    kernel = numerics._bordered_congruence
+    want = [inertia(sym), kernel(sym, b1, b2), kernel(singular, consistent, consistent),
+            kernel(singular, b1, b2), linking_form(lens, [1, 0], [0, 1]), theta(stein)]
+    assert want[1][1] == 0 and want[2][1] == 1
+    assert None not in want[1] + want[2] and want[3][3] is None
     monkeypatch.setattr(Fraction, "__new__", counting)
 
     def count(call):
@@ -704,11 +713,9 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
         return out, len(built)
 
     assert count(lambda: inertia(sym)) == (want[0], 0)
-    out, made = count(lambda: solve_rational(sym, b1, b2))
-    assert out == want[1] and None not in out and made <= 2 * n  # its results, no more
-    out, made = count(lambda: solve_rational(singular, b1))
-    assert out == want[2] and made <= n
+    assert count(lambda: kernel(sym, b1, b2)) == (want[1], 0)
+    assert count(lambda: kernel(singular, consistent, consistent)) == (want[2], 0)
+    assert count(lambda: kernel(singular, b1, b2)) == (want[3], 0)
     out, made = count(lambda: linking_form(lens, [1, 0], [0, 1]))
-    assert out == want[3] and made <= 2 * 2 + 2
-    out, made = count(lambda: theta(stein))
-    assert out == want[4] and made <= 3 + 2
+    assert out == want[4] and made <= 1  # its result, no more
+    assert count(lambda: theta(stein)) == (want[5], 0)

@@ -558,16 +558,16 @@ def test_linking_form_rejects_free_classes():
 
 def test_linking_form_solves_both_classes_at_once(monkeypatch):
     calls = []
-    original = presentation.solve_rational
+    original = presentation._bordered_congruence
 
-    def counting(matrix, *rhs):
-        calls.append(len(rhs))
-        return original(matrix, *rhs)
+    def counting(q, x, y):
+        calls.append((x, y))
+        return original(q, x, y)
 
-    monkeypatch.setattr(presentation, "solve_rational", counting)
+    monkeypatch.setattr(presentation, "_bordered_congruence", counting)
     p = pres([4, 6], [[0, 1], [1, 0]])
     assert linking_form(p, [1, 0], [0, 1]) == Fraction(1, 23)
-    assert calls == [2]
+    assert calls == [([1, 0], [0, 1])]
     # either class alone being free is enough to refuse
     free_second = pres([0, 3])
     for x, y in (([1, 0], [0, 1]), ([0, 1], [1, 0])):

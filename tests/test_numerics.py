@@ -598,13 +598,15 @@ def bordered_systems(draw):
     return kind, q, x, y
 
 
+# The rational solve x^T Q^+ y is the bordered congruence's corner; the
+# tests keep the names they had when a separate solve_rational did it.
 @settings(max_examples=400, deadline=None)
 @given(bordered_systems())
 @example(("nonsingular", [], [], []))
 @example(("singular", [[0]], [0], [0]))
 @example(("nonsingular", [[0, 3], [3, 0]], [1, 1], [1, 2]))
 @example(("inconsistent", [[2, 4], [4, 8]], [1, 2], [1, 0]))
-def test_bordered_congruence_matches_the_fraction_oracles(system):
+def test_solve_rational_matches_the_fraction_elimination(system):
     kind, q, x, y = system
     before = repr((q, x, y))
     pos, zero, neg, value = numerics._bordered_congruence(q, x, y)
@@ -616,6 +618,21 @@ def test_bordered_congruence_matches_the_fraction_oracles(system):
         num, den = value
         assert type(num) is int and type(den) is int and den != 0
         assert Fraction(num, den) == sum(a * b for a, b in zip(x, zy))
+
+
+def test_solve_rational_fixtures():
+    def solve(q, x, y):
+        pos, zero, neg, value = numerics._bordered_congruence(q, x, y)
+        return (pos, zero, neg), value and Fraction(*value)
+
+    assert solve([], [], []) == ((0, 0, 0), 0)
+    assert solve([[0]], [0], [0]) == ((0, 1, 0), 0)
+    # a zero diagonal: the row-and-column add supplies the pivot
+    assert solve([[0, 3], [3, 0]], [1, 1], [1, 2]) == ((1, 0, 1), 1)
+    # rank 1: (1, 2) is in the column space, (1, 0) is not
+    assert solve([[2, 4], [4, 8]], [1, 2], [1, 2]) == ((1, 1, 0), Fraction(1, 2))
+    assert solve([[2, 4], [4, 8]], [1, 2], [1, 0]) == ((1, 1, 0), None)
+    assert solve([[2, 4], [4, 8]], [1, 0], [1, 2]) == ((1, 1, 0), None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,6 @@ class FamilyError(ValueError):
 
 MINUS_ONE = rat(-1)
 
-# rows of the pair-search box, about a second of scanning
-MAX_PAIR_ROWS = 2_000_000
-
 
 def _below(r: ExtRational, v: int) -> bool:
     """r < v on the slope line, where infinity sits below every rational."""
@@ -163,32 +160,57 @@ def _check_search_bound(search_bound: int):
 def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> NFunctionResult:
     """Certified lower bound for the pair function of the sphere-base test.
 
-    Enumerates determinant-one slope maps A with every entry bounded by
-    search_bound, keeps those sending the hinge s into (-1,0] and r2p
-    into [-inf,-1), and maximizes the resulting integer.  The sentinel
-    short-circuit fires when s equals r2p.
-
-    The rows (a, b) run in lexicographic order and each gives at most one
-    candidate, the unique (c, d) with ad - bc = 1 that sends s into
-    (-1, 0], so keeping the first strictly better candidate is the same
-    as breaking ties by the lexicographically first witness.  No
-    candidate beats an infinite bound, so the search stops at the first
-    one.  The loop runs on plain ints; only the witness becomes a
+    Each determinant-one slope map A = [a b; c d] with every entry at most
+    search_bound in absolute value that sends the hinge s into (-1, 0] and
+    r2p into [-inf, -1) certifies an integer bound, or an infinite one.
+    The result is the best of them: among equal values the witness has
+    the lexicographically first row (a, b) (a >= 0, and b = 1 when
+    a = 0), and the first infinite bound in that order wins.  The
+    sentinel fires when s equals r2p.  Only the witness becomes a
     MobiusMap, and _check_witness re-derives its bound exactly.
 
-    Only rows that can pass are scanned.  Write s = sn/sd, r2p = pn/pd
-    (infinity is 1/0), delta = |sn*pd - pn*sd| (nonzero once s != r2p),
-    vd = a*sd + b*sn and w2d = a*pd + b*pn.  Then A s - A r2p =
-    (sn*pd - pn*sd) / (vd*w2d), and since A is unimodular and both
-    slopes are primitive, A s and A r2p have denominators exactly |vd|
-    and |w2d|.  A passing row puts -1 strictly between them, so
-    A s - A r2p >= 1/|vd| + 1/|w2d|, that is |vd| + |w2d| <= delta; the
-    row with w2d = 0 has |vd| = delta and meets it too.  Solving the two
-    forms for a and b gives a <= max(|sn|, |pn|) and |b| <= max(sd, pd).
-    So the loops stop at those heights whatever search_bound is, and a
-    row with |vd| + |w2d| > delta is skipped before any gcd work; the
-    rows kept come in the same order and meet the same tests.  A box of
-    more than MAX_PAIR_ROWS rows is refused before the scan.
+    The passing maps lie on the Farey path from s to r2p.  A acts on the
+    slope circle keeping its orientation and the Farey graph, so for a
+    passing A the edge A^-1{0, -1} separates s from r2p, or ends at
+    s = A^-1(0), and the third vertex W = A^-1(inf) of its triangle lies
+    on the side of r2p.  A sends W to inf, so (a, b) = +-(W.num, -W.den),
+    and A s in (-1, 0] then fixes (c, d): a passing map is fixed by its
+    W.  With x*sn + y*sd = 1, g = [x y; -sd sn] sends s to inf and r2p
+    to t.
+      - An edge at g(s) = inf is {n, inf}, with A s = 0; orientation
+        gives W = n - 1, and A r2p < -1 just when t is in [n - 1, n).
+        So W = floor(t).
+      - A finite edge {l, r}, l < r, separates t from inf when t lies
+        strictly between.  Each such Farey interval lies in [floor(t),
+        floor(t) + 1], and the Stern-Brocot descent to t meets them all
+        (Graham, Knuth and Patashnik, Concrete Mathematics, 4.5).  W is
+        the mediant l + r, A sends l and r to 0 and -1, and A r2p < -1
+        just when t >= l + r: W is a mediant where the descent steps
+        right, t itself among them.
+    The code reads these vertices in slope coordinates, through g^-1,
+    which keeps determinants.
+
+    The right steps come in runs W_k = l + k*r, k = 1..q, q at most a
+    partial quotient of t; floor(t) is W_0 of the first run, where l - r
+    is inf.  A_k sends W_(k-1), r and W_k to 0, -1 and inf, so
+    A_(k+1) = P A_k with P: z -> -1/(z + 2), which fixes -1 and keeps
+    num + den up to sign.  So mu = |a + c| is one number along a run (A
+    sends 0 to c/a).  The floors in the value are at most -2, and
+    exactly -2 inside the run, so every vertex of a run is worth at
+    least -mu, and all but its first and last exactly -mu:
+      - if c >= 0 or a = 0, the value is -(a + |c|);
+      - if -a <= c < 0, A^-1(-1/2) = W_(k-2) lies on the side of s (or
+        is s), so A s is in (-1, -1/2] and floor(1/(A s)) = -2;
+      - if c < -a, A^-1(-2) = W_(k+1) <= t, so A r2p is in [-2, -1).
+    The edge {inf, -1} bounds the arc [-inf, -1] that holds s and r2p,
+    and Farey edges do not cross, so the vertices lie in it too.  Hence
+    |b| <= |a| and |d| <= |c| = |W_(k-1).num|: the entry bound reads |a|
+    at k and k - 1 only.  On each side of the sign change of
+    a = W_k.num the normalised row is affine in k, with |a| growing away
+    from it.  So of the vertices worth -mu only the first, the last and
+    the two at the sign change can come first in order and meet the
+    bound.  At most four rows a run are tried: the work grows with the
+    number of partial quotients of t, whatever search_bound is.
     """
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
@@ -198,61 +220,62 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     if (sn, sd) == (pn, pd):
         return NFunctionResult(kind="sentinel")
 
-    delta = abs(sn * pd - pn * sd)
-    a_max = min(search_bound, max(abs(sn), abs(pn)))
-    b_max = min(search_bound, max(sd, pd))
-    rows = (a_max + 1) * (2 * b_max + 1)
-    if rows > MAX_PAIR_ROWS:
-        raise FamilyError(f"the pair search would scan {rows} rows; the limit is {MAX_PAIR_ROWS}")
-    best_value: int | None = None
-    best_infinite = False
-    best_row: tuple[int, int, int, int] | None = None
-
-    for a in range(0, a_max + 1):
-        b_range = (1,) if a == 0 else range(-b_max, b_max + 1)
-        for b in b_range:
-            # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to
-            # w2n / w2d; rows past the height bound cannot pass
-            vd, w2d = a * sd + b * sn, a * pd + b * pn
-            if abs(vd) + abs(w2d) > delta:
-                continue
-            if gcd(a, b) != 1:
-                continue
-            if vd == 0:
-                continue
-            # any solution of ad - bc = 1 differs from the one below by a
-            # multiple of (a, b)
-            _, x, y = _ext_gcd(a, b)
-            vn = -y * sd + x * sn
-            if vd < 0:
-                vn, vd = -vn, -vd
-            k = -vn // vd  # floor(-vs): the shift that puts A s in (-1, 0]
-            c, d = k * a - y, k * b + x
-            if abs(c) > search_bound or abs(d) > search_bound:
-                continue
-            # A r2p = w2n / w2d must lie in [-inf, -1)
-            w2n = c * pd + d * pn
-            if w2d != 0 and (w2n + w2d) * w2d >= 0:
-                continue
-            # split on a0 = c/a: t = 0 on [0, inf], 1/(A s) on [-1, 0), else A r2p
-            if c >= 0 or a == 0:
-                t_num, t_den = 0, 1
-            elif c >= -a:
-                t_num, t_den = vd, vn + k * vd  # t = 1 / (A s)
-            else:
-                t_num, t_den = w2n, w2d  # t = A r2p
-            big, small = max(a, abs(c)), min(a, abs(c))
-            if t_den == 0:
-                if small >= 1:
-                    best_infinite, best_value, best_row = True, None, (a, b, c, d)
-                    break
-                value = -big
-            else:
-                value = -small * (t_num // t_den + 1) - big
-            if best_value is None or value > best_value:
-                best_value, best_row = value, (a, b, c, d)
-        if best_infinite:
+    _, x, y = _ext_gcd(sn, sd)
+    fl = (x * pn + y * pd) // (sn * pd - sd * pn)  # floor(t), t = g(r2p)
+    ln, ld = sn * fl - y, sd * fl + x  # g^-1 of floor(t)
+    rn, rd = ln + sn, ld + sd  # g^-1 of floor(t) + 1
+    rows, first = set(), 0
+    while True:
+        # l <= t < r, so -dl/dr >= 0: one right run W_k = l + k*r, k = first..q
+        dl, dr = ln * pd - ld * pn, rn * pd - rd * pn
+        q = -dl // dr
+        f = -ln // rn  # W_k.num changes sign after f; r in [-inf, -1] has r.num != 0
+        for k in {first, q} | {k for k in (f, f + 1) if first < k < q}:
+            a, b = ln + k * rn, -(ld + k * rd)
+            rows.add((a, b) if (a, b) > (0, 0) else (-a, -b))
+        ln, ld, dl = ln + q * rn, ld + q * rd, dl + q * dr
+        if dl == 0:
             break
+        # the left run r + j*l, j = 1..p, has no passing vertex
+        p = -(dr // dl) - 1
+        rn, rd, first = rn + p * ln, rd + p * ld, 1
+
+    best_value, best_infinite, best_row = None, False, None
+    for a, b in sorted(rows):
+        if a > search_bound or abs(b) > search_bound:
+            continue
+        # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to w2n / w2d;
+        # ad - bc = 1 fixes (c, d) up to a multiple of (a, b)
+        vd, w2d = a * sd + b * sn, a * pd + b * pn
+        _, x, y = _ext_gcd(a, b)
+        vn = -y * sd + x * sn
+        if vd < 0:
+            vn, vd = -vn, -vd
+        k = -vn // vd  # floor(-vs): the shift that puts A s in (-1, 0]
+        c, d = k * a - y, k * b + x
+        if abs(c) > search_bound or abs(d) > search_bound:
+            continue
+        # A r2p = w2n / w2d must lie in [-inf, -1)
+        w2n = c * pd + d * pn
+        if w2d != 0 and (w2n + w2d) * w2d >= 0:
+            continue
+        # split on a0 = c/a: z = 0 on [0, inf], 1/(A s) on [-1, 0), else A r2p
+        if c >= 0 or a == 0:
+            z_num, z_den = 0, 1
+        elif c >= -a:
+            z_num, z_den = vd, vn + k * vd  # z = 1 / (A s)
+        else:
+            z_num, z_den = w2n, w2d  # z = A r2p
+        big, small = max(a, abs(c)), min(a, abs(c))
+        if z_den == 0:
+            if small >= 1:
+                best_infinite, best_value, best_row = True, None, (a, b, c, d)
+                break
+            value = -big
+        else:
+            value = -small * (z_num // z_den + 1) - big
+        if best_value is None or value > best_value:
+            best_value, best_row = value, (a, b, c, d)
     if best_row is None:
         return NFunctionResult(kind="bound")
     out = NFunctionResult(
@@ -455,6 +478,10 @@ class BorromeanDecision:
     detail: str = ""
 
 
+_YES_INFINITE = BorromeanDecision(verdict="YES", detail="infinite coefficient")
+_YES_OUTSIDE = BorromeanDecision(verdict="YES", detail="outside all exceptional regions")
+
+
 def decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
     """YES unless the coefficients land in an exceptional region.
 
@@ -462,14 +489,14 @@ def decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
     lens spaces, which is always realizable.
     """
     if 0 in (c.r1.den, c.r2.den, c.r3.den):
-        return BorromeanDecision(verdict="YES", detail="infinite coefficient")
+        return _YES_INFINITE
     in_a0, in_a2, in_a3 = borromean_membership(c)
     if in_a0 or in_a2 or in_a3:
         return BorromeanDecision(
             verdict="UNKNOWN", in_a0=in_a0, in_a2=in_a2, in_a3=in_a3,
             detail="coefficients lie in an exceptional region",
         )
-    return BorromeanDecision(verdict="YES", detail="outside all exceptional regions")
+    return _YES_OUTSIDE
 
 
 def borromean_presentation(c: BorromeanCoeffs) -> "SurgeryPresentation":

@@ -4,8 +4,8 @@ Each test invokes main() directly and checks stdout, stderr, and the
 return code; only the closed-stdout test, which needs a child that owns
 its stdout, the import-set tests, which need a cold interpreter, the
 node-limit test, which needs a child with capped memory, and the
-300-chain theta test, which runs the verb end to end in a fresh
-interpreter, run child processes. Exit code conventions: 0 on success (including UNKNOWN
+300-chain theta and tall Seifert tests, which run their verbs end to end
+in a fresh interpreter, run child processes. Exit code conventions: 0 on success (including UNKNOWN
 decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
 failures.
 """
@@ -447,17 +447,21 @@ def test_brieskorn_at_a_huge_search_bound(capsys):
     assert run(capsys, *argv, "--search-bound", "1000000000") == default
 
 
-def test_pair_search_past_the_row_limit_is_invalid_input(capsys, monkeypatch):
-    # r' = (-2, -3, -5); the first pair searched, (-2, -3), has hinge -2
-    # and a box of 4 * 3 rows, and the largest box, of (-5, -3), has 6 * 9
-    argv = ("brieskorn", "2", "3", "5", "--orientation", "-", "--search-bound", "1000000000")
-    default = run(capsys, *argv)
-    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 54)
-    assert run(capsys, *argv) == default
-    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 11)
-    assert run(capsys, *argv) == (
-        2, "", "error: the pair search would scan 12 rows; the limit is 11\n"
+def test_a_tall_seifert_pair_is_decided_in_a_child():
+    # r' = (-2001/2000, -3001/2000, -2): the first pair searched had a box
+    # of 3002 * 4001 rows at this bound.  The timeout only stops a hang.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", "seifert", "--coeff=2001", "--coeff=-3001/2000",
+         "--coeff=-2", "--search-bound=1000000000"],
+        capture_output=True, text=True, env=env, timeout=600,
     )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert "rprime: -2001/2000 -3001/2000 -2" in lines
+    assert lines[-4:] == [
+        "detail: pair (1, 2) bounds the rest", "pair: (1, 2)", "n: 3", "witness: [2 1; -3 -1]"
+    ]
 
 
 def test_borromean_unknown(capsys):

@@ -21,6 +21,7 @@ from steinkit.families import (
     MINUS_ONE,
     ZERO,
     BorromeanCoeffs,
+    BorromeanDecision,
     FamilyError,
     NFunctionResult,
     SeifertData,
@@ -452,6 +453,69 @@ def _reference_n_function(r1p, r2p, search_bound=100):
     return out
 
 
+def _box_n_function(r1p, r2p, search_bound=100):
+    """The integer box scan that the Farey walk replaced, kept as its oracle.
+
+    Rows (a, b) run in lexicographic order over a <= min(search_bound,
+    max(|sn|, |pn|)) and |b| <= min(search_bound, max(sd, pd)), and a row
+    with |vd| + |w2d| > |delta| is skipped: with delta = sn*pd - pn*sd,
+    A s - A r2p = delta / (vd*w2d), and a passing row puts -1 between two
+    slopes of denominators |vd| and |w2d|.
+    """
+    _check_slope(r1p, "first coefficient")
+    _check_slope(r2p, "second coefficient")
+    _check_search_bound(search_bound)
+    sn, sd = _hinge(r1p)
+    pn, pd = r2p.num, r2p.den
+    if (sn, sd) == (pn, pd):
+        return NFunctionResult(kind="sentinel")
+    delta = abs(sn * pd - pn * sd)
+    a_max = min(search_bound, max(abs(sn), abs(pn)))
+    b_max = min(search_bound, max(sd, pd))
+    best_value, best_infinite, best_row = None, False, None
+    for a in range(0, a_max + 1):
+        for b in (1,) if a == 0 else range(-b_max, b_max + 1):
+            vd, w2d = a * sd + b * sn, a * pd + b * pn
+            if abs(vd) + abs(w2d) > delta or gcd(a, b) != 1 or vd == 0:
+                continue
+            _, x, y = _ext_gcd(a, b)
+            vn = -y * sd + x * sn
+            if vd < 0:
+                vn, vd = -vn, -vd
+            k = -vn // vd
+            c, d = k * a - y, k * b + x
+            if abs(c) > search_bound or abs(d) > search_bound:
+                continue
+            w2n = c * pd + d * pn
+            if w2d != 0 and (w2n + w2d) * w2d >= 0:
+                continue
+            if c >= 0 or a == 0:
+                t_num, t_den = 0, 1
+            elif c >= -a:
+                t_num, t_den = vd, vn + k * vd
+            else:
+                t_num, t_den = w2n, w2d
+            big, small = max(a, abs(c)), min(a, abs(c))
+            if t_den == 0:
+                if small >= 1:
+                    best_infinite, best_value, best_row = True, None, (a, b, c, d)
+                    break
+                value = -big
+            else:
+                value = -small * (t_num // t_den + 1) - big
+            if best_value is None or value > best_value:
+                best_value, best_row = value, (a, b, c, d)
+        if best_infinite:
+            break
+    if best_row is None:
+        return NFunctionResult(kind="bound")
+    out = NFunctionResult(
+        kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
+    )
+    _check_witness(out, ExtRational(sn, sd), r2p)
+    return out
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -497,70 +561,114 @@ def test_pair_function_matches_reference(r1p, r2p, bound):
 def test_pair_function_open_case_matches_reference(bound):
     rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
     for i, j in permutations(range(3), 2):
-        assert n_function(rp[i], rp[j], bound) == _reference_n_function(rp[i], rp[j], bound)
+        want = _reference_n_function(rp[i], rp[j], bound)
+        assert n_function(rp[i], rp[j], bound) == want
+        assert _box_n_function(rp[i], rp[j], bound) == want
 
 
-# INF and every slope in (-6, -1) with denominator at most 4
-_GRID = [INF] + [rat(-p, q) for q in range(1, 5) for p in range(q + 1, 6 * q) if gcd(p, q) == 1]
+# INF and every slope in (-6, -1) with denominator at most 4 (900 pairs),
+# or at most 7 (8,100 pairs)
+def _grid(max_den):
+    return [INF] + [
+        rat(-p, q) for q in range(1, max_den + 1) for p in range(q + 1, 6 * q) if gcd(p, q) == 1
+    ]
+
+
+_GRID = _grid(4)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 5])
 def test_pair_function_matches_reference_on_a_grid(bound):
+    assert len(_GRID) ** 2 == 900
     for r1p, r2p in product(_GRID, repeat=2):
         assert n_function(r1p, r2p, bound) == _reference_n_function(r1p, r2p, bound)
 
 
-def test_pair_function_scan_stops_at_the_heights(monkeypatch):
-    # no row past max(|sn|, |pn|) or max(sd, pd) can pass, so a huge
-    # bound scans no more rows than the slopes' heights allow
-    rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 8])
+def test_pair_function_matches_the_box_on_the_wide_grid(bound):
+    grid = _grid(7)
+    assert len(grid) ** 2 == 8100
+    for r1p, r2p in product(grid, repeat=2):
+        assert n_function(r1p, r2p, bound) == _box_n_function(r1p, r2p, bound)
+
+
+# slopes of height up to 10**4, including long partial quotients
+tall_slope = st.one_of(
+    st.just(INF),
+    st.integers(min_value=-10**4, max_value=-2).map(rat),
+    st.tuples(
+        st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=5000)
+    ).map(lambda t: rat(-t[0] - t[1], t[0])),
+    st.tuples(
+        st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=9)
+    ).map(lambda t: rat(-t[0] * t[1] - 1, t[0])),
+)
+
+
+@given(tall_slope, tall_slope, st.integers(min_value=1, max_value=60))
+@example(rat(-2001, 2000), rat(-3001, 2000), 60)
+@example(rat(-2), rat(-10**4), 60)
+@settings(max_examples=150, deadline=None)
+def test_pair_function_matches_the_box_on_tall_slopes(r1p, r2p, bound):
+    assert _outcome(n_function, r1p, r2p, bound) == _outcome(_box_n_function, r1p, r2p, bound)
+
+
+def test_pair_function_matches_the_box_at_a_huge_bound():
+    # the box stops at the heights, at most 400 here, whatever the bound
+    rng = random.Random(17)
+    pairs = [(rat(-(h + 1), h), rat(-(3 * h // 2 + 1), h)) for h in (2, 7, 40, 150, 400)]
+    while len(pairs) < 12:
+        p, q = rng.randint(1, 400), rng.randint(1, 400)
+        pairs.append((rat(-p - q, p), rat(-rng.randint(2, 400), rng.randint(1, 40))))
+    for r1p, r2p in pairs:
+        for a, b in ((r1p, r2p), (r2p, r1p)):
+            assert _outcome(n_function, a, b, 10**9) == _outcome(_box_n_function, a, b, 10**9)
+
+
+def _stern_brocot_steps(r1p, r2p):
+    """Mediants the Stern-Brocot descent visits on its way from
+    [floor(t), floor(t) + 1] to t = g(r2p), and t's partial quotients."""
+    s = rat(*_hinge(r1p))
+    _, x, y = _ext_gcd(s.num, s.den)
+    t = MobiusMap(s.num, -s.den, y, x).apply(r2p)  # r -> (y + x r) / (sn - sd r) = g(r)
+    quotients = []
+    frac = floor_frac(t)[1]
+    while frac != ZERO:
+        q, frac = floor_frac(frac.reciprocal())
+        quotients.append(q)
+    return max(sum(quotients) - 1, 0), len(quotients)
+
+
+def test_pair_function_rows_follow_the_farey_path(monkeypatch):
+    # n_function calls _ext_gcd once for g and once per row it tries
     calls = Counter()
-    real_gcd = families.gcd
+    real = families._ext_gcd
 
-    def counting_gcd(a, b):
-        calls["gcd"] += 1
-        return real_gcd(a, b)
+    def counting(a, b):
+        calls["rows"] += 1
+        return real(a, b)
 
-    monkeypatch.setattr(families, "gcd", counting_gcd)
-    for i, j in permutations(range(3), 2):
-        (sn, sd), r2p = _hinge(rp[i]), rp[j]
-        a_max = max(abs(sn), abs(r2p.num))
-        b_max = max(sd, r2p.den)
-        calls.clear()
-        res = n_function(rp[i], rp[j], 10**6)
-        assert calls["gcd"] <= (a_max + 1) * (2 * b_max + 1)
-        assert res == n_function(rp[i], rp[j], 50)
-
-
-def test_pair_search_at_and_past_the_row_limit(monkeypatch):
-    # s = -7/5 and r2p = -11/3: the box is clipped to a <= 11, |b| <= 5
-    # by the heights, or to the search bound when that is smaller
-    r1p, r2p = rat(-7, 2), rat(-11, 3)
-    assert _hinge(r1p) == (-7, 5)
-    for bound, rows in [(10**9, 12 * 11), (3, 4 * 7)]:
-        want = n_function(r1p, r2p, bound)
-        monkeypatch.setattr(families, "MAX_PAIR_ROWS", rows)
-        assert n_function(r1p, r2p, bound) == want
-        monkeypatch.setattr(families, "MAX_PAIR_ROWS", rows - 1)
-        with pytest.raises(
-            FamilyError, match=rf"^the pair search would scan {rows} rows; the limit is {rows - 1}$"
-        ):
+    monkeypatch.setattr(families, "_ext_gcd", counting)
+    rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
+    pairs = [(rp[i], rp[j]) for i, j in permutations(range(3), 2)]
+    pairs += [(rat(-2001, 2000), rat(-3001, 2000)), (rat(-2), rat(-10**9)),
+              (rat(-7, 2), rat(-11, 3)), (rat(-89, 55), rat(-10**6 - 1, 10**6))]
+    for r1p, r2p in pairs:
+        steps, quotients = _stern_brocot_steps(r1p, r2p)
+        for bound in (50, 10**6, 10**30):
+            calls.clear()
             n_function(r1p, r2p, bound)
-    # the sentinel scans nothing
-    monkeypatch.setattr(families, "MAX_PAIR_ROWS", 0)
-    assert n_function(rat(-2), rat(-2), 10**9).kind == "sentinel"
+            assert calls["rows"] - 1 <= 2 * (steps + 2)
+            assert calls["rows"] - 1 <= 4 * (quotients + 1)
+    for i, j in permutations(range(3), 2):
+        assert n_function(rp[i], rp[j], 10**6) == n_function(rp[i], rp[j], 50)
 
 
-def test_a_pair_past_the_row_limit_is_refused_before_the_scan():
-    # s = -2001 and r2p = -3001/2000 at B = 10**9: 3002 * 4001 rows, about
-    # 5 s of scanning, so the pair is tested only by its error
-    rows = 3002 * 4001
-    assert rows > families.MAX_PAIR_ROWS
-    with pytest.raises(
-        FamilyError,
-        match=rf"^the pair search would scan {rows} rows; the limit is {families.MAX_PAIR_ROWS}$",
-    ):
-        n_function(rat(-2001, 2000), rat(-3001, 2000), 10**9)
+def test_the_tall_pair_answers_with_value_three():
+    # the box scan of this pair at B = 10**9 had 3002 * 4001 rows
+    res = n_function(rat(-2001, 2000), rat(-3001, 2000), 10**9)
+    assert (res.kind, res.value, res.infinite) == ("bound", 3, False)
+    assert res.witness == MobiusMap(2, 1, -3, -1)
 
 
 @st.composite
@@ -979,15 +1087,44 @@ near_edge = st.tuples(
 any_coeff = st.one_of(near_edge, maybe_inf)
 
 
+def _reference_decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
+    if any(r.is_infinite for r in c.as_tuple()):
+        return BorromeanDecision(verdict="YES", detail="infinite coefficient")
+    in_a0, in_a2, in_a3 = _reference_borromean_membership(c)
+    if in_a0 or in_a2 or in_a3:
+        return BorromeanDecision(
+            verdict="UNKNOWN", in_a0=in_a0, in_a2=in_a2, in_a3=in_a3,
+            detail="coefficients lie in an exceptional region",
+        )
+    return BorromeanDecision(verdict="YES", detail="outside all exceptional regions")
+
+
 @given(any_coeff, any_coeff, any_coeff)
 @example(INF, rat(1), rat(1))
 @settings(max_examples=300)
 def test_borromean_decision_matches_the_reference(r1, r2, r3):
     c = BorromeanCoeffs(r1, r2, r3)
     assert _outcome(borromean_membership, c) == _outcome(_reference_borromean_membership, c)
-    with patch.object(families, "borromean_membership", _reference_borromean_membership):
-        want = decide_borromean(c)
-    assert decide_borromean(c) == want
+    assert decide_borromean(c) == _reference_decide_borromean(c)
+
+
+def test_a_yes_decision_builds_no_decision_object(monkeypatch):
+    # the two YES answers are shared frozen values; only UNKNOWN builds one
+    triples = [BorromeanCoeffs(*t) for t in product(_NEAR_EDGES[::3] + [INF], repeat=3)]
+    built = Counter()
+
+    def counting(*args, **kwargs):
+        built["decision"] += 1
+        return BorromeanDecision(*args, **kwargs)
+
+    monkeypatch.setattr(families, "BorromeanDecision", counting)
+    verdicts = Counter()
+    for c in triples:
+        dec = decide_borromean(c)
+        assert dec == _reference_decide_borromean(c)
+        verdicts[dec.verdict] += 1
+    assert verdicts["YES"] and verdicts["UNKNOWN"]
+    assert built["decision"] == verdicts["UNKNOWN"]
 
 
 def test_decide_borromean_builds_no_extrational(monkeypatch):

@@ -650,63 +650,34 @@ def stabilize(
 # the six local moves
 
 
-def _wiring(events, n_in, tags):
-    """Identity-tracked wiring of a short event word, or None if invalid.
+_DELTA = {"L": 2, "R": -2, "X": 0}  # change in strand count across a column
 
-    Strands are labelled by input height or by (birth tag, branch); the
-    result captures the output position of every surviving strand, which
-    pairs die together, and the multiset of crossing pairs.
-    """
-    current = [("i", h) for h in range(1, n_in + 1)]
-    deaths = set()
-    crossings = []
-    for e, tag in zip(events, tags):
-        c = len(current)
-        p = e.pos
-        if e.kind == "L":
-            if not 1 <= p <= c + 1:
-                return None
-            current[p - 1 : p - 1] = [("b", tag, 0), ("b", tag, 1)]
-        elif e.kind == "R":
-            if not 1 <= p <= c - 1:
-                return None
-            deaths.add(frozenset((current[p - 1], current[p])))
-            del current[p - 1 : p + 1]
-        else:
-            if not 1 <= p <= c - 1:
-                return None
-            crossings.append(frozenset((current[p - 1], current[p])))
-            current[p - 1], current[p] = current[p], current[p - 1]
-    out = tuple(sorted((sid, pos + 1) for pos, sid in enumerate(current)))
-    cross_multiset = tuple(sorted(tuple(sorted(fs)) for fs in crossings))
-    return out, frozenset(deaths), cross_multiset
+
+def _footprint(e: Event, gap: str) -> tuple[int, int]:
+    """The doubled heights e covers at one side: a point for kind gap, else a pair."""
+    return (2 * e.pos - 1,) * 2 if e.kind == gap else (2 * e.pos, 2 * e.pos + 2)
 
 
 def _move1(d: FrontDiagram, at: int):
+    """Swap columns at and at + 1 by the footprint rule in apply_move."""
     if len(d.events) < 2:
         raise FrontError("move 1 needs at least two columns")
     if not 1 <= at <= len(d.events) - 1:
         raise FrontError(f"move 1 needs two columns starting at 1..{len(d.events) - 1}")
     a, b = d.events[at - 1], d.events[at]
-    n_in = d.trace.counts[at - 1]
-    target = _wiring([a, b], n_in, (0, 1))
-    found = []
-    for q in (b.pos - 2, b.pos, b.pos + 2):
-        if q < 1:
-            continue
-        for p in (a.pos - 2, a.pos, a.pos + 2):
-            if p < 1:
-                continue
-            candidate = [Event(b.kind, q), Event(a.kind, p)]
-            if _wiring(candidate, n_in, (1, 0)) == target:
-                found.append(candidate)
-    # like columns two heights apart also match their own wiring unchanged
-    found = [c for c in found if c != [a, b]] or found
-    if not found:
-        raise FrontError(f"move 1 not applicable at column {at}: the columns interact")
-    if len(found) > 1:
+    a_lo, a_hi = _footprint(a, "R")  # what a leaves behind
+    b_lo, b_hi = _footprint(b, "L")  # what b takes in
+    if b_hi < a_lo:
+        swapped = (b, Event(a.kind, a.pos + _DELTA[b.kind]))
+    elif a_hi < b_lo:
+        swapped = (Event(b.kind, b.pos - _DELTA[a.kind]), a)
+    elif a == b:  # only X p X p gets here: equal L or R columns are apart
+        swapped = (a, b)
+    elif a.kind == "R" and b.kind == "L":  # two gaps touch only at the same p
         raise FrontError(f"move 1 ambiguous at column {at}")
-    events = d.events[: at - 1] + tuple(found[0]) + d.events[at + 1 :]
+    else:
+        raise FrontError(f"move 1 not applicable at column {at}: the columns interact")
+    events = d.events[: at - 1] + swapped + d.events[at + 1 :]
     return d.slots, events, at, at + 1, 0
 
 
@@ -888,6 +859,15 @@ def apply_move(
     pattern; move 2 needs a birth/death variant).  Moves 4 and 5 slide a
     cusp or crossing through a handle via the box edges.  Move 6 swings
     the top or bottom strand of a ball around it; 'at' is ignored.
+
+    Move 1 swaps columns a = at and b = at + 1 by their footprints on
+    the boundary between them, in doubled heights: the strand pair at p
+    spans [2p, 2p + 2] and the gap above strand p is the point 2p - 1.
+    a leaves behind a gap (R) or a pair (L, X); b takes in a gap (L) or
+    a pair (R, X).  With D the change in strand count (L +2, R -2,
+    X 0), b strictly above a gives (b, a at pos + D(b)), and b strictly
+    below a gives (b at pos - D(a), a).  Otherwise X p X p stays as it
+    is, R p L p is ambiguous, and every other pair interacts.
     """
     if move == 1:
         if at is None:
@@ -1006,8 +986,8 @@ def parse_front(text: str) -> FrontDiagram:
 
     Headers: 'front 1' then 'handles <n>' with one 'handle <h> slots <k>'
     line per handle.  Body: one optional 'events ...' line, 'orient <id>
-    +|-' and 'coeff <id> <rational>|stein' lines.  Unknown keys are
-    errors.
+    +|-' and 'coeff <id> <rational>|stein' lines, at most one of each per
+    component.  Unknown keys are errors.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1030,8 +1010,8 @@ def parse_front(text: str) -> FrontDiagram:
 
     slots: dict[int, int] = {}
     events: tuple[Event, ...] | None = None
-    orient_lines: list[tuple[int, int, int]] = []
-    coeff_lines: list[tuple[int, int, object]] = []
+    # per key, component id -> (line number, value)
+    values: dict[str, dict[int, tuple[int, object]]] = {"orient": {}, "coeff": {}}
     for lineno, body in lines[2:]:
         fields = body.split()
         key = fields[0]
@@ -1054,26 +1034,25 @@ def parse_front(text: str) -> FrontDiagram:
                 events = parse_event_word(" ".join(fields[1:]))
             except FrontError as exc:
                 raise FrontError(f"line {lineno}: {exc}") from exc
-        elif key == "orient" and len(fields) == 3:
+        elif key in values and len(fields) == 3:
             try:
                 cid = parse_int(fields[1])
             except ValueError as exc:
                 raise FrontError(f"line {lineno}: bad component index") from exc
-            if fields[2] not in ("+", "-"):
-                raise FrontError(f"line {lineno}: orientation must be + or -")
-            orient_lines.append((lineno, cid, 1 if fields[2] == "+" else -1))
-        elif key == "coeff" and len(fields) == 3:
-            try:
-                cid = parse_int(fields[1])
-            except ValueError as exc:
-                raise FrontError(f"line {lineno}: bad component index") from exc
-            if fields[2] == STEIN:
-                coeff_lines.append((lineno, cid, STEIN))
+            if cid in values[key]:
+                raise FrontError(f"line {lineno}: duplicate {key} for component {cid}")
+            if key == "orient":
+                if fields[2] not in ("+", "-"):
+                    raise FrontError(f"line {lineno}: orientation must be + or -")
+                val = 1 if fields[2] == "+" else -1
+            elif fields[2] == STEIN:
+                val = STEIN
             else:
                 try:
-                    coeff_lines.append((lineno, cid, parse_rational(fields[2])))
+                    val = parse_rational(fields[2])
                 except ValueError as exc:
                     raise FrontError(f"line {lineno}: {exc}") from exc
+            values[key][cid] = lineno, val
         else:
             raise FrontError(f"line {lineno}: unknown or malformed key {key!r}")
 
@@ -1083,16 +1062,11 @@ def parse_front(text: str) -> FrontDiagram:
     slot_tuple = tuple(slots[h] for h in range(1, n_handles + 1))
     d = FrontDiagram(slot_tuple, events if events is not None else ())
     n = n_components(d)
-    orientations = {}
-    coefficients = {}
-    for lineno, cid, val in orient_lines:
-        if not 1 <= cid <= n:
-            raise FrontError(f"line {lineno}: component {cid} out of range 1..{n}")
-        orientations[cid] = val
-    for lineno, cid, val in coeff_lines:
-        if not 1 <= cid <= n:
-            raise FrontError(f"line {lineno}: component {cid} out of range 1..{n}")
-        coefficients[cid] = val
+    for per in values.values():
+        for cid, (lineno, _) in per.items():
+            if not 1 <= cid <= n:
+                raise FrontError(f"line {lineno}: component {cid} out of range 1..{n}")
+    orientations, coefficients = ({cid: v for cid, (_, v) in per.items()} for per in values.values())
     return _attach(d, orientations, coefficients)
 
 

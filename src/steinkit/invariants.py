@@ -15,13 +15,13 @@ from math import gcd
 
 from .numerics import (
     ExtRational,
+    Gf2Solution,
     InternalError,
     SmithForm,
     _bordered_congruence,
     first_asymmetry,
     mat_vec,
     rat,
-    signature,
     smith_normal_form,
     solve_gf2_affine,
 )
@@ -43,7 +43,9 @@ class SteinPresentation:
 
     Presentations are frozen: q and runs are stored as tuples of rows
     and rot as a tuple.  Construction validates the data once and builds
-    Q* once; the Smith form of Q* is taken at most once, on first use.
+    Q* once; the Smith form of Q*, its characteristic solutions mod 2 and
+    its congruence bordered by the Chern cocycle are each taken at most
+    once, on first use.
     """
 
     q: tuple[tuple[int, ...], ...]
@@ -87,6 +89,23 @@ class SteinPresentation:
     def smith_form(self) -> SmithForm:
         """The Smith form of Q*, computed on first use and kept."""
         return smith_normal_form(self._qs)
+
+    @cached_property
+    def _characteristic_solutions(self) -> Gf2Solution:
+        """The solutions v of Q* v = diag(Q*) mod 2, found on first use and kept."""
+        qs = self._qs
+        sol = solve_gf2_affine(qs, [qs[i][i] for i in range(len(qs))])
+        if sol is None:
+            # the diagonal of a symmetric matrix always lies in its column space mod 2
+            raise InternalError("internal: the framing diagonal is not in the column space mod 2")
+        return sol
+
+    @cached_property
+    def _chern_congruence(self) -> tuple[int, int, int, tuple[int, int] | None]:
+        """_bordered_congruence of Q* by the Chern cocycle on both sides:
+        the inertia of Q* and c^T Q*^+ c, computed on first use and kept."""
+        c = chern_cocycle(self)
+        return _bordered_congruence(self._qs, c, c)
 
     @cached_property
     def _rot_l0(self) -> tuple[int, ...]:
@@ -168,21 +187,12 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     never empty; it has 2^k entries where k is the mod-2 nullity of the
     full linking matrix.
     """
-    return [SpinStructure(sublink=v) for v in sorted(_characteristic_solutions(x).enumerate())]
+    return [SpinStructure(sublink=v) for v in sorted(x._characteristic_solutions.enumerate())]
 
 
 def characteristic_sublink_count(x: SteinPresentation) -> int:
     """len(characteristic_sublinks(x)), 2^k, without enumerating them."""
-    return _characteristic_solutions(x).count()
-
-
-def _characteristic_solutions(x: SteinPresentation):
-    qs = x._qs
-    sol = solve_gf2_affine(qs, [qs[i][i] for i in range(len(qs))])
-    if sol is None:
-        # the diagonal of a symmetric matrix always lies in its column space mod 2
-        raise InternalError("internal: the framing diagonal is not in the column space mod 2")
-    return sol
+    return x._characteristic_solutions.count()
 
 
 def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
@@ -231,8 +241,7 @@ def theta(x: SteinPresentation) -> ExtRational:
     signature 0 plus q restricted to that kernel.  One bordered
     congruence of Q* by c gives both sigma and c^T Q*^+ c.
     """
-    c = chern_cocycle(x)
-    pos, _, neg, square = _bordered_congruence(x._qs, c, c)
+    pos, _, neg, square = x._chern_congruence
     if square is None:
         raise InvariantError("theta undefined: c1 has infinite order")
     num, den = square
@@ -254,5 +263,6 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     d = 0
     for v in free:
         d = gcd(d, abs(v))
-    base = _chi_sigma_term(x, signature(x._qs))
+    pos, _, neg, _ = x._chern_congruence
+    base = _chi_sigma_term(x, pos - neg)
     return d, (base % (2 * d) if d else base)

@@ -620,7 +620,7 @@ def inertia(matrix) -> tuple[int, int, int]:
         raise NumericsError("inertia needs a square matrix")
     scale = lcm(*{v.denominator for row in matrix for v in row})
     m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
-    if [list(col) for col in zip(*m)] != m:
+    if first_asymmetry(m) is not None:
         raise NumericsError("inertia needs a symmetric matrix")
     return _bordered_congruence(m, [0] * n, [0] * n)[:3]
 

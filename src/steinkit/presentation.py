@@ -491,7 +491,8 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     Headers: 'surgery 1' then 'components <m>', with m at most
     MAX_COMPONENTS.  Body keys: coeff, lk,
     unknot, l0, rot, tb.  Unknown keys are errors; every component needs
-    a coefficient; lk entries are symmetric and default to 0.
+    a coefficient and takes at most one coeff, rot and tb line; lk
+    entries are symmetric and default to 0.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -560,18 +561,16 @@ def parse_surgery(text: str) -> SurgeryPresentation:
             i = component(fields[1], lineno)
             l0[i] = True
             unknot[i] = True
-        elif key == "rot" and len(fields) == 3:
+        elif key in ("rot", "tb") and len(fields) == 3:
             i = component(fields[1], lineno)
+            values = rot if key == "rot" else tb
+            if values[i] is not None:
+                raise PresentationError(f"line {lineno}: duplicate {key} for component {i + 1}")
             try:
-                rot[i] = parse_int(fields[2])
+                values[i] = parse_int(fields[2])
             except ValueError as exc:
-                raise PresentationError(f"line {lineno}: bad rotation number") from exc
-        elif key == "tb" and len(fields) == 3:
-            i = component(fields[1], lineno)
-            try:
-                tb[i] = parse_int(fields[2])
-            except ValueError as exc:
-                raise PresentationError(f"line {lineno}: bad tb") from exc
+                what = "rotation number" if key == "rot" else "tb"
+                raise PresentationError(f"line {lineno}: bad {what}") from exc
         else:
             raise PresentationError(f"line {lineno}: unknown or malformed key {key!r}")
 

@@ -380,6 +380,24 @@ def test_plan(capsys, chain):
     assert "zigzags: 1" in lines
 
 
+@pytest.mark.parametrize(
+    "verb, text, repeat, lineno",
+    [
+        ("check-stein", TREFOIL, "coeff 1 5", 6),
+        ("plan", CHAIN.replace("-3", "-2"), "tb 1 7", 7),
+    ],
+)
+def test_a_repeated_value_line_exits_2(capsys, tmp_path, verb, text, repeat, lineno):
+    # the last line used to win: check-stein judged coefficient 5, and
+    # plan planned 8 zig-zags for tb 7
+    path = tmp_path / "repeat.txt"
+    path.write_text(text + repeat + "\n")
+    rc, out, err = run(capsys, verb, str(path))
+    assert (rc, out) == (2, "")
+    key = repeat.split()[0]
+    assert f"line {lineno}: duplicate {key} for component 1" in err
+
+
 def test_blowdown_requires_unit_coefficient(capsys, chain):
     rc, _, err = run(capsys, "blowdown", "1", chain)
     assert rc == 2

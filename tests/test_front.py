@@ -282,7 +282,7 @@ def crossing_heavy_front(rng, length):
     for _ in range(length):
         kind = "L" if c < 2 else rng.choice("LRXXXXXXXX" if c < 12 else "RXXXXXXXXX")
         events.append(Event(kind, rng.randint(1, c + 1 if kind == "L" else c - 1)))
-        c += {"L": 2, "R": -2, "X": 0}[kind]
+        c += DELTA[kind]
     while c > n:
         events.append(Event("R", rng.randint(1, c - 1)))
         c -= 2
@@ -828,6 +828,117 @@ def test_move1_needs_two_columns():
             apply_move(front(slots, word), 1, at=1)
 
 
+def _wiring(events, n_in, tags):
+    """Identity-tracked wiring of a short event word, or None if invalid.
+
+    Strands are labelled by input height or by (birth tag, branch); the
+    result captures the output position of every surviving strand, which
+    pairs die together, and the multiset of crossing pairs.
+    """
+    current = [("i", h) for h in range(1, n_in + 1)]
+    deaths = set()
+    crossings = []
+    for e, tag in zip(events, tags):
+        c = len(current)
+        p = e.pos
+        if e.kind == "L":
+            if not 1 <= p <= c + 1:
+                return None
+            current[p - 1 : p - 1] = [("b", tag, 0), ("b", tag, 1)]
+        elif e.kind == "R":
+            if not 1 <= p <= c - 1:
+                return None
+            deaths.add(frozenset((current[p - 1], current[p])))
+            del current[p - 1 : p + 1]
+        else:
+            if not 1 <= p <= c - 1:
+                return None
+            crossings.append(frozenset((current[p - 1], current[p])))
+            current[p - 1], current[p] = current[p], current[p - 1]
+    out = tuple(sorted((sid, pos + 1) for pos, sid in enumerate(current)))
+    cross_multiset = tuple(sorted(tuple(sorted(fs)) for fs in crossings))
+    return out, frozenset(deaths), cross_multiset
+
+
+def _reference_move1(a, b, n_in, at):
+    """Move 1 by search: every pair (b', a') with positions within two
+    of b's and a's whose wiring from n_in strands matches that of (a, b)."""
+    target = _wiring([a, b], n_in, (0, 1))
+    found = []
+    for q in (b.pos - 2, b.pos, b.pos + 2):
+        for p in (a.pos - 2, a.pos, a.pos + 2):
+            if q >= 1 and p >= 1:
+                candidate = (Event(b.kind, q), Event(a.kind, p))
+                if _wiring(candidate, n_in, (1, 0)) == target:
+                    found.append(candidate)
+    # like columns two heights apart also match their own wiring unchanged
+    found = [c for c in found if c != (a, b)] or found
+    if not found:
+        raise FrontError(f"move 1 not applicable at column {at}: the columns interact")
+    if len(found) > 1:
+        raise FrontError(f"move 1 ambiguous at column {at}")
+    return found[0]
+
+
+DELTA = {"L": 2, "R": -2, "X": 0}  # change in strand count across a column
+
+
+def _events_at(n):
+    """Every column that fits n strands."""
+    return [Event("L", p) for p in range(1, n + 2)] + [
+        Event(k, p) for k in "RX" for p in range(1, n)
+    ]
+
+
+def _move1_matches_reference(d, at) -> bool:
+    """Check apply_move against the search at column at; True if it applies."""
+    n_in = d.trace.counts[at - 1]
+    a, b = d.events[at - 1], d.events[at]
+    try:
+        want = _reference_move1(a, b, n_in, at)
+    except FrontError as exc:
+        with pytest.raises(FrontError) as refused:
+            apply_move(d, 1, at=at)
+        assert str(refused.value) == str(exc)
+        return False
+    nd = apply_move(d, 1, at=at)
+    assert nd.events == d.events[: at - 1] + want + d.events[at + 1 :]
+    return True
+
+
+def test_move1_matches_the_search_on_every_pair_of_columns():
+    outcomes = []
+    for n_in in range(14):
+        for a in _events_at(n_in):
+            n_mid = n_in + DELTA[a.kind]
+            for b in _events_at(n_mid):
+                # close the word back up to n_in strands past the pair
+                n_out = n_mid + DELTA[b.kind]
+                tail = [Event("R", 1)] * ((n_out - n_in) // 2) + [Event("L", 1)] * ((n_in - n_out) // 2)
+                d = FrontDiagram((n_in,), (a, b, *tail))
+                outcomes.append(_move1_matches_reference(d, 1))
+    assert len(outcomes) == 7001
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_move1_matches_the_search_among_hundreds_of_strands():
+    # the footprint rule does not look past the two columns, however many
+    # strands run through them; each column lands within three heights of
+    # the one before it, so the pairs both interact and commute
+    rng = random.Random(5)
+    n, c, p = 400, 400, 200
+    events = []
+    for _ in range(80):
+        kind = rng.choice("LRX")
+        p = min(max(p + rng.randint(-3, 3), 1), c + 1 if kind == "L" else c - 1)
+        events.append(Event(kind, p))
+        c += DELTA[kind]
+    events += [Event("R", 1)] * ((c - n) // 2) + [Event("L", 1)] * ((n - c) // 2)
+    d = FrontDiagram((n,), tuple(events), {}, {1: STEIN})
+    outcomes = [_move1_matches_reference(d, at) for at in range(1, 81)]
+    assert any(outcomes) and not all(outcomes)
+
+
 def test_move2_birth_death_round_trip():
     d = front((), TREFOIL)
     for at, variant, inverse in [
@@ -1177,6 +1288,15 @@ def test_parse_front_errors_carry_line_numbers():
     for header in ("handles 0 extra", "handles 0 0"):
         with pytest.raises(FrontError, match="line 2: bad handle count"):
             parse_front(f"front 1\n{header}\nevents L1 R1\n")
+
+
+@pytest.mark.parametrize("repeat", ["orient 1 +\norient 1 -", "coeff 1 stein\ncoeff 1 stein"])
+def test_parse_front_refuses_a_repeated_value_line(repeat):
+    # the last line used to win, even over the same value given twice
+    text = f"front 1\nhandles 0\nevents L1 R1\n{repeat}\n"
+    key = repeat.split()[0]
+    with pytest.raises(FrontError, match=rf"^line 5: duplicate {key} for component 1$"):
+        parse_front(text)
 
 
 def test_handle_count_is_bounded_by_the_body_lines():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import invariants
+from steinkit import invariants, numerics
 from steinkit.front import (
     STEIN,
     Event,
@@ -567,23 +567,44 @@ def test_theta_adds_over_disjoint_unions(seed):
 
 
 def test_theta_makes_one_congruence_pass(monkeypatch):
-    # sigma and c^T Q*^+ c come out of the same bordered elimination
+    # sigma and c^T Q*^+ c come out of the same bordered elimination, which
+    # the presentation keeps for theta_f0_and_d; inertia and signature run
+    # through numerics._bordered_congruence, so a second elimination counts
     calls = []
-    original = invariants._bordered_congruence
+    original = numerics._bordered_congruence
 
     def counting(q, x, y):
         calls.append((x, y))
         return original(q, x, y)
 
-    def refused(matrix):
-        raise AssertionError("theta ran a second elimination for sigma")
-
-    monkeypatch.setattr(invariants, "_bordered_congruence", counting)
-    monkeypatch.setattr(invariants, "signature", refused)
+    for module in (invariants, numerics):
+        monkeypatch.setattr(module, "_bordered_congruence", counting)
     x = SteinPresentation(q=[[-3, 1], [1, -2]], runs=[[1, 1]], rot=[1, 0])
     c = chern_cocycle(x)
     assert theta(x) == rat(-8, 7)
     assert calls == [(c, c)]
+    # the fallback when theta is undefined reads the same elimination
+    calls.clear()
+    x = SteinPresentation(q=[[0]], runs=[], rot=[2])
+    with pytest.raises(InvariantError, match="infinite order"):
+        theta(x)
+    assert theta_f0_and_d(x) == (2, 0)
+    assert calls == [([2], [2])]
+
+
+def test_characteristic_sublinks_solve_once(monkeypatch):
+    # gamma counts the sublinks before it lists them
+    calls = []
+    original = invariants.solve_gf2_affine
+
+    def counting(matrix, rhs):
+        calls.append(rhs)
+        return original(matrix, rhs)
+
+    monkeypatch.setattr(invariants, "solve_gf2_affine", counting)
+    x = SteinPresentation(q=[[2, 2], [2, -2]], runs=[[2, -2], [0, 0]], rot=[-2, 0])
+    assert characteristic_sublink_count(x) == len(characteristic_sublinks(x)) == 16
+    assert len(calls) == 1
 
 
 def minus_two_chain(n):

@@ -707,6 +707,15 @@ def test_surgery_parse_errors():
         parse_surgery("surgery 1\ncomponents 2\ncoeff 1 2\ncoeff 2 2\nlk 1 2 1\nlk 2 1 0\n")
 
 
+@pytest.mark.parametrize("repeat", ["coeff 1 5", "rot 1 0\nrot 1 0", "tb 1 -1\ntb 1 7"])
+def test_surgery_refuses_a_repeated_value_line(repeat):
+    # the last line used to win, even over the same value given twice
+    text = f"surgery 1\ncomponents 1\ncoeff 1 -2\nunknot 1\n{repeat}\n"
+    key, lineno = repeat.split()[0], len(text.splitlines())
+    with pytest.raises(PresentationError, match=rf"^line {lineno}: duplicate {key} for component 1$"):
+        parse_surgery(text)
+
+
 def test_component_count_is_bounded_by_the_body_lines():
     # every component needs a coeff line, so this count is refused before
     # any per-component list is built

@@ -13,14 +13,11 @@ one-directional.
 from dataclasses import dataclass
 from math import gcd
 
-from .numerics import INF, ZERO, ExtRational, InternalError, MobiusMap, floor_frac, rat, slope_less
+from .numerics import INF, ExtRational, InternalError, MobiusMap, rat
 
 
 class FamilyError(ValueError):
     pass
-
-
-MINUS_ONE = rat(-1)
 
 
 def _below(r: ExtRational, v: int) -> bool:
@@ -167,7 +164,8 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     the lexicographically first row (a, b) (a >= 0, and b = 1 when
     a = 0), and the first infinite bound in that order wins.  The
     sentinel fires when s equals r2p.  Only the witness becomes a
-    MobiusMap, and _check_witness re-derives its bound exactly.
+    MobiusMap, and no ExtRational is built: _check_witness re-derives
+    its bound exactly on ints, from the witness and the inputs alone.
 
     The passing maps lie on the Farey path from s to r2p.  A acts on the
     slope circle keeping its orientation and the Farey graph, so for a
@@ -281,37 +279,59 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     out = NFunctionResult(
         kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
     )
-    _check_witness(out, ExtRational(sn, sd), r2p)
+    _check_witness(out, sn, sd, r2p)
     return out
 
 
-def _check_witness(res: NFunctionResult, s: ExtRational, r2p: ExtRational):
+def _slope_text(n: int, d: int) -> str:
+    """n/d as str(ExtRational) writes it, for n/d in lowest terms."""
+    if d < 0:
+        n, d = -n, -d
+    return "inf" if d == 0 else str(n) if d == 1 else f"{n}/{d}"
+
+
+def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
     """Re-derive the reported bound from the witness alone.
 
-    This runs on ExtRational arithmetic, independently of the integer
-    search, and raises an internal error on any disagreement.  The
-    checks are explicit so that python -O keeps them.
+    It reads the witness A = [a b; c d], the hinge s = sn/sd (in lowest
+    terms), r2p and the reported value, never the search's rows or
+    shifts.  A s and A r2p are taken as int pairs with a nonnegative
+    denominator, the range tests are cross-multiplied, a0 = c/a is read
+    by sign (a >= 0 for a MobiusMap) and floors are taken with //.  It
+    raises an internal error on any disagreement; the checks are
+    explicit so that python -O keeps them.
     """
     w = res.witness
-    ws = w.apply(s)
-    if ws.is_infinite or not MINUS_ONE < ws <= ZERO:
-        raise InternalError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
-    w2 = w.apply(r2p)
-    if not slope_less(w2, MINUS_ONE):
-        raise InternalError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
-    a0 = ExtRational(w.c, w.a)
-    if a0.is_infinite or a0 >= ZERO:
-        t = ZERO
-    elif a0 >= MINUS_ONE:
-        t = ws.reciprocal()
+    a, b, c, d = w.a, w.b, w.c, w.d
+    vn, vd = c * sd + d * sn, a * sd + b * sn  # A s
+    if vd < 0:
+        vn, vd = -vn, -vd
+    if vd == 0 or not -vd < vn <= 0:
+        raise InternalError(
+            f"internal: witness {w} sends the hinge {_slope_text(sn, sd)} to "
+            f"{_slope_text(vn, vd)}, outside (-1, 0]"
+        )
+    pn, pd = r2p.num, r2p.den
+    w2n, w2d = c * pd + d * pn, a * pd + b * pn  # A r2p
+    if w2d < 0:
+        w2n, w2d = -w2n, -w2d
+    if w2d != 0 and not w2n < -w2d:
+        raise InternalError(
+            f"internal: witness {w} sends {r2p} to {_slope_text(w2n, w2d)}, outside [-inf, -1)"
+        )
+    # t: 0 for a0 in [0, inf], 1/(A s) for a0 in [-1, 0), else A r2p
+    if a == 0 or c >= 0:
+        t_num, t_den = 0, 1
+    elif c >= -a:
+        t_num, t_den = vd, vn
     else:
-        t = w2
-    big, small = max(abs(w.a), abs(w.c)), min(abs(w.a), abs(w.c))
-    if t.is_infinite:
+        t_num, t_den = w2n, w2d
+    big, small = max(abs(a), abs(c)), min(abs(a), abs(c))
+    if t_den == 0:
         infinite = small >= 1
         value = None if infinite else -big
     else:
-        infinite, value = False, -small * (floor_frac(t)[0] + 1) - big
+        infinite, value = False, -small * (t_num // t_den + 1) - big
     if (res.infinite, res.value) != (infinite, value):
         raise InternalError(
             f"internal: witness {w} certifies value={value} infinite={infinite}, "

@@ -42,9 +42,13 @@ class ExtRational:
     den: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
-            raise NumericsError(f"ExtRational needs ints, got {self.num!r}/{self.den!r}")
         num, den = self.num, self.den
+        if type(num) is not int or type(den) is not int:
+            if not isinstance(num, int) or not isinstance(den, int):
+                raise NumericsError(f"ExtRational needs ints, got {num!r}/{den!r}")
+            # a bool is stored as the plain int it equals, which is what
+            # str() writes and parse_rational reads back
+            num, den = int(num), int(den)
         if den == 0:
             if num == 0:
                 raise NumericsError("0/0 is not a point of the projective line")
@@ -225,7 +229,8 @@ class MobiusMap:
 
     The layout matches slope coordinates: rows (a, b) and (c, d), acting on
     the projective rational line with inf -> d/b.  Maps are canonicalised to
-    a single sign representative, so equal maps compare equal.
+    a single sign representative, so equal maps compare equal.  Entries
+    must be ints; a bool is stored as the int it equals.
     """
 
     a: int
@@ -234,6 +239,12 @@ class MobiusMap:
     d: int
 
     def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
+            entries = (self.a, self.b, self.c, self.d)
+            if not all(isinstance(v, int) for v in entries):
+                raise NumericsError(f"MobiusMap needs int entries, got {entries!r}")
+            for name, v in zip("abcd", entries):
+                object.__setattr__(self, name, int(v))
         if self.a * self.d - self.b * self.c != 1:
             raise NumericsError(
                 f"MobiusMap needs determinant 1, got {self.a * self.d - self.b * self.c}"

@@ -254,8 +254,8 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     # the certificate check itself runs, on a search result that is one off
     check = families._check_witness
 
-    def corrupted(res, s, r2p):
-        check(res if res.value is None else replace(res, value=res.value - 1), s, r2p)
+    def corrupted(res, sn, sd, r2p):
+        check(res if res.value is None else replace(res, value=res.value - 1), sn, sd, r2p)
 
     monkeypatch.setattr(families, "_check_witness", corrupted)
     rc, out, err = run(capsys, "brieskorn", "2", "3", "5", "--orientation", "-")

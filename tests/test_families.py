@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 
 from steinkit import families
 from steinkit.families import (
-    MINUS_ONE,
-    ZERO,
     BorromeanCoeffs,
     BorromeanDecision,
     FamilyError,
@@ -43,8 +41,19 @@ from steinkit.families import (
     twist_knot_surgery,
     two_component_surgery,
 )
-from steinkit.numerics import INF, ExtRational, InternalError, MobiusMap, floor_frac, rat, slope_less
+from steinkit.numerics import (
+    INF,
+    ZERO,
+    ExtRational,
+    InternalError,
+    MobiusMap,
+    floor_frac,
+    rat,
+    slope_less,
+)
 from steinkit.presentation import SurgeryPresentation, cokernel, h1
+
+MINUS_ONE = rat(-1)
 
 
 def sphere(*coeffs):
@@ -449,7 +458,7 @@ def _reference_n_function(r1p, r2p, search_bound=100):
         infinite=best_infinite,
         witness=best_witness,
     )
-    _check_witness(out, s, r2p)
+    _check_witness(out, s.num, s.den, r2p)
     return out
 
 
@@ -512,7 +521,7 @@ def _box_n_function(r1p, r2p, search_bound=100):
     out = NFunctionResult(
         kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
     )
-    _check_witness(out, ExtRational(sn, sd), r2p)
+    _check_witness(out, sn, sd, r2p)
     return out
 
 
@@ -710,18 +719,17 @@ def test_pair_function_builds_constant_objects(monkeypatch):
             counts.clear()
             res = n_function(rp[i], rp[j], bound)
             assert res.witness is not None
-            # the witness plus what _check_witness builds, whatever the bound
-            assert counts["MobiusMap"] == 1
-            assert counts["ExtRational"] <= 16
+            # the witness alone, whatever the bound: _check_witness runs on ints
+            assert counts["MobiusMap"] == 1 and counts["ExtRational"] == 0
             seen.append(dict(counts))
         assert seen[0] == seen[1]
 
 
 def test_check_witness_rejects_corrupted_results():
     for r1p, r2p in [(rat(-2), rat(-7, 2)), (rat(-2), rat(-3, 2))]:
-        s = rat(*_hinge(r1p))
+        sn, sd = _hinge(r1p)
         res = n_function(r1p, r2p, 30)
-        _check_witness(res, s, r2p)
+        _check_witness(res, sn, sd, r2p)
         if res.infinite:
             bad = [replace(res, infinite=False, value=-3)]
         else:
@@ -730,7 +738,109 @@ def test_check_witness_rejects_corrupted_results():
         bad.append(replace(res, witness=MobiusMap(1, 0, 0, 1)))  # sends s to s <= -1
         for b in bad:
             with pytest.raises(InternalError, match="internal"):
-                _check_witness(b, s, r2p)
+                _check_witness(b, sn, sd, r2p)
+
+
+def _reference_witness_bound(w, s, r2p):
+    """(infinite, value) that the witness w certifies, on ExtRational
+    arithmetic; an internal error when w misses the ranges."""
+    ws = w.apply(s)
+    if ws.is_infinite or not MINUS_ONE < ws <= ZERO:
+        raise InternalError(f"internal: witness {w} sends the hinge {s} to {ws}, outside (-1, 0]")
+    w2 = w.apply(r2p)
+    if not slope_less(w2, MINUS_ONE):
+        raise InternalError(f"internal: witness {w} sends {r2p} to {w2}, outside [-inf, -1)")
+    a0 = ExtRational(w.c, w.a)
+    if a0.is_infinite or a0 >= ZERO:
+        t = ZERO
+    elif a0 >= MINUS_ONE:
+        t = ws.reciprocal()
+    else:
+        t = w2
+    big, small = max(abs(w.a), abs(w.c)), min(abs(w.a), abs(w.c))
+    if t.is_infinite:
+        infinite = small >= 1
+        return infinite, None if infinite else -big
+    return False, -small * (floor_frac(t)[0] + 1) - big
+
+
+def _reference_check_witness(res, s, r2p):
+    """The ExtRational certificate check that the int one replaced, kept as its oracle."""
+    infinite, value = _reference_witness_bound(res.witness, s, r2p)
+    if (res.infinite, res.value) != (infinite, value):
+        raise InternalError(
+            f"internal: witness {res.witness} certifies value={value} infinite={infinite}, "
+            f"the search reported value={res.value} infinite={res.infinite}"
+        )
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except InternalError as e:
+        return str(e)
+    return "pass"
+
+
+small_slope = st.one_of(
+    st.just(INF),
+    st.tuples(st.integers(-60, 60), st.integers(1, 20)).map(lambda t: rat(*t)),
+)
+
+
+@st.composite
+def witness_cases(draw):
+    """A det-1 map A with entries at most 20, a hinge s and r2p, and a result.
+
+    s and r2p are drawn at random or as preimages under A of points of
+    (-1, 0] and [-inf, -1), so that both the range tests and the value
+    comparison are reached.  The reported result is the value the oracle
+    certifies, or that value perturbed.
+    """
+    a, b = draw(st.integers(0, 20)), draw(st.integers(-20, 20))
+    g = gcd(a, b)
+    a, b = (a // g, b // g) if g else (0, 1)
+    _, x, y = _ext_gcd(a, b)
+    # ad - bc = ax + by = 1 for every shift k; at least two of these
+    # seven keep c and d within 20
+    base = y // a if a else 0
+    rows = [(k * a - y, k * b + x) for k in range(base - 3, base + 4)]
+    c, d = draw(st.sampled_from([(c, d) for c, d in rows if max(abs(c), abs(d)) <= 20]))
+    w, inverse = MobiusMap(a, b, c, d), MobiusMap(d, -b, -c, a)
+    if draw(st.booleans()):
+        ud = draw(st.integers(1, 20))
+        s = inverse.apply(rat(draw(st.integers(-ud + 1, 0)), ud))
+    else:
+        s = draw(small_slope)
+    if draw(st.booleans()):
+        vd = draw(st.integers(0, 20))
+        v = INF if vd == 0 else rat(draw(st.integers(-3 * vd - 3, -vd - 1)), vd)
+        r2p = inverse.apply(v)
+    else:
+        r2p = draw(small_slope)
+    try:
+        infinite, value = _reference_witness_bound(w, s, r2p)
+    except InternalError:
+        infinite, value = False, None
+    shift = draw(st.sampled_from(["none", "none", "up", "down", "flip"]))
+    if shift == "flip":
+        infinite = not infinite
+        value = None if infinite else draw(st.integers(-50, 0))
+    elif shift != "none":
+        step = draw(st.integers(1, 3))
+        value = -3 if value is None else value + (step if shift == "up" else -step)
+        infinite = False
+    return NFunctionResult(kind="bound", value=value, infinite=infinite, witness=w), s, r2p
+
+
+@given(witness_cases())
+# the tall pair's result, at its hinge -2001
+@example((NFunctionResult("bound", 3, False, MobiusMap(2, 1, -3, -1)), rat(-2001), rat(-3001, 2000)))
+@settings(max_examples=600, deadline=None)
+def test_int_check_witness_matches_the_reference(case):
+    res, s, r2p = case
+    want = _check_outcome(_reference_check_witness, res, s, r2p)
+    assert _check_outcome(_check_witness, res, s.num, s.den, r2p) == want
 
 
 def test_certificate_checks_survive_optimize_flag():
@@ -740,7 +850,7 @@ def test_certificate_checks_survive_optimize_flag():
         "from steinkit.numerics import InternalError, rat\n"
         "res = n_function(rat(-2), rat(-7, 2), 30)\n"
         "try:\n"
-        "    _check_witness(replace(res, value=res.value - 1), rat(*_hinge(rat(-2))), rat(-7, 2))\n"
+        "    _check_witness(replace(res, value=res.value - 1), *_hinge(rat(-2)), rat(-7, 2))\n"
         "except InternalError as e:\n"
         "    print(e)\n"
     )

@@ -32,7 +32,7 @@ from steinkit.invariants import (
     characteristic_sublinks,
     theta,
 )
-from steinkit.numerics import InternalError, rat
+from steinkit.numerics import ExtRational, InternalError, rat
 from steinkit.presentation import h1, parse_surgery, serialize_surgery
 
 from random_fronts import move_candidates, random_front
@@ -154,10 +154,10 @@ def test_validate_rejects_bad_component_data():
 def test_bool_positions_and_slot_counts_are_stored_as_ints():
     e = Event("X", True)
     assert type(e.pos) is int and e == Event("X", 1) and str(e) == "X1"
-    d = FrontDiagram((True, 2), (Event("X", True),))
+    d = FrontDiagram((True, 2), (Event("X", True),), {}, {1: ExtRational(True)})
     assert d.slots == (1, 2) and {type(s) for s in d.slots} == {int}
     text = serialize_front(d)
-    assert "handle 1 slots 1\n" in text and "events X1\n" in text
+    assert "handle 1 slots 1\n" in text and "events X1\n" in text and "coeff 1 1\n" in text
     assert serialize_front(parse_front(text)) == text
 
 

@@ -71,6 +71,14 @@ def test_canonical_form():
         ExtRational(0, 0)
 
 
+def test_bool_parts_are_stored_as_ints():
+    # bool is an int; stored as the int it equals, it prints as 1 or 0
+    cases = ((ExtRational(True), "1"), (ExtRational(False, True), "0"), (ExtRational(True, False), "inf"))
+    for x, want in cases:
+        assert {type(x.num), type(x.den)} == {int}
+        assert str(x) == want and parse_rational(str(x)) == x
+
+
 def test_hash_agrees_with_equality():
     for n in (-7, -1, 0, 1, 3, 10**30):
         assert rat(n) == n and hash(rat(n)) == hash(n)
@@ -194,6 +202,15 @@ def test_scalar_layer_builds_no_fraction(monkeypatch):
 def test_mobius_requires_det_one():
     with pytest.raises(NumericsError):
         MobiusMap(1, 0, 0, 2)
+
+
+def test_mobius_entries_must_be_ints():
+    m = MobiusMap(True, False, False, True)
+    assert str(m) == "[1 0; 0 1]" and {type(v) for v in (m.a, m.b, m.c, m.d)} == {int}
+    assert m == MobiusMap.identity()
+    for bad in ((1.0, 0, 0, 1.0), (1, 0, Fraction(0), 1), (1, 0, 0, "1")):
+        with pytest.raises(NumericsError, match="^MobiusMap needs int entries, got "):
+            MobiusMap(*bad)
 
 
 def test_mobius_action_and_infinity():

@@ -95,10 +95,11 @@ def test_validation_errors():
 def test_bool_entries_are_stored_as_ints_and_round_trip():
     # bool is an int; stored as the int it equals, it serializes as 1 or 0
     p = SurgeryPresentation(
-        coeffs=[rat(1), rat(1)], lk=[[0, True], [True, 0]], rot=[True, None], tb=[False, -1]
+        coeffs=[ExtRational(True), rat(1)], lk=[[0, True], [True, 0]], rot=[True, None], tb=[False, -1]
     )
-    assert {type(v) for v in (*p.lk[0], *p.lk[1], p.rot[0], *p.tb)} == {int}
+    assert {type(v) for v in (*p.lk[0], *p.lk[1], p.rot[0], *p.tb, p.coeffs[0].num)} == {int}
     text = serialize_surgery(p)
+    assert "coeff 1 1\n" in text
     assert "lk 1 2 1\n" in text and "rot 1 1\n" in text and "tb 1 0\n" in text
     assert parse_surgery(text) == p
 

@@ -35,6 +35,7 @@ class SeifertData:
 
     The space is surgery on k fibers of the trivial circle bundle over
     the base, with nonzero coefficients r_i, stored as a tuple.
+    orientable is a bool and genus an int (a bool stored as its int);
     orientable bases need genus >= 0, nonorientable ones genus >= 1.
     """
 
@@ -44,6 +45,11 @@ class SeifertData:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        if type(self.orientable) is not bool:
+            raise FamilyError(f"orientable must be a bool, got {self.orientable!r}")
+        if not isinstance(self.genus, int):
+            raise FamilyError(f"genus must be an int, got {self.genus!r}")
+        object.__setattr__(self, "genus", int(self.genus))
         if self.orientable and self.genus < 0:
             raise FamilyError(f"orientable base needs genus >= 0, got {self.genus}")
         if not self.orientable and self.genus < 1:
@@ -154,6 +160,35 @@ def _check_search_bound(search_bound: int):
         raise FamilyError(f"search bound must be positive, got {search_bound}")
 
 
+def _farey_rows(sn: int, sd: int, pn: int, pd: int):
+    """The maps (a, b, c, d) n_function tries, some twice: (a, b) =
+    +-(W_k.num, -W_k.den) with a > 0, and (c, d) = +-(W_(k-1).num,
+    -W_(k-1).den) for the previous vertex W_k - r, with ad - bc = 1."""
+    _, x, y = _ext_gcd(sn, sd)
+    fl = (x * pn + y * pd) // (sn * pd - sd * pn)  # floor(t), t = g(r2p)
+    ln, ld = sn * fl - y, sd * fl + x  # g^-1 of floor(t)
+    rn, rd = ln + sn, ld + sd  # g^-1 of floor(t) + 1
+    first = 0
+    while True:
+        # l <= t < r, so -dl/dr >= 0: one right run W_k = l + k*r, k = first..q
+        dl, dr = ln * pd - ld * pn, rn * pd - rd * pn
+        q = -dl // dr
+        f = -ln // rn  # W_k.num changes sign after f; r in [-inf, -1] has r.num != 0
+        for k in {first, q} | {k for k in (f, f + 1) if first < k < q}:
+            a, b = ln + k * rn, -(ld + k * rd)
+            c, d = a - rn, b + rd
+            if a < 0:
+                a, b = -a, -b
+            e = a * d - b * c  # W_(k-1) and W_k are Farey neighbours: e is +-1
+            yield a, b, e * c, e * d
+        ln, ld, dl = ln + q * rn, ld + q * rd, dl + q * dr
+        if dl == 0:
+            return
+        # the left run r + j*l, j = 1..p, has no passing vertex
+        p = -(dr // dl) - 1
+        rn, rd, first = rn + p * ln, rd + p * ld, 1
+
+
 def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> NFunctionResult:
     """Certified lower bound for the pair function of the sphere-base test.
 
@@ -185,12 +220,14 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
         the mediant l + r, A sends l and r to 0 and -1, and A r2p < -1
         just when t >= l + r: W is a mediant where the descent steps
         right, t itself among them.
-    The code reads these vertices in slope coordinates, through g^-1,
+    The walk reads these vertices in slope coordinates, through g^-1,
     which keeps determinants.
 
     The right steps come in runs W_k = l + k*r, k = 1..q, q at most a
     partial quotient of t; floor(t) is W_0 of the first run, where l - r
-    is inf.  A_k sends W_(k-1), r and W_k to 0, -1 and inf, so
+    is inf.  A_k sends W_(k-1), r and W_k to 0, -1 and inf, so its
+    rows are +-(W_k.num, -W_k.den) and +-(W_(k-1).num, -W_(k-1).den),
+    signed by det A_k = 1: each map is read off the walk.  And
     A_(k+1) = P A_k with P: z -> -1/(z + 2), which fixes -1 and keeps
     num + den up to sign.  So mu = |a + c| is one number along a run (A
     sends 0 to c/a).  The floors in the value are at most -2, and
@@ -202,13 +239,15 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
       - if c < -a, A^-1(-2) = W_(k+1) <= t, so A r2p is in [-2, -1).
     The edge {inf, -1} bounds the arc [-inf, -1] that holds s and r2p,
     and Farey edges do not cross, so the vertices lie in it too.  Hence
-    |b| <= |a| and |d| <= |c| = |W_(k-1).num|: the entry bound reads |a|
-    at k and k - 1 only.  On each side of the sign change of
-    a = W_k.num the normalised row is affine in k, with |a| growing away
-    from it.  So of the vertices worth -mu only the first, the last and
-    the two at the sign change can come first in order and meet the
-    bound.  At most four rows a run are tried: the work grows with the
-    number of partial quotients of t, whatever search_bound is.
+    |b| <= |a| and |d| <= |c| = |W_(k-1).num|, and a, |c| >= 1: the
+    entry bound reads max(a, |c|), a0 is never inf, an infinite z always
+    gives an infinite bound, and every tried map passes both range
+    tests.  On each side of the sign change of a = W_k.num the
+    normalised row is affine in k, with |a| growing away from it.  So of
+    the vertices worth -mu only the first, the last and the two at the
+    sign change can come first in order and meet the bound.  At most
+    four rows a run are tried: the work grows with the number of partial
+    quotients of t, whatever search_bound is.
     """
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
@@ -218,76 +257,30 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     if (sn, sd) == (pn, pd):
         return NFunctionResult(kind="sentinel")
 
-    _, x, y = _ext_gcd(sn, sd)
-    fl = (x * pn + y * pd) // (sn * pd - sd * pn)  # floor(t), t = g(r2p)
-    ln, ld = sn * fl - y, sd * fl + x  # g^-1 of floor(t)
-    rn, rd = ln + sn, ld + sd  # g^-1 of floor(t) + 1
-    rows, first = set(), 0
-    while True:
-        # l <= t < r, so -dl/dr >= 0: one right run W_k = l + k*r, k = first..q
-        dl, dr = ln * pd - ld * pn, rn * pd - rd * pn
-        q = -dl // dr
-        f = -ln // rn  # W_k.num changes sign after f; r in [-inf, -1] has r.num != 0
-        for k in {first, q} | {k for k in (f, f + 1) if first < k < q}:
-            a, b = ln + k * rn, -(ld + k * rd)
-            rows.add((a, b) if (a, b) > (0, 0) else (-a, -b))
-        ln, ld, dl = ln + q * rn, ld + q * rd, dl + q * dr
-        if dl == 0:
-            break
-        # the left run r + j*l, j = 1..p, has no passing vertex
-        p = -(dr // dl) - 1
-        rn, rd, first = rn + p * ln, rd + p * ld, 1
-
-    best_value, best_infinite, best_row = None, False, None
-    for a, b in sorted(rows):
-        if a > search_bound or abs(b) > search_bound:
+    best = None  # the least key: infinite bounds first, then the largest value, then (a, b)
+    for a, b, c, d in _farey_rows(sn, sd, pn, pd):
+        if a > search_bound or abs(c) > search_bound:
             continue
-        # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to w2n / w2d;
-        # ad - bc = 1 fixes (c, d) up to a multiple of (a, b)
-        vd, w2d = a * sd + b * sn, a * pd + b * pn
-        _, x, y = _ext_gcd(a, b)
-        vn = -y * sd + x * sn
-        if vd < 0:
-            vn, vd = -vn, -vd
-        k = -vn // vd  # floor(-vs): the shift that puts A s in (-1, 0]
-        c, d = k * a - y, k * b + x
-        if abs(c) > search_bound or abs(d) > search_bound:
-            continue
-        # A r2p = w2n / w2d must lie in [-inf, -1)
-        w2n = c * pd + d * pn
-        if w2d != 0 and (w2n + w2d) * w2d >= 0:
-            continue
-        # split on a0 = c/a: z = 0 on [0, inf], 1/(A s) on [-1, 0), else A r2p
-        if c >= 0 or a == 0:
+        # split on a0 = c/a: z = 0 on [0, inf), 1/(A s) on [-1, 0), else A r2p
+        if c >= 0:
             z_num, z_den = 0, 1
         elif c >= -a:
-            z_num, z_den = vd, vn + k * vd  # z = 1 / (A s)
+            z_num, z_den = a * sd + b * sn, c * sd + d * sn
         else:
-            z_num, z_den = w2n, w2d  # z = A r2p
-        big, small = max(a, abs(c)), min(a, abs(c))
+            z_num, z_den = c * pd + d * pn, a * pd + b * pn
         if z_den == 0:
-            if small >= 1:
-                best_infinite, best_value, best_row = True, None, (a, b, c, d)
-                break
-            value = -big
+            key = (0, 0, a, b, c, d)
         else:
-            value = -small * (z_num // z_den + 1) - big
-        if best_value is None or value > best_value:
-            best_value, best_row = value, (a, b, c, d)
-    if best_row is None:
+            value = -min(a, abs(c)) * (z_num // z_den + 1) - max(a, abs(c))
+            key = (1, -value, a, b, c, d)
+        if best is None or key < best:
+            best = key
+    if best is None:
         return NFunctionResult(kind="bound")
-    out = NFunctionResult(
-        kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
-    )
+    infinite = best[0] == 0
+    out = NFunctionResult("bound", None if infinite else -best[1], infinite, MobiusMap(*best[2:]))
     _check_witness(out, sn, sd, r2p)
     return out
-
-
-def _slope_text(n: int, d: int) -> str:
-    """n/d as str(ExtRational) writes it, for n/d in lowest terms."""
-    if d < 0:
-        n, d = -n, -d
-    return "inf" if d == 0 else str(n) if d == 1 else f"{n}/{d}"
 
 
 def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
@@ -308,8 +301,8 @@ def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
         vn, vd = -vn, -vd
     if vd == 0 or not -vd < vn <= 0:
         raise InternalError(
-            f"internal: witness {w} sends the hinge {_slope_text(sn, sd)} to "
-            f"{_slope_text(vn, vd)}, outside (-1, 0]"
+            f"internal: witness {w} sends the hinge {ExtRational(sn, sd)} to "
+            f"{ExtRational(vn, vd)}, outside (-1, 0]"
         )
     pn, pd = r2p.num, r2p.den
     w2n, w2d = c * pd + d * pn, a * pd + b * pn  # A r2p
@@ -317,7 +310,7 @@ def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
         w2n, w2d = -w2n, -w2d
     if w2d != 0 and not w2n < -w2d:
         raise InternalError(
-            f"internal: witness {w} sends {r2p} to {_slope_text(w2n, w2d)}, outside [-inf, -1)"
+            f"internal: witness {w} sends {r2p} to {ExtRational(w2n, w2d)}, outside [-inf, -1)"
         )
     # t: 0 for a0 in [0, inf], 1/(A s) for a0 in [-1, 0), else A r2p
     if a == 0 or c >= 0:

@@ -11,7 +11,7 @@ characteristic and the signature, all computed exactly.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import prod
 
 from .numerics import (
     ExtRational,
@@ -25,7 +25,7 @@ from .numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
-from .presentation import SurgeryPresentation
+from .presentation import SurgeryPresentation, cokernel
 
 
 class InvariantError(ValueError):
@@ -252,17 +252,18 @@ def theta_f0_and_d(x: SteinPresentation) -> tuple[int, int]:
     """Divisibility of the Chern class and the 0-framed theta residue.
 
     d is the divisibility of the Chern cocycle in the free part of the
-    cokernel (0 when the class is torsion).  The second value is
-    -2*chi - 3*sigma reduced into [0, 2d) when d > 0, and exact when
-    d = 0.  As in theta, sigma is signature(Q*), which equals that of q
-    on the kernel of runs by a congruence that leaves a hyperbolic part
-    of signature 0.
+    cokernel (0 when the class is torsion): with coker Q* = T + Z^k and
+    c = (t, d*u), u primitive, coker [Q* | c] = Z^(k-1) + (T + Z)/<(t, d)>
+    has torsion of order d*|T|, so invariant factors give d, with no
+    witness and no dimension cap.  The second value is -2*chi - 3*sigma
+    reduced into [0, 2d) when d > 0, and exact when d = 0.  As in theta,
+    sigma is signature(Q*), which equals that of q on the kernel of runs
+    by a congruence that leaves a hyperbolic part of signature 0.
     """
-    cls = _cokernel_class(x.smith_form, chern_cocycle(x))
-    free = [v for v, order in zip(cls.coords, cls.orders) if order == 0]
+    pos, _, neg, square = x._chern_congruence
     d = 0
-    for v in free:
-        d = gcd(d, abs(v))
-    pos, _, neg, _ = x._chern_congruence
+    if square is None:  # c has infinite order
+        bordered = [row + (ci,) for row, ci in zip(x._qs, chern_cocycle(x))]
+        d = prod(cokernel(bordered).factors) // prod(cokernel(x._qs).factors)
     base = _chi_sigma_term(x, pos - neg)
     return d, (base % (2 * d) if d else base)

@@ -293,7 +293,8 @@ class ContinuedFraction:
     """Expansion r = a0 - 1/(a1 - 1/(... - 1/ak)) with a_j <= -2 for j >= 1.
 
     With that tail constraint the expansion of a rational is unique, which
-    makes chain presentations canonical.
+    makes chain presentations canonical.  Terms must be ints; a bool is
+    stored as the int it equals.
     """
 
     terms: tuple[int, ...]
@@ -301,9 +302,11 @@ class ContinuedFraction:
     def __post_init__(self):
         if not self.terms:
             raise NumericsError("a continued fraction needs at least one term")
-        for t in self.terms:
-            if not isinstance(t, int):
-                raise NumericsError(f"continued fraction terms must be ints, got {t!r}")
+        if not all(type(t) is int for t in self.terms):
+            for t in self.terms:
+                if not isinstance(t, int):
+                    raise NumericsError(f"continued fraction terms must be ints, got {t!r}")
+            object.__setattr__(self, "terms", tuple(map(int, self.terms)))
         for t in self.terms[1:]:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")

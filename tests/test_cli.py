@@ -585,6 +585,20 @@ def test_theta_of_a_300_chain_in_a_child(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "theta: 298\n", "")
 
 
+def test_theta_past_64_components_with_an_infinite_order_class(capsys, tmp_path):
+    # a 0-framed knot with rot 2 beside 69 unlinked unknots framed -2:
+    # coker Q* = Z + (Z/2)^69 and c = (2, 0, ..., 0), so d = 2; chi = 71
+    # and sigma = -69 give -2 chi - 3 sigma = 65 = 1 mod 4
+    n = 70
+    lines = ["surgery 1", f"components {n}", "coeff 1 0", "rot 1 2"]
+    lines += [f"{key} {i} {v}" for i in range(2, n + 1)
+              for key, v in (("coeff", -2), ("rot", 0), ("tb", -1))]
+    lines += [f"unknot {i}" for i in range(2, n + 1)]
+    path = tmp_path / "wide.surgery"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "theta", str(path)) == (0, "d: 2\ntheta: 1 mod 4\n", "")
+
+
 def test_the_functions_the_bench_traces_exist():
     # the traced bench run looks each (module, function) up with getattr,
     # so a renamed or deleted function breaks every traced run; run_path

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steinkit import families
@@ -29,6 +29,7 @@ from steinkit.families import (
     _check_slope,
     _check_witness,
     _ext_gcd,
+    _farey_rows,
     _hinge,
     borromean_membership,
     borromean_presentation,
@@ -266,6 +267,28 @@ def test_seifert_data_genus_ranges():
     with pytest.raises(FamilyError, match="genus"):
         SeifertData(orientable=False, genus=0, coefficients=[rat(2)])
     SeifertData(orientable=False, genus=1, coefficients=[rat(2)])
+
+
+@pytest.mark.parametrize(
+    "orientable, genus, message",
+    [
+        (True, 1.5, r"^genus must be an int, got 1\.5$"),
+        (True, Fraction(1), r"^genus must be an int, got Fraction\(1, 1\)$"),
+        (False, "2", r"^genus must be an int, got '2'$"),
+        ("yes", 0, r"^orientable must be a bool, got 'yes'$"),
+        (1, 0, r"^orientable must be a bool, got 1$"),
+        (None, 1, r"^orientable must be a bool, got None$"),
+    ],
+)
+def test_seifert_data_checks_the_base_types(orientable, genus, message):
+    with pytest.raises(FamilyError, match=message):
+        SeifertData(orientable, genus, [rat(-2)])
+
+
+def test_seifert_data_stores_a_bool_genus_as_an_int():
+    sd = SeifertData(False, True, [rat(-2)])
+    assert type(sd.genus) is int and sd == SeifertData(False, 1, [rat(-2)])
+    assert type(SeifertData(True, False, []).genus) is int
 
 
 def test_seifert_data_is_frozen():
@@ -649,15 +672,21 @@ def _stern_brocot_steps(r1p, r2p):
 
 
 def test_pair_function_rows_follow_the_farey_path(monkeypatch):
-    # n_function calls _ext_gcd once for g and once per row it tries
+    # n_function tries each row the walk yields, and finds g by one _ext_gcd
     calls = Counter()
-    real = families._ext_gcd
+    real_rows, real_gcd = families._farey_rows, families._ext_gcd
 
-    def counting(a, b):
-        calls["rows"] += 1
-        return real(a, b)
+    def counting_rows(*args):
+        for row in real_rows(*args):
+            calls["rows"] += 1
+            yield row
 
-    monkeypatch.setattr(families, "_ext_gcd", counting)
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(families, "_farey_rows", counting_rows)
+    monkeypatch.setattr(families, "_ext_gcd", counting_gcd)
     rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
     pairs = [(rp[i], rp[j]) for i, j in permutations(range(3), 2)]
     pairs += [(rat(-2001, 2000), rat(-3001, 2000)), (rat(-2), rat(-10**9)),
@@ -667,10 +696,48 @@ def test_pair_function_rows_follow_the_farey_path(monkeypatch):
         for bound in (50, 10**6, 10**30):
             calls.clear()
             n_function(r1p, r2p, bound)
-            assert calls["rows"] - 1 <= 2 * (steps + 2)
-            assert calls["rows"] - 1 <= 4 * (quotients + 1)
+            assert calls["gcd"] == 1
+            assert 0 < calls["rows"] <= 2 * (steps + 2)
+            assert calls["rows"] <= 4 * (quotients + 1)
     for i, j in permutations(range(3), 2):
         assert n_function(rp[i], rp[j], 10**6) == n_function(rp[i], rp[j], 50)
+
+
+def _reference_row(a, b, sn, sd, pn, pd):
+    """The per-row derivation that reading (c, d) off the walk replaced,
+    kept as its oracle: the map with first row (a, b) that sends the hinge
+    sn/sd into (-1, 0], or None when it sends pn/pd outside [-inf, -1)."""
+    # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to w2n / w2d;
+    # ad - bc = 1 fixes (c, d) up to a multiple of (a, b)
+    vd, w2d = a * sd + b * sn, a * pd + b * pn
+    _, x, y = _ext_gcd(a, b)
+    vn = -y * sd + x * sn
+    if vd < 0:
+        vn, vd = -vn, -vd
+    k = -vn // vd  # floor(-vs): the shift that puts A s in (-1, 0]
+    c, d = k * a - y, k * b + x
+    # A r2p = w2n / w2d must lie in [-inf, -1)
+    w2n = c * pd + d * pn
+    if w2d != 0 and (w2n + w2d) * w2d >= 0:
+        return None
+    return a, b, c, d
+
+
+@given(tall_slope, tall_slope)
+@example(rat(-2001, 2000), rat(-3001, 2000))
+@example(rat(-2), INF)
+@example(INF, rat(-10**4))
+@settings(max_examples=300, deadline=None)
+def test_every_walk_row_is_the_reference_row(r1p, r2p):
+    sn, sd = _hinge(r1p)
+    pn, pd = r2p.num, r2p.den
+    assume((sn, sd) != (pn, pd))
+    rows = list(_farey_rows(sn, sd, pn, pd))
+    assert rows
+    for a, b, c, d in rows:
+        # equal to the reference, so A r2p lies in [-inf, -1) too
+        assert _reference_row(a, b, sn, sd, pn, pd) == (a, b, c, d)
+        assert abs(b) <= a and 1 <= abs(c) and abs(d) <= abs(c)
 
 
 def test_the_tall_pair_answers_with_value_three():

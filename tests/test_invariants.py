@@ -1,6 +1,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +479,41 @@ def check_theta_against_reference(x):
 @settings(max_examples=80, deadline=None)
 def test_theta_agrees_with_independent_solver(seed):
     check_theta_against_reference(random_stein(random.Random(seed), max_m=4, max_n1=2))
+
+
+def theta_f0_and_d_reference(x):
+    """The Smith-form route that theta_f0_and_d replaced, kept as its
+    oracle for Q* up to 64: d is the gcd of the free coordinates of c."""
+    cls = _cokernel_class(smith_normal_form(x.q_star()), chern_cocycle(x))
+    d = 0
+    for v, order in zip(cls.coords, cls.orders):
+        if order == 0:
+            d = gcd(d, abs(v))
+    base = -2 * (1 - x.n1 + x.m) - 3 * signature(x.q_star())
+    return d, (base % (2 * d) if d else base)
+
+
+def test_theta_divisibility_matches_the_smith_form_route():
+    infinite = 0
+    for seed in range(400):
+        # entries in [-1, 1] half the time, where c often has infinite order
+        x = random_stein(random.Random(seed), max_m=5, max_n1=3, bound=(1, 1, 2, 3)[seed % 4])
+        got = theta_f0_and_d(x)
+        assert got == theta_f0_and_d_reference(x)
+        infinite += got[0] > 0
+    assert infinite >= 20
+    # at the old cap: a 0-framed knot with rot 2 beside 63 unknots framed -2,
+    # and the same knot linked once into a 63-chain
+    for lk in (0, 1):
+        q = [[0] * 64 for _ in range(64)]
+        for i in range(1, 64):
+            q[i][i] = -2
+            if lk and i < 63:
+                q[i][i + 1] = q[i + 1][i] = 1
+        q[0][1] = q[1][0] = lk
+        for rot0 in (2, 6):
+            x = SteinPresentation(q=q, runs=[], rot=[rot0] + [0] * 63)
+            assert theta_f0_and_d(x) == theta_f0_and_d_reference(x)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3))

@@ -273,6 +273,15 @@ def test_continued_fraction_normal_form_enforced():
         ContinuedFraction((3, -1))
 
 
+def test_continued_fraction_stores_bool_terms_as_ints():
+    cf = ContinuedFraction((True, -2))
+    assert [type(t) for t in cf.terms] == [int, int]
+    assert str(cf) == "ContinuedFraction(terms=(1, -2))"
+    assert cf == ContinuedFraction((1, -2)) and cf.evaluate() == rat(3, 2)
+    with pytest.raises(NumericsError, match="must be ints"):
+        ContinuedFraction((1, -2.0))
+
+
 @given(rationals)
 def test_continued_fraction_round_trip(r):
     cf = neg_continued_fraction(r)

@@ -156,6 +156,8 @@ def _check_slope(r: ExtRational, name: str):
 
 
 def _check_search_bound(search_bound: int):
+    if not isinstance(search_bound, int):
+        raise FamilyError(f"search_bound must be an int, got {search_bound!r}")
     if search_bound < 1:
         raise FamilyError(f"search bound must be positive, got {search_bound}")
 
@@ -409,10 +411,12 @@ def brieskorn(p1: int, p2: int, p3: int, orientation: int = 1) -> SeifertData:
     The denominators solve q1*p2*p3 + p1*q2*p3 + p1*p2*q3 = orientation
     (+1 or -1), canonicalized so the first two lie in (-p_i, 0).
     """
-    if orientation not in (1, -1):
-        raise FamilyError(f"orientation must be +1 or -1, got {orientation}")
+    if not isinstance(orientation, int) or orientation not in (1, -1):
+        raise FamilyError(f"orientation must be +1 or -1, got {orientation!r}")
     ps = (p1, p2, p3)
-    for p in ps:
+    for i, p in enumerate(ps, start=1):
+        if not isinstance(p, int):
+            raise FamilyError(f"multiplicity p{i} must be an int, got {p!r}")
         if p < 2:
             raise FamilyError(f"multiplicities must be at least 2, got {p}")
     for u in range(3):

@@ -246,46 +246,115 @@ def _follow(word, offset, comp, fwd, cid, t, h, right):
         fwd[i] = right
 
 
-def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
-    """Validate the word's strand counts and trace its components."""
-    counts = [n_strands]
-    c = n_strands
+def _refuse(n_strands: int, events: tuple[Event, ...]):
+    """Raise the FrontError of a word that _trace cannot trace: its first
+    misplaced column, else its end count, else the node limit."""
+    c = nodes = n_strands
     for j, e in enumerate(events, start=1):
-        if e.kind == "L":
-            if not 1 <= e.pos <= c + 1:
-                raise FrontError(f"column {j}: L{e.pos} needs position in 1..{c + 1}")
-            c += 2
-        elif e.kind == "R":
-            if not 1 <= e.pos <= c - 1:
-                raise FrontError(f"column {j}: R{e.pos} needs two strands at {e.pos}, {e.pos + 1}")
-            c -= 2
-        else:
-            if not 1 <= e.pos <= c - 1:
-                raise FrontError(f"column {j}: X{e.pos} needs two strands at {e.pos}, {e.pos + 1}")
-        counts.append(c)
+        if e.pos > (top := c + 1 if e.kind == "L" else c - 1):
+            need = f"position in 1..{top}" if e.kind == "L" else f"two strands at {e.pos}, {e.pos + 1}"
+            raise FrontError(f"column {j}: {e} needs {need}")
+        c += _DELTA[e.kind]
+        nodes += c
     if c != n_strands:
         raise FrontError(f"word ends with {c} strands but the edge carries {n_strands}")
-    offset = [0, *accumulate(counts)]
-    _check_node_count(offset[-1])
+    _check_node_count(nodes)
+    raise InternalError("internal: a word within the node limit was refused")
 
-    word = [(e.kind, e.pos) for e in events]
-    comp = [0] * offset[-1]
-    fwd = bytearray(offset[-1])
+
+def _find(up: list, par: bytearray, x: int) -> tuple[int, int]:
+    """Root of label x and x's parity against it; the path is compressed."""
+    root, p = x, 0
+    while up[root] != root:
+        p ^= par[root]
+        root = up[root]
+    q = p
+    while up[x] != root:
+        up[x], par[x], x, q = root, q, up[x], q ^ par[x]
+    return root, p
+
+
+def _join(up: list, par: bytearray, a: int, b: int, reverse: int) -> None:
+    """Join the labels of keys a and b, whose nodes run opposite ways iff reverse."""
+    (ra, pa), (rb, pb) = _find(up, par, a >> 1), _find(up, par, b >> 1)
+    x = (a ^ b ^ reverse ^ pa ^ pb) & 1  # the roots' relative parity
+    if ra == rb and x:
+        raise InternalError(f"internal: labels {a >> 1} and {b >> 1} join with both parities")
+    up[max(ra, rb)], par[max(ra, rb)] = min(ra, rb), x  # a root is its set's least label
+
+
+def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
+    """Validate the word's strand counts and trace its components in one
+    sweep over the columns.
+
+    The sweep holds the boundary's strands as keys 2·label + d.  Labels
+    are the edge strands 0..n-1, then the left cusps in column order, so
+    a label's first node, (0, k) or a cusp's upper branch, both with
+    d = 1, comes after every smaller label's.  X swaps two keys, L
+    inserts a new label with d = 1 above and 0 below, and R and the
+    closure (boundary E to 0) join two labels.
+
+    Why this is the traced direction: let key 2·l + d run rightward iff
+    d ^ s_l.  Flow and crossing edges keep key and direction; a left
+    cusp reverses the direction and its branches differ in d.  The other
+    edges are the joins: a right cusp reverses, s_a ^ s_b = d_a ^ d_b ^ 1,
+    the closure keeps, s_a ^ s_b = d_a ^ d_b.  So s meets every join iff
+    it orients each component along all its edges; a component's labels
+    form one set, and the union-find keeps s_l ^ s_root as l's parity.
+    A node has one edge on each side, so a walk round a component comes
+    back the way it left and the joins cannot conflict.  A root is its
+    set's smallest label, whose first node is the component's smallest;
+    s_root = 0 runs it rightward there, as _Trace numbers it.
+    """
+    if n_strands > MAX_NODES:  # before any per-strand list
+        _refuse(n_strands, events)
+    c = nodes = n_strands
+    cur = [*range(1, 2 * c, 2)]
+    flat, counts, limit = cur[:], [c], MAX_NODES  # flat: every boundary's keys
+    up, par = [*range(c)], bytearray(c)  # the union-find on labels
+    for e in events:
+        p = e.pos
+        if p > (c + 1 if e.kind == "L" else c - 1):
+            break
+        if e.kind == "X":
+            cur[p - 1], cur[p] = cur[p], cur[p - 1]
+        elif e.kind == "L":
+            cur[p - 1 : p - 1] = 2 * len(up) + 1, 2 * len(up)
+            up.append(len(up))
+            par.append(0)
+            c += 2
+        else:
+            _join(up, par, cur[p - 1], cur[p], 1)
+            del cur[p - 1 : p + 1]
+            c -= 2
+        nodes += c
+        if nodes > limit:
+            break
+        counts.append(c)
+        flat += cur
+    if len(counts) <= len(events) or c != n_strands:
+        _refuse(n_strands, events)
+    for a, b in zip(cur, flat):
+        _join(up, par, a, b, 0)
+
+    # number the components by their roots; read each node's id and
+    # direction off a table by key
+    ids, comp_of, fwd_of = [0] * len(up), [0] * (2 * len(up)), bytearray(2 * len(up))
     n = 0
-    t = 0
-    for start in range(offset[-1]):
-        if comp[start]:
-            continue
-        while offset[t + 1] <= start:
-            t += 1
-        n += 1
-        h = start - offset[t] + 1
-        comp[start] = n
-        fwd[start] = 1
-        # every node lies on one strand, so only the start recurs
-        if _follow(word, offset, comp, fwd, n, t, h, True) != (t, h, True):
-            raise InternalError(f"internal: strand from node {start} closes up wrongly")
-    return _Trace(counts, offset, comp, bytes(fwd), n)
+    for label, q in enumerate(up):  # q <= label, so q points at its root by now
+        n += q == label
+        up[label], par[label] = up[q], par[label] ^ par[q]
+        ids[label] = ids[q] or n
+        comp_of[2 * label] = comp_of[2 * label + 1] = ids[label]
+        fwd_of[2 * label + 1 - par[label]] = 1
+    if len(fwd_of) <= 256:  # every key and id is a byte: translate at C speed
+        keys = bytes(flat)
+        fwd = keys.translate(fwd_of.ljust(256, b"\0"))
+        comp = [*keys.translate(bytes(comp_of).ljust(256, b"\0"))]
+    else:
+        fwd = bytes(map(fwd_of.__getitem__, flat))
+        comp = [*map(comp_of.__getitem__, flat)]
+    return _Trace(counts, [0, *accumulate(counts)], comp, fwd, n)
 
 
 def _handle_offset(d: FrontDiagram, h: int) -> int:

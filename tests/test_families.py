@@ -1,6 +1,7 @@
 """Tests for the family deciders: Seifert, Brieskorn, Borromean."""
 
 import os
+import re
 import subprocess
 import sys
 import random
@@ -1006,6 +1007,16 @@ def test_decide_checks_the_search_bound_before_any_rule():
                 decide_seifert(sd, bound)
 
 
+@pytest.mark.parametrize("bound", [2.5, 7.5, 100.0, "100", None, Fraction(7)])
+def test_a_non_int_search_bound_is_refused(bound):
+    message = rf"^search_bound must be an int, got {re.escape(repr(bound))}$"
+    with pytest.raises(FamilyError, match=message):
+        n_function(rat(-2), rat(-7, 2), bound)
+    for sd in (brieskorn(2, 3, 5, -1), sphere((2,))):
+        with pytest.raises(FamilyError, match=message):
+            decide_seifert(sd, bound)
+
+
 def test_decide_small_poincare_usual_orientation():
     sd = brieskorn(2, 3, 5, 1)
     assert seifert_normalize(sd).e < rat(0)
@@ -1140,6 +1151,21 @@ def test_brieskorn_rejects_bad_input():
         brieskorn(1, 2, 3)
     with pytest.raises(FamilyError, match="orientation"):
         brieskorn(2, 3, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.0, 3, 5), "multiplicity p1 must be an int, got 2.0"),
+        ((2, "3", 5), "multiplicity p2 must be an int, got '3'"),
+        ((2, 3, Fraction(5)), "multiplicity p3 must be an int, got Fraction(5, 1)"),
+        ((2, 3, 5, 1.0), "orientation must be +1 or -1, got 1.0"),
+        ((2, 3, 5, None), "orientation must be +1 or -1, got None"),
+    ],
+)
+def test_brieskorn_refuses_non_int_arguments(args, message):
+    with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
+        brieskorn(*args)
 
 
 def test_brieskorn_integer_part_relation():

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -267,10 +268,33 @@ def reference_trace(d):
     return {node: (comp_of[node], dirs[node]) for node in comp_of}, n
 
 
+def walk_trace(n_strands, events):
+    """The trace fields found by walking each strand, node by node with
+    front._follow, from its first unmarked node: a second reference for
+    the column sweep in front._trace."""
+    counts = [*accumulate((DELTA[e.kind] for e in events), initial=n_strands)]
+    offset = [0, *accumulate(counts)]
+    word = [(e.kind, e.pos) for e in events]
+    comp, fwd = [0] * offset[-1], bytearray(offset[-1])
+    n = t = 0
+    for start in range(offset[-1]):
+        if comp[start]:
+            continue
+        while offset[t + 1] <= start:
+            t += 1
+        n += 1
+        h = start - offset[t] + 1
+        comp[start], fwd[start] = n, 1
+        # every node lies on one strand, so only the start recurs
+        assert front_module._follow(word, offset, comp, fwd, n, t, h, True) == (t, h, True)
+    return counts, offset, comp, bytes(fwd), n
+
+
 def assert_reference_trace(d):
     want, n = reference_trace(d)
     assert d.trace.n_components == n
     assert {node: d.trace.at(*node) for node, _ in d.trace.nodes()} == want
+    assert trace_fields(d.trace) == walk_trace(d.n_strands, d.events)
 
 
 def crossing_heavy_front(rng, length):
@@ -304,6 +328,62 @@ def test_trace_matches_reference_on_random_fronts(seed):
 def test_trace_matches_reference_on_long_words(seed, length):
     d = crossing_heavy_front(random.Random(seed), length)
     assert sum(e.kind == "X" for e in d.events) > len(d.events) // 2
+    assert_reference_trace(d)
+
+
+def strand_front(rng, n_pairs, n_cross):
+    """A word shaped like the fronts bench's long words: n_pairs cusp
+    pairs opened first and closed last around n_cross crossings at random
+    heights, through one handle of 2 slots."""
+    events, c = [], 2
+    for _ in range(n_pairs):
+        events.append(Event("L", rng.randint(1, c + 1)))
+        c += 2
+    events += [Event("X", rng.randint(1, c - 1)) for _ in range(n_cross)]
+    for _ in range(n_pairs):
+        events.append(Event("R", rng.randint(1, c - 1)))
+        c -= 2
+    return FrontDiagram((2,), tuple(events))
+
+
+def cusp_rich_front(rng, n_unknots):
+    """One edge strand and n_unknots unknots, each opened at a random
+    height, clasped with its neighbours by two squared crossings, and
+    closed innermost first once eight strands are open."""
+    events, strands = [], ["edge"]
+
+    def close_one():
+        p = next(i for i in range(len(strands) - 1) if strands[i] == strands[i + 1] != "edge")
+        events.append(Event("R", p + 1))
+        del strands[p : p + 2]
+
+    for k in range(n_unknots):
+        p = rng.randint(1, len(strands) + 1)
+        events.append(Event("L", p))
+        strands[p - 1 : p - 1] = [k, k]
+        for _ in range(2):
+            events += [Event("X", rng.randint(1, len(strands) - 1))] * 2
+        if len(strands) > 7:
+            close_one()
+    while len(strands) > 1:
+        close_one()
+    return FrontDiagram((1,), tuple(events))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trace_matches_both_references_at_bench_scale(seed):
+    d = strand_front(random.Random(seed), 1, 1000)
+    assert d.trace.counts == [2] + [4] * 1001 + [2]
+    assert_reference_trace(d)
+
+
+# 128 labels (the edge strand and 127 cusps) are the most whose keys fit
+# a byte; past that the trace is read off without byte tables, and past
+# 255 unknots the component ids do not fit one either
+@pytest.mark.parametrize("n_unknots", [127, 128, 300])
+def test_trace_matches_both_references_on_cusp_rich_fronts(n_unknots):
+    d = cusp_rich_front(random.Random(n_unknots), n_unknots)
+    assert d.trace.n_components == n_unknots + 1
     assert_reference_trace(d)
 
 
@@ -369,6 +449,33 @@ def test_each_diagram_is_traced_once(monkeypatch):
         n, _ = traces(serialize_front, diagram)
         assert n == 0
     assert len(derived) == 2
+
+
+def test_a_word_is_traced_without_walks_and_a_rewrite_walks_its_window(monkeypatch):
+    walks = []  # (boundary walked from, boundary walked to)
+    real = front_module._follow
+
+    def counting(word, offset, comp, fwd, cid, t, h, right):
+        end = real(word, offset, comp, fwd, cid, t, h, right)
+        walks.append((t, end[0]))
+        return end
+
+    monkeypatch.setattr(front_module, "_follow", counting)
+    d = strand_front(random.Random(4), 1, 1000)
+    d = parse_front(serialize_front(d))
+    assert n_components(cusp_rich_front(random.Random(4), 200)) == 201
+    assert walks == []
+    # rewrites in the middle of the word walk only next to their columns
+    at = next(at for at in range(500, 600) if abs(d.events[at - 1].pos - d.events[at].pos) > 1)
+    for call, window in (
+        (lambda: apply_move(d, 1, at=at), range(at - 1, at + 2)),
+        (lambda: stabilize(d, 1, "up", 500), range(500, 504)),
+    ):
+        walks.clear()
+        call()
+        # one walk per strand across the window, in the new word and the old
+        assert len(walks) == 2 * 4
+        assert {t for walk in walks for t in walk} <= set(window)
 
 
 def test_derived_data_follows_the_attached_orientations():
@@ -588,7 +695,7 @@ def rewritten(d, call):
 
 def assert_spliced_like_traced(d, new, rewrite):
     fresh = front_module._trace(new.n_strands, new.events)
-    assert trace_fields(new.trace) == trace_fields(fresh)
+    assert trace_fields(new.trace) == trace_fields(fresh) == walk_trace(new.n_strands, new.events)
     assert (new.orientations, new.coefficients) == _reference_transfer(d, *rewrite)
 
 

@@ -11,6 +11,7 @@ characteristic and the signature, all computed exactly.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import prod
 
 from .numerics import (
@@ -42,10 +43,11 @@ class SteinPresentation:
     number of circle i.
 
     Presentations are frozen: q and runs are stored as tuples of rows
-    and rot as a tuple.  Construction validates the data once and builds
-    Q* once; the Smith form of Q*, its characteristic solutions mod 2 and
-    its congruence bordered by the Chern cocycle are each taken at most
-    once, on first use.
+    and rot as a tuple, of ints: another entry is refused, and a bool is
+    stored as the int it equals.  Construction validates the data once
+    and builds Q* once; the Smith form of Q*, its characteristic
+    solutions mod 2 and its congruence bordered by the Chern cocycle are
+    each taken at most once, on first use.
     """
 
     q: tuple[tuple[int, ...], ...]
@@ -54,10 +56,23 @@ class SteinPresentation:
     _qs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q, runs = tuple(map(tuple, self.q)), tuple(map(tuple, self.runs))
+        q, runs, rot = tuple(map(tuple, self.q)), tuple(map(tuple, self.runs)), tuple(self.rot)
+        if not set(map(type, chain(*q, *runs, rot))) <= {int}:
+            for name, rows in (("q", q), ("runs", runs)):
+                for i, row in enumerate(rows):
+                    for j, v in enumerate(row):
+                        if not isinstance(v, int):
+                            raise InvariantError(
+                                f"{name} entry ({i + 1}, {j + 1}) must be an int, got {v!r}"
+                            )
+            for i, v in enumerate(rot):
+                if not isinstance(v, int):
+                    raise InvariantError(f"rot entry {i + 1} must be an int, got {v!r}")
+            q, runs = (tuple(tuple(map(int, row)) for row in rows) for rows in (q, runs))
+            rot = tuple(map(int, rot))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "rot", tuple(self.rot))
+        object.__setattr__(self, "rot", rot)
         m = len(q)
         for i, row in enumerate(q):
             if len(row) != m:
@@ -68,8 +83,8 @@ class SteinPresentation:
         for h, row in enumerate(runs):
             if len(row) != m:
                 raise InvariantError(f"run row {h + 1} has length {len(row)}, want {m}")
-        if len(self.rot) != m:
-            raise InvariantError(f"got {len(self.rot)} rotation numbers for {m} circles")
+        if len(rot) != m:
+            raise InvariantError(f"got {len(rot)} rotation numbers for {m} circles")
         top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(q))
         object.__setattr__(self, "_qs", top + tuple(run + (0,) * len(runs) for run in runs))
 

@@ -34,8 +34,7 @@ class ExtRational:
 
     Canonical form: den >= 0, gcd(num, den) == 1, and infinity is 1/0.
     Arithmetic and order run on num/den alone; int is the only other operand.
-    Infinity is unsigned, so the order operators reject it; on the slope
-    line it plays the role of -infinity, see slope_less.
+    Infinity is unsigned, so the order operators reject it.
     """
 
     num: int
@@ -118,16 +117,16 @@ class ExtRational:
             raise NumericsError("inf / inf is undefined")
         return self * other.reciprocal()
 
-    # -- order (finite operands only; slope_less handles infinity)
+    # -- order (finite operands only)
 
     def _cross(self, other) -> tuple[int, int]:
         """(a*d, c*b) for self = a/b and other = c/d.  Both denominators
         are positive, so these products are ordered as the two values."""
         if self.is_infinite:
-            raise NumericsError("infinity is not ordered; use slope_less")
+            raise NumericsError("infinity is not ordered")
         other = self._coerce(other)
         if other.is_infinite:
-            raise NumericsError("infinity is not ordered; use slope_less")
+            raise NumericsError("infinity is not ordered")
         return self.num * other.den, other.num * self.den
 
     def __lt__(self, other):
@@ -198,27 +197,6 @@ def parse_rational(text: str) -> ExtRational:
         raise NumericsError(f"bad rational {text!r}") from exc
 
 
-def floor_frac(r: ExtRational) -> tuple[int, ExtRational]:
-    """Split a finite r as r = floor(r) + f with f in [0, 1)."""
-    if r.is_infinite:
-        raise NumericsError("floor_frac needs a finite rational")
-    fl = r.num // r.den
-    return fl, r - fl
-
-
-def slope_less(x: ExtRational, bound: ExtRational) -> bool:
-    """x < bound on the slope line, where infinity sits at the bottom.
-
-    Coefficient normalization lands in [-inf, -1), whose infinite point
-    is reached from below, so infinity compares below every rational.
-    """
-    if x.is_infinite:
-        return not bound.is_infinite
-    if bound.is_infinite:
-        return False
-    return x < bound
-
-
 # ---------------------------------------------------------------------------
 # Moebius maps
 
@@ -258,28 +236,6 @@ class MobiusMap:
                     object.__setattr__(self, "d", -self.d)
                 break
 
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1, 0, 0, 1)
-
-    def apply(self, r: ExtRational) -> ExtRational:
-        if r.is_infinite:
-            return ExtRational(self.d, self.b)
-        # r = p/q with q > 0; image = (c q + d p) / (a q + b p)
-        p, q = r.num, r.den
-        return ExtRational(self.c * q + self.d * p, self.a * q + self.b * p)
-
-    def __mul__(self, other: "MobiusMap") -> "MobiusMap":
-        # (self * other).apply(r) == self.apply(other.apply(r))
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        return MobiusMap(
-            a=self.b * other.c + self.a * other.a,
-            b=self.b * other.d + self.a * other.b,
-            c=self.d * other.c + self.c * other.a,
-            d=self.d * other.d + self.c * other.b,
-        )
-
     def __str__(self) -> str:
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
 
@@ -311,13 +267,6 @@ class ContinuedFraction:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")
 
-    def evaluate(self) -> ExtRational:
-        num, den = self.terms[-1], 1
-        for term in reversed(self.terms[:-1]):
-            # a tail value num/den is <= -1, so term - den/num is finite
-            num, den = term * num - den, num
-        return ExtRational(num, den)
-
 
 def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
     """The unique expansion of a finite rational with tail terms <= -2."""
@@ -342,10 +291,6 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
 MAX_SNF_DIM = 64
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """D = left * M * right with left, right unimodular and D in Smith form."""
@@ -353,6 +298,21 @@ class SmithForm:
     diagonal: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
+
+
+def _int_rows(matrix) -> list[list[int]]:
+    """The rows of an integer matrix, copied.  A ragged matrix or an entry
+    that is not an int raises NumericsError rather than being truncated;
+    a bool is stored as the int it equals."""
+    rows = [list(row) for row in matrix]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise NumericsError("ragged matrix")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for v in chain.from_iterable(rows):
+            if not isinstance(v, int):
+                raise NumericsError(f"matrix entries must be ints, got {v!r}")
+        rows = [list(map(int, row)) for row in rows]
+    return rows
 
 
 def smith_normal_form(matrix) -> SmithForm:
@@ -364,103 +324,71 @@ def smith_normal_form(matrix) -> SmithForm:
     row-major order, and are moved into place by a column swap before a row
     swap.  That pivot discipline is what makes cokernel coordinates
     reproducible, so do not change it casually.
+
+    One working matrix A = [[M, I], [I, 0]] carries the witnesses: an
+    operation on M's rows acts on the identity to their right, which ends
+    as left, and one on M's columns on the identity below, which ends as
+    right.  The zero block is never touched, so it is not stored.
     """
-    m = [[int(v) for v in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    for row in m:
-        if len(row) != ncols:
-            raise NumericsError("ragged matrix")
+    a = _int_rows(matrix)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     if nrows > MAX_SNF_DIM or ncols > MAX_SNF_DIM:
         raise NumericsError(f"smith_normal_form caps dimensions at {MAX_SNF_DIM}")
-
-    left = _identity(nrows)
-    right = _identity(ncols)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        # row_dst += k * row_src
-        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-        left[dst] = [x + k * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in right:
-            row[dst] += k * row[src]
-
-    def scale_row(i, k):
-        m[i] = [k * x for x in m[i]]
-        left[i] = [k * x for x in left[i]]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, nrows):
-            for j in range(s, ncols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        return best
+    for i, row in enumerate(a):
+        row += (int(i == k) for k in range(nrows))
+    a += ([int(i == j) for j in range(ncols)] for i in range(ncols))
 
     s = 0
     while s < min(nrows, ncols):
-        found = find_pivot(s)
-        if found is None:
+        best = None
+        for i in range(s, nrows):
+            for j in range(s, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
             break
-        _, pi, pj = found
+        _, pi, pj = best
         if pj != s:
-            swap_cols(pj, s)
-        if pi != s:
-            swap_rows(pi, s)
+            for row in a:
+                row[s], row[pj] = row[pj], row[s]
+        a[s], a[pi] = a[pi], a[s]
 
+        top = a[s]
+        p = top[s]
         dirty = False
         for i in range(s + 1, nrows):
-            if m[i][s]:
-                q = m[i][s] // m[s][s]
-                add_row(i, s, -q)
-                if m[i][s]:
-                    dirty = True
+            if a[i][s]:
+                q = a[i][s] // p
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][s] != 0
         for j in range(s + 1, ncols):
-            if m[s][j]:
-                q = m[s][j] // m[s][s]
-                add_col(j, s, -q)
-                if m[s][j]:
-                    dirty = True
+            if top[j]:
+                q = top[j] // p
+                for row in a:
+                    row[j] -= q * row[s]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # remainders became new, smaller pivot candidates
 
         # enforce divisibility of the remaining block by the pivot
-        p = m[s][s]
-        offender = None
-        for i in range(s + 1, nrows):
-            for j in range(s + 1, ncols):
-                if m[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(s + 1, nrows) if any(a[i][j] % p for j in range(s + 1, ncols))),
+            None,
+        )
         if offender is not None:
-            add_row(s, offender, 1)
+            a[s] = [x + y for x, y in zip(top, a[offender])]
             continue
 
         if p < 0:
-            scale_row(s, -1)
+            a[s] = [-x for x in top]
         s += 1
 
-    diag = tuple(m[i][i] for i in range(min(nrows, ncols)))
     return SmithForm(
-        diagonal=diag,
-        left=tuple(tuple(row) for row in left),
-        right=tuple(tuple(row) for row in right),
+        diagonal=tuple(a[i][i] for i in range(min(nrows, ncols))),
+        left=tuple(tuple(row[ncols:]) for row in a[:nrows]),
+        right=tuple(map(tuple, a[nrows:])),
     )
 
 
@@ -483,11 +411,9 @@ def invariant_factors(matrix) -> tuple[int, ...]:
     growth a plain extended-gcd sweep shows, and no witness is built, so
     no dimension cap applies.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = _int_rows(matrix)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    if any(len(row) != ncols for row in rows):
-        raise NumericsError("ragged matrix")
     blocks = []
     while rows and rows[0]:
         c = len(rows[0]) - 1  # the current column is always the last one
@@ -625,6 +551,7 @@ def _bordered_congruence(q, x, y):
 def inertia(matrix) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
+    Entries are ints or Fractions, and anything else raises NumericsError.
     Fraction entries are scaled by the lcm of their denominators, a
     positive scale that keeps the inertia; the integer matrix then goes
     through _bordered_congruence with zero borders.
@@ -632,8 +559,15 @@ def inertia(matrix) -> tuple[int, int, int]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NumericsError("inertia needs a square matrix")
-    scale = lcm(*{v.denominator for row in matrix for v in row})
-    m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    m = matrix
+    if not set(map(type, chain.from_iterable(matrix))) <= {int}:
+        from fractions import Fraction  # here, so that importing numerics does not load it
+
+        for v in chain.from_iterable(matrix):
+            if not isinstance(v, (int, Fraction)):
+                raise NumericsError(f"inertia needs int or Fraction entries, got {v!r}")
+        scale = lcm(*{v.denominator for row in matrix for v in row})
+        m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     if first_asymmetry(m) is not None:
         raise NumericsError("inertia needs a symmetric matrix")
     return _bordered_congruence(m, [0] * n, [0] * n)[:3]
@@ -670,23 +604,17 @@ class Gf2Solution:
 def solve_gf2_affine(matrix, rhs) -> Gf2Solution | None:
     """Solve A x = b over GF(2); None when inconsistent.
 
-    Rows are any integer sequences (reduced mod 2).  The particular solution
-    sets all free variables to 0, and the kernel basis vectors are indexed
-    by free columns in increasing order.
+    Rows are int sequences, reduced mod 2, and bools count as ints.  The
+    particular solution sets all free variables to 0, and the kernel basis
+    vectors are indexed by free columns in increasing order.
     """
-    nrows = len(matrix)
+    # column j is bit j of a packed row, and the right-hand side bit ncols
+    rows = [
+        sum((v & 1) << j for j, v in enumerate(row))
+        for row in _int_rows([*row, b] for row, b in zip(matrix, rhs, strict=True))
+    ]
+    nrows = len(rows)
     ncols = len(matrix[0]) if nrows else 0
-    rows = []
-    for row, b in zip(matrix, rhs, strict=True):
-        if len(row) != ncols:
-            raise NumericsError("ragged GF(2) system")
-        packed = 0
-        for j, v in enumerate(row):
-            if v & 1:
-                packed |= 1 << j
-        if b & 1:
-            packed |= 1 << ncols
-        rows.append(packed)
 
     pivots: dict[int, int] = {}
     r = 0

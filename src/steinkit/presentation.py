@@ -158,10 +158,6 @@ class AbelianGroup:
     factors: tuple[int, ...]  # each > 1, d_i | d_{i+1}
     rank: int = 0
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors and self.rank == 0
-
     def order(self) -> int | None:
         if self.rank:
             return None

@@ -92,6 +92,27 @@ def test_validation_errors():
         SteinPresentation(q=[[1]], runs=[[1, 2]], rot=[0])
 
 
+def test_entries_must_be_ints():
+    cases = [
+        (dict(q=[[2.5]], runs=[], rot=[0]), r"^q entry \(1, 1\) must be an int, got 2\.5$"),
+        (dict(q=[[1, 0], [0, "2"]], runs=[], rot=[0, 0]), r"^q entry \(2, 2\) must be an int, got '2'$"),
+        (dict(q=[[1]], runs=[[0], [1.0]], rot=[0]), r"^runs entry \(2, 1\) must be an int, got 1\.0$"),
+        (dict(q=[[1, 0], [0, 1]], runs=[], rot=[0, 0.5]), r"^rot entry 2 must be an int, got 0\.5$"),
+        (dict(q=[[1]], runs=[], rot=[Fraction(1)]), r"^rot entry 1 must be an int, got Fraction\(1, 1\)$"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            SteinPresentation(**kwargs)
+    # a bool is stored as the int it equals, and gives the same answers
+    x = SteinPresentation(q=[[True, False], [False, -2]], runs=[[True, True]], rot=[False, True])
+    y = SteinPresentation(q=[[1, 0], [0, -2]], runs=[[1, 1]], rot=[0, 1])
+    assert x == y and {type(v) for v in (*x.q[0], *x.runs[0], *x.rot)} == {int}
+    assert theta(x) == theta(y)
+    assert [gamma(x, s) for s in characteristic_sublinks(x)] == [
+        gamma(y, s) for s in characteristic_sublinks(y)
+    ]
+
+
 def test_from_presentation_reads_surgered_front():
     p = SurgeryPresentation(
         coeffs=[rat(-3), rat(0)],

@@ -173,12 +173,12 @@ def test_abelian_group_str():
 
 
 def test_h1_fixtures():
-    assert h1(pres([1])).is_trivial  # +1 on an unknot is the 3-sphere
+    assert h1(pres([1])) == AbelianGroup(())  # +1 on an unknot is the 3-sphere
     assert h1(pres([0])) == AbelianGroup((), rank=1)  # 0-surgery: S1 x S2
     assert h1(pres([rat(7, 2)])) == AbelianGroup((7,))
-    assert h1(pres([INF])).is_trivial
+    assert h1(pres([INF])) == AbelianGroup(())
     hopf_zero = pres([0, 0], [[0, 1], [1, 0]])
-    assert h1(hopf_zero).is_trivial
+    assert h1(hopf_zero) == AbelianGroup(())
     borromean_like = pres([1, 2, 3])
     assert h1(borromean_like) == AbelianGroup((6,))
 
@@ -195,7 +195,7 @@ def test_h1_needs_no_chain_expansion(monkeypatch):
     # -1/70 on an unknot is the 3-sphere; its chain has 70 links, past the
     # Smith form's dimension cap
     for q in (70, 200):
-        assert h1(pres([rat(-1, q)], unknot=[True])).is_trivial
+        assert h1(pres([rat(-1, q)], unknot=[True])) == AbelianGroup(())
     # rows (-1, 70) and (1, 3): determinant -73
     assert h1(pres([rat(-1, 70), rat(3)], [[0, 1], [1, 0]])) == AbelianGroup((73,))
 
@@ -218,7 +218,7 @@ def test_h1_takes_no_witnessed_smith_form(monkeypatch):
     rng = random.Random(7)
     for _ in range(20):
         h1(random_presentation(rng))
-    assert h1(pres([rat(-1, 70)], unknot=[True])).is_trivial
+    assert h1(pres([rat(-1, 70)], unknot=[True])) == AbelianGroup(())
 
 
 @pytest.mark.parametrize("q", [70, 200])

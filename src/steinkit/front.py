@@ -34,6 +34,14 @@ class FrontError(ValueError):
 
 @dataclass(frozen=True)
 class Event:
+    """One column of a front word.
+
+    token is the event's canonical text, kind then pos ("X1"), made once
+    on construction; str() returns it and serialize_front joins it.  It is
+    a plain attribute, not a field, so equality, hash and repr see only
+    kind and pos.
+    """
+
     kind: str  # "L", "R" or "X"
     pos: int  # height of the upper strand involved, 1 = topmost
 
@@ -44,13 +52,14 @@ class Event:
             if not isinstance(self.pos, int):
                 raise FrontError(f"event position {self.pos!r} must be an integer")
             # a bool is stored as the plain int it equals, which is what
-            # str() writes and parse_event_word reads back
+            # the token holds and parse_event_word reads back
             object.__setattr__(self, "pos", int(self.pos))
         if self.pos < 1:
             raise FrontError(f"event position {self.pos} must be at least 1")
+        object.__setattr__(self, "token", f"{self.kind}{self.pos}")
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.pos}"
+        return self.token
 
 
 _EVENT_RE = re.compile(r"^([LRX])([0-9]+)$")
@@ -62,7 +71,11 @@ def parse_event_word(text: str) -> tuple[Event, ...]:
     Each distinct token is read once, in order of first appearance, and
     every occurrence shares its (frozen) Event.
     """
-    tokens = text.split()
+    return _events_of(text.split())
+
+
+def _events_of(tokens: list[str]) -> tuple[Event, ...]:
+    """The events of a word already split into tokens; see parse_event_word."""
     events = dict.fromkeys(tokens)
     for token in events:
         m = _EVENT_RE.match(token)
@@ -400,18 +413,21 @@ class _Derived:
 
 def _front_data(d: FrontDiagram) -> _Derived:
     """Cusps, writhe, tb, rot, handle runs and the crossing table of every
-    component, in one pass over the events and one over the left edge."""
+    component, in one pass over the events and one over the left edge.
+
+    The pass counts along the traced directions; the orientations are
+    applied per component afterwards.  Reversing a component reverses
+    every strand of it: a crossing of two components changes sign when
+    exactly one of them is reversed, a crossing of a component with itself
+    keeps its sign, and the component's up and down cusps trade places.
+    """
     tr = d.trace
     comp, fwd, offset = tr.comp, tr.fwd, tr.offset
     n = tr.n_components + 1  # per-component lists are indexed by id
-    # fwd[i] ^ flip[comp[i]] is 1 where the oriented strand runs rightward
-    flip = [0] * n
-    for cid, o in d.orientations.items():
-        flip[cid] = o == -1
     writhe = [0] * n
     left = [0] * n
     right = [0] * n
-    up = [0] * n
+    up = [0] * n  # cusps that turn the traced direction upward
     cross = {}
     for t, e in enumerate(d.events):  # the column between boundaries t and t + 1
         kind = e.kind
@@ -419,7 +435,7 @@ def _front_data(d: FrontDiagram) -> _Derived:
             i = offset[t] + e.pos - 1
             ca, cb = comp[i], comp[i + 1]
             # crossings between anti-parallel strands are the positive ones
-            sign = 1 if (fwd[i] ^ flip[ca]) != (fwd[i + 1] ^ flip[cb]) else -1
+            sign = 1 if fwd[i] != fwd[i + 1] else -1
             if ca == cb:
                 writhe[ca] += sign
             else:
@@ -429,14 +445,18 @@ def _front_data(d: FrontDiagram) -> _Derived:
             i = offset[t + 1] + e.pos - 1  # upper branch
             c = comp[i]
             left[c] += 1
-            if fwd[i] ^ flip[c]:
-                up[c] += 1  # traversal turns upward through a left cusp
+            up[c] += fwd[i]  # traversal turns upward through a left cusp
         else:
             i = offset[t] + e.pos - 1  # upper branch
             c = comp[i]
             right[c] += 1
-            if not fwd[i] ^ flip[c]:
-                up[c] += 1
+            up[c] += not fwd[i]
+    # fwd[i] ^ flip[comp[i]] is 1 where the oriented strand runs rightward
+    flip = [0] * n
+    for cid, o in d.orientations.items():
+        flip[cid] = o == -1
+    if any(flip):
+        cross = {key: -v if flip[key[0]] != flip[key[1]] else v for key, v in cross.items()}
     nh = d.n_handles
     runs = [[0] * nh for _ in range(n)]
     passes = [[0] * nh for _ in range(n)]
@@ -452,8 +472,9 @@ def _front_data(d: FrontDiagram) -> _Derived:
     for cid in tr.ids:
         if left[cid] != right[cid]:
             raise InternalError(f"internal: component {cid} has unbalanced cusps")
-        down = left[cid] + right[cid] - up[cid]  # every cusp turns up or down
-        rot2 = down - up[cid]
+        cusps = left[cid] + right[cid]
+        ups = cusps - up[cid] if flip[cid] else up[cid]  # every cusp turns up or down
+        rot2 = cusps - 2 * ups
         if rot2 % 2:
             raise InternalError(f"internal: component {cid} has odd cusp imbalance")
         stats.append(
@@ -462,8 +483,8 @@ def _front_data(d: FrontDiagram) -> _Derived:
                 orientation=-1 if flip[cid] else 1,
                 left_cusps=left[cid],
                 right_cusps=right[cid],
-                up_cusps=up[cid],
-                down_cusps=down,
+                up_cusps=ups,
+                down_cusps=cusps - ups,
                 writhe=writhe[cid],
                 tb=writhe[cid] - left[cid],
                 rot=rot2 // 2,
@@ -1100,7 +1121,7 @@ def parse_front(text: str) -> FrontDiagram:
             if events is not None:
                 raise FrontError(f"line {lineno}: duplicate events line")
             try:
-                events = parse_event_word(" ".join(fields[1:]))
+                events = _events_of(fields[1:])
             except FrontError as exc:
                 raise FrontError(f"line {lineno}: {exc}") from exc
         elif key in values and len(fields) == 3:
@@ -1142,16 +1163,8 @@ def parse_front(text: str) -> FrontDiagram:
 def serialize_front(d: FrontDiagram) -> str:
     """Canonical text form; orientations are written out for every component."""
     out = ["front 1", f"handles {d.n_handles}"]
-    for h, s in enumerate(d.slots, start=1):
-        out.append(f"handle {h} slots {s}")
-    # one string per distinct token, joined in one call
-    keys = [(e.kind, e.pos) for e in d.events]
-    tokens = {key: f"{key[0]}{key[1]}" for key in set(keys)}
-    out.append(" ".join(["events", *map(tokens.__getitem__, keys)]))
-    n = n_components(d)
-    for cid in range(1, n + 1):
-        out.append(f"orient {cid} {'+' if d.orientation(cid) == 1 else '-'}")
-    for cid in sorted(d.coefficients):
-        c = d.coefficients[cid]
-        out.append(f"coeff {cid} {c}")
+    out += [f"handle {h} slots {s}" for h, s in enumerate(d.slots, start=1)]
+    out.append(" ".join(["events", *[e.token for e in d.events]]))
+    out += [f"orient {cid} {'+' if d.orientation(cid) == 1 else '-'}" for cid in d.trace.ids]
+    out += [f"coeff {cid} {d.coefficients[cid]}" for cid in sorted(d.coefficients)]
     return "\n".join(out) + "\n"

@@ -604,14 +604,19 @@ class Gf2Solution:
 def solve_gf2_affine(matrix, rhs) -> Gf2Solution | None:
     """Solve A x = b over GF(2); None when inconsistent.
 
-    Rows are int sequences, reduced mod 2, and bools count as ints.  The
-    particular solution sets all free variables to 0, and the kernel basis
-    vectors are indexed by free columns in increasing order.
+    Rows are int sequences, reduced mod 2, and bools count as ints; b has
+    one entry per row, else NumericsError.  The particular solution sets
+    all free variables to 0, and the kernel basis vectors are indexed by
+    free columns in increasing order.
     """
+    if len(matrix) != len(rhs):
+        raise NumericsError(
+            f"the matrix's row count {len(matrix)} and the right-hand side's length {len(rhs)} differ"
+        )
     # column j is bit j of a packed row, and the right-hand side bit ncols
     rows = [
         sum((v & 1) << j for j, v in enumerate(row))
-        for row in _int_rows([*row, b] for row, b in zip(matrix, rhs, strict=True))
+        for row in _int_rows([*row, b] for row, b in zip(matrix, rhs))
     ]
     nrows = len(rows)
     ncols = len(matrix[0]) if nrows else 0

@@ -208,7 +208,8 @@ def h1(p: SurgeryPresentation) -> AbelianGroup:
 def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
-    Classes are integer vectors in meridian coordinates.  The value is
+    Classes are int vectors in meridian coordinates (a bool counts as the
+    int it equals, any other entry raises PresentationError).  The value is
     -x . Q^(-1) y mod 1, read off one fraction-free congruence of Q
     bordered by x and y; both inputs must be torsion in the cokernel,
     otherwise the pairing is undefined.
@@ -217,7 +218,11 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     m = p.m
     if len(x) != m or len(y) != m:
         raise PresentationError("class vectors must have one entry per component")
-    *_, value = _bordered_congruence(q, x, y)
+    for name, vec in (("x", x), ("y", y)):
+        for v in vec:
+            if not isinstance(v, int):
+                raise PresentationError(f"class {name} has a non-int entry {v!r}")
+    *_, value = _bordered_congruence(q, [*map(int, x)], [*map(int, y)])
     if value is None:
         raise PresentationError("linking form undefined: class is not torsion")
     num, den = value

@@ -878,3 +878,32 @@ def test_importing_the_cli_imports_only_numerics(tmp_path):
     rc, err, modules = child_imports(tmp_path, "-c", "import steinkit.cli")
     assert (rc, err) == (0, [])
     assert modules == {"steinkit", "steinkit.cli", "steinkit.numerics"}
+
+
+# The console script imports steinkit.cli and calls main, so its closure
+# holds steinkit.cli itself, which a -m child runs as __main__ instead.
+# One verb per module group: front, presentation, invariants, families.
+MAIN_CLOSURE = """\
+import sys
+from steinkit.cli import main
+rc = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "steinkit"), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("verb", ["stats", "h1", "theta", "brieskorn"])
+def test_one_main_call_leaves_exactly_its_verbs_modules(tmp_path, verb):
+    (tmp_path / "in.front").write_text(TREFOIL)
+    (tmp_path / "in.surgery").write_text(MERIDIAN)
+    args, layers = VERB_CALLS[verb]
+    argv = [str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_CLOSURE, verb, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout
+    assert set(proc.stderr.split()) == {"steinkit", "steinkit.cli", "steinkit.numerics"} | {
+        f"steinkit.{m}" for m in layers
+    }

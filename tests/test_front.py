@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import accumulate
 from unittest import mock
@@ -1379,6 +1381,89 @@ def test_front_format_round_trip_on_900_crossing_words(seed):
     assert text.splitlines()[3] == "events " + " ".join(word)
     again = parse_front(text)
     assert again == d and serialize_front(again) == text
+
+
+def reference_serialize_front(d):
+    """serialize_front as written before each Event kept its token, which
+    maps every event to a (kind, pos) key; the text must stay the same."""
+    out = ["front 1", f"handles {d.n_handles}"]
+    for h, s in enumerate(d.slots, start=1):
+        out.append(f"handle {h} slots {s}")
+    keys = [(e.kind, e.pos) for e in d.events]
+    tokens = {key: f"{key[0]}{key[1]}" for key in set(keys)}
+    out.append(" ".join(["events", *map(tokens.__getitem__, keys)]))
+    n = n_components(d)
+    for cid in range(1, n + 1):
+        out.append(f"orient {cid} {'+' if d.orientation(cid) == 1 else '-'}")
+    for cid in sorted(d.coefficients):
+        c = d.coefficients[cid]
+        out.append(f"coeff {cid} {c}")
+    return "\n".join(out) + "\n"
+
+
+def with_random_data(rng, d):
+    ids = d.trace.ids
+    coeffs = {c: rng.choice((STEIN, rat(rng.randint(-9, 9), rng.randint(1, 5)))) for c in ids}
+    return FrontDiagram(d.slots, d.events, {c: rng.choice((1, -1)) for c in ids}, coeffs)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_serialize_front_matches_the_reference_after_moves_and_stabilization(seed):
+    rng = random.Random(seed)
+    d = with_random_data(rng, random_front(rng))
+    rewritten = [d]
+    for move, kw in move_candidates(d):
+        try:
+            rewritten.append(apply_move(d, move, **kw))
+        except FrontError:
+            pass
+    rewritten += [stabilize(d, cid, way) for cid in d.trace.ids for way in ("up", "down")]
+    for x in rewritten:
+        text = serialize_front(x)
+        assert text == reference_serialize_front(x)
+        assert serialize_front(parse_front(text)) == text
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_serialize_front_matches_the_reference_on_bench_shaped_words(seed):
+    rng = random.Random(seed)
+    # five cusp pairs open 12 strands, so positions run to two digits
+    long = strand_front(rng, 5, 900)
+    assert max(e.pos for e in long.events) >= 10
+    # one Event per column, as a caller that builds its word by hand has
+    assert len(set(map(id, long.events))) == len(long.events)
+    for d in (long, cusp_rich_front(rng, 12)):
+        d = with_random_data(rng, d)
+        assert serialize_front(d) == reference_serialize_front(d)
+    d = FrontDiagram((True, 2), (Event("X", True),), {}, {1: ExtRational(True)})
+    assert serialize_front(d) == reference_serialize_front(d)
+
+
+def test_parse_front_reads_padded_positions_as_before():
+    head = "front 1\nhandles 1\nhandle 1 slots 2\n"
+    d = parse_front(head + "events L01 X002 X1 R01 X01\n")
+    assert d == parse_front(head + "events L1 X2 X1 R1 X1\n")
+    assert d.events == parse_event_word("L01 X002 X1 R01 X01")
+    assert [e.token for e in d.events] == ["L1", "X2", "X1", "R1", "X1"]
+    # X01 and X1 are distinct tokens, so each has its own Event
+    assert d.events[2] is not d.events[4]
+    assert serialize_front(d) == reference_serialize_front(d)
+
+
+def test_an_events_token_is_not_a_field():
+    e = Event("X", True)
+    assert [f.name for f in dataclasses.fields(Event)] == ["kind", "pos"]
+    assert repr(e) == "Event(kind='X', pos=1)"
+    assert hash(e) == hash(("X", 1)) == hash(Event("X", 1))
+    assert e == Event("X", 1) and e != Event("X", 2) and e != Event("L", 1)
+    assert e.token == str(e) == "X1"
+    assert dataclasses.replace(e, pos=3).token == "X3"
+    assert pickle.loads(pickle.dumps(e)).token == "X1"
+    # equality and hash read kind and pos only, whatever the token holds
+    odd = Event("X", 1)
+    object.__setattr__(odd, "token", "junk")
+    assert odd == e and hash(odd) == hash(e)
 
 
 def test_parse_front_errors_carry_line_numbers():

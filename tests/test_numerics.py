@@ -855,6 +855,14 @@ def test_gf2_inconsistent_system():
     assert solve_gf2_affine([[0, 0]], [1]) is None
 
 
+@pytest.mark.parametrize("matrix, rhs", [([[1, 0]], [1, 0]), ([[1], [0]], [1]), ([], [1])])
+def test_gf2_right_hand_side_needs_one_entry_per_row(matrix, rhs):
+    with pytest.raises(NumericsError, match=(
+        rf"^the matrix's row count {len(matrix)} and the right-hand side's length {len(rhs)} differ$"
+    )):
+        solve_gf2_affine(matrix, rhs)
+
+
 def test_gf2_deterministic_enumeration():
     sol = solve_gf2_affine([[1, 1, 0], [0, 0, 0]], [0, 0])
     assert isinstance(sol, Gf2Solution)

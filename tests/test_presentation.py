@@ -576,6 +576,24 @@ def test_linking_form_solves_both_classes_at_once(monkeypatch):
             linking_form(free_second, x, y)
 
 
+@pytest.mark.parametrize("x, y, bad", [
+    ([0.5, 0], [0, 1], "class x has a non-int entry 0.5"),
+    (["1", 0], [0, 1], "class x has a non-int entry '1'"),
+    ([1, 0], [0, Fraction(1)], "class y has a non-int entry Fraction(1, 1)"),
+    ([1, 0], [None, 1], "class y has a non-int entry None"),
+])
+def test_linking_form_refuses_non_int_class_entries(x, y, bad):
+    p = pres([4, 6], [[0, 1], [1, 0]])
+    with pytest.raises(PresentationError) as info:
+        linking_form(p, x, y)
+    assert str(info.value) == bad
+
+
+def test_linking_form_counts_bools_as_ints():
+    p = pres([4, 6], [[0, 1], [1, 0]])
+    assert linking_form(p, [True, False], [0, True]) == linking_form(p, [1, 0], [0, 1])
+
+
 def test_linking_form_is_symmetric():
     p = pres([4, 6], [[0, 1], [1, 0]])
     x, y = [1, 0], [0, 1]

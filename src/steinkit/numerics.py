@@ -392,63 +392,70 @@ def smith_normal_form(matrix) -> SmithForm:
     )
 
 
-def _nearest_quotient(a: int, b: int) -> int:
-    """The integer nearest a/b, so a - q*b lies in (-|b|/2, |b|/2]."""
-    return (2 * a + b) // (2 * b)
-
-
 def invariant_factors(matrix) -> tuple[int, ...]:
     """The diagonal of smith_normal_form(matrix), without the witnesses.
 
     Column-local Euclid: the smallest nonzero entry of the current column
-    is the pivot, and row operations clear the rest of that column.  Then
-    the column has one nonzero entry, so the column operations that reduce
-    the pivot row mod |pivot| touch that row alone.  A nonzero remainder is
-    a smaller pivot: its column becomes the current one.  Otherwise the
-    pivot splits off as a 1x1 block.  The block values are then normalised
-    to a divisor chain by gcd/lcm, which keeps the group they present.
-    Taking the smallest pivot and rounded quotients keeps entries from the
-    growth a plain extended-gcd sweep shows, and no witness is built, so
-    no dimension cap applies.
+    is the pivot, and row operations by the nearest integer quotient clear
+    the rest of that column.  Then the column has one nonzero entry, so
+    the column operations that reduce the pivot row mod |pivot| touch that
+    row alone.  A nonzero remainder is a smaller pivot: its column becomes
+    the current one.  Otherwise the pivot splits off as a 1x1 block.  The
+    block values are then normalised to a divisor chain by gcd/lcm, which
+    keeps the group they present.  Taking the smallest pivot and rounded
+    quotients keeps entries from the growth a plain extended-gcd sweep
+    shows, and no witness is built, so no dimension cap applies.  The rows
+    are never reshaped: a list of live column indices holds the current
+    column last, a remainder's column trades places with it in that list,
+    and a split-off column is popped from it.
     """
-    rows = _int_rows(matrix)
+    return _invariant_factors(_int_rows(matrix))
+
+
+def _invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """invariant_factors of fresh rows of plain ints, all of one length; it consumes them."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    cols = list(range(ncols))
     blocks = []
-    while rows and rows[0]:
-        c = len(rows[0]) - 1  # the current column is always the last one
+    while rows and cols:
+        c = cols[-1]
         while True:
             live = [r for r in rows if r[c]]
             if not live:
                 break  # a zero column contributes a zero factor
             while len(live) > 1:
-                piv = min(live, key=lambda r: abs(r[c]))
+                piv, ap = live[0], abs(live[0][c])
+                for r in live:
+                    if abs(r[c]) < ap:
+                        piv, ap = r, abs(r[c])
                 p, left = piv[c], [piv]
-                support = [(j, y) for j, y in enumerate(piv) if y]
+                support = [(j, piv[j]) for j in cols if piv[j]]
                 for r in live:
                     if r is not piv:
-                        q = _nearest_quotient(r[c], p)
+                        q = (2 * r[c] + p) // (2 * p)  # the integer nearest r[c] / p
                         for j, y in support:
                             r[j] -= q * y
                         if r[c]:
                             left.append(r)
                 live = left
             piv = live[0]
-            ap = abs(piv[c])
+            ap, h = abs(piv[c]), abs(piv[c]) // 2
             rem = None
             if ap > 1:  # a unit pivot reduces its whole row to zero mod 1
-                for j in range(c):
+                for k in range(len(cols) - 1):
+                    j = cols[k]
                     if piv[j]:
-                        piv[j] -= ap * _nearest_quotient(piv[j], ap)
-                rem = min((j for j in range(c) if piv[j]), key=lambda j: abs(piv[j]), default=None)
+                        piv[j] = v = (piv[j] + h) % ap - h  # by the nearest quotient, as above
+                        if v and (rem is None or abs(v) < best):
+                            rem, best = k, abs(v)
             if rem is None:
                 rows = [r for r in rows if r is not piv]
                 blocks.append(ap)
                 break
-            for r in rows:
-                r[rem], r[c] = r[c], r[rem]
-        for r in rows:
-            r.pop()
+            cols[rem], cols[-1] = c, cols[rem]
+            c = cols[-1]
+        cols.pop()
     factors = sorted(d for d in blocks if d > 1)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):

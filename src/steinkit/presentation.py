@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from math import prod
 
 from .numerics import (
     INF,
     ZERO,
     ExtRational,
     _bordered_congruence,
+    _invariant_factors,
     first_asymmetry,
     invariant_factors,
     neg_continued_fraction,
@@ -45,7 +47,7 @@ class SurgeryPresentation:
     tuple of rows), empty flag fields are filled with their defaults, a
     bool (or other int subclass) linking number, rot or tb is stored as
     the plain int it equals, and the data is validated once, on
-    construction.  Rewrites return new presentations.
+    construction; a rewrite builds its result from a validated parent.
     """
 
     coeffs: tuple[ExtRational, ...]
@@ -114,8 +116,7 @@ class SurgeryPresentation:
 
     def delete(self, index: int) -> "SurgeryPresentation":
         """Remove one component (0-based), dropping its linking data."""
-        if not 0 <= index < self.m:
-            raise PresentationError(f"component index {index} out of range 0..{self.m - 1}")
+        index = _check_index(self, index, 0)
         chains = _own_chains(self)
         return _rechain(self, [None if k == index else ch for k, ch in enumerate(chains)])
 
@@ -126,10 +127,10 @@ class SurgeryPresentation:
         so infinity (1/0) gives the row e_i and an integer coefficient gives
         the linking matrix row with the framing on the diagonal.
         """
-        return [
-            [c.num if j == i else c.den * v for j, v in enumerate(row)]
-            for i, (c, row) in enumerate(zip(self.coeffs, self.lk))
-        ]
+        rows = [list(row) if c.den == 1 else [c.den * v for v in row] for c, row in zip(self.coeffs, self.lk)]
+        for i, c in enumerate(self.coeffs):
+            rows[i][i] = c.num
+        return rows
 
     def integer_matrix(self) -> list[list[int]]:
         """Linking matrix with framings on the diagonal; integer coefficients only."""
@@ -141,10 +142,20 @@ class SurgeryPresentation:
         return self.relation_matrix()
 
 
-def _check_index(p: SurgeryPresentation, i: int) -> int:
-    if not 1 <= i <= p.m:
-        raise PresentationError(f"component index {i} out of range 1..{p.m}")
-    return i - 1
+def _check_index(p: SurgeryPresentation, i: int, base: int = 1) -> int:
+    if not isinstance(i, int):
+        raise PresentationError(f"component index {i!r} is not an int")
+    if not base <= i < p.m + base:
+        raise PresentationError(f"component index {i} out of range {base}..{p.m + base - 1}")
+    return i - base
+
+
+def _build(coeffs, lk, unknot, l0, rot, tb) -> SurgeryPresentation:
+    """A presentation of tuple fields that hold every invariant __post_init__
+    checks, stored unchecked: the builder of rewrites from a valid parent."""
+    p = object.__new__(SurgeryPresentation)
+    p.__dict__.update(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +170,7 @@ class AbelianGroup:
     rank: int = 0
 
     def order(self) -> int | None:
-        if self.rank:
-            return None
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
+        return None if self.rank else prod(self.factors)
 
     def __str__(self) -> str:
         parts = []
@@ -182,11 +188,12 @@ def cokernel(matrix) -> AbelianGroup:
     Read off the invariant factors alone (numerics.invariant_factors): no
     unimodular witnesses are built and no dimension is capped.
     """
-    diag = invariant_factors(matrix)
-    rank_deficit = len(matrix) - len(diag)  # missing columns leave free generators
-    zeros = sum(1 for d in diag if d == 0)
-    factors = tuple(d for d in diag if d > 1)
-    return AbelianGroup(factors=factors, rank=zeros + rank_deficit)
+    return _group(invariant_factors(matrix), len(matrix))
+
+
+def _group(diag, nrows: int) -> AbelianGroup:
+    """The cokernel of nrows relations with invariant factors diag; missing columns leave free generators."""
+    return AbelianGroup(factors=tuple(d for d in diag if d > 1), rank=diag.count(0) + nrows - len(diag))
 
 
 def h1(p: SurgeryPresentation) -> AbelianGroup:
@@ -198,7 +205,7 @@ def h1(p: SurgeryPresentation) -> AbelianGroup:
     factors are computed, by cokernel's diagonal-only route, so no Smith
     form witness is built and m is not capped.
     """
-    return cokernel(p.relation_matrix())
+    return _group(_invariant_factors(p.relation_matrix()), p.m)  # fresh int rows need no intake
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +263,14 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
     flag while their coefficient stays 0.  A result with more than
     MAX_COMPONENTS components, and more than p has, is refused before
     its linking matrix is built.
+
+    _build skips the checks, as each holds by construction: coefficients
+    are p's, or ExtRationals from rat, arithmetic or slam_dunk_inverse's
+    check; lk is p's symmetric, zero-diagonal int block on the kept
+    indices, padded to n x n with 0 and a symmetric 1 for each link
+    between distinct components; l0 marks only components p marked (so
+    unknots) whose coefficient is still 0; rot and tb are None, p's
+    ints, or ints the callers compute from ints.
     """
     keep = [i for i, chain in enumerate(chains) if chain is not None]
     n = sum(len(chains[i]) for i in keep)
@@ -273,17 +288,14 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
             prev = len(entries)
             entries.append(entry)
     extra = len(links)
-    lk = [[p.lk[a][b] for b in keep] + [0] * extra for a in keep] + [[0] * n for _ in links]
+    mask = [chain is not None for chain in chains]
+    lk = [[*compress(row, mask), *(0,) * extra] for row in compress(p.lk, mask)] + [[0] * n for _ in links]
     for k, i in links:
         lk[k][i] = lk[i][k] = 1
-    return SurgeryPresentation(
-        coeffs=[c for c, _, _ in entries],
-        lk=lk,
-        unknot=[p.unknot[i] for i in keep] + [True] * extra,
-        l0=[p.l0[i] and c == ZERO for i, (c, _, _) in zip(keep, entries)] + [False] * extra,
-        rot=[r for _, r, _ in entries],
-        tb=[t for _, _, t in entries],
-    )
+    coeffs, rot, tb = zip(*entries) if entries else ((), (), ())
+    unknot = (*(p.unknot[i] for i in keep), *(True,) * extra)
+    l0 = (*(p.l0[i] and c == ZERO for i, c in zip(keep, coeffs)), *(False,) * extra)
+    return _build(coeffs, tuple(map(tuple, lk)), unknot, l0, rot, tb)
 
 
 def expand_rational(p: SurgeryPresentation) -> SurgeryPresentation:
@@ -322,22 +334,33 @@ def rolfsen_twist(p: SurgeryPresentation, i: int, m: int) -> SurgeryPresentation
     Legendrian data) are dropped.
     """
     idx = _check_index(p, i)
+    if not isinstance(m, int):
+        raise PresentationError(f"twist count {m!r} is not an int")
     if not p.unknot[idx]:
         raise PresentationError(f"component {i} is not known to be an unknot")
     if m == 0:
         return p
     c = p.coeffs[idx]
     twisted = ExtRational(c.num, c.den + m * c.num)
+    coeffs, lk = _twist(p, idx, m)
+    coeffs[idx] = twisted
+    unknot = tuple(j == idx and u for j, u in enumerate(p.unknot))
+    l0 = tuple(j == idx and f and twisted == ZERO for j, f in enumerate(p.l0))
+    return _build(tuple(coeffs), tuple(map(tuple, lk)), unknot, l0, (None,) * p.m, (None,) * p.m)
+
+
+def _twist(p: SurgeryPresentation, idx: int, m: int):
+    """p's coefficients and linking rows, as lists, after m twists along
+    component idx, but for r_idx: where j links idx, r_j gains
+    m lk(idx,j)^2 and lk(j,k) gains m lk(idx,j) lk(idx,k), k != j."""
     row = p.lk[idx]
-    return SurgeryPresentation(
-        coeffs=[twisted if j == idx else cj + m * row[j] ** 2 for j, cj in enumerate(p.coeffs)],
-        lk=[
-            [v + m * row[j] * row[k] if j != k else v for k, v in enumerate(r)]
-            for j, r in enumerate(p.lk)
-        ],
-        unknot=[j == idx and u for j, u in enumerate(p.unknot)],
-        l0=[j == idx and f and twisted == ZERO for j, f in enumerate(p.l0)],
-    )
+    coeffs, lk = list(p.coeffs), list(p.lk)
+    for j, a in enumerate(row):
+        if a:
+            coeffs[j] += m * a * a
+            lk[j] = [v + m * a * b for v, b in zip(lk[j], row)]
+            lk[j][j] = 0
+    return coeffs, lk
 
 
 def slam_dunk(p: SurgeryPresentation, i: int, j: int) -> SurgeryPresentation:
@@ -381,6 +404,8 @@ def slam_dunk_inverse(p: SurgeryPresentation, i: int, meridian_coeff: ExtRationa
     """
     idx = _check_index(p, i)
     c = meridian_coeff
+    if not isinstance(c, ExtRational):
+        raise PresentationError(f"meridian_coeff must be an ExtRational, got {c!r}")
     if c == ZERO:
         raise PresentationError("meridian coefficient 0 is not dunkable")
     new_ri = p.coeffs[idx] + c.reciprocal()
@@ -406,13 +431,14 @@ def blow_down(p: SurgeryPresentation, i: int) -> SurgeryPresentation:
     eps = c.num
     row = p.lk[idx]
     keep = [j for j in range(p.m) if j != idx]
-    return SurgeryPresentation(
-        coeffs=[p.coeffs[j] - eps * row[j] ** 2 if row[j] else p.coeffs[j] for j in keep],
-        lk=[[p.lk[j][k] - eps * row[j] * row[k] if j != k else 0 for k in keep] for j in keep],
-        unknot=[p.unknot[j] and not row[j] for j in keep],
-        l0=[p.l0[j] and not row[j] for j in keep],
-        rot=[None if row[j] else p.rot[j] for j in keep],
-        tb=[None if row[j] else p.tb[j] for j in keep],
+    coeffs, lk = _twist(p, idx, -eps)  # a blow-down is a -eps twist that drops component idx
+    return _build(
+        tuple(coeffs[j] for j in keep),
+        tuple((*lk[j][:idx], *lk[j][idx + 1:]) for j in keep),
+        tuple(p.unknot[j] and not row[j] for j in keep),
+        tuple(p.l0[j] and not row[j] for j in keep),
+        tuple(None if row[j] else p.rot[j] for j in keep),
+        tuple(None if row[j] else p.tb[j] for j in keep),
     )
 
 
@@ -588,23 +614,10 @@ def parse_surgery(text: str) -> SurgeryPresentation:
 
 def serialize_surgery(p: SurgeryPresentation) -> str:
     """Canonical text form; parse(serialize(p)) reproduces p exactly."""
-    out = ["surgery 1", f"components {p.m}"]
-    for i in range(p.m):
-        out.append(f"coeff {i + 1} {p.coeffs[i]}")
-    for i in range(p.m):
-        for j in range(i + 1, p.m):
-            if p.lk[i][j]:
-                out.append(f"lk {i + 1} {j + 1} {p.lk[i][j]}")
-    for i in range(p.m):
-        if p.unknot[i] and not p.l0[i]:
-            out.append(f"unknot {i + 1}")
-    for i in range(p.m):
-        if p.l0[i]:
-            out.append(f"l0 {i + 1}")
-    for i in range(p.m):
-        if p.rot[i] is not None:
-            out.append(f"rot {i + 1} {p.rot[i]}")
-    for i in range(p.m):
-        if p.tb[i] is not None:
-            out.append(f"tb {i + 1} {p.tb[i]}")
+    out = ["surgery 1", f"components {p.m}", *(f"coeff {i + 1} {c}" for i, c in enumerate(p.coeffs))]
+    out += (f"lk {i + 1} {j + 1} {v}" for i, row in enumerate(p.lk) for j, v in enumerate(row) if j > i and v)
+    out += (f"unknot {i + 1}" for i in range(p.m) if p.unknot[i] and not p.l0[i])
+    out += (f"l0 {i + 1}" for i in range(p.m) if p.l0[i])
+    out += (f"rot {i + 1} {v}" for i, v in enumerate(p.rot) if v is not None)
+    out += (f"tb {i + 1} {v}" for i, v in enumerate(p.tb) if v is not None)
     return "\n".join(out) + "\n"

@@ -9,13 +9,14 @@ import operator
 import random
 import re
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from random_presentations import presentations
 from steinkit import numerics
 from steinkit.families import (
     BorromeanCoeffs,
@@ -47,7 +48,14 @@ from steinkit.numerics import (
     solve_gf2_affine,
 )
 from steinkit.invariants import SteinPresentation, theta
-from steinkit.presentation import SurgeryPresentation, cokernel, linking_form, rolfsen_twist, slam_dunk
+from steinkit.presentation import (
+    SurgeryPresentation,
+    cokernel,
+    expand_rational,
+    linking_form,
+    rolfsen_twist,
+    slam_dunk,
+)
 
 rationals = st.builds(
     lambda p, q: ExtRational(p, q),
@@ -496,6 +504,107 @@ def test_invariant_factors_fixtures():
     assert invariant_factors([[-6]]) == (6,)
     with pytest.raises(NumericsError, match="ragged"):
         invariant_factors([[1, 2], [3]])
+
+
+def _nearest_quotient(a: int, b: int) -> int:
+    """The integer nearest a/b, so a - q*b lies within |b|/2 of 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _reference_invariant_factors(matrix) -> tuple[int, ...]:
+    """The invariant_factors kernel as it was before its live-column
+    bookkeeping, kept verbatim as the oracle: it pops the last entry of
+    every row after each column and swaps two columns in every row when a
+    remainder moves the pivot."""
+    rows = numerics._int_rows(matrix)
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    blocks = []
+    while rows and rows[0]:
+        c = len(rows[0]) - 1  # the current column is always the last one
+        while True:
+            live = [r for r in rows if r[c]]
+            if not live:
+                break  # a zero column contributes a zero factor
+            while len(live) > 1:
+                piv = min(live, key=lambda r: abs(r[c]))
+                p, left = piv[c], [piv]
+                support = [(j, y) for j, y in enumerate(piv) if y]
+                for r in live:
+                    if r is not piv:
+                        q = _nearest_quotient(r[c], p)
+                        for j, y in support:
+                            r[j] -= q * y
+                        if r[c]:
+                            left.append(r)
+                live = left
+            piv = live[0]
+            ap = abs(piv[c])
+            rem = None
+            if ap > 1:  # a unit pivot reduces its whole row to zero mod 1
+                for j in range(c):
+                    if piv[j]:
+                        piv[j] -= ap * _nearest_quotient(piv[j], ap)
+                rem = min((j for j in range(c) if piv[j]), key=lambda j: abs(piv[j]), default=None)
+            if rem is None:
+                rows = [r for r in rows if r is not piv]
+                blocks.append(ap)
+                break
+            for r in rows:
+                r[rem], r[c] = r[c], r[rem]
+        for r in rows:
+            r.pop()
+    factors = sorted(d for d in blocks if d > 1)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    ones = len(blocks) - len(factors)
+    return (1,) * ones + tuple(factors) + (0,) * (min(nrows, ncols) - len(blocks))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Dense or tridiagonal matrices up to 10 x 10, some with a zero row or
+    a zero column."""
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(("dense", "banded", "zero row", "zero column")))
+    entry = st.integers(-40, 40)
+    rows = [[draw(entry) if kind != "banded" or abs(i - j) <= 1 else 0 for j in range(ncols)] for i in range(nrows)]
+    if kind == "zero row" and nrows:
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if kind == "zero column" and ncols:
+        k = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[k] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+def test_invariant_factors_match_the_reference_kernel(rows):
+    want = _reference_invariant_factors(rows)
+    assert invariant_factors(rows) == want
+    assert numerics._invariant_factors([list(row) for row in rows]) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations())
+def test_invariant_factors_match_the_reference_kernel_on_relation_matrices(p):
+    # the expansions of some of these pass 64 components
+    for rows in (p.relation_matrix(), expand_rational(p).relation_matrix()):
+        assert invariant_factors(rows) == _reference_invariant_factors(rows)
+
+
+def test_invariant_factors_match_the_reference_kernel_on_larger_matrices():
+    rng = random.Random(24)
+    for n in (24, 40, 79):
+        banded = [[rng.randint(-9, 9) if abs(i - j) <= 2 else 0 for j in range(n)] for i in range(n)]
+        sparse = [[rng.randint(-3, 3) if rng.random() < 3 / n else 0 for j in range(n)] for i in range(n)]
+        for rows in (banded, sparse):
+            assert invariant_factors(rows) == _reference_invariant_factors(rows)
+    dense = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+    assert invariant_factors(dense) == _reference_invariant_factors(dense)
 
 
 # every kernel behind the shared integer-matrix intake, and cokernel on top

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_presentations import presentations
 from steinkit import numerics, presentation
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
@@ -131,14 +133,22 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         unknot=[True, False, False, False],
     )
     text = serialize_surgery(mixed)
+    # a presentation is built either by the validating constructor or, for
+    # a rewrite of an already validated parent, by the unchecked _build
     built = []
     original = SurgeryPresentation.__post_init__
+    original_build = presentation._build
 
     def counting(self):
         built.append(self)
         original(self)
 
+    def counting_build(*fields):
+        built.append(original_build(*fields))
+        return built[-1]
+
     monkeypatch.setattr(SurgeryPresentation, "__post_init__", counting)
+    monkeypatch.setattr(presentation, "_build", counting_build)
     calls = {
         "rolfsen_twist": lambda: rolfsen_twist(hopf, 1, -2),
         "slam_dunk": lambda: slam_dunk(hopf, 2, 1),
@@ -146,6 +156,7 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         "blow_down": lambda: blow_down(hopf, 1),
         "delete": lambda: mixed.delete(1),
         "expand_rational": lambda: expand_rational(mixed),
+        "stein_plan": lambda: stein_plan(hopf).expanded,
         "parse_surgery": lambda: parse_surgery(text),
     }
     for name, call in calls.items():
@@ -153,6 +164,40 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         out = call()
         assert len(built) == 1 and built[0] is out, name
     assert expand_rational(mixed).m == 6
+
+
+def assert_as_validated(out):
+    """out is what the validating constructor builds from its fields,
+    type for type, and the text format reproduces it."""
+    again = SurgeryPresentation(**vars(out))
+    assert again == out and repr(again) == repr(out)
+    assert parse_surgery(serialize_surgery(out)) == out
+
+
+@settings(max_examples=30, deadline=None)
+@given(presentations(), st.data())
+def test_every_rewrite_builds_what_the_validating_constructor_builds(p, data):
+    group = h1(p)
+    i = data.draw(st.integers(1, p.m), label="component")
+    r = p.coeffs[i - 1]
+    # a meridian coefficient c that leaves r + 1/c the integer k
+    k = rat(data.draw(st.integers(-2, 2), label="k"))
+    c = INF if r.is_infinite or r == k else (k - r).reciprocal()
+    dunked = slam_dunk_inverse(p, i, c)
+    same = [expand_rational(p), dunked, slam_dunk(dunked, i, dunked.m)]
+    same += [
+        rolfsen_twist(p, j + 1, data.draw(st.sampled_from((-2, -1, 1, 2)), label="twist"))
+        for j in range(p.m)
+        if p.unknot[j]
+    ]
+    same += [blow_down(p, j + 1) for j in range(p.m) if p.unknot[j] and p.coeffs[j] in (rat(1), rat(-1))]
+    plan = stein_plan(p)
+    if plan.ok:
+        same.append(plan.expanded)
+    for out in same:
+        assert_as_validated(out)
+        assert h1(out) == group
+    assert_as_validated(p.delete(i - 1))
 
 
 def test_integer_matrix_requires_integers():
@@ -207,6 +252,28 @@ def test_h1_needs_no_chain_expansion(monkeypatch):
 
     monkeypatch.setattr(presentation, "expand_rational", refuse)
     assert h1(p) == expected == AbelianGroup((59,))
+
+
+def test_h1_builds_its_relation_matrix_once_and_skips_the_intake(monkeypatch):
+    calls = {"relation_matrix": 0, "_int_rows": 0}
+    relation_matrix, int_rows = SurgeryPresentation.relation_matrix, numerics._int_rows
+
+    def counting_relation_matrix(self):
+        calls["relation_matrix"] += 1
+        return relation_matrix(self)
+
+    def counting_int_rows(matrix):
+        calls["_int_rows"] += 1
+        return int_rows(matrix)
+
+    monkeypatch.setattr(SurgeryPresentation, "relation_matrix", counting_relation_matrix)
+    monkeypatch.setattr(numerics, "_int_rows", counting_int_rows)
+    p = pres([rat(7, 2), INF, rat(-5, 3)], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert h1(p) == AbelianGroup((59,))
+    assert calls == {"relation_matrix": 1, "_int_rows": 0}
+    # the public route keeps its intake
+    assert cokernel(relation_matrix(p)) == AbelianGroup((59,))
+    assert calls == {"relation_matrix": 1, "_int_rows": 1}
 
 
 def test_h1_takes_no_witnessed_smith_form(monkeypatch):
@@ -293,6 +360,35 @@ def test_delete_rejects_indices_out_of_range():
         with pytest.raises(PresentationError, match="out of range 0..1"):
             p.delete(index)
     assert p.delete(1).coeffs == (rat(1),)
+
+
+def test_rewrites_refuse_non_int_indices_and_twist_counts():
+    hopf = pres([rat(1), rat(-2)], [[0, 1], [1, 0]], unknot=[True, True])
+    calls = [
+        lambda i: hopf.delete(i),
+        lambda i: blow_down(hopf, i),
+        lambda i: slam_dunk(hopf, 1, i),
+        lambda i: slam_dunk_inverse(hopf, i, rat(1)),
+        lambda i: rolfsen_twist(hopf, i, 1),
+    ]
+    for call in calls:
+        for bad in (0.0, 1.0, "1", Fraction(1), None):
+            with pytest.raises(PresentationError, match=rf"^component index {re.escape(repr(bad))} is not an int$"):
+                call(bad)
+    for bad in (1.5, "1", Fraction(1), None):
+        with pytest.raises(PresentationError, match=rf"^twist count {re.escape(repr(bad))} is not an int$"):
+            rolfsen_twist(hopf, 1, bad)
+    # a bool is the int it equals
+    assert hopf.delete(True) == hopf.delete(1)
+    assert blow_down(hopf, True) == blow_down(hopf, 1)
+    assert rolfsen_twist(hopf, True, True) == rolfsen_twist(hopf, 1, 1)
+
+
+def test_slam_dunk_inverse_refuses_a_meridian_coefficient_that_is_not_an_ext_rational():
+    hopf = pres([rat(1), rat(-2)], [[0, 1], [1, 0]], unknot=[True, True])
+    for bad in (1, 2, True, Fraction(1, 2), 0.5, "1/2", None):
+        with pytest.raises(PresentationError, match=rf"^meridian_coeff must be an ExtRational, got {re.escape(repr(bad))}$"):
+            slam_dunk_inverse(hopf, 1, bad)
 
 
 def test_rewrites_stop_at_the_component_limit(monkeypatch):

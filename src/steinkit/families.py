@@ -10,10 +10,9 @@ decider answers YES or UNKNOWN, never NO: the underlying results are
 one-directional.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .numerics import INF, ExtRational, InternalError, MobiusMap, rat
+from .numerics import INF, ExtRational, Frozen, InternalError, MobiusMap, rat
 
 
 class FamilyError(ValueError):
@@ -29,8 +28,7 @@ def _below(r: ExtRational, v: int) -> bool:
 # Seifert fibered spaces
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Frozen):
     """Diagram-coefficient form of a Seifert fibered space.
 
     The space is surgery on k fibers of the trivial circle bundle over
@@ -39,17 +37,19 @@ class SeifertData:
     orientable bases need genus >= 0, nonorientable ones genus >= 1.
     """
 
-    orientable: bool
-    genus: int
-    coefficients: tuple[ExtRational, ...]
+    def __init__(self, orientable: bool, genus: int, coefficients: tuple[ExtRational, ...]):
+        d = self.__dict__
+        d["orientable"], d["genus"], d["coefficients"] = orientable, genus, coefficients
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        d = self.__dict__
+        d["coefficients"] = tuple(self.coefficients)
         if type(self.orientable) is not bool:
             raise FamilyError(f"orientable must be a bool, got {self.orientable!r}")
         if not isinstance(self.genus, int):
             raise FamilyError(f"genus must be an int, got {self.genus!r}")
-        object.__setattr__(self, "genus", int(self.genus))
+        d["genus"] = int(self.genus)
         if self.orientable and self.genus < 0:
             raise FamilyError(f"orientable base needs genus >= 0, got {self.genus}")
         if not self.orientable and self.genus < 1:
@@ -71,12 +71,10 @@ def seifert_from_invariants(genus: int, pairs) -> SeifertData:
     return SeifertData(orientable=True, genus=genus, coefficients=coeffs)
 
 
-@dataclass(frozen=True)
-class SeifertNormal:
-    e: ExtRational
-    e0: int
-    rprime: tuple[ExtRational, ...]
-    k0: int
+class SeifertNormal(Frozen):
+    def __init__(self, e: ExtRational, e0: int, rprime: tuple[ExtRational, ...], k0: int):
+        d = self.__dict__
+        d["e"], d["e0"], d["rprime"], d["k0"] = e, e0, rprime, k0
 
 
 def seifert_normalize(s: SeifertData) -> SeifertNormal:
@@ -105,8 +103,7 @@ def seifert_normalize(s: SeifertData) -> SeifertNormal:
     return SeifertNormal(e=ExtRational(en, ed), e0=e0, rprime=tuple(rprime), k0=k0)
 
 
-@dataclass(frozen=True)
-class NFunctionResult:
+class NFunctionResult(Frozen):
     """Outcome of the pair-function search.
 
     kind "sentinel" means realizable regardless of the remaining
@@ -115,10 +112,10 @@ class NFunctionResult:
     value at all when the search came up empty.
     """
 
-    kind: str
-    value: int | None = None
-    infinite: bool = False
-    witness: MobiusMap | None = None
+    def __init__(self, kind: str, value: int | None = None, infinite: bool = False,
+                 witness: MobiusMap | None = None):
+        d = self.__dict__
+        d["kind"], d["value"], d["infinite"], d["witness"] = kind, value, infinite, witness
 
     def exceeds(self, r: ExtRational) -> bool:
         """Does the certified bound lie strictly above the slope r?"""
@@ -334,13 +331,12 @@ def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
         )
 
 
-@dataclass(frozen=True)
-class SeifertDecision:
-    verdict: str
-    reason: str | None = None
-    detail: str = ""
-    pair: tuple[int, int] | None = None
-    n_result: NFunctionResult | None = None
+class SeifertDecision(Frozen):
+    def __init__(self, verdict: str, reason: str | None = None, detail: str = "",
+                 pair: tuple[int, int] | None = None, n_result: NFunctionResult | None = None):
+        d = self.__dict__
+        d["verdict"], d["reason"], d["detail"], d["pair"], d["n_result"] = (
+            verdict, reason, detail, pair, n_result)
 
 
 def _closed_form_level(r1p: ExtRational) -> int:
@@ -356,6 +352,8 @@ def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
     sufficient condition applied within the search bound, which must be
     at least 1 whichever rule decides.
     """
+    if not isinstance(s, SeifertData):
+        raise FamilyError(f"decide_seifert needs a SeifertData, got {type(s).__name__}")
     _check_search_bound(search_bound)
     norm = seifert_normalize(s)
     if not s.sphere_base:
@@ -443,11 +441,11 @@ def brieskorn(p1: int, p2: int, p3: int, orientation: int = 1) -> SeifertData:
 # surgeries on the Borromean rings
 
 
-@dataclass(frozen=True)
-class BorromeanCoeffs:
-    r1: ExtRational
-    r2: ExtRational
-    r3: ExtRational
+class BorromeanCoeffs(Frozen):
+    def __init__(self, r1: ExtRational, r2: ExtRational, r3: ExtRational):
+        d = self.__dict__
+        d["r1"], d["r2"], d["r3"] = r1, r2, r3
+        self.__post_init__()
 
     def __post_init__(self):
         for i, r in enumerate(self.as_tuple()):
@@ -486,13 +484,12 @@ def borromean_membership(c: BorromeanCoeffs) -> tuple[bool, bool, bool]:
     return in_a0, in_a2, in_a3
 
 
-@dataclass(frozen=True)
-class BorromeanDecision:
-    verdict: str
-    in_a0: bool = False
-    in_a2: bool = False
-    in_a3: bool = False
-    detail: str = ""
+class BorromeanDecision(Frozen):
+    def __init__(self, verdict: str, in_a0: bool = False, in_a2: bool = False,
+                 in_a3: bool = False, detail: str = ""):
+        d = self.__dict__
+        d["verdict"], d["in_a0"], d["in_a2"], d["in_a3"], d["detail"] = (
+            verdict, in_a0, in_a2, in_a3, detail)
 
 
 _YES_INFINITE = BorromeanDecision(verdict="YES", detail="infinite coefficient")

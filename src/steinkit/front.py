@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .numerics import ExtRational, InternalError, parse_int, parse_rational, rat
+from .numerics import ExtRational, Frozen, InternalError, _set, parse_int, parse_rational, rat
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
 MAX_NODES = 1_000_000  # strands summed over all column boundaries of one word
@@ -32,8 +31,7 @@ class FrontError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Frozen):
     """One column of a front word.
 
     token is the event's canonical text, kind then pos ("X1"), made once
@@ -42,8 +40,12 @@ class Event:
     kind and pos.
     """
 
-    kind: str  # "L", "R" or "X"
-    pos: int  # height of the upper strand involved, 1 = topmost
+    def __init__(self, kind: str, pos: int):
+        # kind is "L", "R" or "X"; pos is the height of the upper strand
+        # involved, 1 = topmost
+        _set(self, "kind", kind)
+        _set(self, "pos", pos)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("L", "R", "X"):
@@ -53,10 +55,10 @@ class Event:
                 raise FrontError(f"event position {self.pos!r} must be an integer")
             # a bool is stored as the plain int it equals, which is what
             # the token holds and parse_event_word reads back
-            object.__setattr__(self, "pos", int(self.pos))
+            _set(self, "pos", int(self.pos))
         if self.pos < 1:
             raise FrontError(f"event position {self.pos} must be at least 1")
-        object.__setattr__(self, "token", f"{self.kind}{self.pos}")
+        _set(self, "token", f"{self.kind}{self.pos}")
 
     def __str__(self) -> str:
         return self.token
@@ -85,15 +87,15 @@ def _events_of(tokens: list[str]) -> tuple[Event, ...]:
     return tuple(map(events.__getitem__, tokens))
 
 
-@dataclass(frozen=True)
-class FrontDiagram:
+class FrontDiagram(Frozen):
     """A front in a box with 1-handle attaching balls on the side edges.
 
     slots[h] is the number of strands running through handle h+1; edge
     heights are grouped into balls top to bottom.  orientations maps a
     component id to +1 or -1 (+1 keeps the traced direction, which runs
     rightward at the component's first segment).  coefficients maps a
-    component id to a surgery coefficient or the marker STEIN.
+    component id to a surgery coefficient or the marker STEIN; each is a
+    fresh empty dict when not given.
 
     Diagrams are immutable.  Construction validates the word and traces
     its components exactly once; the trace is kept on the instance (out
@@ -107,16 +109,20 @@ class FrontDiagram:
     nobody reads never pays for it.
     """
 
-    slots: tuple[int, ...]
-    events: tuple[Event, ...]
-    orientations: dict[int, int] = field(default_factory=dict)
-    coefficients: dict[int, object] = field(default_factory=dict)
-    trace: _Trace = field(init=False, repr=False, compare=False)
+    def __init__(self, slots: tuple[int, ...], events: tuple[Event, ...],
+                 orientations: dict[int, int] | None = None,
+                 coefficients: dict[int, object] | None = None):
+        d = self.__dict__
+        d["slots"], d["events"] = slots, events
+        d["orientations"] = {} if orientations is None else orientations
+        d["coefficients"] = {} if coefficients is None else coefficients
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", _slot_counts(self.slots))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "trace", _trace(self.n_strands, self.events))
+        d = self.__dict__
+        d["slots"] = _slot_counts(self.slots)
+        d["events"] = tuple(self.events)
+        d["trace"] = _trace(self.n_strands, self.events)
         _attach(self, self.orientations, self.coefficients)
 
     @property
@@ -163,8 +169,7 @@ def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
             raise FrontError(f"coefficient given for unknown component {cid}")
         if c != STEIN and not isinstance(c, ExtRational):
             raise FrontError(f"coefficient of component {cid} must be a rational or 'stein'")
-    object.__setattr__(d, "orientations", orientations)
-    object.__setattr__(d, "coefficients", coefficients)
+    d.__dict__.update(orientations=orientations, coefficients=coefficients)
     d.__dict__.pop("derived", None)
     return d
 
@@ -380,20 +385,18 @@ def _handle_offset(d: FrontDiagram, h: int) -> int:
 # invariants
 
 
-@dataclass(frozen=True)
-class ComponentStats:
-    component: int
-    orientation: int
-    left_cusps: int
-    right_cusps: int
-    up_cusps: int
-    down_cusps: int
-    writhe: int
-    tb: int
-    rot: int
-    runs: tuple[int, ...]  # algebraic passage count per handle
-    passes: tuple[int, ...]  # unsigned passage count per handle
-    coefficient: object | None
+class ComponentStats(Frozen):
+    """runs and passes count a component's algebraic and unsigned passages
+    per handle."""
+
+    def __init__(self, component: int, orientation: int, left_cusps: int, right_cusps: int,
+                 up_cusps: int, down_cusps: int, writhe: int, tb: int, rot: int,
+                 runs: tuple[int, ...], passes: tuple[int, ...], coefficient: object | None):
+        self.__dict__.update(
+            component=component, orientation=orientation, left_cusps=left_cusps,
+            right_cusps=right_cusps, up_cusps=up_cusps, down_cusps=down_cusps, writhe=writhe,
+            tb=tb, rot=rot, runs=runs, passes=passes, coefficient=coefficient,
+        )
 
 
 class _Derived:
@@ -517,13 +520,11 @@ def linking_number(d: FrontDiagram, i: int, j: int) -> int:
     return total // 2
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    component: int
-    tb: int
-    rot: int
-    total_passes: int
-    ok: bool
+class ParityReport(Frozen):
+    def __init__(self, component: int, tb: int, rot: int, total_passes: int, ok: bool):
+        d = self.__dict__
+        d["component"], d["tb"], d["rot"], d["total_passes"], d["ok"] = (
+            component, tb, rot, total_passes, ok)
 
 
 def parity_lint(d: FrontDiagram) -> list[ParityReport]:
@@ -686,9 +687,9 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
             coefficients[perm[cid]] = old.coefficients[cid]
 
     new = object.__new__(FrontDiagram)
-    object.__setattr__(new, "slots", slots)
-    object.__setattr__(new, "events", events)
-    object.__setattr__(new, "trace", _Trace(counts, offset, comp, bytes(fwd), len(order)))
+    new.__dict__.update(
+        slots=slots, events=events, trace=_Trace(counts, offset, comp, bytes(fwd), len(order))
+    )
     return _attach(new, orientations, coefficients)
 
 
@@ -990,10 +991,10 @@ def apply_move(
 # Stein form and surgery export
 
 
-@dataclass(frozen=True)
-class SteinFormReport:
-    ok: bool
-    problems: tuple[str, ...]
+class SteinFormReport(Frozen):
+    def __init__(self, ok: bool, problems: tuple[str, ...]):
+        d = self.__dict__
+        d["ok"], d["problems"] = ok, problems
 
 
 def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:

@@ -9,13 +9,13 @@ the induced plane field come out of rotation numbers, the Euler
 characteristic and the signature, all computed exactly.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import prod
 
 from .numerics import (
     ExtRational,
+    Frozen,
     Gf2Solution,
     InternalError,
     SmithForm,
@@ -33,8 +33,7 @@ class InvariantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SteinPresentation:
+class SteinPresentation(Frozen):
     """Integer handle data: framings, linkings, runs and rotations.
 
     q is the m x m symmetric matrix of the 2-handles (framing on the
@@ -45,15 +44,16 @@ class SteinPresentation:
     Presentations are frozen: q and runs are stored as tuples of rows
     and rot as a tuple, of ints: another entry is refused, and a bool is
     stored as the int it equals.  Construction validates the data once
-    and builds Q* once; the Smith form of Q*, its characteristic
-    solutions mod 2 and its congruence bordered by the Chern cocycle are
-    each taken at most once, on first use.
+    and builds Q* once, as _qs (not a field); the Smith form of Q*, its
+    characteristic solutions mod 2 and its congruence bordered by the
+    Chern cocycle are each taken at most once, on first use.
     """
 
-    q: tuple[tuple[int, ...], ...]
-    runs: tuple[tuple[int, ...], ...]
-    rot: tuple[int, ...]
-    _qs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, q: tuple[tuple[int, ...], ...], runs: tuple[tuple[int, ...], ...],
+                 rot: tuple[int, ...]):
+        d = self.__dict__
+        d["q"], d["runs"], d["rot"] = q, runs, rot
+        self.__post_init__()
 
     def __post_init__(self):
         q, runs, rot = tuple(map(tuple, self.q)), tuple(map(tuple, self.runs)), tuple(self.rot)
@@ -70,9 +70,8 @@ class SteinPresentation:
                     raise InvariantError(f"rot entry {i + 1} must be an int, got {v!r}")
             q, runs = (tuple(tuple(map(int, row)) for row in rows) for rows in (q, runs))
             rot = tuple(map(int, rot))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "rot", rot)
+        d = self.__dict__
+        d["q"], d["runs"], d["rot"] = q, runs, rot
         m = len(q)
         for i, row in enumerate(q):
             if len(row) != m:
@@ -86,7 +85,7 @@ class SteinPresentation:
         if len(rot) != m:
             raise InvariantError(f"got {len(rot)} rotation numbers for {m} circles")
         top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(q))
-        object.__setattr__(self, "_qs", top + tuple(run + (0,) * len(runs) for run in runs))
+        d["_qs"] = top + tuple(run + (0,) * len(runs) for run in runs)
 
     @property
     def m(self) -> int:
@@ -157,29 +156,41 @@ class SteinPresentation:
         return cls(q=[row[:m] for row in r[:m]], runs=[row[:m] for row in r[m:]], rot=p.rot[:m])
 
 
-@dataclass(frozen=True)
-class SpinStructure:
-    """A characteristic sublink, as a 0/1 vector over the full link."""
+class SpinStructure(Frozen):
+    """A characteristic sublink, as a 0/1 vector over the full link,
+    stored as a tuple of ints (a bool as the int it equals); any other
+    entry is refused."""
 
-    sublink: tuple[int, ...]
+    def __init__(self, sublink: tuple[int, ...]):
+        sublink = tuple(sublink)
+        if not (set(map(type, sublink)) <= {int} and set(sublink) <= {0, 1}):
+            for i, bit in enumerate(sublink, start=1):
+                if not isinstance(bit, int) or bit not in (0, 1):
+                    raise InvariantError(f"sublink entry {i} must be 0 or 1, got {bit!r}")
+            sublink = tuple(map(int, sublink))
+        self.__dict__["sublink"] = sublink
 
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, bit in enumerate(self.sublink) if bit)
 
 
-@dataclass(frozen=True)
-class CokernelClass:
+class CokernelClass(Frozen):
     """An element of coker(q_star) in canonical coordinates.
 
     orders lists the invariant factors (0 meaning infinite), and
     coords[i] is reduced mod orders[i] where that order is finite.
     Two classes are equal exactly when coords and orders agree; the
-    integer representative is kept for inspection only.
+    integer representative is kept for inspection only.  All three are
+    stored as tuples.
     """
 
-    coords: tuple[int, ...]
-    orders: tuple[int, ...]
-    representative: tuple[int, ...] = field(compare=False, default=())
+    _uncompared = ("representative",)
+
+    def __init__(self, coords: tuple[int, ...], orders: tuple[int, ...],
+                 representative: tuple[int, ...] = ()):
+        d = self.__dict__
+        d["coords"], d["orders"], d["representative"] = (
+            tuple(coords), tuple(orders), tuple(representative))
 
 
 def _cokernel_class(snf: SmithForm, vec) -> CokernelClass:
@@ -187,7 +198,7 @@ def _cokernel_class(snf: SmithForm, vec) -> CokernelClass:
     coords = mat_vec(snf.left, vec)
     orders = snf.diagonal
     reduced = tuple(c % d if d else c for c, d in zip(coords, orders))
-    return CokernelClass(coords=reduced, orders=orders, representative=tuple(vec))
+    return CokernelClass(coords=reduced, orders=orders, representative=vec)
 
 
 def chern_cocycle(x: SteinPresentation) -> list[int]:

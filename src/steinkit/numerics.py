@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
@@ -24,12 +23,61 @@ class InternalError(Exception):
     not of its input, so no ValueError.  The command line exits 3 on it."""
 
 
+class Frozen:
+    """Base of steinkit's immutable value classes: a frozen dataclass
+    without the `dataclasses` import or generated code.
+
+    A subclass's fields are the parameters of its own __init__, which
+    stores them (through self.__dict__, or with _set in the most-read
+    classes, as on CPython 3.11 a materialised __dict__ slows every later
+    attribute read) and ends by calling __post_init__ where the class has
+    one.  Equality (same class only), hash and repr read the fields in
+    order, less the names in _uncompared for equality and hash.  Setting
+    or deleting an attribute raises dataclasses.FrozenInstanceError.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._compared = tuple(n for n in cls._fields if n not in cls._uncompared)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # here: it loads inspect
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # writes a field past Frozen.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # extended rationals
 
 
-@dataclass(frozen=True)
-class ExtRational:
+class ExtRational(Frozen):
     """A rational number or the single point at infinity.
 
     Canonical form: den >= 0, gcd(num, den) == 1, and infinity is 1/0.
@@ -37,8 +85,10 @@ class ExtRational:
     Infinity is unsigned, so the order operators reject it.
     """
 
-    num: int
-    den: int = 1
+    def __init__(self, num: int, den: int = 1):
+        _set(self, "num", num)
+        _set(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
         num, den = self.num, self.den
@@ -58,8 +108,8 @@ class ExtRational:
             g = gcd(num, den)
             if g > 1:
                 num, den = num // g, den // g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     # -- predicates
 
@@ -201,8 +251,7 @@ def parse_rational(text: str) -> ExtRational:
 # Moebius maps
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class MobiusMap(Frozen):
     """Determinant-one fractional linear map r -> (c + d r) / (a + b r).
 
     The layout matches slope coordinates: rows (a, b) and (c, d), acting on
@@ -211,30 +260,23 @@ class MobiusMap:
     must be ints; a bool is stored as the int it equals.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    def __init__(self, a: int, b: int, c: int, d: int):
+        f = self.__dict__
+        f["a"], f["b"], f["c"], f["d"] = a, b, c, d
+        self.__post_init__()
 
     def __post_init__(self):
-        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
-            entries = (self.a, self.b, self.c, self.d)
+        f = self.__dict__
+        entries = a, b, c, d = f["a"], f["b"], f["c"], f["d"]
+        if not type(a) is type(b) is type(c) is type(d) is int:
             if not all(isinstance(v, int) for v in entries):
                 raise NumericsError(f"MobiusMap needs int entries, got {entries!r}")
-            for name, v in zip("abcd", entries):
-                object.__setattr__(self, name, int(v))
-        if self.a * self.d - self.b * self.c != 1:
-            raise NumericsError(
-                f"MobiusMap needs determinant 1, got {self.a * self.d - self.b * self.c}"
-            )
-        for v in (self.a, self.b, self.c, self.d):
-            if v != 0:
-                if v < 0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                    object.__setattr__(self, "c", -self.c)
-                    object.__setattr__(self, "d", -self.d)
-                break
+            entries = a, b, c, d = tuple(map(int, entries))
+        if a * d - b * c != 1:
+            raise NumericsError(f"MobiusMap needs determinant 1, got {a * d - b * c}")
+        if (a or b or c or d) < 0:
+            entries = -a, -b, -c, -d
+        f["a"], f["b"], f["c"], f["d"] = entries
 
     def __str__(self) -> str:
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
@@ -244,8 +286,7 @@ class MobiusMap:
 # continued fractions with all tail terms <= -2
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Frozen):
     """Expansion r = a0 - 1/(a1 - 1/(... - 1/ak)) with a_j <= -2 for j >= 1.
 
     With that tail constraint the expansion of a rational is unique, which
@@ -253,7 +294,9 @@ class ContinuedFraction:
     stored as the int it equals.
     """
 
-    terms: tuple[int, ...]
+    def __init__(self, terms: tuple[int, ...]):
+        self.__dict__["terms"] = terms
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.terms:
@@ -262,7 +305,7 @@ class ContinuedFraction:
             for t in self.terms:
                 if not isinstance(t, int):
                     raise NumericsError(f"continued fraction terms must be ints, got {t!r}")
-            object.__setattr__(self, "terms", tuple(map(int, self.terms)))
+            self.__dict__["terms"] = tuple(map(int, self.terms))
         for t in self.terms[1:]:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")
@@ -270,6 +313,8 @@ class ContinuedFraction:
 
 def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
     """The unique expansion of a finite rational with tail terms <= -2."""
+    if not isinstance(r, ExtRational):
+        raise NumericsError(f"neg_continued_fraction needs an ExtRational, got {type(r).__name__}")
     if r.is_infinite:
         raise NumericsError("infinity has no continued fraction expansion")
     num, den, terms = r.num, r.den, []
@@ -291,13 +336,13 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
 MAX_SNF_DIM = 64
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Frozen):
     """D = left * M * right with left, right unimodular and D in Smith form."""
 
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    def __init__(self, diagonal: tuple[int, ...], left: tuple[tuple[int, ...], ...],
+                 right: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["diagonal"], d["left"], d["right"] = diagonal, left, right
 
 
 def _int_rows(matrix) -> list[list[int]]:
@@ -347,6 +392,10 @@ def smith_normal_form(matrix) -> SmithForm:
                 v = abs(a[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        break  # no entry is smaller, so this first unit is the pivot
+            if best and best[0] == 1:
+                break
         if best is None:
             break
         _, pi, pj = best
@@ -363,17 +412,18 @@ def smith_normal_form(matrix) -> SmithForm:
                 q = a[i][s] // p
                 a[i] = [x - q * y for x, y in zip(a[i], top)]
                 dirty = dirty or a[i][s] != 0
+        support = [row for row in a if row[s]]  # a column operation moves only these
         for j in range(s + 1, ncols):
             if top[j]:
                 q = top[j] // p
-                for row in a:
+                for row in support:
                     row[j] -= q * row[s]
                 dirty = dirty or top[j] != 0
         if dirty:
             continue  # remainders became new, smaller pivot candidates
 
-        # enforce divisibility of the remaining block by the pivot
-        offender = next(
+        # enforce divisibility of the remaining block by the pivot; a unit divides all
+        offender = None if p in (1, -1) else next(
             (i for i in range(s + 1, nrows) if any(a[i][j] % p for j in range(s + 1, ncols))),
             None,
         )
@@ -589,10 +639,10 @@ def signature(matrix) -> int:
 # affine systems over GF(2)
 
 
-@dataclass(frozen=True)
-class Gf2Solution:
-    particular: tuple[int, ...]
-    kernel_basis: tuple[tuple[int, ...], ...]
+class Gf2Solution(Frozen):
+    def __init__(self, particular: tuple[int, ...], kernel_basis: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["particular"], d["kernel_basis"] = particular, kernel_basis
 
     def count(self) -> int:
         return 1 << len(self.kernel_basis)

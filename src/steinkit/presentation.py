@@ -10,7 +10,6 @@ twist, slam-dunk, blow-down, chain expansion) preserve the oriented boundary
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import prod
@@ -19,6 +18,7 @@ from .numerics import (
     INF,
     ZERO,
     ExtRational,
+    Frozen,
     _bordered_congruence,
     _invariant_factors,
     first_asymmetry,
@@ -34,8 +34,7 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(Frozen):
     """A framed link with rational coefficients and exact linking data.
 
     lk is symmetric with zero diagonal; the surgery coefficient lives in
@@ -50,20 +49,20 @@ class SurgeryPresentation:
     construction; a rewrite builds its result from a validated parent.
     """
 
-    coeffs: tuple[ExtRational, ...]
-    lk: tuple[tuple[int, ...], ...]
-    unknot: tuple[bool, ...] = ()
-    l0: tuple[bool, ...] = ()
-    rot: tuple[int | None, ...] = ()
-    tb: tuple[int | None, ...] = ()
+    def __init__(self, coeffs: tuple[ExtRational, ...], lk: tuple[tuple[int, ...], ...],
+                 unknot: tuple[bool, ...] = (), l0: tuple[bool, ...] = (),
+                 rot: tuple[int | None, ...] = (), tb: tuple[int | None, ...] = ()):
+        self.__dict__.update(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
+        self.__post_init__()
 
     def __post_init__(self):
         m = len(self.coeffs)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "lk", tuple(map(tuple, self.lk)))
+        d = self.__dict__
+        d["coeffs"] = tuple(self.coeffs)
+        d["lk"] = tuple(map(tuple, self.lk))
         for name, blank in (("unknot", False), ("l0", False), ("rot", None), ("tb", None)):
-            value = getattr(self, name)
-            object.__setattr__(self, name, tuple(value) if value else (blank,) * m)
+            value = d[name]
+            d[name] = tuple(value) if value else (blank,) * m
         for name in ("lk", "unknot", "l0", "rot", "tb"):
             if len(getattr(self, name)) != m:
                 raise PresentationError(f"{name} has wrong length for {m} components")
@@ -82,7 +81,7 @@ class SurgeryPresentation:
         if not types <= {int} and all(issubclass(t, int) for t in types):
             # a bool entry is stored as the plain int it equals, which is
             # what serialize_surgery writes and parse_surgery reads back
-            object.__setattr__(self, "lk", tuple(tuple(map(int, row)) for row in self.lk))
+            d["lk"] = tuple(tuple(map(int, row)) for row in self.lk)
             types = {int}
         ints = types <= {int}
         # on ints tuple equality is entrywise ==; others (nan) need the scan
@@ -100,7 +99,7 @@ class SurgeryPresentation:
                         raise PresentationError(
                             f"{name} of component {i + 1} must be an integer, got {v!r}"
                         )
-                object.__setattr__(self, name, tuple(v if v is None else int(v) for v in values))
+                d[name] = tuple(v if v is None else int(v) for v in values)
         for i, c in enumerate(self.coeffs):
             if self.l0[i]:
                 if c != ZERO:
@@ -162,12 +161,13 @@ def _build(coeffs, lk, unknot, l0, rot, tb) -> SurgeryPresentation:
 # first homology
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group in invariant-factor form."""
+class AbelianGroup(Frozen):
+    """Finitely generated abelian group in invariant-factor form: factors,
+    stored as a tuple, are each > 1 with d_i | d_{i+1}."""
 
-    factors: tuple[int, ...]  # each > 1, d_i | d_{i+1}
-    rank: int = 0
+    def __init__(self, factors: tuple[int, ...], rank: int = 0):
+        d = self.__dict__
+        d["factors"], d["rank"] = tuple(factors), rank
 
     def order(self) -> int | None:
         return None if self.rank else prod(self.factors)
@@ -446,8 +446,7 @@ def blow_down(p: SurgeryPresentation, i: int) -> SurgeryPresentation:
 # Stein planning for rational surgeries
 
 
-@dataclass(frozen=True)
-class PlanRow:
+class PlanRow(Frozen):
     """Realisation recipe for one component and its chain.
 
     chain[0] is the new integer coefficient of the component itself; the
@@ -457,19 +456,18 @@ class PlanRow:
     no rotation data).
     """
 
-    component: int
-    chain: tuple[int, ...]
-    zigzags: tuple[int, ...]
-    tb_targets: tuple[int, ...]
-    rot_targets: tuple[int | None, ...]
+    def __init__(self, component: int, chain: tuple[int, ...], zigzags: tuple[int, ...],
+                 tb_targets: tuple[int, ...], rot_targets: tuple[int | None, ...]):
+        d = self.__dict__
+        d["component"], d["chain"], d["zigzags"], d["tb_targets"], d["rot_targets"] = (
+            component, chain, zigzags, tb_targets, rot_targets)
 
 
-@dataclass(frozen=True)
-class SteinPlan:
-    ok: bool
-    violations: tuple[tuple[int, str], ...]
-    rows: tuple[PlanRow, ...]
-    expanded: SurgeryPresentation | None
+class SteinPlan(Frozen):
+    def __init__(self, ok: bool, violations: tuple[tuple[int, str], ...],
+                 rows: tuple[PlanRow, ...], expanded: SurgeryPresentation | None):
+        d = self.__dict__
+        d["ok"], d["violations"], d["rows"], d["expanded"] = ok, violations, rows, expanded
 
 
 def stein_plan(p: SurgeryPresentation) -> SteinPlan:

@@ -19,7 +19,6 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -255,7 +254,9 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     check = families._check_witness
 
     def corrupted(res, sn, sd, r2p):
-        check(res if res.value is None else replace(res, value=res.value - 1), sn, sd, r2p)
+        if res.value is not None:
+            res = families.NFunctionResult(res.kind, res.value - 1, res.infinite, res.witness)
+        check(res, sn, sd, r2p)
 
     monkeypatch.setattr(families, "_check_witness", corrupted)
     rc, out, err = run(capsys, "brieskorn", "2", "3", "5", "--orientation", "-")
@@ -837,10 +838,10 @@ tb 2 0
 """
 
 
-def child_imports(cwd, *args):
+def child_modules(cwd, *args):
     """Run python -X importtime with args in a fresh interpreter that
     compiles every source it imports.  Returns the exit code, the stderr
-    lines that are not import times, and the steinkit modules imported."""
+    lines that are not import times, and every module imported."""
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
@@ -853,12 +854,16 @@ def child_imports(cwd, *args):
     modules, other = set(), []
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name.split(".")[0] == "steinkit":
-                modules.add(name)
+            modules.add(line.rsplit("|", 1)[1].strip())
         else:
             other.append(line)
     return proc.returncode, other, modules
+
+
+def child_imports(cwd, *args):
+    """child_modules, with only the steinkit modules imported."""
+    rc, other, modules = child_modules(cwd, *args)
+    return rc, other, {m for m in modules if m.split(".")[0] == "steinkit"}
 
 
 @pytest.mark.parametrize("verb", VERB_CALLS)
@@ -872,6 +877,20 @@ def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
     rc, err, modules = child_imports(tmp_path, "-m", "steinkit.cli", verb, *argv)
     assert (rc, err) == (0, [])
     assert modules == {"steinkit", "steinkit.numerics"} | {f"steinkit.{m}" for m in layers}
+
+
+@pytest.mark.parametrize("verb", VERB_CALLS)
+def test_no_verb_imports_dataclasses_or_inspect(tmp_path, verb):
+    # the value classes derive from numerics.Frozen: dataclasses, and the
+    # inspect it loads, come in only to raise FrozenInstanceError
+    (tmp_path / "in.front").write_text(TREFOIL)
+    (tmp_path / "in.surgery").write_text(MERIDIAN)
+    args, _ = VERB_CALLS[verb]
+    argv = [str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args]
+    rc, err, modules = child_modules(tmp_path, "-m", "steinkit.cli", verb, *argv)
+    assert (rc, err) == (0, [])
+    assert "steinkit.numerics" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_importing_the_cli_imports_only_numerics(tmp_path):

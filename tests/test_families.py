@@ -6,7 +6,7 @@ import subprocess
 import sys
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -326,6 +326,12 @@ def test_seifert_data_is_frozen():
     with pytest.raises(FrozenInstanceError):
         sd.genus = -5
     assert sd == SeifertData(True, 0, coeffs[:3]) and sd.genus == 0
+
+
+def test_decide_seifert_refuses_a_non_seifert_data():
+    for s in ([rat(1)], (True, 0, [rat(2)]), None):
+        with pytest.raises(FamilyError, match="^decide_seifert needs a SeifertData, got "):
+            decide_seifert(s, 5)
 
 
 def test_classical_invariants_floor_sum():
@@ -821,12 +827,15 @@ def test_check_witness_rejects_corrupted_results():
         sn, sd = _hinge(r1p)
         res = n_function(r1p, r2p, 30)
         _check_witness(res, sn, sd, r2p)
+        kind, w = res.kind, res.witness
         if res.infinite:
-            bad = [replace(res, infinite=False, value=-3)]
+            bad = [NFunctionResult(kind, -3, False, w)]
         else:
-            bad = [replace(res, value=res.value - 1), replace(res, value=res.value + 1),
-                   replace(res, infinite=True, value=None)]
-        bad.append(replace(res, witness=MobiusMap(1, 0, 0, 1)))  # sends s to s <= -1
+            bad = [NFunctionResult(kind, res.value - 1, res.infinite, w),
+                   NFunctionResult(kind, res.value + 1, res.infinite, w),
+                   NFunctionResult(kind, None, True, w)]
+        # sends s to s <= -1
+        bad.append(NFunctionResult(kind, res.value, res.infinite, MobiusMap(1, 0, 0, 1)))
         for b in bad:
             with pytest.raises(InternalError, match="internal"):
                 _check_witness(b, sn, sd, r2p)
@@ -936,12 +945,12 @@ def test_int_check_witness_matches_the_reference(case):
 
 def test_certificate_checks_survive_optimize_flag():
     code = (
-        "from dataclasses import replace\n"
-        "from steinkit.families import _check_witness, _hinge, n_function\n"
+        "from steinkit.families import NFunctionResult, _check_witness, _hinge, n_function\n"
         "from steinkit.numerics import InternalError, rat\n"
         "res = n_function(rat(-2), rat(-7, 2), 30)\n"
+        "bad = NFunctionResult(res.kind, res.value - 1, res.infinite, res.witness)\n"
         "try:\n"
-        "    _check_witness(replace(res, value=res.value - 1), *_hinge(rat(-2)), rat(-7, 2))\n"
+        "    _check_witness(bad, *_hinge(rat(-2)), rat(-7, 2))\n"
         "except InternalError as e:\n"
         "    print(e)\n"
     )

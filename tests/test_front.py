@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 from itertools import accumulate
@@ -1453,12 +1452,12 @@ def test_parse_front_reads_padded_positions_as_before():
 
 def test_an_events_token_is_not_a_field():
     e = Event("X", True)
-    assert [f.name for f in dataclasses.fields(Event)] == ["kind", "pos"]
+    assert Event._fields == ("kind", "pos")
     assert repr(e) == "Event(kind='X', pos=1)"
     assert hash(e) == hash(("X", 1)) == hash(Event("X", 1))
     assert e == Event("X", 1) and e != Event("X", 2) and e != Event("L", 1)
     assert e.token == str(e) == "X1"
-    assert dataclasses.replace(e, pos=3).token == "X3"
+    assert Event(e.kind, 3).token == "X3"
     assert pickle.loads(pickle.dumps(e)).token == "X1"
     # equality and hash read kind and pos only, whatever the token holds
     odd = Event("X", 1)

@@ -734,3 +734,22 @@ def test_chern_cocycle_shapes():
         q=[[1, 0], [0, -2]], runs=[[0, 0], [0, 0], [0, 0]], rot=[3, -1]
     )
     assert chern_cocycle(x) == [3, -1, 0, 0, 0]
+
+
+def test_spin_structures_and_classes_store_tuples():
+    s = SpinStructure([0, True, 1])
+    assert s.sublink == (0, 1, 1) and [type(b) for b in s.sublink] == [int] * 3
+    assert s == SpinStructure((0, 1, 1)) and hash(s) == hash(SpinStructure((0, 1, 1)))
+    c = CokernelClass([1, 0], [3, 0], [4, 0])
+    assert (c.coords, c.orders, c.representative) == ((1, 0), (3, 0), (4, 0))
+    assert hash(c) == hash(CokernelClass((1, 0), (3, 0)))
+
+
+def test_spin_structure_refuses_an_entry_other_than_0_or_1():
+    for bits, pos in (((0.5, 0), 1), ((0, 2), 2), ((1, 0, -1), 3), ((1, 1.0), 2), ((0, "1"), 2)):
+        with pytest.raises(InvariantError, match=f"^sublink entry {pos} must be 0 or 1, got "):
+            SpinStructure(bits)
+    x = SteinPresentation(q=[[1]], runs=[], rot=[1])
+    assert gamma(x, SpinStructure((1,))).orders == (1,)
+    with pytest.raises(InvariantError, match="^sublink entry 1 must be 0 or 1, got 0.5$"):
+        gamma(x, SpinStructure((0.5,)))

@@ -248,6 +248,12 @@ def test_continued_fraction_stores_bool_terms_as_ints():
         ContinuedFraction((1, -2.0))
 
 
+def test_continued_fraction_refuses_a_non_rational():
+    for r in (3, 3.0, "3", (3, 1)):
+        with pytest.raises(NumericsError, match="^neg_continued_fraction needs an ExtRational, got "):
+            neg_continued_fraction(r)
+
+
 @given(rationals)
 def test_continued_fraction_round_trip(r):
     cf = neg_continued_fraction(r)

@@ -1,6 +1,6 @@
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -462,7 +462,8 @@ def test_rolfsen_twist_preserves_h1(seed, m):
     rng = random.Random(seed)
     p = random_presentation(rng)
     i = rng.randint(1, p.m)
-    p = replace(p, unknot=[u or k == i - 1 for k, u in enumerate(p.unknot)])
+    p = SurgeryPresentation(p.coeffs, p.lk, [u or k == i - 1 for k, u in enumerate(p.unknot)],
+                            p.l0, p.rot, p.tb)
     assert h1(rolfsen_twist(p, i, m)) == h1(p)
 
 
@@ -575,11 +576,13 @@ def test_blow_down_preserves_h1(seed):
     p = random_presentation(rng)
     i = rng.randint(1, p.m)
     eps = rng.choice([1, -1])
-    p = replace(
-        p,
+    p = SurgeryPresentation(
         coeffs=[rat(eps) if k == i - 1 else c for k, c in enumerate(p.coeffs)],
+        lk=p.lk,
         unknot=[u or k == i - 1 for k, u in enumerate(p.unknot)],
         l0=[f and k != i - 1 for k, f in enumerate(p.l0)],
+        rot=p.rot,
+        tb=p.tb,
     )
     assert h1(blow_down(p, i)) == h1(p)
 
@@ -745,7 +748,8 @@ def test_stein_plan_framing_discipline(seed):
     rng = random.Random(seed)
     p = random_presentation(rng, allow_inf=False)
     data = [(rng.randint(-2, 3), rng.randint(-2, 2)) for _ in range(p.m)]
-    p = replace(p, tb=[t for t, _ in data], rot=[r for _, r in data])
+    p = SurgeryPresentation(p.coeffs, p.lk, p.unknot, p.l0, rot=[r for _, r in data],
+                            tb=[t for t, _ in data])
     plan = stein_plan(p)
     if not plan.ok:
         aff = {c for c, _ in plan.violations}
@@ -865,3 +869,9 @@ def test_surgery_number_tokens_are_ascii_digits(token):
             parse_surgery("surgery 1\n" + "\n".join(bad) + "\n")
     with pytest.raises(PresentationError, match="line 4: bad component index"):
         parse_surgery(f"surgery 1\ncomponents 2\ncoeff 1 2\ncoeff {token} 2\n")
+
+
+def test_abelian_groups_store_tuples():
+    g = presentation.AbelianGroup([2, 4], 1)
+    assert g.factors == (2, 4) and str(g) == "Z + Z/2 + Z/4"
+    assert g == presentation.AbelianGroup((2, 4), 1) and hash(g) == hash(((2, 4), 1))

@@ -1,0 +1,230 @@
+"""The value classes against frozen-dataclass twins.
+
+Every value class derives from numerics.Frozen instead of being a
+@dataclass(frozen=True).  Each twin below is that dataclass: the class's
+own methods (its __post_init__ included) under the dataclass decorator,
+with the fields and field options the class had as a dataclass.  The
+twins are the reference for equality, hash, repr, defaults and
+construction; pickle, copy and the frozen errors are checked on the
+classes themselves.
+"""
+
+import copy
+import inspect
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+
+import pytest
+
+from steinkit import families, front, invariants, numerics, presentation
+from steinkit.numerics import INF, Frozen, MobiusMap, rat
+
+EVENTS = front.parse_event_word("L1 R1")
+PLAN_ROW = presentation.PlanRow(1, (-3,), (2,), (-2,), (None,))
+HIDDEN = field(init=False, repr=False, compare=False)
+
+# class: (fields as a dataclass, with their options; sample positional args)
+CASES = {
+    numerics.ExtRational: (["num", ("den", 1)], [(3, -6), (1, 0), (2,), (True, 2), (4, 2)]),
+    numerics.MobiusMap: (
+        ["a", "b", "c", "d"],
+        [(1, 0, 0, 1), (-1, 0, 0, -1), (2, 1, -3, -1), (0, 1, -1, 0), (True, 0, 0, 1)],
+    ),
+    numerics.ContinuedFraction: (["terms"], [((1, -2, -3),), ((0,),), ([2, -2],)]),
+    numerics.SmithForm: (
+        ["diagonal", "left", "right"],
+        [((1, 6), ((1, 0), (0, 1)), ((0, 1), (1, 0))), ((), (), ())],
+    ),
+    numerics.Gf2Solution: (["particular", "kernel_basis"], [((0, 1), ((1, 0),)), ((), ())]),
+    families.SeifertData: (
+        ["orientable", "genus", "coefficients"],
+        [(True, 0, (rat(2), rat(-3, 2))), (False, 1, [rat(1)]), (True, True, ())],
+    ),
+    families.SeifertNormal: (
+        ["e", "e0", "rprime", "k0"], [(rat(1, 2), -1, (INF, rat(-2)), 1), (rat(0), 0, (), 0)]
+    ),
+    families.NFunctionResult: (
+        ["kind", ("value", None), ("infinite", False), ("witness", None)],
+        [("sentinel",), ("bound", 3, False, MobiusMap(2, 1, -3, -1)), ("bound", None, True)],
+    ),
+    families.SeifertDecision: (
+        ["verdict", ("reason", None), ("detail", ""), ("pair", None), ("n_result", None)],
+        [("YES",), ("YES", "a", "base is not a sphere"),
+         ("UNKNOWN", "d", "", (1, 2), families.NFunctionResult("bound"))],
+    ),
+    families.BorromeanCoeffs: (
+        ["r1", "r2", "r3"], [(rat(1), rat(2), rat(-1, 3)), (INF, rat(2), rat(-1, 3))]
+    ),
+    families.BorromeanDecision: (
+        ["verdict", ("in_a0", False), ("in_a2", False), ("in_a3", False), ("detail", "")],
+        [("YES",), ("UNKNOWN", True, False, False, "x"), ("UNKNOWN", False, True)],
+    ),
+    front.Event: (["kind", "pos"], [("X", 1), ("L", 2), ("X", True)]),
+    front.FrontDiagram: (
+        ["slots", "events", ("orientations", field(default_factory=dict)),
+         ("coefficients", field(default_factory=dict)), ("trace", HIDDEN)],
+        [((), EVENTS), ([], list(EVENTS), {1: -1}), ((), EVENTS, {}, {1: rat(-2)}),
+         ((), EVENTS, {}, {1: front.STEIN})],
+    ),
+    front.ComponentStats: (
+        ["component", "orientation", "left_cusps", "right_cusps", "up_cusps", "down_cusps",
+         "writhe", "tb", "rot", "runs", "passes", "coefficient"],
+        [(1, 1, 1, 1, 1, 1, 0, -1, 0, (), (), None),
+         (2, -1, 2, 2, 1, 3, 1, -1, -1, (1,), (1,), rat(-2))],
+    ),
+    front.ParityReport: (
+        ["component", "tb", "rot", "total_passes", "ok"], [(1, -1, 0, 0, True), (2, -2, 0, 1, False)]
+    ),
+    front.SteinFormReport: (["ok", "problems"], [(True, ()), (False, ("x",))]),
+    invariants.SteinPresentation: (
+        ["q", "runs", "rot", ("_qs", HIDDEN)],
+        [(((-1,),), (), (0,)), ([[-2, 1], [1, -2]], [], [1, 1]), ([[2]], [[1]], [True])],
+    ),
+    invariants.SpinStructure: (["sublink"], [((0, 1),), ((),), ((1, 1, 0),)]),
+    invariants.CokernelClass: (
+        ["coords", "orders", ("representative", field(compare=False, default=()))],
+        [((1,), (3,), (4,)), ((1,), (3,)), ((2,), (3,), (2,))],
+    ),
+    presentation.SurgeryPresentation: (
+        ["coeffs", "lk", ("unknot", ()), ("l0", ()), ("rot", ()), ("tb", ())],
+        [((rat(-3), rat(-1)), ((0, 1), (1, 0))),
+         ([rat(0)], [[0]], [True], [True], [None], [None]),
+         ((rat(1, 2),), ((0,),), (), (), (1,), (2,))],
+    ),
+    presentation.AbelianGroup: (["factors", ("rank", 0)], [((2,), 1), ((),), ((2, 4),)]),
+    presentation.PlanRow: (
+        ["component", "chain", "zigzags", "tb_targets", "rot_targets"],
+        [(1, (-3,), (2,), (-2,), (None,)), (2, (-2, -2), (1, 0), (-1, -1), (0, 0))],
+    ),
+    presentation.SteinPlan: (
+        ["ok", "violations", "rows", "expanded"],
+        [(True, (), (PLAN_ROW,), None), (False, ((1, "no tb data"),), (), None)],
+    ),
+}
+
+OWN = ("__init__", "__dict__", "__weakref__", "_fields", "_compared", "_uncompared")
+
+
+def twin(cls, spec):
+    """cls as the frozen dataclass it was: its own methods, these fields."""
+    namespace = {k: v for k, v in vars(cls).items() if k not in OWN}
+    annotations = {}
+    for entry in spec:
+        name, default = (entry, MISSING) if isinstance(entry, str) else entry
+        annotations[name] = object
+        if default is not MISSING:
+            namespace[name] = default
+    namespace["__annotations__"] = annotations
+    return dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+TWINS = {cls: twin(cls, spec) for cls, (spec, _) in CASES.items()}
+IDS = [cls.__name__ for cls in CASES]
+
+
+def test_every_value_class_has_a_twin():
+    values = {
+        v for m in (families, front, invariants, numerics, presentation)
+        for v in vars(m).values() if isinstance(v, type) and issubclass(v, Frozen) and v is not Frozen
+    }
+    assert values == set(CASES) and len(CASES) == 23
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except TypeError:
+        return "TypeError", None
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_signature_and_defaults_match_the_twin(cls):
+    tw = TWINS[cls]
+    assert cls._fields == tuple(f.name for f in fields(tw) if f.init)
+    assert cls._compared == tuple(f.name for f in fields(tw) if f.init and f.compare)
+    ours = inspect.signature(cls).parameters
+    theirs = inspect.signature(tw).parameters
+    assert list(ours) == list(theirs)
+    required = [n for n, p in theirs.items() if p.default is inspect.Parameter.empty]
+    args = next(a for a in CASES[cls][1] if len(a) == len(required))
+    made, reference = cls(*args), tw(*args)
+    for f in fields(tw):
+        if not f.init:
+            continue
+        assert ours[f.name].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        if f.default_factory is not MISSING:
+            # a fresh default per call, as default_factory gave
+            assert ours[f.name].default is None
+            assert getattr(made, f.name) == f.default_factory()
+            assert getattr(made, f.name) is not getattr(cls(*args), f.name)
+        else:
+            assert ours[f.name].default == theirs[f.name].default
+        value, want = getattr(made, f.name), getattr(reference, f.name)
+        assert (type(value), repr(value)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_values_behave_as_their_twins(cls):
+    tw = TWINS[cls]
+    samples = CASES[cls][1]
+    made = [cls(*args) for args in samples]
+    reference = [tw(*args) for args in samples]
+    for args, ours, theirs in zip(samples, made, reference):
+        keyword = cls(**dict(zip(cls._fields, args)))
+        for name in cls._fields:
+            value, want = getattr(ours, name), getattr(theirs, name)
+            assert (type(value), repr(value)) == (type(want), repr(want))
+            assert repr(getattr(keyword, name)) == repr(want)
+        assert repr(ours) == repr(keyword) == repr(theirs)
+        assert _outcome(hash, ours) == _outcome(hash, theirs)
+        assert ours.__eq__(theirs) is NotImplemented
+    if "__eq__" in vars(cls):
+        return  # ExtRational keeps its own equality, which reads ExtRational by name
+    sub, twin_sub = type(cls.__name__, (cls,), {}), type(tw.__name__, (tw,), {})
+    for args, ours, theirs in zip(samples, made, reference):
+        assert ours != theirs and theirs != ours  # another class, though the same fields
+        assert ours != sub(*args) and theirs != twin_sub(*args)  # a subclass is another class
+    for i, (a, ta) in enumerate(zip(made, reference)):
+        for b, tb in zip(made[i:], reference[i:]):
+            assert (a == b, a != b) == (ta == tb, ta != tb)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_values_round_trip_through_pickle_and_copy(cls):
+    for args in CASES[cls][1]:
+        value = cls(*args)
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert type(clone) is cls
+            assert repr(clone) == repr(value)
+            assert _outcome(hash, clone) == _outcome(hash, value)
+            assert vars(clone).keys() == vars(value).keys()
+            assert clone == value
+
+
+def test_front_diagrams_keep_their_trace_through_pickle_and_copy():
+    d = front.FrontDiagram((), EVENTS, {1: -1})
+    for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d)):
+        assert clone == d and clone.trace.ids == d.trace.ids
+        assert clone.derived.stats == d.derived.stats
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_values_are_frozen(cls):
+    value = cls(*CASES[cls][1][0])
+    before = repr(value)
+    for name in (*cls._fields, "other"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_uncompared_fields_stay_out_of_equality_and_hash():
+    a = invariants.CokernelClass((1,), (3,), (4,))
+    b = invariants.CokernelClass((1,), (3,), (7,))
+    assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
+    d = front.FrontDiagram((), EVENTS)
+    assert "trace" not in repr(d) and "trace" not in front.FrontDiagram._fields
+    x = invariants.SteinPresentation([[2]], [[1]], [0])
+    assert "_qs" not in repr(x) and x == invariants.SteinPresentation(((2,),), ((1,),), (0,))

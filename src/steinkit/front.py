@@ -17,9 +17,10 @@ moves 1-6, stabilisation, and conversion to a surgery presentation.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
+from operator import add
 
 from .numerics import ExtRational, Frozen, InternalError, _set, parse_int, parse_rational, rat
 
@@ -94,19 +95,20 @@ class FrontDiagram(Frozen):
     heights are grouped into balls top to bottom.  orientations maps a
     component id to +1 or -1 (+1 keeps the traced direction, which runs
     rightward at the component's first segment).  coefficients maps a
-    component id to a surgery coefficient or the marker STEIN; each is a
-    fresh empty dict when not given.
+    component id to a surgery coefficient or the marker STEIN; the
+    diagram keeps its own copy of each (empty when not given).
 
-    Diagrams are immutable.  Construction validates the word and traces
-    its components exactly once; the trace is kept on the instance (out
-    of equality and repr), and every reader in this module uses it
-    instead of tracing again.  A move or stabilisation never traces: it
-    splices the rewritten diagram's trace from its parent's (see
-    _transfer).  Slot counts are ints (a bool is stored as the int it
-    equals).  The derived data (per-component stats and
-    the signed crossing table) comes from one pass over the trace, made
-    at most once: on first read, never on construction, so a diagram
-    nobody reads never pays for it.
+    Diagrams are immutable and hashable.  Construction validates the
+    word and traces its components exactly once; the trace is kept on
+    the instance (out of equality and repr), and every reader in this
+    module uses it instead of tracing again.  A move or stabilisation
+    never traces: it splices the rewritten diagram's trace from its
+    parent's (see _transfer).  Slot counts are ints (a bool is stored as
+    the int it equals).  The derived data (per-component stats and the
+    signed crossing table) is made at most once, on first read, never on
+    construction, by one pass over the trace; but a move or
+    stabilisation of a diagram whose derived data has been read carries
+    it across, updated by the rewrite's window.
     """
 
     def __init__(self, slots: tuple[int, ...], events: tuple[Event, ...],
@@ -136,6 +138,10 @@ class FrontDiagram(Frozen):
     def orientation(self, component: int) -> int:
         return self.orientations.get(component, 1)
 
+    def __hash__(self):
+        data = frozenset(self.orientations.items()), frozenset(self.coefficients.items())
+        return hash((self.slots, self.events, data))
+
     @cached_property
     def derived(self) -> _Derived:
         """Stats and crossing table, computed on first read and kept."""
@@ -152,12 +158,13 @@ def _slot_counts(slots) -> tuple[int, ...]:
 
 
 def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
-    """Check component data against d's trace and store it on d.
+    """Check component data against d's trace and store copies of it on d.
 
     Only for a diagram that was just constructed and has not been handed
     out, so that building it with its data costs one trace.  Derived data
     read before this call is dropped, as it used the old data.
     """
+    orientations, coefficients = dict(orientations), dict(coefficients)
     ids = d.trace.ids
     for cid, o in orientations.items():
         if cid not in ids:
@@ -189,20 +196,29 @@ class _Trace:
     """The components of a front word as flat per-node arrays.
 
     Node (t, h) has index offset[t] + h - 1.  comp[i] is its component
-    id; components are numbered 1, 2, ... by their smallest node and
-    traced rightward from it.  fwd[i] is 1 where the traced direction
-    runs rightward through the node and 0 where it runs leftward.
-    counts[t] is the strand count at boundary t.
+    id; components are numbered 1, 2, ... by their smallest node, whose
+    index is first[id] (first[0] is -1), and traced rightward from it.
+    comp is a bytearray while every id fits a byte (a rewrite copies it
+    at C speed), else a list.  fwd[i] is 1 where the traced direction
+    runs rightward through the node, else 0.  counts[t] is the strand
+    count at boundary t; offset is summed from it on first read if not given.
     """
 
-    __slots__ = ("counts", "offset", "comp", "fwd", "n_components")
+    __slots__ = ("counts", "_offset", "comp", "fwd", "n_components", "first")
 
-    def __init__(self, counts, offset, comp, fwd, n_components):
+    def __init__(self, counts, offset, comp, fwd, n_components, first):
         self.counts = counts
-        self.offset = offset
+        self._offset = offset
         self.comp = comp
         self.fwd = fwd
         self.n_components = n_components
+        self.first = first
+
+    @property
+    def offset(self) -> list[int]:
+        if self._offset is None:
+            self._offset = [0, *accumulate(self.counts)]
+        return self._offset
 
     @property
     def ids(self) -> range:
@@ -330,6 +346,7 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
     cur = [*range(1, 2 * c, 2)]
     flat, counts, limit = cur[:], [c], MAX_NODES  # flat: every boundary's keys
     up, par = [*range(c)], bytearray(c)  # the union-find on labels
+    born = [*range(c)]  # each label's first node: (0, l + 1), or a cusp's upper branch
     for e in events:
         p = e.pos
         if p > (c + 1 if e.kind == "L" else c - 1):
@@ -340,6 +357,7 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
             cur[p - 1 : p - 1] = 2 * len(up) + 1, 2 * len(up)
             up.append(len(up))
             par.append(0)
+            born.append(nodes + p - 1)  # nodes is the new boundary's offset here
             c += 2
         else:
             _join(up, par, cur[p - 1], cur[p], 1)
@@ -368,11 +386,12 @@ def _trace(n_strands: int, events: tuple[Event, ...]) -> _Trace:
     if len(fwd_of) <= 256:  # every key and id is a byte: translate at C speed
         keys = bytes(flat)
         fwd = keys.translate(fwd_of.ljust(256, b"\0"))
-        comp = [*keys.translate(bytes(comp_of).ljust(256, b"\0"))]
+        comp = bytearray(keys.translate(bytes(comp_of).ljust(256, b"\0")))
     else:
         fwd = bytes(map(fwd_of.__getitem__, flat))
         comp = [*map(comp_of.__getitem__, flat)]
-    return _Trace(counts, [0, *accumulate(counts)], comp, fwd, n)
+    first = [-1, *(born[label] for label, q in enumerate(up) if q == label)]
+    return _Trace(counts, [0, *accumulate(counts)], comp, fwd, n, first)
 
 
 def _handle_offset(d: FrontDiagram, h: int) -> int:
@@ -400,45 +419,68 @@ class ComponentStats(Frozen):
 
 
 class _Derived:
-    """What the readers of a diagram need from its trace and its data.
+    """What the readers of a diagram need from its trace and its data:
+    counts, four lists by id (0 unused) of writhe and left, right and up
+    cusps along the orientations; runs, each left-edge component's
+    passages through each handle; cross, each pair (i, j) with i < j
+    whose crossing signs sum to nonzero, with that sum; and stats, one
+    ComponentStats per component, made from these on first read."""
 
-    stats holds one ComponentStats per component, in id order; cross maps
-    each pair (i, j) of components with i < j that cross to the sum of
-    the signs of their crossings.
-    """
+    __slots__ = ("counts", "runs", "cross", "data", "_stats")
 
-    __slots__ = ("stats", "cross")
+    def __init__(self, counts, runs, cross, d: FrontDiagram):
+        self.counts = counts
+        if counts[1] != counts[2]:  # left and right cusps
+            cid = next(c for c, (a, b) in enumerate(zip(counts[1], counts[2])) if a != b)
+            raise InternalError(f"internal: component {cid} has unbalanced cusps")
+        self.runs, self.cross, self._stats = runs, cross, None
+        self.data = d.orientations, d.coefficients, ((0,) * d.n_handles,) * 2
 
-    def __init__(self, stats, cross):
-        self.stats = stats
-        self.cross = cross
+    @property
+    def stats(self) -> tuple[ComponentStats, ...]:
+        if self._stats is None:
+            (writhe, left, right, up), (orientations, coefficients, none) = self.counts, self.data
+            stats = []
+            for c in range(1, len(writhe)):
+                cusps = left[c] + right[c]
+                if (rot2 := cusps - 2 * up[c]) % 2:  # every cusp turns up or down
+                    raise InternalError(f"internal: component {c} has odd cusp imbalance")
+                stats.append(ComponentStats(
+                    c, orientations.get(c, 1), left[c], right[c], up[c], cusps - up[c], writhe[c],
+                    writhe[c] - left[c], rot2 // 2, *self.runs.get(c, none), coefficients.get(c)))
+            self._stats = tuple(stats)
+        return self._stats
 
 
 def _front_data(d: FrontDiagram) -> _Derived:
     """Cusps, writhe, tb, rot, handle runs and the crossing table of every
     component, in one pass over the events and one over the left edge.
 
-    The pass counts along the traced directions; the orientations are
-    applied per component afterwards.  Reversing a component reverses
-    every strand of it: a crossing of two components changes sign when
-    exactly one of them is reversed, a crossing of a component with itself
-    keeps its sign, and the component's up and down cusps trade places.
+    The pass counts crossings along the traced directions and applies
+    the orientations to the crossing table afterwards.  Reversing a
+    component reverses every strand of it: a crossing of two components
+    changes sign when exactly one of them is reversed, and a crossing of
+    a component with itself keeps its sign.
     """
     tr = d.trace
-    comp, fwd, offset = tr.comp, tr.fwd, tr.offset
     n = tr.n_components + 1  # per-component lists are indexed by id
-    writhe = [0] * n
-    left = [0] * n
-    right = [0] * n
-    up = [0] * n  # cusps that turn the traced direction upward
-    cross = {}
-    for t, e in enumerate(d.events):  # the column between boundaries t and t + 1
+    flip = [d.orientations.get(cid) == -1 for cid in range(n)]  # reversed against the trace
+    *counts, cross = [0] * n, [0] * n, [0] * n, [0] * n, {}
+    _tally(enumerate(d.events), tr.offset, tr.comp, tr.fwd, flip, 1, (*counts, cross))
+    return _Derived(counts, _runs(d.slots, tr.comp, tr.fwd, flip), _oriented({}, cross, flip), d)
+
+
+def _tally(columns, offset, comp, fwd, flip, s: int, counts) -> None:
+    """Add s times what the columns, pairs (t, event), count to counts
+    (_Derived's, with cross along the traced directions)."""
+    writhe, left, right, up, cross = counts
+    for t, e in columns:  # the column between boundaries t and t + 1
         kind = e.kind
         if kind == "X":
             i = offset[t] + e.pos - 1
             ca, cb = comp[i], comp[i + 1]
             # crossings between anti-parallel strands are the positive ones
-            sign = 1 if fwd[i] != fwd[i + 1] else -1
+            sign = s if fwd[i] != fwd[i + 1] else -s
             if ca == cb:
                 writhe[ca] += sign
             else:
@@ -447,56 +489,35 @@ def _front_data(d: FrontDiagram) -> _Derived:
         elif kind == "L":
             i = offset[t + 1] + e.pos - 1  # upper branch
             c = comp[i]
-            left[c] += 1
-            up[c] += fwd[i]  # traversal turns upward through a left cusp
+            left[c] += s
+            if fwd[i] ^ flip[c]:  # traversal turns upward through a left cusp
+                up[c] += s
         else:
             i = offset[t] + e.pos - 1  # upper branch
             c = comp[i]
-            right[c] += 1
-            up[c] += not fwd[i]
-    # fwd[i] ^ flip[comp[i]] is 1 where the oriented strand runs rightward
-    flip = [0] * n
-    for cid, o in d.orientations.items():
-        flip[cid] = o == -1
-    if any(flip):
-        cross = {key: -v if flip[key[0]] != flip[key[1]] else v for key, v in cross.items()}
-    nh = d.n_handles
-    runs = [[0] * nh for _ in range(n)]
-    passes = [[0] * nh for _ in range(n)]
-    start = 0  # the left edge is boundary 0, so its nodes come first
-    for h, s in enumerate(d.slots):
-        for i in range(start, start + s):
-            c = comp[i]
-            runs[c][h] += 1 if fwd[i] ^ flip[c] else -1
-            passes[c][h] += 1
-        start += s
+            right[c] += s
+            if fwd[i] == flip[c]:
+                up[c] += s
 
-    stats = []
-    for cid in tr.ids:
-        if left[cid] != right[cid]:
-            raise InternalError(f"internal: component {cid} has unbalanced cusps")
-        cusps = left[cid] + right[cid]
-        ups = cusps - up[cid] if flip[cid] else up[cid]  # every cusp turns up or down
-        rot2 = cusps - 2 * ups
-        if rot2 % 2:
-            raise InternalError(f"internal: component {cid} has odd cusp imbalance")
-        stats.append(
-            ComponentStats(
-                component=cid,
-                orientation=-1 if flip[cid] else 1,
-                left_cusps=left[cid],
-                right_cusps=right[cid],
-                up_cusps=ups,
-                down_cusps=cusps - ups,
-                writhe=writhe[cid],
-                tb=writhe[cid] - left[cid],
-                rot=rot2 // 2,
-                runs=tuple(runs[cid]),
-                passes=tuple(passes[cid]),
-                coefficient=d.coefficients.get(cid),
-            )
-        )
-    return _Derived(tuple(stats), cross)
+
+def _oriented(table: dict, cross: dict, flip) -> dict:
+    """table plus the traced-direction crossing sums cross, oriented by
+    flip; a pair whose sum becomes zero leaves the table."""
+    for (i, j), v in cross.items():
+        if v := table.pop((i, j), 0) + (-v if flip[i] != flip[j] else v):
+            table[i, j] = v
+    return table
+
+
+def _runs(slots, comp, fwd, flip) -> dict:
+    """Algebraic and unsigned passages through each handle, by id of the
+    components on the left edge (boundary 0, whose nodes come first)."""
+    runs, nh = {}, len(slots)
+    for i, h in enumerate(h for h, s in enumerate(slots) for _ in range(s)):
+        run, passes = runs.setdefault(comp[i], ([0] * nh, [0] * nh))
+        run[h] += 1 if fwd[i] ^ flip[comp[i]] else -1
+        passes[h] += 1
+    return {c: (tuple(run), tuple(passes)) for c, (run, passes) in runs.items()}
 
 
 def component_stats(d: FrontDiagram) -> list[ComponentStats]:
@@ -554,7 +575,7 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
 
 def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) -> FrontDiagram:
     """Build the rewritten diagram, splicing its trace from old's and
-    carrying orientations and coefficients across.
+    carrying orientations, coefficients and, once read, derived data across.
 
     Every rewrite names the column boundaries it keeps, drops and shifts:
     old boundary t < lo is boundary t of the new word, boundaries in
@@ -573,8 +594,11 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     rewrite keeps every component, and a break of this contract is an
     InternalError.  Components are then renumbered by their first node
     and turned to run rightward there, as _trace numbers them.
+    Only the window's strand counts are stepped and its node offsets
+    summed; read derived data is carried (_carry) by counting both windows
+    along old's traced directions, which the kept nodes share.
     """
-    slots, events = _slot_counts(slots), tuple(events)
+    slots, events = tuple(slots), tuple(events)  # valid: made from old's by the move
     tr = old.trace
     m, m_old, n = len(events), len(old.events), sum(slots)
     a = hi + shift  # new boundaries a..r are old hi..r - shift
@@ -591,32 +615,53 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     def image(t):  # of an old boundary, or None
         return t if t < lo else t + shift if hi <= t <= r - shift else None
 
-    # strand counts: kept ones copied, window ones stepped from the seam
+    # strand counts: kept ones copied, window ones stepped from the seam;
+    # a rewrite that shifts no boundary copies them only to change one
     cols = [*range(c0, min(a, m)), *range(max(a, r), m)]
-    counts = tr.counts[:lo] + [n] * (a - lo) + tr.counts[hi : r - shift + 1] + [n] * (m - r)
+    counts = tr.counts
+    if shift:
+        counts = counts[: r - shift + 1]
+        counts[lo:hi] = [n] * (a - lo)
+        counts += [n] * (m - r)
     for j in cols:
         e = events[j]
         c = counts[j]
         if e.pos > (c + 1 if e.kind == "L" else c - 1):
             raise InternalError(f"internal: rewritten column {j + 1} does not fit {c} strands")
         c += 2 if e.kind == "L" else -2 if e.kind == "R" else 0
-        if not kept(j + 1):
+        if counts[j + 1] != c:
+            if kept(j + 1):
+                raise InternalError(f"internal: rewritten column {j + 1} does not meet the seam")
+            counts = counts[:] if counts is tr.counts else counts
             counts[j + 1] = c
-        elif counts[j + 1] != c:
-            raise InternalError(f"internal: rewritten column {j + 1} does not meet the seam")
     if counts[0] != n or counts[m] != n:
         raise InternalError("internal: rewritten word does not close up through the handles")
-    offset = [0, *accumulate(counts)]
-    _check_node_count(offset[-1])
+    # node offsets, old and new, at the windows' boundaries and seams and
+    # at the left edge only (the rest are 0 here); the new word's are
+    # summed in full when first read
+    o_off = tr._offset
+    if o_off is None:
+        o_off, end = [0] * (m_old + 2), tr.counts[r - shift :]
+        o_off[c0 : hi + 2] = accumulate(tr.counts[c0 : hi + 1], initial=sum(tr.counts[:c0]))
+        o_off[r - shift :] = accumulate(end, initial=len(tr.comp) - sum(end))
+    if counts is tr.counts:  # and so are the offsets
+        offset = o_off
+    else:
+        offset = [0, counts[0]] + [0] * m
+        offset[c0 : a + 2] = accumulate(counts[c0 : a + 1], initial=o_off[c0])
+        # the kept run's nodes move by what the window adds; with no kept
+        # run, boundary r is the window's and summed above
+        kept_r = offset[r] if r < a else o_off[r - shift] + offset[a] - o_off[hi]
+        offset[r:] = accumulate(counts[r:], initial=kept_r)
+        _check_node_count(offset[-1])
 
     # kept nodes carry their old ids and directions, window nodes are 0
     # until walked; old window nodes are 0 in mark until walked
-    o_off = tr.offset
     o_lo, o_hi, o_end = o_off[lo], o_off[hi], o_off[r - shift + 1]
     gap, tail = offset[a] - offset[lo], offset[-1] - offset[r + 1]
     comp = tr.comp[:o_end]
-    comp[o_lo:o_hi] = [0] * gap
-    comp += [0] * tail
+    comp[o_lo:o_hi] = bytes(gap)
+    comp.extend(bytes(tail))
     fwd = bytearray(tr.fwd[:o_end])
     fwd[o_lo:o_hi] = bytes(gap)
     fwd += bytes(tail)
@@ -646,51 +691,77 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     if 0 in mark[o_lo:o_hi] or 0 in mark[o_end:]:
         raise InternalError("internal: rewrite drops a component inside its window")
 
-    # new id = rank of the component's first node; flip it if it runs
-    # leftward there.  The components met left of the window keep their
-    # first node, so their ids and directions; they are 1..k.
-    k = i = 0
-    for cid in tr.ids:
-        i = comp.index(cid, i)
-        if i >= o_lo:
-            break
-        k = cid
-    order = [*range(1, k + 1)]
-    if k < tr.n_components and lo == hi:
-        # no old boundary is dropped, so the ids past k first meet in the
-        # new window or else in the kept run, which starts at the parent's
-        # node o_lo and so meets them in id order
-        window = [cid for cid in dict.fromkeys(comp[o_lo : offset[a]]) if cid > k]
-        seen = set(window)
-        order += window + [cid for cid in range(k + 1, tr.n_components + 1) if cid not in seen]
-    elif k < tr.n_components:
-        order += [cid for cid in dict.fromkeys(comp[o_lo:]) if cid > k]
-    perm = [*range(len(order) + 1)]  # by old id
-    flip = bytearray(len(order) + 1)
-    i = o_lo
-    for new_id, cid in enumerate(order[k:], start=k + 1):
+    n_ids = tr.n_components + 1
+    flip = [old.orientations.get(cid) == -1 for cid in range(n_ids)]
+    derived = old.__dict__.get("derived")
+    if derived:  # both windows, counted along old's traced directions
+        change = [0] * n_ids, [0] * n_ids, [0] * n_ids, [0] * n_ids, {}
+        _tally(zip(old_cols, map(old.events.__getitem__, old_cols)), o_off, tr.comp, tr.fwd, flip, -1, change)
+        _tally(zip(cols, map(events.__getitem__, cols)), offset, comp, fwd, flip, 1, change)
+        runs = None  # read again if the left edge changed
+        if lo == 0 and (slots, comp[:n], fwd[:n]) != (old.slots, tr.comp[:n], tr.fwd[:n]):
+            runs = _runs(slots, comp, fwd, flip)
+
+    # new id = rank of the component's first node; turn it if it runs
+    # leftward there.  Components 1..k first meet the kept boundaries left
+    # of the window, so keep their first nodes, ids and directions.  Any
+    # other first meets the window or its right seam, else keeps the
+    # first node it had in the kept run, else lies past both.
+    first = tr.first
+    k = bisect_left(first, o_lo) - 1
+    s, e = offset[lo], offset[min(a, m) + 1]
+    start = {cid: comp.index(cid, s) for cid in dict.fromkeys(comp[s:e]) if cid > k}
+    for cid in range(k + 1, n_ids):
+        if cid not in start:
+            f = first[cid]
+            start[cid] = f + offset[a] - o_hi if o_hi <= f < o_end else comp.index(cid, e)
+    order = sorted(start, key=start.__getitem__)
+    perm = [*range(n_ids)]  # by old id
+    turn = bytearray(n_ids)
+    for new_id, cid in enumerate(order, start=k + 1):
         perm[cid] = new_id
-        i = comp.index(cid, i)
-        flip[cid] = not fwd[i]
-    if any(flip):
-        mask = bytes(map(flip.__getitem__, comp))
+        turn[cid] = not fwd[start[cid]]
+    if any(turn):
+        mask = _relabel(comp, turn)
         fwd = int.from_bytes(fwd, "big") ^ int.from_bytes(mask, "big")
         fwd = fwd.to_bytes(len(mask), "big")
-    if order != [*tr.ids]:
-        comp = list(map(perm.__getitem__, comp))
-    orientations: dict[int, int] = {}
-    coefficients: dict[int, object] = {}
-    for cid in tr.ids:
-        o = old.orientation(cid)
-        orientations[perm[cid]] = -o if flip[cid] else o
-        if cid in old.coefficients:
-            coefficients[perm[cid]] = old.coefficients[cid]
-
+    renumbered = order != [*range(k + 1, n_ids)]
+    if renumbered:
+        comp = _relabel(comp, perm)
+    orientations = {perm[cid]: -1 if flip[cid] != turn[cid] else 1 for cid in tr.ids}
+    coefficients = {perm[cid]: c for cid, c in old.coefficients.items()}
+    first = first[: k + 1] + [*map(start.get, order)]
     new = object.__new__(FrontDiagram)
     new.__dict__.update(
-        slots=slots, events=events, trace=_Trace(counts, offset, comp, bytes(fwd), len(order))
+        slots=slots, events=events, orientations=orientations, coefficients=coefficients,
+        trace=_Trace(counts, tr._offset if counts is tr.counts else None, comp, bytes(fwd), n_ids - 1, first),
     )
-    return _attach(new, orientations, coefficients)
+    if derived:
+        new.__dict__["derived"] = _carry(derived, change, flip, runs, perm if renumbered else None, new)
+    return new
+
+
+def _relabel(comp, table):
+    """comp with each id c read as table[c], in comp's type (table's entries fit it)."""
+    if type(comp) is bytearray:
+        return comp.translate(bytes(table).ljust(256, b"\0"))
+    return [*map(table.__getitem__, comp)]
+
+
+def _carry(derived: _Derived, change, flip, runs, perm, d: FrontDiagram) -> _Derived:
+    """A rewrite's derived data: its parent's plus change (_tally, by
+    parent id, with the parent's flip), with runs and ids perm where not
+    None; a list the rewrite does not change is shared."""
+    *change, cross = change
+    counts = [old if not any(new) else [*map(add, old, new)] for old, new in zip(derived.counts, change)]
+    table = _oriented(dict(derived.cross), cross, flip) if cross else derived.cross
+    runs = derived.runs if runs is None else runs
+    if perm:
+        back = sorted(range(len(perm)), key=perm.__getitem__)  # the parent id of each new id
+        counts = [[*map(old.__getitem__, back)] for old in counts]
+        runs = {perm[c]: r for c, r in runs.items()}
+        table = {(min(perm[i], perm[j]), max(perm[i], perm[j])): v for (i, j), v in table.items()}
+    return _Derived(counts, runs, table, d)
 
 
 # ---------------------------------------------------------------------------
@@ -711,19 +782,23 @@ def stabilize(
     tr = d.trace
     if component not in tr.ids:
         raise FrontError(f"no component {component}")
-    comp, offset = tr.comp, tr.offset
+    comp, counts = tr.comp, tr.counts
     if at_column is None:
-        i = comp.index(component)
-        t = bisect_right(offset, i) - 1
+        i = tr.first[component]
+        for t, end in enumerate(accumulate(counts)):  # to the first node's boundary
+            if i < end:
+                break
+        base = end - counts[t]
     else:
         try:
-            t = range(len(tr.counts)).index(at_column)
-            i = comp.index(component, offset[t], offset[t + 1])
+            t = range(len(counts)).index(at_column)
+            base = sum(counts[:t])
+            i = comp.index(component, base, base + counts[t])
         except ValueError:
             raise FrontError(
                 f"component {component} has no strand at column boundary {at_column}"
             ) from None
-    height = i - offset[t] + 1
+    height = i - base + 1
     eps = (1 if tr.fwd[i] else -1) * d.orientation(component)
     # two cusp patterns; which one yields up-cusps depends on the strand
     # direction at the insertion point

@@ -291,7 +291,7 @@ class ContinuedFraction(Frozen):
 
     With that tail constraint the expansion of a rational is unique, which
     makes chain presentations canonical.  Terms must be ints; a bool is
-    stored as the int it equals.
+    stored as the int it equals, and the terms as a tuple.
     """
 
     def __init__(self, terms: tuple[int, ...]):
@@ -306,6 +306,8 @@ class ContinuedFraction(Frozen):
                 if not isinstance(t, int):
                     raise NumericsError(f"continued fraction terms must be ints, got {t!r}")
             self.__dict__["terms"] = tuple(map(int, self.terms))
+        elif type(self.terms) is not tuple:
+            self.__dict__["terms"] = tuple(self.terms)
         for t in self.terms[1:]:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")

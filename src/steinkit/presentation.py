@@ -10,7 +10,6 @@ twist, slam-dunk, blow-down, chain expansion) preserve the oriented boundary
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, compress
 from math import prod
 
@@ -232,6 +231,8 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     *_, value = _bordered_congruence(q, [*map(int, x)], [*map(int, y)])
     if value is None:
         raise PresentationError("linking form undefined: class is not torsion")
+    from fractions import Fraction  # here, so that importing presentation does not load it
+
     num, den = value
     return Fraction(-num % den, den)
 

@@ -893,6 +893,24 @@ def test_no_verb_imports_dataclasses_or_inspect(tmp_path, verb):
     assert not modules & {"dataclasses", "inspect"}
 
 
+def test_no_verb_imports_fractions_or_decimal(tmp_path):
+    # only presentation.linking_form makes a Fraction, and no verb calls
+    # it; one child runs every verb in turn, so it loads what any one does
+    (tmp_path / "in.front").write_text(TREFOIL)
+    (tmp_path / "in.surgery").write_text(MERIDIAN)
+    calls = [[verb, *(str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args)]
+             for verb, (args, _) in VERB_CALLS.items()]
+    code = (
+        "import contextlib, io, sys\nfrom steinkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    sys.exit(max(main(argv) for argv in {calls!r}))\n"
+    )
+    rc, err, modules = child_modules(tmp_path, "-c", code)
+    assert (rc, err) == (0, [])
+    assert {"steinkit.front", "steinkit.presentation", "steinkit.invariants", "steinkit.families"} <= modules
+    assert not modules & {"fractions", "decimal"}
+
+
 def test_importing_the_cli_imports_only_numerics(tmp_path):
     rc, err, modules = child_imports(tmp_path, "-c", "import steinkit.cli")
     assert (rc, err) == (0, [])

@@ -16,8 +16,8 @@ import os
 import sys
 
 # Each verb imports the modules it runs inside its cmd_* function, so a
-# call loads and compiles only those; numerics is needed by main itself.
-from .numerics import InternalError, parse_int, parse_rational
+# call loads and compiles only those; main itself needs the scalars.
+from .rational import InternalError, parse_int, parse_rational
 
 
 class UsageError(Exception):
@@ -36,11 +36,11 @@ def parse_input(path: str, kind: str):
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if kind == "front":
-        from .front import parse_front
+        from .diagram import parse_front
 
         return parse_front(text)
     if kind == "surgery":
-        from .presentation import parse_surgery
+        from .surgery import parse_surgery
 
         return parse_surgery(text)
     raise ValueError(f"unknown input kind {kind!r}")
@@ -58,7 +58,7 @@ def _rational(text: str):
 
 
 def cmd_stats(args) -> list[str]:
-    from .front import component_stats
+    from .diagram import component_stats
 
     d = parse_input(args.file, "front")
     out = []
@@ -74,7 +74,7 @@ def cmd_stats(args) -> list[str]:
 
 
 def cmd_lint(args) -> list[str]:
-    from .front import parity_lint
+    from .diagram import parity_lint
 
     d = parse_input(args.file, "front")
     reports = parity_lint(d)
@@ -92,7 +92,7 @@ def cmd_lint(args) -> list[str]:
 
 
 def cmd_check_stein(args) -> list[str]:
-    from .front import check_stein_form
+    from .diagram import check_stein_form
 
     rep = check_stein_form(parse_input(args.file, "front"))
     out = [f"ok: {_bool(rep.ok)}"]
@@ -101,8 +101,8 @@ def cmd_check_stein(args) -> list[str]:
 
 
 def cmd_surger(args) -> str:
-    from .front import surger_handles
-    from .presentation import serialize_surgery
+    from .diagram import surger_handles
+    from .surgery import serialize_surgery
 
     return serialize_surgery(surger_handles(parse_input(args.file, "front")))
 
@@ -126,7 +126,7 @@ def cmd_stabilize(args) -> str:
 
 
 def cmd_h1(args) -> list[str]:
-    from .presentation import h1
+    from .surgery import h1
 
     return [f"h1: {h1(parse_input(args.file, 'surgery'))}"]
 
@@ -366,95 +366,63 @@ def _arg_int(text: str) -> int:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The command line parser.  When argv starts with a verb, only that
+    verb's subparser is built; naming every verb in the metavar keeps the
+    usage and the messages those of the full parser."""
+    file, num = ("file", {}), {"type": _arg_int}
+    search_bound = ("--search-bound", {"type": _arg_int, "default": 100})
+    verbs = {  # verb: (command, help, add_argument calls as (name, keywords))
+        "stats": (cmd_stats, "tb, rotation, writhe and cusp counts per component", [file]),
+        "lint": (cmd_lint, "check the passage parity of a front", [file]),
+        "check-stein": (cmd_check_stein, "verify every coefficient is tb - 1", [file]),
+        "surger": (cmd_surger, "trade 1-handles for 0-framed unknots", [file]),
+        "move": (cmd_move, "apply one of the local moves 1-6",
+                 [("n", num), file, ("--at", num), ("--variant", {}), ("--handle", num)]),
+        "stabilize": (cmd_stabilize, "insert a zig-zag on a component",
+                      [("component", num), ("direction", {"choices": ("up", "down")}), file,
+                       ("--at", num)]),
+        "h1": (cmd_h1, "first homology of the presented manifold", [file]),
+        "expand": (cmd_expand, "replace rational coefficients by integer chains", [file]),
+        "twist": (cmd_twist, "Rolfsen twist on an unknotted component",
+                  [("i", num), ("m", num), file]),
+        "dunk": (cmd_dunk, "slam-dunk a meridian, or --inverse to grow one",
+                 [("i", num), ("j", {**num, "nargs": "?"}), file,
+                  ("--inverse", {"metavar": "COEFF"})]),
+        "blowdown": (cmd_blowdown, "blow down a (+/-)1-framed unknot", [("i", num), file]),
+        "plan": (cmd_plan, "Stein realization plan (needs tb data)", [file]),
+        "gamma": (cmd_gamma, "spin-structure invariant of the boundary",
+                  [file, ("--sublink", {"metavar": "MEMBERS"})]),
+        "theta": (cmd_theta, "squared-Chern invariant of the plane field", [file]),
+        "seifert": (cmd_seifert, "Seifert fibered realizability decider",
+                    [("--base", {"default": "o0"}),
+                     ("--coeff", {"action": "append", "default": [], "metavar": "P/Q"}),
+                     search_bound]),
+        "brieskorn": (cmd_brieskorn, "Brieskorn sphere data and decision",
+                      [("p1", num), ("p2", num), ("p3", num),
+                       ("--orientation", {"choices": ("+", "-"), "default": "+"}), search_bound]),
+        "borromean": (cmd_borromean, "Borromean surgery decider",
+                      [("coeffs", {"nargs": "*", "metavar": "R"}),
+                       ("--twist-knot", {"metavar": '"L M R"'}),
+                       ("--two-component", {"metavar": '"M R1 R2"'})]),
+    }
+    one = argv[0] if argv and argv[0] in verbs else None
     top = argparse.ArgumentParser(prog="steinkit", description=__doc__)
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("stats", cmd_stats, help="tb, rotation, writhe and cusp counts per component")
-    p.add_argument("file")
-
-    p = add("lint", cmd_lint, help="check the passage parity of a front")
-    p.add_argument("file")
-
-    p = add("check-stein", cmd_check_stein, help="verify every coefficient is tb - 1")
-    p.add_argument("file")
-
-    p = add("surger", cmd_surger, help="trade 1-handles for 0-framed unknots")
-    p.add_argument("file")
-
-    p = add("move", cmd_move, help="apply one of the local moves 1-6")
-    p.add_argument("n", type=_arg_int)
-    p.add_argument("file")
-    p.add_argument("--at", type=_arg_int, default=None)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--handle", type=_arg_int, default=None)
-
-    p = add("stabilize", cmd_stabilize, help="insert a zig-zag on a component")
-    p.add_argument("component", type=_arg_int)
-    p.add_argument("direction", choices=("up", "down"))
-    p.add_argument("file")
-    p.add_argument("--at", type=_arg_int, default=None)
-
-    p = add("h1", cmd_h1, help="first homology of the presented manifold")
-    p.add_argument("file")
-
-    p = add("expand", cmd_expand, help="replace rational coefficients by integer chains")
-    p.add_argument("file")
-
-    p = add("twist", cmd_twist, help="Rolfsen twist on an unknotted component")
-    p.add_argument("i", type=_arg_int)
-    p.add_argument("m", type=_arg_int)
-    p.add_argument("file")
-
-    p = add("dunk", cmd_dunk, help="slam-dunk a meridian, or --inverse to grow one")
-    p.add_argument("i", type=_arg_int)
-    p.add_argument("j", type=_arg_int, nargs="?", default=None)
-    p.add_argument("file")
-    p.add_argument("--inverse", default=None, metavar="COEFF")
-
-    p = add("blowdown", cmd_blowdown, help="blow down a (+/-)1-framed unknot")
-    p.add_argument("i", type=_arg_int)
-    p.add_argument("file")
-
-    p = add("plan", cmd_plan, help="Stein realization plan (needs tb data)")
-    p.add_argument("file")
-
-    p = add("gamma", cmd_gamma, help="spin-structure invariant of the boundary")
-    p.add_argument("file")
-    p.add_argument("--sublink", default=None, metavar="MEMBERS")
-
-    p = add("theta", cmd_theta, help="squared-Chern invariant of the plane field")
-    p.add_argument("file")
-
-    p = add("seifert", cmd_seifert, help="Seifert fibered realizability decider")
-    p.add_argument("--base", default="o0")
-    p.add_argument("--coeff", action="append", default=[], metavar="P/Q")
-    p.add_argument("--search-bound", type=_arg_int, default=100)
-
-    p = add("brieskorn", cmd_brieskorn, help="Brieskorn sphere data and decision")
-    p.add_argument("p1", type=_arg_int)
-    p.add_argument("p2", type=_arg_int)
-    p.add_argument("p3", type=_arg_int)
-    p.add_argument("--orientation", choices=("+", "-"), default="+")
-    p.add_argument("--search-bound", type=_arg_int, default=100)
-
-    p = add("borromean", cmd_borromean, help="Borromean surgery decider")
-    p.add_argument("coeffs", nargs="*", metavar="R")
-    p.add_argument("--twist-knot", default=None, metavar='"L M R"')
-    p.add_argument("--two-component", default=None, metavar='"M R1 R2"')
-
+    metavar = None if one is None else "{" + ",".join(verbs) + "}"
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, (func, help_text, arguments) in verbs.items():
+        if one in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            for arg, kwargs in arguments:
+                p.add_argument(arg, **kwargs)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for bad usage; that slot is reserved for bad input
         return 0 if exc.code == 0 else 1

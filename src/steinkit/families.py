@@ -12,7 +12,7 @@ one-directional.
 
 from math import gcd
 
-from .numerics import INF, ExtRational, Frozen, InternalError, MobiusMap, rat
+from .rational import INF, ExtRational, Frozen, InternalError, MobiusMap, rat
 
 
 class FamilyError(ValueError):
@@ -515,7 +515,7 @@ def decide_borromean(c: BorromeanCoeffs) -> BorromeanDecision:
 
 def borromean_presentation(c: BorromeanCoeffs) -> "SurgeryPresentation":
     """Surgery presentation fit for homology: three unknots, zero linking."""
-    from .presentation import SurgeryPresentation
+    from .surgery import SurgeryPresentation
 
     return SurgeryPresentation(
         coeffs=list(c.as_tuple()),

@@ -26,7 +26,7 @@ from .numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
-from .presentation import SurgeryPresentation, cokernel
+from .surgery import SurgeryPresentation, cokernel
 
 
 class InvariantError(ValueError):

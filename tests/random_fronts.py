@@ -1,6 +1,7 @@
 """Random fronts, and the moves to try on them, for the property tests."""
 
-from steinkit.front import Event, FrontDiagram, _attach
+from steinkit.diagram import _attach
+from steinkit.front import Event, FrontDiagram
 
 
 def random_front(rng, max_handles: int = 2, max_slot: int = 2, max_extra: int = 8) -> FrontDiagram:

@@ -10,6 +10,7 @@ decisions), 1 on usage errors, 2 on invalid input files, 3 on internal
 failures.
 """
 
+import argparse
 import hashlib
 import importlib
 import os
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from steinkit import cli, families, invariants, numerics, presentation
+from steinkit import cli, families, invariants, numerics, surgery
 from steinkit.cli import main
 from steinkit.front import (
     MAX_NODES,
@@ -291,7 +292,7 @@ def test_h1_of_an_expanded_long_chain(capsys, tmp_path):
 
 
 def test_expansion_past_the_component_limit_is_invalid_input(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    monkeypatch.setattr(surgery, "MAX_COMPONENTS", 5)
     path = tmp_path / "long.surgery"
     path.write_text("surgery 1\ncomponents 1\ncoeff 1 -1/6\ntb 1 0\n")
     message = "error: the rewritten presentation would have 6 components; the limit is 5\n"
@@ -800,23 +801,25 @@ def test_closed_stdout_is_a_quiet_success(tmp_path, verb):
 
 
 # One call of every verb, in the order --help lists them, with the steinkit
-# modules it runs besides the package and numerics, which main needs.
-# "@front" and "@surgery" stand for the two files below.
+# modules it runs besides the package and rational (the scalars), which
+# main needs.  These closures are the cost model of a call: each module
+# listed is compiled when no bytecode is cached.  "@front" and "@surgery"
+# stand for the two files below.
 VERB_CALLS = {
-    "stats": (["@front"], {"front"}),
-    "lint": (["@front"], {"front"}),
-    "check-stein": (["@front"], {"front"}),
-    "surger": (["@front"], {"front", "presentation"}),
-    "move": (["2", "--at", "6", "--variant", "birth-above", "@front"], {"front"}),
-    "stabilize": (["1", "up", "@front"], {"front"}),
-    "h1": (["@surgery"], {"presentation"}),
-    "expand": (["@surgery"], {"presentation"}),
-    "twist": (["1", "1", "@surgery"], {"presentation"}),
-    "dunk": (["1", "2", "@surgery"], {"presentation"}),
-    "blowdown": (["2", "@surgery"], {"presentation"}),
-    "plan": (["@surgery"], {"presentation"}),
-    "gamma": (["@surgery"], {"presentation", "invariants"}),
-    "theta": (["@surgery"], {"presentation", "invariants"}),
+    "stats": (["@front"], {"diagram"}),
+    "lint": (["@front"], {"diagram"}),
+    "check-stein": (["@front"], {"diagram"}),
+    "surger": (["@front"], {"diagram", "surgery"}),
+    "move": (["2", "--at", "6", "--variant", "birth-above", "@front"], {"diagram", "front"}),
+    "stabilize": (["1", "up", "@front"], {"diagram", "front"}),
+    "h1": (["@surgery"], {"surgery", "numerics"}),
+    "expand": (["@surgery"], {"surgery", "presentation"}),
+    "twist": (["1", "1", "@surgery"], {"surgery", "presentation"}),
+    "dunk": (["1", "2", "@surgery"], {"surgery", "presentation"}),
+    "blowdown": (["2", "@surgery"], {"surgery", "presentation"}),
+    "plan": (["@surgery"], {"surgery", "presentation"}),
+    "gamma": (["@surgery"], {"surgery", "numerics", "invariants"}),
+    "theta": (["@surgery"], {"surgery", "numerics", "invariants"}),
     "seifert": (["--coeff=2", "--coeff=-3/2", "--coeff=-3/4"], {"families"}),
     "brieskorn": (["2", "3", "5"], {"families"}),
     "borromean": (["--", "1", "1", "1"], {"families"}),
@@ -876,7 +879,7 @@ def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
     argv = [str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args]
     rc, err, modules = child_imports(tmp_path, "-m", "steinkit.cli", verb, *argv)
     assert (rc, err) == (0, [])
-    assert modules == {"steinkit", "steinkit.numerics"} | {f"steinkit.{m}" for m in layers}
+    assert modules == {"steinkit", "steinkit.rational"} | {f"steinkit.{m}" for m in layers}
 
 
 @pytest.mark.parametrize("verb", VERB_CALLS)
@@ -889,7 +892,7 @@ def test_no_verb_imports_dataclasses_or_inspect(tmp_path, verb):
     argv = [str(tmp_path / f"in.{a[1:]}") if a.startswith("@") else a for a in args]
     rc, err, modules = child_modules(tmp_path, "-m", "steinkit.cli", verb, *argv)
     assert (rc, err) == (0, [])
-    assert "steinkit.numerics" in modules
+    assert "steinkit.rational" in modules
     assert not modules & {"dataclasses", "inspect"}
 
 
@@ -911,15 +914,14 @@ def test_no_verb_imports_fractions_or_decimal(tmp_path):
     assert not modules & {"fractions", "decimal"}
 
 
-def test_importing_the_cli_imports_only_numerics(tmp_path):
+def test_importing_the_cli_imports_only_the_scalars(tmp_path):
     rc, err, modules = child_imports(tmp_path, "-c", "import steinkit.cli")
     assert (rc, err) == (0, [])
-    assert modules == {"steinkit", "steinkit.cli", "steinkit.numerics"}
+    assert modules == {"steinkit", "steinkit.cli", "steinkit.rational"}
 
 
 # The console script imports steinkit.cli and calls main, so its closure
 # holds steinkit.cli itself, which a -m child runs as __main__ instead.
-# One verb per module group: front, presentation, invariants, families.
 MAIN_CLOSURE = """\
 import sys
 from steinkit.cli import main
@@ -929,7 +931,7 @@ sys.exit(rc)
 """
 
 
-@pytest.mark.parametrize("verb", ["stats", "h1", "theta", "brieskorn"])
+@pytest.mark.parametrize("verb", VERB_CALLS)
 def test_one_main_call_leaves_exactly_its_verbs_modules(tmp_path, verb):
     (tmp_path / "in.front").write_text(TREFOIL)
     (tmp_path / "in.surgery").write_text(MERIDIAN)
@@ -941,6 +943,46 @@ def test_one_main_call_leaves_exactly_its_verbs_modules(tmp_path, verb):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout
-    assert set(proc.stderr.split()) == {"steinkit", "steinkit.cli", "steinkit.numerics"} | {
+    assert set(proc.stderr.split()) == {"steinkit", "steinkit.cli", "steinkit.rational"} | {
         f"steinkit.{m}" for m in layers
     }
+
+
+# argv cases for the one-verb parser: every verb's help, then a missing
+# positional, bad ints, bad choices, extra arguments, unknown options after
+# the verb, and calls that parse
+PARSER_CASES = [
+    *([verb, "-h"] for verb in VERB_CALLS),
+    ["stats"], ["twist", "1", "f"], ["seifert", "--search-bound"],
+    ["move", "1_0", "f"], ["brieskorn", "+3", "2", "5"], ["twist", "1", "x", "f"],
+    ["stabilize", "1", "sideways", "f"], ["brieskorn", "2", "3", "5", "--orientation", "x"],
+    ["h1", "a", "b"], ["stats", "f", "extra"], ["borromean", "1", "--", "--x"],
+    ["theta", "f", "--nope"], ["seifert", "--bogus=1"], ["move", "1", "f", "--at=2", "-q"],
+    ["stats", "f"], ["dunk", "1", "f", "--inverse=-1/2"], ["dunk", "1", "2", "f"],
+    ["seifert", "--coeff=2", "--coeff=-3/2"], ["borromean", "--", "1", "-1", "1"],
+    ["stabilize", "2", "down", "f", "--at", "3"], ["gamma", "f", "--sublink", "1 2"],
+]
+
+
+def parse_outcome(capsys, parser, argv):
+    """What parsing argv prints and returns: (stdout, stderr, exit code or namespace)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return out, err, result
+
+
+def built_verbs(parser):
+    """The verbs whose subparsers parser holds."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_one_verb_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.build_parser(), cli.build_parser(argv)
+    assert built_verbs(full) == list(VERB_CALLS) and built_verbs(one) == [argv[0]]
+    assert parse_outcome(capsys, one, argv) == parse_outcome(capsys, full, argv)

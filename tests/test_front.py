@@ -26,8 +26,9 @@ from steinkit.front import (
     stabilize,
     surger_handles,
 )
+from steinkit import diagram as diagram_module
 from steinkit import front as front_module
-from steinkit import presentation
+from steinkit import surgery
 from steinkit.invariants import (
     InvariantError,
     SteinPresentation,
@@ -201,7 +202,7 @@ def test_event_word_reads_each_token_once():
 
 def test_front_node_limit(monkeypatch):
     # nodes are strands summed over the column boundaries
-    monkeypatch.setattr(front_module, "MAX_NODES", 5)
+    monkeypatch.setattr(diagram_module, "MAX_NODES", 5)
     assert front((1,), "L1 R1").trace.counts == [1, 3, 1]
     with pytest.raises(FrontError, match=r"^the front has 6 nodes \(.*\); the limit is 5$"):
         front((2,), "X1 X1")
@@ -394,9 +395,9 @@ def trace_fields(tr):
 
 def test_each_diagram_is_traced_once(monkeypatch):
     calls = []
-    real = front_module._trace
+    real = diagram_module._trace
     derived = []
-    real_data = front_module._front_data
+    real_data = diagram_module._front_data
 
     def counting(*args):
         calls.append(args)
@@ -406,8 +407,8 @@ def test_each_diagram_is_traced_once(monkeypatch):
         derived.append(d)
         return real_data(d)
 
-    monkeypatch.setattr(front_module, "_trace", counting)
-    monkeypatch.setattr(front_module, "_front_data", counting_data)
+    monkeypatch.setattr(diagram_module, "_trace", counting)
+    monkeypatch.setattr(diagram_module, "_front_data", counting_data)
 
     def traces(fn, *args, **kwargs):
         calls.clear()
@@ -489,7 +490,7 @@ def test_derived_data_follows_the_attached_orientations():
     # derived data read before _attach stores new orientations is dropped
     d = front((), "L1 L1 R2 R1")
     assert single(d).rot == -1
-    front_module._attach(d, {1: -1}, {})
+    diagram_module._attach(d, {1: -1}, {})
     assert single(d).rot == 1
 
 
@@ -696,7 +697,7 @@ def rewritten(d, call):
 
 
 def assert_spliced_like_traced(d, new, rewrite):
-    fresh = front_module._trace(new.n_strands, new.events)
+    fresh = diagram_module._trace(new.n_strands, new.events)
     assert trace_fields(new.trace) == trace_fields(fresh) == walk_trace(new.n_strands, new.events)
     assert (new.orientations, new.coefficients) == _reference_transfer(d, *rewrite)
 
@@ -843,13 +844,13 @@ def test_rewrites_of_bench_shaped_words_carry_the_derived_data(shape):
 
 def test_a_chain_of_moves_derives_once(monkeypatch):
     derived = []
-    real = front_module._front_data
+    real = diagram_module._front_data
 
     def counting_data(d):
         derived.append(d)
         return real(d)
 
-    monkeypatch.setattr(front_module, "_front_data", counting_data)
+    monkeypatch.setattr(diagram_module, "_front_data", counting_data)
     d = parse_front("front 1\nhandles 1\nhandle 1 slots 1\nevents L2 X1 R2\norient 1 -\ncoeff 1 stein\n")
     stats = component_stats(d)
     chain = [
@@ -910,9 +911,9 @@ def test_rewrites_stop_at_the_node_limit(monkeypatch, rewrite):
     d = front((1,), "L2 X1 R2")
     new = rewrite(d)
     n_nodes = new.trace.offset[-1]
-    monkeypatch.setattr(front_module, "MAX_NODES", n_nodes)
+    monkeypatch.setattr(diagram_module, "MAX_NODES", n_nodes)
     assert trace_fields(rewrite(d).trace) == trace_fields(new.trace)
-    monkeypatch.setattr(front_module, "MAX_NODES", n_nodes - 1)
+    monkeypatch.setattr(diagram_module, "MAX_NODES", n_nodes - 1)
     message = (
         f"the front has {n_nodes} nodes (strands summed over its column boundaries); "
         f"the limit is {n_nodes - 1}"
@@ -1409,7 +1410,7 @@ def test_surger_requires_coefficients():
 def test_surger_stops_at_the_component_limit(monkeypatch):
     # every presentation surger writes must parse again, and parse_surgery
     # reads at most MAX_COMPONENTS components
-    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    monkeypatch.setattr(surgery, "MAX_COMPONENTS", 5)
     unknots = parse_event_word("L1 L1 L1 L1 L1 R1 R1 R1 R1 R1")
     p = surger_handles(FrontDiagram((), unknots, {}, {c: STEIN for c in range(1, 6)}))
     assert p.m == 5 and parse_surgery(serialize_surgery(p)) == p

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from random_presentations import presentations
-from steinkit import numerics, presentation
+from steinkit import numerics, presentation, surgery
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
     AbelianGroup,
@@ -392,7 +392,7 @@ def test_slam_dunk_inverse_refuses_a_meridian_coefficient_that_is_not_an_ext_rat
 
 
 def test_rewrites_stop_at_the_component_limit(monkeypatch):
-    monkeypatch.setattr(presentation, "MAX_COMPONENTS", 5)
+    monkeypatch.setattr(surgery, "MAX_COMPONENTS", 5)
     # the chain of -1/n has n entries
     at_limit = pres([rat(-1, 5)], unknot=[True], tb=[0])
     assert expand_rational(at_limit).m == 5
@@ -658,13 +658,13 @@ def test_linking_form_rejects_free_classes():
 
 def test_linking_form_solves_both_classes_at_once(monkeypatch):
     calls = []
-    original = presentation._bordered_congruence
+    original = numerics._bordered_congruence
 
     def counting(q, x, y):
         calls.append((x, y))
         return original(q, x, y)
 
-    monkeypatch.setattr(presentation, "_bordered_congruence", counting)
+    monkeypatch.setattr(numerics, "_bordered_congruence", counting)
     p = pres([4, 6], [[0, 1], [1, 0]])
     assert linking_form(p, [1, 0], [0, 1]) == Fraction(1, 23)
     assert calls == [([1, 0], [0, 1])]

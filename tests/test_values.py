@@ -204,6 +204,14 @@ def test_a_front_diagram_keeps_its_own_dicts():
     twin = front.FrontDiagram((), TWO_UNKNOTS, {1: 1, 2: -1}, {2: rat(1, 2)})
     assert d == twin and hash(d) == hash(twin)
     assert d != front.FrontDiagram((), TWO_UNKNOTS, {1: 1, 2: 1}, {2: rat(1, 2)})
+    # an omitted orientation is +1, so a diagram equals its round trip,
+    # which writes every orientation out, and hashes alike
+    bare = front.FrontDiagram((), TWO_UNKNOTS, {2: -1}, {2: rat(1, 2)})
+    assert bare == twin and hash(bare) == hash(twin)
+    for value in (bare, front.FrontDiagram((), EVENTS)):
+        back = front.parse_front(front.serialize_front(value))
+        assert back.orientations.keys() == set(back.trace.ids) != value.orientations.keys()
+        assert back == value and hash(back) == hash(value)
 
 
 def test_front_diagrams_keep_their_trace_through_pickle_and_copy():

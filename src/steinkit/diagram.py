@@ -586,9 +586,11 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     contributes an unknot in the distinguished 0-framed sublink, linking
     a component once per algebraic run through the handle.  A result
     past surgery.MAX_COMPONENTS, which parse_surgery would refuse
-    to read back, is refused before its linking matrix is built.
+    to read back, is refused before its linking matrix is built.  The
+    result is built unchecked by surgery._build: _attach validated the
+    coefficients, and the trace gives a symmetric int matrix.
     """
-    from .surgery import MAX_COMPONENTS, SurgeryPresentation
+    from .surgery import MAX_COMPONENTS, _build
 
     stats = d.derived.stats
     coeffs = resolve_coefficients(d)
@@ -605,13 +607,10 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     for idx, s in enumerate(stats):
         for h in range(nh):
             lk[idx][n + h] = lk[n + h][idx] = s.runs[h]
-    return SurgeryPresentation(
-        coeffs=[coeffs[s.component] for s in stats] + [rat(0)] * nh,
-        lk=lk,
-        unknot=[False] * n + [True] * nh,
-        l0=[False] * n + [True] * nh,
-        rot=[s.rot for s in stats] + [0] * nh,
-        tb=[s.tb for s in stats] + [None] * nh,
+    flags = (False,) * n + (True,) * nh
+    return _build(
+        (*(coeffs[s.component] for s in stats), *(rat(0),) * nh), tuple(map(tuple, lk)), flags, flags,
+        (*(s.rot for s in stats), *(0,) * nh), (*(s.tb for s in stats), *(None,) * nh),
     )
 
 

@@ -10,8 +10,9 @@ characteristic and the signature, all computed exactly.
 """
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import prod
+from operator import add, sub
 
 from .numerics import (
     ExtRational,
@@ -26,6 +27,7 @@ from .numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
+from .rational import _set
 from .surgery import SurgeryPresentation, cokernel
 
 
@@ -44,9 +46,10 @@ class SteinPresentation(Frozen):
     Presentations are frozen: q and runs are stored as tuples of rows
     and rot as a tuple, of ints: another entry is refused, and a bool is
     stored as the int it equals.  Construction validates the data once
-    and builds Q* once, as _qs (not a field); the Smith form of Q*, its
-    characteristic solutions mod 2 and its congruence bordered by the
-    Chern cocycle are each taken at most once, on first use.
+    (from_presentation builds unchecked) and _build builds Q* once, as
+    _qs (not a field); the Smith form of Q*, its characteristic
+    solutions mod 2 and its congruence bordered by the Chern cocycle are
+    each taken at most once, on first use.
     """
 
     def __init__(self, q: tuple[tuple[int, ...], ...], runs: tuple[tuple[int, ...], ...],
@@ -70,8 +73,6 @@ class SteinPresentation(Frozen):
                     raise InvariantError(f"rot entry {i + 1} must be an int, got {v!r}")
             q, runs = (tuple(tuple(map(int, row)) for row in rows) for rows in (q, runs))
             rot = tuple(map(int, rot))
-        d = self.__dict__
-        d["q"], d["runs"], d["rot"] = q, runs, rot
         m = len(q)
         for i, row in enumerate(q):
             if len(row) != m:
@@ -84,8 +85,16 @@ class SteinPresentation(Frozen):
                 raise InvariantError(f"run row {h + 1} has length {len(row)}, want {m}")
         if len(rot) != m:
             raise InvariantError(f"got {len(rot)} rotation numbers for {m} circles")
+        self._build(q, runs, rot)
+
+    def _build(self, q, runs, rot) -> "SteinPresentation":
+        """Store tuple fields that pass every check of __post_init__, unchecked,
+        and build Q*: the end of __post_init__ and the builder of from_presentation."""
+        d = self.__dict__
+        d["q"], d["runs"], d["rot"] = q, runs, rot
         top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(q))
         d["_qs"] = top + tuple(run + (0,) * len(runs) for run in runs)
+        return self
 
     @property
     def m(self) -> int:
@@ -134,7 +143,7 @@ class SteinPresentation(Frozen):
         Components flagged as the 0-framed sublink play the 1-handles
         and must sit after all others; they may not link each other.
         Every other component needs an integer coefficient and a known
-        rotation number.
+        rotation number.  The result is built unchecked: p is valid.
         """
         n1 = sum(1 for flag in p.l0 if flag)
         m = p.m - n1
@@ -152,8 +161,8 @@ class SteinPresentation(Frozen):
                 raise InvariantError(f"component {i + 1} has coefficient {c}, expand first")
             if p.rot[i] is None:
                 raise InvariantError(f"component {i + 1} has no rotation number")
-        r = p.relation_matrix()
-        return cls(q=[row[:m] for row in r[:m]], runs=[row[:m] for row in r[m:]], rot=p.rot[:m])
+        q = tuple(row[:i] + (c.num,) + row[i + 1 : m] for i, (c, row) in enumerate(zip(p.coeffs, p.lk[:m])))
+        return object.__new__(cls)._build(q, tuple(row[:m] for row in p.lk[m:]), p.rot[:m])
 
 
 class SpinStructure(Frozen):
@@ -213,7 +222,11 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     never empty; it has 2^k entries where k is the mod-2 nullity of the
     full linking matrix.
     """
-    return [SpinStructure(sublink=v) for v in sorted(x._characteristic_solutions.enumerate())]
+    spins = []
+    for v in sorted(x._characteristic_solutions.enumerate()):
+        spins.append(s := object.__new__(SpinStructure))
+        _set(s, "sublink", v)  # a tuple of 0/1 ints by construction, stored unchecked
+    return spins
 
 
 def characteristic_sublink_count(x: SteinPresentation) -> int:
@@ -235,19 +248,18 @@ def gamma(x: SteinPresentation, s: SpinStructure) -> CokernelClass:
     size = len(qs)
     if len(s.sublink) != size:
         raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
-    members = [j for j, bit in enumerate(s.sublink) if bit]
-    lk_sub = [sum(map(row.__getitem__, members)) for row in qs]
-    if any((lk - row[i]) % 2 for i, (lk, row) in enumerate(zip(lk_sub, qs))):
+    # Q* is symmetric, so the linking into the sublink sums its member rows
+    lk_sub = [*map(sum, zip(*compress(qs, s.sublink)))] or [0] * size
+    odd = (1).__and__  # the parity of an int, mapped at C speed
+    if any(map(odd, map(sub, lk_sub, map(tuple.__getitem__, qs, range(size))))):
         raise InvariantError(f"sublink {s.members()} is not characteristic")
-    rho = []
-    for i, (base, lk) in enumerate(zip(x._rot_l0, lk_sub)):
-        twice = base + lk
-        if twice % 2:
-            raise InvariantError(
-                f"rotation parity violated on component {i + 1}: the class is half-integral"
-            )
-        rho.append(twice // 2)
-    return _cokernel_class(x.smith_form, rho)
+    twice = [*map(add, x._rot_l0, lk_sub)]
+    if any(map(odd, twice)):
+        i = next(i for i, t in enumerate(twice) if t % 2)
+        raise InvariantError(
+            f"rotation parity violated on component {i + 1}: the class is half-integral"
+        )
+    return _cokernel_class(x.smith_form, [t // 2 for t in twice])
 
 
 def _chi_sigma_term(x: SteinPresentation, sigma: int) -> int:

@@ -74,8 +74,8 @@ def smith_normal_form(matrix) -> SmithForm:
     if nrows > MAX_SNF_DIM or ncols > MAX_SNF_DIM:
         raise NumericsError(f"smith_normal_form caps dimensions at {MAX_SNF_DIM}")
     for i, row in enumerate(a):
-        row += (int(i == k) for k in range(nrows))
-    a += ([int(i == j) for j in range(ncols)] for i in range(ncols))
+        row += [*(0,) * i, 1, *(0,) * (nrows - 1 - i)]
+    a += ([*(0,) * j, 1, *(0,) * (ncols - 1 - j)] for j in range(ncols))
 
     s = 0
     while s < min(nrows, ncols):
@@ -332,14 +332,16 @@ class Gf2Solution(Frozen):
         return 1 << len(self.kernel_basis)
 
     def enumerate(self):
-        """All solutions, as 0/1 tuples, in a deterministic order."""
+        """All solutions, as 0/1 tuples, in Gray order: the k-th adds to the
+        particular solution the basis vectors at the set bits of k ^ (k >> 1),
+        so it is the one before plus the vector at k's lowest set bit.  Packed
+        into ints, one byte per entry, each costs one XOR and one unpacking."""
         n = len(self.particular)
-        for mask in range(self.count()):
-            v = list(self.particular)
-            for bit, basis in enumerate(self.kernel_basis):
-                if (mask >> bit) & 1:
-                    v = [a ^ b for a, b in zip(v, basis)]
-            yield tuple(v)
+        v, *basis = (int.from_bytes(bytes(bits), "big") for bits in (self.particular, *self.kernel_basis))
+        yield tuple(v.to_bytes(n, "big"))
+        for k in range(1, self.count()):
+            v ^= basis[(k & -k).bit_length() - 1]
+            yield tuple(v.to_bytes(n, "big"))
 
 
 def solve_gf2_affine(matrix, rhs) -> Gf2Solution | None:

@@ -18,25 +18,9 @@ from .rational import (
     parse_rational, rat,
 )
 from .surgery import (  # the presentation and its reads, re-exported
-    MAX_COMPONENTS, AbelianGroup, PresentationError, SurgeryPresentation, cokernel, h1,
-    linking_form, parse_surgery, serialize_surgery,
+    MAX_COMPONENTS, AbelianGroup, PresentationError, SurgeryPresentation, _build, _check_index,
+    cokernel, h1, linking_form, parse_surgery, serialize_surgery,
 )
-
-
-def _check_index(p: SurgeryPresentation, i: int, base: int = 1) -> int:
-    if not isinstance(i, int):
-        raise PresentationError(f"component index {i!r} is not an int")
-    if not base <= i < p.m + base:
-        raise PresentationError(f"component index {i} out of range {base}..{p.m + base - 1}")
-    return i - base
-
-
-def _build(coeffs, lk, unknot, l0, rot, tb) -> SurgeryPresentation:
-    """A presentation of tuple fields that hold every invariant __post_init__
-    checks, stored unchecked: the builder of rewrites from a valid parent."""
-    p = object.__new__(SurgeryPresentation)
-    p.__dict__.update(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import chain
 from math import gcd
 
 
@@ -331,7 +332,10 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
 
 def first_asymmetry(matrix) -> tuple[int, int] | None:
     """The first (i, j), j < i in row-major order, where a square matrix
-    differs from its transpose; None when it is symmetric."""
+    differs from its transpose; None when it is symmetric.  Plain ints are
+    compared row against column at C speed; other entries (nan) by the scan."""
+    if set(map(type, chain.from_iterable(matrix))) <= {int} and [*map(tuple, matrix)] == [*zip(*matrix)]:
+        return None
     n = len(matrix)
     return next(
         ((i, j) for i in range(n) for j in range(i) if matrix[i][j] != matrix[j][i]), None

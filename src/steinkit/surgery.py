@@ -34,7 +34,8 @@ class SurgeryPresentation(Frozen):
     tuple of rows), empty flag fields are filled with their defaults, a
     bool (or other int subclass) linking number, rot or tb is stored as
     the plain int it equals, and the data is validated once, on
-    construction; a rewrite builds its result from a validated parent.
+    construction; _build builds delete, the rewrites and surger_handles
+    unchecked, from validated values.
     """
 
     def __init__(self, coeffs: tuple[ExtRational, ...], lk: tuple[tuple[int, ...], ...],
@@ -71,13 +72,10 @@ class SurgeryPresentation(Frozen):
             # what serialize_surgery writes and parse_surgery reads back
             d["lk"] = tuple(tuple(map(int, row)) for row in self.lk)
             types = {int}
-        ints = types <= {int}
-        # on ints tuple equality is entrywise ==; others (nan) need the scan
-        if not (ints and self.lk == tuple(zip(*self.lk))):
-            bad = first_asymmetry(self.lk)
-            if bad is not None:
-                raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
-        if not ints:
+        bad = first_asymmetry(self.lk)
+        if bad is not None:
+            raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
+        if not types <= {int}:
             raise PresentationError("linking numbers must be integers")
         if not set(map(type, chain(self.rot, self.tb))) <= {int, type(None)}:
             for name in ("rot", "tb"):
@@ -102,12 +100,11 @@ class SurgeryPresentation(Frozen):
         return len(self.coeffs)
 
     def delete(self, index: int) -> "SurgeryPresentation":
-        """Remove one component (0-based), dropping its linking data."""
-        from .presentation import _check_index, _own_chains, _rechain  # the rewrites
-
-        index = _check_index(self, index, 0)
-        chains = _own_chains(self)
-        return _rechain(self, [None if k == index else ch for k, ch in enumerate(chains)])
+        """Remove one component (0-based): its fields sliced out, unchecked."""
+        i = _check_index(self, index, 0)
+        fields = self.coeffs, self.lk, self.unknot, self.l0, self.rot, self.tb
+        coeffs, lk, unknot, l0, rot, tb = (t[:i] + t[i + 1:] for t in fields)
+        return _build(coeffs, tuple(row[:i] + row[i + 1:] for row in lk), unknot, l0, rot, tb)
 
     def relation_matrix(self) -> list[list[int]]:
         """The m x m relation matrix of first homology of the surgered manifold.
@@ -129,6 +126,22 @@ class SurgeryPresentation(Frozen):
                     f"component {i + 1} has non-integer coefficient {c}; expand first"
                 )
         return self.relation_matrix()
+
+
+def _check_index(p: SurgeryPresentation, i: int, base: int = 1) -> int:
+    if not isinstance(i, int):
+        raise PresentationError(f"component index {i!r} is not an int")
+    if not base <= i < p.m + base:
+        raise PresentationError(f"component index {i} out of range {base}..{p.m + base - 1}")
+    return i - base
+
+
+def _build(coeffs, lk, unknot, l0, rot, tb) -> SurgeryPresentation:
+    """A presentation of tuple fields that hold every invariant __post_init__
+    checks, stored unchecked: the builder of values derived from valid ones."""
+    p = object.__new__(SurgeryPresentation)
+    p.__dict__.update(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,46 @@ def test_gamma_reports_the_same_errors_as_the_per_sublink_formula():
         assert outcome(gamma, x, s) == outcome(gamma_reference, x, s) == ("error", message)
 
 
+def gamma_by_row_loops(x, s):
+    """gamma as it was before its sums and parity tests ran at C speed,
+    frozen as an oracle: one Python sum per row of Q*, one parity test
+    per component."""
+    qs = x._qs
+    size = len(qs)
+    if len(s.sublink) != size:
+        raise InvariantError(f"spin structure has length {len(s.sublink)}, want {size}")
+    members = [j for j, bit in enumerate(s.sublink) if bit]
+    lk_sub = [sum(map(row.__getitem__, members)) for row in qs]
+    if any((lk - row[i]) % 2 for i, (lk, row) in enumerate(zip(lk_sub, qs))):
+        raise InvariantError(f"sublink {s.members()} is not characteristic")
+    rho = []
+    for i, (base, lk) in enumerate(zip(x._rot_l0, lk_sub)):
+        twice = base + lk
+        if twice % 2:
+            raise InvariantError(
+                f"rotation parity violated on component {i + 1}: the class is half-integral"
+            )
+        rho.append(twice // 2)
+    return _cokernel_class(x.smith_form, rho)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_gamma_matches_the_row_loops_it_replaced(seed, parity):
+    # every characteristic sublink, then random 0/1 vectors and a wrong
+    # length: classes, representatives and error messages all agree
+    rng = random.Random(seed)
+    x = random_stein(rng, max_m=7, max_n1=3, parity=parity)
+    size = x.m + x.n1
+    subs = characteristic_sublinks(x)
+    subs += [SpinStructure(sublink=[rng.randint(0, 1) for _ in range(size)]) for _ in range(8)]
+    subs.append(SpinStructure(sublink=[1] * (size + 1)))
+    for s in subs:
+        got = outcome(gamma, x, s)
+        assert got == outcome(gamma_by_row_loops, x, s)
+        assert got[0] == "error" or all(type(v) is tuple for v in got)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_twice_gamma_is_the_chern_class(seed):

@@ -480,6 +480,84 @@ def test_smith_form_matches_the_reference_on_sparse_64x64_matrices():
         assert smith_normal_form(rows) == _reference_smith_normal_form(rows)
 
 
+def _block_smith_normal_form(matrix) -> SmithForm:
+    """smith_normal_form as it was when its identity blocks were built by a
+    generator per row, frozen as an oracle for the pivots and witnesses."""
+    a = numerics._int_rows(matrix)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    for i, row in enumerate(a):
+        row += (int(i == k) for k in range(nrows))
+    a += ([int(i == j) for j in range(ncols)] for i in range(ncols))
+    s = 0
+    while s < min(nrows, ncols):
+        best = None
+        for i in range(s, nrows):
+            for j in range(s, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+                    if v == 1:
+                        break
+            if best and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pj != s:
+            for row in a:
+                row[s], row[pj] = row[pj], row[s]
+        a[s], a[pi] = a[pi], a[s]
+        top = a[s]
+        p = top[s]
+        dirty = False
+        for i in range(s + 1, nrows):
+            if a[i][s]:
+                q = a[i][s] // p
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][s] != 0
+        support = [row for row in a if row[s]]
+        for j in range(s + 1, ncols):
+            if top[j]:
+                q = top[j] // p
+                for row in support:
+                    row[j] -= q * row[s]
+                dirty = dirty or top[j] != 0
+        if dirty:
+            continue
+        offender = None if p in (1, -1) else next(
+            (i for i in range(s + 1, nrows) if any(a[i][j] % p for j in range(s + 1, ncols))),
+            None,
+        )
+        if offender is not None:
+            a[s] = [x + y for x, y in zip(top, a[offender])]
+            continue
+        if p < 0:
+            a[s] = [-x for x in top]
+        s += 1
+    return SmithForm(
+        diagonal=tuple(a[i][i] for i in range(min(nrows, ncols))),
+        left=tuple(tuple(row[ncols:]) for row in a[:nrows]),
+        right=tuple(map(tuple, a[nrows:])),
+    )
+
+
+def test_smith_form_matches_the_block_form_it_replaced():
+    # 3,000 seeded matrices of every shape up to 12 x 12, dense to sparse;
+    # the pivots, and so every witness, must stay the same
+    rng = random.Random(3000)
+    for _ in range(3000):
+        nrows, ncols = rng.randint(0, 12), rng.randint(0, 12)
+        density, bound = rng.choice((0.2, 0.5, 1.0)), rng.choice((2, 9, 30))
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        got = smith_normal_form(rows)
+        assert got == _block_smith_normal_form(rows), rows
+        assert all(type(t) is tuple for t in (got.diagonal, got.left, got.right, *got.left, *got.right))
+
+
 # every shape from 0x0 up to 7x7, with repeated rows (singular) and
 # negative entries; rows are left empty when there are no columns
 any_matrices = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
@@ -819,6 +897,35 @@ def test_signature_fixtures():
     assert signature([[Fraction(1, 2)]]) == 1
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+), st.booleans())
+def test_first_asymmetry_matches_the_scan_on_int_matrices(rows, symmetrize):
+    if symmetrize:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
+    scan = next(
+        ((i, j) for i in range(len(rows)) for j in range(i) if rows[i][j] != rows[j][i]), None
+    )
+    for matrix in (rows, tuple(map(tuple, rows))):
+        assert first_asymmetry(matrix) == scan
+
+
+def test_first_asymmetry_leaves_entries_other_than_ints_to_the_scan():
+    nan = float("nan")
+    # nan is one object in both places, so the rows equal the columns as
+    # tuples, but nan != nan: the scan decides
+    assert first_asymmetry([[0, nan], [nan, 0]]) == (1, 0)
+    assert first_asymmetry(((0, nan), (nan, 0))) == (1, 0)
+    assert first_asymmetry([[nan, 1], [1, 0]]) is None  # the diagonal is not compared
+    assert first_asymmetry([[0, True], [1, 0]]) is None  # True == 1
+    assert first_asymmetry([[0, Fraction(1, 2)], [Fraction(2, 4), 0]]) is None
+    assert first_asymmetry([[0, 1.5], [1, 0]]) == (1, 0)
+    with pytest.raises(NumericsError, match="inertia needs a symmetric matrix"):
+        inertia([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
+    assert inertia([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]) == (1, 0, 1)
+
+
 def test_first_asymmetry_scans_rows_in_order():
     assert first_asymmetry([]) is None
     assert first_asymmetry([[1, 2], [2, 5]]) is None
@@ -976,6 +1083,33 @@ def test_gf2_right_hand_side_needs_one_entry_per_row(matrix, rhs):
         rf"^the matrix's row count {len(matrix)} and the right-hand side's length {len(rhs)} differ$"
     )):
         solve_gf2_affine(matrix, rhs)
+
+
+def _mask_loop_solutions(sol):
+    """Gf2Solution.enumerate as it was before the Gray order: one XOR
+    loop over the basis per solution, in mask order."""
+    for mask in range(sol.count()):
+        v = list(sol.particular)
+        for bit, basis in enumerate(sol.kernel_basis):
+            if (mask >> bit) & 1:
+                v = [a ^ b for a, b in zip(v, basis)]
+        yield tuple(v)
+
+
+@settings(max_examples=150)
+@given(gf2_systems)
+@example(([[0] * 9] * 2, [0, 0]))  # 2^9 solutions
+@example(([[]], [0]))
+def test_gf2_gray_order_yields_each_solution_of_the_mask_loop_once(system):
+    sol = solve_gf2_affine(*system)
+    if sol is not None:
+        got = list(sol.enumerate())
+        assert len(got) == len(set(got)) == sol.count()
+        assert sorted(got) == sorted(_mask_loop_solutions(sol))
+        assert all(type(v) is tuple and set(map(type, v)) <= {int} for v in got)
+        # consecutive solutions differ by one kernel basis vector
+        basis = set(sol.kernel_basis)
+        assert all(tuple(a ^ b for a, b in zip(u, v)) in basis for u, v in zip(got, got[1:]))
 
 
 def test_gf2_deterministic_enumeration():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_fronts import random_front
 from random_presentations import presentations
 from steinkit import numerics, presentation, surgery
+from steinkit.front import STEIN, FrontDiagram, parse_front, surger_handles
+from steinkit.invariants import SteinPresentation
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
     AbelianGroup,
@@ -133,22 +136,41 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         unknot=[True, False, False, False],
     )
     text = serialize_surgery(mixed)
-    # a presentation is built either by the validating constructor or, for
-    # a rewrite of an already validated parent, by the unchecked _build
+    # a knot through a 1-handle, linked by a second component
+    front = parse_front(
+        "front 1\nhandles 1\nhandle 1 slots 2\nevents X1 X1\norient 2 -\ncoeff 1 stein\ncoeff 2 0\n"
+    )
+    surgered = surger_handles(front)
+    # a presentation is built either by a validating constructor or, for a
+    # value derived from an already validated one, by an unchecked builder:
+    # surgery._build, which presentation binds too, or SteinPresentation._build
+    assert presentation._build is surgery._build
     built = []
     original = SurgeryPresentation.__post_init__
-    original_build = presentation._build
+    original_build = surgery._build
+    stein_check, stein_build = SteinPresentation.__post_init__, SteinPresentation._build
 
     def counting(self):
-        built.append(self)
+        built.append(("checked", self))
         original(self)
 
     def counting_build(*fields):
-        built.append(original_build(*fields))
-        return built[-1]
+        built.append(("unchecked", original_build(*fields)))
+        return built[-1][1]
+
+    def counting_stein_check(self):
+        built.append(("checked", self))
+        stein_check(self)
+
+    def counting_stein_build(self, *fields):
+        built.append(("unchecked", self))
+        return stein_build(self, *fields)
 
     monkeypatch.setattr(SurgeryPresentation, "__post_init__", counting)
-    monkeypatch.setattr(presentation, "_build", counting_build)
+    for module in (surgery, presentation):
+        monkeypatch.setattr(module, "_build", counting_build)
+    monkeypatch.setattr(SteinPresentation, "__post_init__", counting_stein_check)
+    monkeypatch.setattr(SteinPresentation, "_build", counting_stein_build)
     calls = {
         "rolfsen_twist": lambda: rolfsen_twist(hopf, 1, -2),
         "slam_dunk": lambda: slam_dunk(hopf, 2, 1),
@@ -157,13 +179,18 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         "delete": lambda: mixed.delete(1),
         "expand_rational": lambda: expand_rational(mixed),
         "stein_plan": lambda: stein_plan(hopf).expanded,
-        "parse_surgery": lambda: parse_surgery(text),
+        "surger_handles": lambda: surger_handles(front),
+        "from_presentation": lambda: SteinPresentation.from_presentation(surgered),
     }
     for name, call in calls.items():
         built.clear()
         out = call()
-        assert len(built) == 1 and built[0] is out, name
+        assert len(built) == 1 and built[0][0] == "unchecked" and built[0][1] is out, name
+    built.clear()
+    out = parse_surgery(text)
+    assert len(built) == 1 and built[0][0] == "checked" and built[0][1] is out
     assert expand_rational(mixed).m == 6
+    assert surgered.m == 3 and SteinPresentation.from_presentation(surgered).n1 == 1
 
 
 def assert_as_validated(out):
@@ -198,6 +225,42 @@ def test_every_rewrite_builds_what_the_validating_constructor_builds(p, data):
         assert_as_validated(out)
         assert h1(out) == group
     assert_as_validated(p.delete(i - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_delete_builds_what_the_validating_constructor_builds(p):
+    for i in range(p.m):
+        out = p.delete(i)
+        assert_as_validated(out)
+        keep = [k for k in range(p.m) if k != i]
+        assert out == SurgeryPresentation(
+            coeffs=[p.coeffs[k] for k in keep],
+            lk=[[p.lk[a][b] for b in keep] for a in keep],
+            **{name: [getattr(p, name)[k] for k in keep] for name in ("unknot", "l0", "rot", "tb")},
+        )
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_surgered_fronts_build_what_the_validating_constructors_build(seed):
+    rng = random.Random(seed)
+    d = random_front(rng)
+    rational = rng.random() < 0.5  # else every coefficient is an integer, so from_presentation applies
+    choices = (STEIN, rat(-2), rat(0), rat(3), *((rat(-7, 2), rat(5, 3), INF) if rational else ()))
+    d = FrontDiagram(d.slots, d.events, d.orientations, {c: rng.choice(choices) for c in d.trace.ids})
+    p = surger_handles(d)
+    assert_as_validated(p)
+    if any(not c.is_integer for c in p.coeffs):
+        return
+    x = SteinPresentation.from_presentation(p)
+    # the validating constructor, fed slices of the relation matrix
+    m = x.m
+    r = p.relation_matrix()
+    twin = SteinPresentation(q=[row[:m] for row in r[:m]], runs=[row[:m] for row in r[m:]], rot=p.rot[:m])
+    assert twin == x and repr(twin) == repr(x) and twin._qs == x._qs
+    assert x._qs == tuple(map(tuple, r))
+    assert all(type(t) is tuple for t in (x.q, x.runs, x.rot, *x.q, *x.runs, x._qs, *x._qs))
 
 
 def test_integer_matrix_requires_integers():

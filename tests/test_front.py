@@ -1236,6 +1236,107 @@ def test_move6_needs_handle():
         apply_move(front((), "L1 R1"), 6, variant="top")
 
 
+NO_MOVE = "; the catalogue has moves 1..6"
+NEEDS_VARIANT_2 = "move 2 variant must be birth-above, birth-below, death-above or death-below"
+
+
+@pytest.mark.parametrize(
+    "slots, word, move, kwargs, message",
+    [
+        ((), "L1 R1", 0, {"at": 1}, "there is no move 0" + NO_MOVE),
+        ((), "L1 R1", 7, {"at": 1}, "there is no move 7" + NO_MOVE),
+        ((), "L1 R1", [1], {"at": 1}, "there is no move [1]" + NO_MOVE),
+        # True and 1.0 are move 1, and its message names it so
+        ((), "L1 R1", True, {}, "move 1 needs a column"),
+        ((), "L1 R1", 1.0, {}, "move 1 needs a column"),
+        ((), "L1 R1", 2, {"variant": "birth-above"}, "move 2 needs a column and a variant"),
+        ((), "L1 R1", 2, {"at": 1}, "move 2 needs a column and a variant"),
+        ((), "L1 R1", 3, {"variant": "x"}, "move 3 needs a column"),
+        ((), "L1 R1", 4, {"at": 1}, "move 4 needs a column and a variant ('in' or 'out')"),
+        ((), "L1 R1", 5, {}, "move 5 needs a column"),
+        ((2,), "X1", 1, {"at": 1}, "move 1 needs at least two columns"),
+        ((), "L1 L3 R1 R1", 1, {"at": 4}, "move 1 needs two columns starting at 1..3"),
+        ((2,), "R1 L1", 1, {"at": 1}, "move 1 ambiguous at column 1"),
+        ((), "L1 R1", 1, {"at": 1}, "move 1 not applicable at column 1: the columns interact"),
+        ((), "L1 R1", 2, {"at": 3, "variant": "birth-above"}, "no column 3"),
+        ((), "L1 R1", 2, {"at": 0, "variant": "birth-below"}, "no column 0"),
+        ((), "L1 X1 R1", 2, {"at": 2, "variant": "birth-above"}, "column 2 is a crossing, move 2 needs a cusp"),
+        # q = p - 1 above and p + 1 below, one step past 1 <= q <= c_in + D/2
+        ((), "L1 R1", 2, {"at": 1, "variant": "birth-above"}, "no strand above the cusp to push across"),
+        ((2,), "L3 R3", 2, {"at": 1, "variant": "birth-below"}, "no strand below the cusp to push across"),
+        ((2,), "L1 R1", 2, {"at": 2, "variant": "birth-above"}, "no strand above the cusp to push across"),
+        ((2,), "L3 R3", 2, {"at": 2, "variant": "birth-below"}, "no strand below the cusp to push across"),
+        ((), "L1 R1", 2, {"at": 1, "variant": "death-above"}, "move 2 needs three columns starting at 1"),
+        ((), "L1 X1 X1 R1", 2, {"at": 1, "variant": "death-below"}, "columns 1..3 do not match a move 2 pattern"),
+        ((2,), "X1 X1 X1", 2, {"at": 1, "variant": "death-above"}, "columns 1..3 do not match a move 2 pattern"),
+        ((), "L1 R1 L1 R1", 2, {"at": 2, "variant": "death-above"}, "columns 2..4 do not match a move 2 pattern"),
+        ((), "L1 R1", 2, {"at": 1, "variant": "birth"}, NEEDS_VARIANT_2),
+        ((), "L1 R1", 2, {"at": 9, "variant": ""}, NEEDS_VARIANT_2),
+        ((), "L1 R1", 3, {"at": 1}, "move 3 needs three columns starting at 1"),
+        ((), "L1 X1 X1 R1", 3, {"at": 1}, "move 3 needs three crossings"),
+        ((2,), "X1 X1 X1", 3, {"at": 1}, "move 3 needs the pattern X(a) X(b) X(a) with |a - b| = 1"),
+        ((1,), "", 4, {"at": 1, "variant": "in"}, "move 4 needs at least one column"),
+        ((), "L1 R1", 4, {"at": 1, "variant": "up"}, "move 4 variant must be 'in' or 'out'"),
+        ((), "L1 R1", 4, {"at": 1, "variant": "in"},
+         "move 4 'in' needs a left cusp in the last column or a right cusp in the first"),
+        ((1, 1), "R1 L1", 4, {"at": 2, "variant": "in"}, "edge heights 1, 2 do not lie in a single attaching ball"),
+        ((2, 1), "R1 L1", 4, {"at": 2, "variant": "in", "handle": 2}, "cusp pair sits in ball 1, not 2"),
+        ((), "L1 R1", 4, {"at": 1, "variant": "out"}, "move 4 'out' needs an explicit handle"),
+        # a bad handle index is reported before a bad cusp
+        ((2,), "X1", 4, {"at": 1, "variant": "out", "handle": 2}, "handle index 2 out of range 1..1"),
+        ((2,), "X1", 4, {"at": 1, "variant": "out", "handle": 1},
+         "move 4 'out' needs a left cusp in the first column or a right cusp in the last"),
+        ((1, 1), "L3 R3", 4, {"at": 1, "variant": "out", "handle": 1}, "cusp at height 3 cannot exit through ball 1"),
+        ((1,), "", 5, {"at": 1}, "move 5 needs at least one column"),
+        ((), "L1 R1", 5, {"at": 1}, "move 5 slides the first or last column, which must be a crossing"),
+        ((1, 1), "X1", 5, {"at": 1}, "edge heights 1, 2 do not lie in a single attaching ball"),
+        ((), "L1 R1", 6, {"variant": "top"}, "move 6 needs an explicit handle"),
+        ((1,), "", 6, {"variant": "left", "handle": 1}, "move 6 variant must be 'top' or 'bottom'"),
+        ((1,), "", 6, {"handle": 3}, "handle index 3 out of range 1..1"),
+        ((0,), "", 6, {"variant": "", "handle": 1}, "ball 1 has no strand to swing"),
+    ],
+)
+def test_every_move_message(slots, word, move, kwargs, message):
+    with pytest.raises(FrontError) as refused:
+        apply_move(front(slots, word), move, **kwargs)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "component, direction, at, message",
+    [
+        (1, "left", None, "stabilisation direction must be 'up' or 'down', got 'left'"),
+        (2, "up", None, "no component 2"),
+        (1, "down", 5, "component 1 has no strand at column boundary 5"),
+    ],
+)
+def test_every_stabilize_message(component, direction, at, message):
+    with pytest.raises(FrontError) as refused:
+        stabilize(front((), "L1 R1"), component, direction, at)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "slots, word, move, kwargs, result",
+    [
+        ((), "L1 L3 R1 R1", True, {"at": 1, "variant": "ignored"}, "L1 L1 R1 R1"),
+        ((), "L1 L3 R3 R1", 1.0, {"at": 3}, "L1 L3 R1 R1"),
+        # the last q inside 1 <= q <= c_in + D/2, for both cusps and both sides
+        ((2,), "L2 R2", 2, {"at": 1, "variant": "birth-above"}, "L1 X2 X1 R2"),
+        ((2,), "L2 R2", 2, {"at": 1, "variant": "birth-below"}, "L3 X2 X3 R2"),
+        ((2,), "L2 R2", 2, {"at": 2, "variant": "birth-above"}, "L2 X1 X2 R1"),
+        ((2,), "L2 R2", 2, {"at": 2, "variant": "birth-below"}, "L2 X3 X2 R3"),
+        ((2,), "L1 X2 X1 R2", 2, {"at": 1, "variant": "death-above"}, "L2 R2"),
+        ((2,), "L2 X3 X2 R3", 2, {"at": 2, "variant": "death-below"}, "L2 R2"),
+        # move 6 reads an empty variant as 'top'
+        ((2,), "", 6, {"variant": "", "handle": 1}, "X1 L3 X2 R3 X1"),
+        ((2,), "", 6, {"handle": 1}, "X1 L3 X2 R3 X1"),
+    ],
+)
+def test_move_arguments_at_their_edges(slots, word, move, kwargs, result):
+    assert [str(e) for e in apply_move(front(slots, word), move, **kwargs).events] == result.split()
+
+
 # the move oracles: 1, 2, 3, 5 preserve everything; 4 trades two unsigned
 # passes; 6 obeys the framing/linking laws for the swung strand
 

@@ -28,22 +28,13 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def parse_input(path: str, kind: str):
-    """Read and parse a FRONT or SURGERY file."""
+def _read(path: str) -> str:
+    """The text of a FRONT or SURGERY file, for its verb's parser."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    if kind == "front":
-        from .diagram import parse_front
-
-        return parse_front(text)
-    if kind == "surgery":
-        from .surgery import parse_surgery
-
-        return parse_surgery(text)
-    raise ValueError(f"unknown input kind {kind!r}")
 
 
 def _rational(text: str):
@@ -58,9 +49,9 @@ def _rational(text: str):
 
 
 def cmd_stats(args) -> list[str]:
-    from .diagram import component_stats
+    from .diagram import component_stats, parse_front
 
-    d = parse_input(args.file, "front")
+    d = parse_front(_read(args.file))
     out = []
     for s in component_stats(d):
         out += [
@@ -74,9 +65,9 @@ def cmd_stats(args) -> list[str]:
 
 
 def cmd_lint(args) -> list[str]:
-    from .diagram import parity_lint
+    from .diagram import parity_lint, parse_front
 
-    d = parse_input(args.file, "front")
+    d = parse_front(_read(args.file))
     reports = parity_lint(d)
     out = []
     for rep in reports:
@@ -92,32 +83,32 @@ def cmd_lint(args) -> list[str]:
 
 
 def cmd_check_stein(args) -> list[str]:
-    from .diagram import check_stein_form
+    from .diagram import check_stein_form, parse_front
 
-    rep = check_stein_form(parse_input(args.file, "front"))
+    rep = check_stein_form(parse_front(_read(args.file)))
     out = [f"ok: {_bool(rep.ok)}"]
     out += [f"problem: {p}" for p in rep.problems]
     return out
 
 
 def cmd_surger(args) -> str:
-    from .diagram import surger_handles
+    from .diagram import parse_front, surger_handles
     from .surgery import serialize_surgery
 
-    return serialize_surgery(surger_handles(parse_input(args.file, "front")))
+    return serialize_surgery(surger_handles(parse_front(_read(args.file))))
 
 
 def cmd_move(args) -> str:
-    from .front import apply_move, serialize_front
+    from .front import apply_move, parse_front, serialize_front
 
-    d = parse_input(args.file, "front")
+    d = parse_front(_read(args.file))
     return serialize_front(apply_move(d, args.n, at=args.at, variant=args.variant, handle=args.handle))
 
 
 def cmd_stabilize(args) -> str:
-    from .front import serialize_front, stabilize
+    from .front import parse_front, serialize_front, stabilize
 
-    d = parse_input(args.file, "front")
+    d = parse_front(_read(args.file))
     return serialize_front(stabilize(d, args.component, args.direction, at_column=args.at))
 
 
@@ -126,28 +117,28 @@ def cmd_stabilize(args) -> str:
 
 
 def cmd_h1(args) -> list[str]:
-    from .surgery import h1
+    from .surgery import h1, parse_surgery
 
-    return [f"h1: {h1(parse_input(args.file, 'surgery'))}"]
+    return [f"h1: {h1(parse_surgery(_read(args.file)))}"]
 
 
 def cmd_expand(args) -> str:
-    from .presentation import expand_rational, serialize_surgery
+    from .presentation import expand_rational, parse_surgery, serialize_surgery
 
-    return serialize_surgery(expand_rational(parse_input(args.file, "surgery")))
+    return serialize_surgery(expand_rational(parse_surgery(_read(args.file))))
 
 
 def cmd_twist(args) -> str:
-    from .presentation import rolfsen_twist, serialize_surgery
+    from .presentation import parse_surgery, rolfsen_twist, serialize_surgery
 
-    p = parse_input(args.file, "surgery")
+    p = parse_surgery(_read(args.file))
     return serialize_surgery(rolfsen_twist(p, args.i, args.m))
 
 
 def cmd_dunk(args) -> str:
-    from .presentation import serialize_surgery, slam_dunk, slam_dunk_inverse
+    from .presentation import parse_surgery, serialize_surgery, slam_dunk, slam_dunk_inverse
 
-    p = parse_input(args.file, "surgery")
+    p = parse_surgery(_read(args.file))
     if args.inverse is not None:
         if args.j is not None:
             raise UsageError("dunk takes either <j> or --inverse, not both")
@@ -158,15 +149,15 @@ def cmd_dunk(args) -> str:
 
 
 def cmd_blowdown(args) -> str:
-    from .presentation import blow_down, serialize_surgery
+    from .presentation import blow_down, parse_surgery, serialize_surgery
 
-    return serialize_surgery(blow_down(parse_input(args.file, "surgery"), args.i))
+    return serialize_surgery(blow_down(parse_surgery(_read(args.file)), args.i))
 
 
 def cmd_plan(args) -> list[str]:
-    from .presentation import stein_plan
+    from .presentation import parse_surgery, stein_plan
 
-    plan = stein_plan(parse_input(args.file, "surgery"))
+    plan = stein_plan(parse_surgery(_read(args.file)))
     out = [f"ok: {_bool(plan.ok)}"]
     for comp, msg in plan.violations:
         out.append(f"violation: component {comp} {msg}")
@@ -207,8 +198,9 @@ def cmd_gamma(args) -> list[str]:
         characteristic_sublink_count,
         characteristic_sublinks,
     )
+    from .surgery import parse_surgery
 
-    x = SteinPresentation.from_presentation(parse_input(args.file, "surgery"))
+    x = SteinPresentation.from_presentation(parse_surgery(_read(args.file)))
     if args.sublink is not None:
         tokens = args.sublink.split()
         if tokens == ["empty"]:  # how _gamma_lines prints the empty sublink
@@ -237,8 +229,9 @@ def cmd_gamma(args) -> list[str]:
 
 def cmd_theta(args) -> list[str]:
     from .invariants import InvariantError, SteinPresentation, theta, theta_f0_and_d
+    from .surgery import parse_surgery
 
-    x = SteinPresentation.from_presentation(parse_input(args.file, "surgery"))
+    x = SteinPresentation.from_presentation(parse_surgery(_read(args.file)))
     try:
         return [f"theta: {theta(x)}"]
     except InvariantError:

@@ -257,9 +257,7 @@ def _carry(derived: _Derived, change, flip, runs, perm, d: FrontDiagram) -> _Der
 # stabilisation
 
 
-def stabilize(
-    d: FrontDiagram, component: int, direction: str, at_column: int | None = None
-) -> FrontDiagram:
+def stabilize(d: FrontDiagram, component: int, direction: str, at_column: int | None = None) -> FrontDiagram:
     """Insert a zig-zag on a component: tb drops by 1, rot moves by -1
     for an up stabilisation and +1 for a down one.
 
@@ -284,20 +282,13 @@ def stabilize(
             base = sum(counts[:t])
             i = comp.index(component, base, base + counts[t])
         except ValueError:
-            raise FrontError(
-                f"component {component} has no strand at column boundary {at_column}"
-            ) from None
+            raise FrontError(f"component {component} has no strand at column boundary {at_column}") from None
     height = i - base + 1
     eps = (1 if tr.fwd[i] else -1) * d.orientation(component)
-    # two cusp patterns; which one yields up-cusps depends on the strand
-    # direction at the insertion point
-    zig = (Event("L", height + 1), Event("R", height))
-    zag = (Event("L", height), Event("R", height + 1))
-    if direction == "up":
-        pattern = zag if eps == 1 else zig
-    else:
-        pattern = zig if eps == 1 else zag
-    events = d.events[:t] + pattern + d.events[t:]
+    # on an oriented strand running rightward (eps 1), the zag L h, R h + 1
+    # stabilises up and the zig L h + 1, R h down; leftward, the other way
+    zig = (direction == "up") != (eps == 1)
+    events = d.events[:t] + (Event("L", height + zig), Event("R", height + 1 - zig)) + d.events[t:]
     return _transfer(d, d.slots, events, t + 1, t + 1, 2)
 
 
@@ -310,7 +301,7 @@ def _footprint(e: Event, gap: str) -> tuple[int, int]:
     return (2 * e.pos - 1,) * 2 if e.kind == gap else (2 * e.pos, 2 * e.pos + 2)
 
 
-def _move1(d: FrontDiagram, at: int):
+def _move1(d: FrontDiagram, at: int, variant, handle):
     """Swap columns at and at + 1 by the footprint rule in apply_move."""
     if len(d.events) < 2:
         raise FrontError("move 1 needs at least two columns")
@@ -329,67 +320,48 @@ def _move1(d: FrontDiagram, at: int):
         raise FrontError(f"move 1 ambiguous at column {at}")
     else:
         raise FrontError(f"move 1 not applicable at column {at}: the columns interact")
-    events = d.events[: at - 1] + swapped + d.events[at + 1 :]
-    return d.slots, events, at, at + 1, 0
+    return d.slots, d.events[: at - 1] + swapped + d.events[at + 1 :], at, at + 1, 0
 
 
-def _move2(d: FrontDiagram, at: int, variant: str):
-    e_count = len(d.events)
-    if variant in ("birth-above", "birth-below"):
-        if not 1 <= at <= e_count:
+def _pushed(kind: str, p: int, q: int) -> tuple[Event, ...]:
+    """The cusp of kind at height p with the strand at q pushed across it."""
+    if kind == "L":
+        return Event("L", q), Event("X", p), Event("X", q)
+    return Event("X", q), Event("X", p), Event("R", q)
+
+
+def _move2(d: FrontDiagram, at: int, variant, handle):
+    """Push a strand across the cusp in column at, or take it back.
+
+    The four variants are one rule under reflection.  With q = p - 1 for
+    'above' and q = p + 1 for 'below', a birth turns L p into L q, X p, X q
+    and R p into X q, X p, R q (_pushed); it needs 1 <= q <= c + D/2, with
+    c the strands entering the column and D its change in strand count.
+    A death turns those three columns back into the cusp at p.
+    """
+    if variant not in ("birth-above", "birth-below", "death-above", "death-below"):
+        raise FrontError("move 2 variant must be birth-above, birth-below, death-above or death-below")
+    step = 1 if variant.endswith("below") else -1  # q - p
+    if variant.startswith("birth"):
+        if not 1 <= at <= len(d.events):
             raise FrontError(f"no column {at}")
         e = d.events[at - 1]
-        c_in = d.trace.counts[at - 1]
-        p = e.pos
-        if e.kind == "L":
-            if variant == "birth-above":
-                if p < 2:
-                    raise FrontError("no strand above the cusp to push across")
-                pattern = (Event("L", p - 1), Event("X", p), Event("X", p - 1))
-            else:
-                if p > c_in:
-                    raise FrontError("no strand below the cusp to push across")
-                pattern = (Event("L", p + 1), Event("X", p), Event("X", p + 1))
-        elif e.kind == "R":
-            if variant == "birth-above":
-                if p < 2:
-                    raise FrontError("no strand above the cusp to push across")
-                pattern = (Event("X", p - 1), Event("X", p), Event("R", p - 1))
-            else:
-                if p + 2 > c_in:
-                    raise FrontError("no strand below the cusp to push across")
-                pattern = (Event("X", p + 1), Event("X", p), Event("R", p + 1))
-        else:
+        if e.kind == "X":
             raise FrontError(f"column {at} is a crossing, move 2 needs a cusp")
-        events = d.events[: at - 1] + pattern + d.events[at:]
-        return d.slots, events, at, at, 2
-
-    if variant in ("death-above", "death-below"):
-        if not 1 <= at <= e_count - 2:
-            raise FrontError(f"move 2 needs three columns starting at {at}")
-        w = d.events[at - 1 : at + 2]
-        shift = 1 if variant == "death-above" else -1
-        kind, b = w[0].kind, w[0].pos
-        # death-below from the top strand would land at position 0
-        if kind not in ("L", "X") or b + shift < 1:
-            raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
-        if kind == "L":
-            expect = (Event("L", b), Event("X", b + shift), Event("X", b))
-            replacement = Event("L", b + shift)
-        else:
-            expect = (Event("X", b), Event("X", b + shift), Event("R", b))
-            replacement = Event("R", b + shift)
-        if tuple(w) != expect:
-            raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
-        events = d.events[: at - 1] + (replacement,) + d.events[at + 2 :]
-        return d.slots, events, at, at + 2, -2
-
-    raise FrontError(
-        "move 2 variant must be birth-above, birth-below, death-above or death-below"
-    )
+        q = e.pos + step
+        if not 1 <= q <= d.trace.counts[at - 1] + _DELTA[e.kind] // 2:
+            raise FrontError(f"no strand {variant[6:]} the cusp to push across")
+        return d.slots, d.events[: at - 1] + _pushed(e.kind, e.pos, q) + d.events[at:], at, at, 2
+    if not 1 <= at <= len(d.events) - 2:
+        raise FrontError(f"move 2 needs three columns starting at {at}")
+    w = d.events[at - 1 : at + 2]
+    kind, q = "L" if w[0].kind == "L" else "R", w[0].pos
+    if q - step < 1 or w != _pushed(kind, q - step, q):  # no cusp above the top strand
+        raise FrontError(f"columns {at}..{at + 2} do not match a move 2 pattern")
+    return d.slots, d.events[: at - 1] + (Event(kind, q - step),) + d.events[at + 2 :], at, at + 2, -2
 
 
-def _move3(d: FrontDiagram, at: int):
+def _move3(d: FrontDiagram, at: int, variant, handle):
     if not 1 <= at <= len(d.events) - 2:
         raise FrontError(f"move 3 needs three columns starting at {at}")
     w = d.events[at - 1 : at + 2]
@@ -398,8 +370,7 @@ def _move3(d: FrontDiagram, at: int):
     a, b = w[0].pos, w[1].pos
     if w[2].pos != a or abs(a - b) != 1:
         raise FrontError("move 3 needs the pattern X(a) X(b) X(a) with |a - b| = 1")
-    events = d.events[: at - 1] + (Event("X", b), Event("X", a), Event("X", b)) + d.events[at + 2 :]
-    return d.slots, events, at, at + 2, 0
+    return d.slots, d.events[: at - 1] + (w[1], w[0], w[1]) + d.events[at + 2 :], at, at + 2, 0
 
 
 def _handle_offset(d: FrontDiagram, h: int) -> int:
@@ -425,58 +396,56 @@ def _slide(d: FrontDiagram, from_end: bool, slots):
     return tuple(slots), d.events[1:] + d.events[:1], 0, 1, -1
 
 
-def _move4(d: FrontDiagram, at: int, variant: str, handle: int | None):
-    e_count = len(d.events)
-    if e_count == 0:
+def _move4(d: FrontDiagram, at: int, variant, handle):
+    """Slide a cusp pair into its attaching ball ('in') or out of one.
+
+    'in' and 'out' are mirror images: 'in' takes a left cusp from the last
+    column or a right cusp from the first and removes two slots from the
+    ball it sits in; 'out' takes a left cusp from the first column or a
+    right cusp from the last and adds two slots to the given ball.
+    """
+    if not d.events:
         raise FrontError("move 4 needs at least one column")
-    last = e_count
-    if variant == "in":
-        if at == last and d.events[-1].kind == "L":
-            from_end, p = True, d.events[-1].pos
-        elif at == 1 and d.events[0].kind == "R":
-            from_end, p = False, d.events[0].pos
-        else:
-            raise FrontError("move 4 'in' needs a left cusp in the last column or a right cusp in the first")
-        h = _ball_of_pair(d, p)
-        if handle is not None and handle != h:
-            raise FrontError(f"cusp pair sits in ball {h}, not {handle}")
-        slots = list(d.slots)
-        slots[h - 1] -= 2
-        return _slide(d, from_end, slots)
-    if variant == "out":
+    if variant not in ("in", "out"):
+        raise FrontError("move 4 variant must be 'in' or 'out'")
+    out = variant == "out"
+    if out:
         if handle is None:
             raise FrontError("move 4 'out' needs an explicit handle")
         o = _handle_offset(d, handle)
-        s = d.slots[handle - 1]
-        if at == 1 and d.events[0].kind == "L":
-            from_end, p = False, d.events[0].pos
-        elif at == last and d.events[-1].kind == "R":
-            from_end, p = True, d.events[-1].pos
-        else:
-            raise FrontError("move 4 'out' needs a left cusp in the first column or a right cusp in the last")
-        if not o + 1 <= p <= o + s + 1:
+    left, right = ("first", "last") if out else ("last", "first")  # the columns each cusp slides from
+    if at == len(d.events) and d.events[-1].kind == ("R" if out else "L"):
+        from_end, p = True, d.events[-1].pos
+    elif at == 1 and d.events[0].kind == ("L" if out else "R"):
+        from_end, p = False, d.events[0].pos
+    else:
+        raise FrontError(
+            f"move 4 {variant!r} needs a left cusp in the {left} column or a right cusp in the {right}")
+    if out:
+        if not o + 1 <= p <= o + d.slots[handle - 1] + 1:
             raise FrontError(f"cusp at height {p} cannot exit through ball {handle}")
-        slots = list(d.slots)
-        slots[handle - 1] += 2
-        return _slide(d, from_end, slots)
-    raise FrontError("move 4 variant must be 'in' or 'out'")
+    else:
+        h = _ball_of_pair(d, p)
+        if handle is not None and handle != h:
+            raise FrontError(f"cusp pair sits in ball {h}, not {handle}")
+        handle = h
+    slots = list(d.slots)
+    slots[handle - 1] += 2 if out else -2
+    return _slide(d, from_end, slots)
 
 
-def _move5(d: FrontDiagram, at: int):
-    e_count = len(d.events)
-    if e_count == 0:
+def _move5(d: FrontDiagram, at: int, variant, handle):
+    if not d.events:
         raise FrontError("move 5 needs at least one column")
-    if at == e_count and d.events[-1].kind == "X":
-        _ball_of_pair(d, d.events[-1].pos)
-        return _slide(d, True, d.slots)
-    if at == 1 and d.events[0].kind == "X":
-        _ball_of_pair(d, d.events[0].pos)
-        return _slide(d, False, d.slots)
+    for from_end, e in ((True, d.events[-1]), (False, d.events[0])):
+        if at == (len(d.events) if from_end else 1) and e.kind == "X":
+            _ball_of_pair(d, e.pos)
+            return _slide(d, from_end, d.slots)
     raise FrontError("move 5 slides the first or last column, which must be a crossing")
 
 
-def _move6(d: FrontDiagram, variant: str, handle: int | None):
-    """Swing an edge strand around its attaching ball.
+def _move6(d: FrontDiagram, at, variant, handle):
+    """Swing an edge strand around its attaching ball; no variant is 'top'.
 
     The detour block (travel across the ball, a small loop, travel back)
     is inserted at the left edge; it crosses every other strand of the
@@ -486,33 +455,42 @@ def _move6(d: FrontDiagram, variant: str, handle: int | None):
     """
     if handle is None:
         raise FrontError("move 6 needs an explicit handle")
+    variant = variant or "top"
     if variant not in ("top", "bottom"):
         raise FrontError("move 6 variant must be 'top' or 'bottom'")
     o = _handle_offset(d, handle)
     s = d.slots[handle - 1]
     if s < 1:
         raise FrontError(f"ball {handle} has no strand to swing")
-    across = [Event("X", o + k) for k in range(1, s)]
+    across = tuple(Event("X", o + k) for k in range(1, s))
     if variant == "top":
         # slot o+1 dives below the ball, loops, climbs back
         loop = (Event("L", o + s + 1), Event("X", o + s), Event("R", o + s + 1))
-        detour = tuple(across) + loop + tuple(reversed(across))
+        detour = across + loop + across[::-1]
     else:
         # slot o+s climbs above the ball, loops, dives back
         loop = (Event("L", o + 2), Event("X", o + 1), Event("R", o + 2))
-        detour = tuple(reversed(across)) + loop + tuple(across)
+        detour = across[::-1] + loop + across
     return d.slots, detour + d.events, 0, 0, len(detour)
 
 
-def apply_move(
-    d: FrontDiagram,
-    move: int,
-    at: int | None = None,
-    variant: str | None = None,
-    handle: int | None = None,
-) -> FrontDiagram:
+_MOVES = {
+    1: (_move1, "move 1 needs a column"),
+    2: (_move2, "move 2 needs a column and a variant"),
+    3: (_move3, "move 3 needs a column"),
+    4: (_move4, "move 4 needs a column and a variant ('in' or 'out')"),
+    5: (_move5, "move 5 needs a column"),
+    6: (_move6, None),
+}
+
+
+def apply_move(d: FrontDiagram, move: int, at: int | None = None, variant: str | None = None,
+               handle: int | None = None) -> FrontDiagram:
     """Apply one of the six local moves, preserving component data.
 
+    The catalogue is one table, _MOVES, of each move's rewrite and the
+    message when a column or variant it needs is None.  Every rewrite maps
+    (d, at, variant, handle) to the (slots, events, lo, hi, shift) of _transfer.
     Moves 1-3 are interior isotopies (at = leftmost column of the
     pattern; move 2 needs a birth/death variant).  Moves 4 and 5 slide a
     cusp or crossing through a handle via the box edges.  Move 6 swings
@@ -527,28 +505,10 @@ def apply_move(
     below a gives (b at pos - D(a), a).  Otherwise X p X p stays as it
     is, R p L p is ambiguous, and every other pair interacts.
     """
-    if move == 1:
-        if at is None:
-            raise FrontError("move 1 needs a column")
-        rewrite = _move1(d, at)
-    elif move == 2:
-        if at is None or variant is None:
-            raise FrontError("move 2 needs a column and a variant")
-        rewrite = _move2(d, at, variant)
-    elif move == 3:
-        if at is None:
-            raise FrontError("move 3 needs a column")
-        rewrite = _move3(d, at)
-    elif move == 4:
-        if at is None or variant is None:
-            raise FrontError("move 4 needs a column and a variant ('in' or 'out')")
-        rewrite = _move4(d, at, variant, handle)
-    elif move == 5:
-        if at is None:
-            raise FrontError("move 5 needs a column")
-        rewrite = _move5(d, at)
-    elif move == 6:
-        rewrite = _move6(d, variant if variant else "top", handle)
-    else:
-        raise FrontError(f"there is no move {move}; the catalogue has moves 1..6")
-    return _transfer(d, *rewrite)
+    try:
+        rewrite, needs = _MOVES[move]
+    except (KeyError, TypeError):  # not a move, or not even hashable
+        raise FrontError(f"there is no move {move}; the catalogue has moves 1..6") from None
+    if needs and (at is None or variant is None and "variant" in needs):
+        raise FrontError(needs)
+    return _transfer(d, *rewrite(d, at, variant, handle))

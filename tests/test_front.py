@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter, defaultdict
 from itertools import accumulate
 from unittest import mock
 
@@ -894,7 +895,7 @@ def test_transfer_refuses_a_rewrite_that_breaks_its_contract(
     monkeypatch, slots, word, new_word, lo, hi, shift, message
 ):
     rewrite = (slots, parse_event_word(new_word), lo, hi, shift)
-    monkeypatch.setattr(front_module, "_move1", lambda d, at: rewrite)
+    monkeypatch.setitem(front_module._MOVES, 1, (lambda d, at, variant, handle: rewrite, "move 1 needs a column"))
     with pytest.raises(InternalError, match=message):
         apply_move(front(slots, word), 1, at=1)
 
@@ -1471,6 +1472,98 @@ def test_parity_always_holds(seed):
     rng = random.Random(seed)
     d = random_front(rng)
     assert all(rep.ok for rep in parity_lint(d))
+
+
+# ---------------------------------------------------------------------------
+# rulings: a move oracle that tb and rot cannot fool, on handle-free fronts
+
+
+def ruling_polynomial(d) -> dict:
+    """The ungraded ruling polynomial of a handle-free front, {exponent: count}.
+
+    One sweep over the columns carries every pairing of the strands that
+    a normal ruling reaches there, with its count of rulings by switches.
+    Heights count from 0 at the top and pair[i] is the strand paired with
+    i.  A ruling weighs z^(switches - right cusps + 1) (Chekanov-Pushkar
+    2005; Fuchs 2003).
+    """
+    assert not d.slots
+    states = {(): Counter({0: 1})}
+    for e in d.events:
+        p, new = e.pos - 1, defaultdict(Counter)
+        for pair, switches in states.items():
+            if e.kind == "L":  # the cusp's two branches are paired
+                moved = [i + 2 if i >= p else i for i in pair]
+                new[tuple(moved[:p] + [p + 1, p] + moved[p:])].update(switches)
+            elif e.kind == "R":
+                if pair[p] == p + 1:
+                    new[tuple(i - 2 if i > p else i for i in pair[:p] + pair[p + 2 :])].update(switches)
+            elif pair[p] != p + 1:  # paired strands never cross
+                swap = {p: p + 1, p + 1: p}
+                new[tuple(swap.get(pair[swap.get(i, i)], pair[swap.get(i, i)]) for i in range(len(pair)))].update(
+                    switches
+                )
+                a, b = pair[p], pair[p + 1]
+                if a < p and b > p + 1 or b < a < p or p + 1 < b < a:  # a normal switch keeps the heights
+                    new[pair].update({s + 1: n for s, n in switches.items()})
+        states = new
+    rights = sum(e.kind == "R" for e in d.events)
+    return {s - rights + 1: n for s, n in states.get((), {}).items()}
+
+
+@pytest.mark.parametrize(
+    "word, polynomial",
+    [
+        ("L1 R1", {0: 1}),
+        ("L1 L1 X2 X2 X2 R1 R1", {0: 2, 2: 1}),  # the right trefoil, 2 + z^2
+        ("L1 L2 X1 X1 X1 R2 R1", {0: 2, 2: 1}),  # the same knot as a braid closure
+        ("L1 L1 R1 R1", {-1: 1}),  # two unknots side by side
+        ("L1 L3 X2 X2 R3 R1", {-1: 1, 1: 1}),  # the Hopf link, 1/z + z
+    ],
+)
+def test_ruling_polynomial_known_answers(word, polynomial):
+    d = front((), word)
+    assert ruling_polynomial(d) == polynomial
+    for cid in d.trace.ids:
+        for direction in ("up", "down"):
+            assert ruling_polynomial(stabilize(d, cid, direction)) == {}
+
+
+def ruled_fronts(rng):
+    """Handle-free fronts: positive-braid closures, stacked unknots, random words."""
+    n = rng.randint(2, 3)
+    braid = " ".join(f"X{rng.randint(1, n - 1)}" for _ in range(rng.randint(1, 6)))
+    nested = " ".join(f"L{i}" for i in range(1, n + 1))
+    yield front((), f"{nested} {braid} " + " ".join(f"R{i}" for i in range(n, 0, -1)))
+    k = rng.randint(1, 3)
+    yield front((), " ".join(["L1"] * k + ["R1"] * k))
+    yield random_front(rng, max_handles=0, max_extra=10)
+
+
+def test_isotopy_moves_keep_the_ruling_polynomial():
+    # every applicable move 1-3 candidate, along a short random walk from
+    # each front; stabilisation kills every ruling
+    rng = random.Random(29)
+    checked = set()
+    for _ in range(40):
+        for d in ruled_fronts(rng):
+            want = ruling_polynomial(d)
+            for _ in range(6):
+                moved = []
+                for move, kwargs in move_candidates(d):
+                    if move <= 3:
+                        try:
+                            moved.append(apply_move(d, move, **kwargs))
+                        except FrontError:
+                            continue
+                        assert ruling_polynomial(moved[-1]) == want, (d.events, move, kwargs)
+                        checked.add(move)
+                for cid in d.trace.ids:
+                    assert ruling_polynomial(stabilize(d, cid, rng.choice(["up", "down"]))) == {}
+                if not moved:
+                    break
+                d = rng.choice(moved)
+    assert checked == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -1499,10 +1499,10 @@ def ruling_polynomial(d) -> dict:
                 if pair[p] == p + 1:
                     new[tuple(i - 2 if i > p else i for i in pair[:p] + pair[p + 2 :])].update(switches)
             elif pair[p] != p + 1:  # paired strands never cross
-                swap = {p: p + 1, p + 1: p}
-                new[tuple(swap.get(pair[swap.get(i, i)], pair[swap.get(i, i)]) for i in range(len(pair)))].update(
-                    switches
-                )
+                # the pairing follows the strands: height i holds the strand from came[i]
+                came = [*range(len(pair))]
+                came[p], came[p + 1] = p + 1, p
+                new[tuple(came[pair[c]] for c in came)].update(switches)
                 a, b = pair[p], pair[p + 1]
                 if a < p and b > p + 1 or b < a < p or p + 1 < b < a:  # a normal switch keeps the heights
                     new[pair].update({s + 1: n for s, n in switches.items()})

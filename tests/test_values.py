@@ -13,6 +13,8 @@ import copy
 import inspect
 import pickle
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -241,3 +243,140 @@ def test_uncompared_fields_stay_out_of_equality_and_hash():
     assert "trace" not in repr(d) and "trace" not in front.FrontDiagram._fields
     x = invariants.SteinPresentation([[2]], [[1]], [0])
     assert "_qs" not in repr(x) and x == invariants.SteinPresentation(((2,),), ((1,),), (0,))
+
+
+# ---------------------------------------------------------------------------
+# the int intake: each place that takes integer data stores a bool as the
+# int it equals and refuses any other entry with its own message, which
+# names the first entry that is not an int
+
+NAN = float("nan")
+INTAKE_VALUES = [True, False, 1.0, 1.5, "1", None, NAN, Fraction(1, 2)]
+UPPER = [(0, 1), (0, 2), (1, 2)]  # the entries of a 3 x 3 matrix above its diagonal
+LENS_SUM = presentation.SurgeryPresentation((rat(2), rat(3)), ((0, 0), (0, 0)))
+
+
+def cut(flat, lengths):
+    """flat cut into tuples of the given lengths."""
+    it = iter(flat)
+    return tuple(tuple(next(it) for _ in range(n)) for n in lengths)
+
+
+def mirrored(flat):
+    """The 3 x 3 matrix with zero diagonal and flat above and below it."""
+    a, b, c = flat
+    return (0, a, b), (a, 0, c), (b, c, 0)
+
+
+def lk_refusal(flat, i, v):
+    if v != v:  # nan differs from itself, so the matrix is asymmetric there
+        r, c = UPPER[i]
+        return presentation.PresentationError, f"linking matrix asymmetric at ({c + 1}, {r + 1})"
+    return presentation.PresentationError, "linking numbers must be integers"
+
+
+def stein_refusal(flat, i, v):
+    if i >= 6:
+        return invariants.InvariantError, f"rot entry {i - 5} must be an int, got {v!r}"
+    name, (r, c) = ("q", divmod(i, 2)) if i < 4 else ("runs", divmod(i - 4, 2))
+    return invariants.InvariantError, f"{name} entry ({r + 1}, {c + 1}) must be an int, got {v!r}"
+
+
+def lens_pairing(flat):
+    value = presentation.linking_form(LENS_SUM, flat[:2], flat[2:])
+    return value.numerator, value.denominator
+
+
+# site: (int entries that it accepts, the entries it stores from them,
+# the refusal (type, message) of entry v at index i)
+INTAKE = {
+    "ExtRational": (
+        (3, 4),
+        lambda e: (lambda r: (r.num, r.den))(numerics.ExtRational(*e)),
+        lambda e, i, v: (numerics.NumericsError, f"ExtRational needs ints, got {e[0]!r}/{e[1]!r}"),
+    ),
+    "MobiusMap": (
+        (1, 0, 1, 1),
+        lambda e: (lambda f: (f.a, f.b, f.c, f.d))(MobiusMap(*e)),
+        lambda e, i, v: (numerics.NumericsError, f"MobiusMap needs int entries, got {tuple(e)!r}"),
+    ),
+    "ContinuedFraction": (
+        (1, -2, -3, -2),
+        lambda e: numerics.ContinuedFraction(e).terms,
+        lambda e, i, v: (numerics.NumericsError, f"continued fraction terms must be ints, got {v!r}"),
+    ),
+    "Event": (
+        (2,),
+        lambda e: (front.Event("X", *e).pos,),
+        lambda e, i, v: (front.FrontError, f"event position {v!r} must be an integer"),
+    ),
+    "int_rows": (
+        (1, -2, 3, 0, 5, -6),
+        lambda e: tuple(chain.from_iterable(numerics._int_rows(cut(e, (3, 3))))),
+        lambda e, i, v: (numerics.NumericsError, f"matrix entries must be ints, got {v!r}"),
+    ),
+    "SurgeryPresentation": (
+        (1, -2, 3),
+        lambda e: tuple(chain.from_iterable(presentation.SurgeryPresentation((rat(1),) * 3, mirrored(e)).lk)),
+        lk_refusal,
+    ),
+    "linking_form": (
+        (1, 1, 1, 0),
+        lens_pairing,
+        lambda e, i, v: (presentation.PresentationError,
+                         f"class {'xy'[i >= 2]} has a non-int entry {v!r}"),
+    ),
+    "SteinPresentation": (
+        (2, 1, 1, -2, 1, 0, 1, -1),
+        lambda e: (lambda s: tuple(chain(*s.q, *s.runs, s.rot)))(
+            invariants.SteinPresentation(cut(e[:4], (2, 2)), cut(e[4:6], (2,)), e[6:])
+        ),
+        stein_refusal,
+    ),
+}
+INTAKE_CASES = [
+    (site, v, i)
+    for site, (base, _, _) in INTAKE.items()
+    for i in sorted({0, len(base) // 2, len(base) - 1})
+    for v in INTAKE_VALUES
+]
+
+
+def intake_outcome(make, entries):
+    try:
+        stored = make(entries)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is int for v in stored)
+    return "stored", repr(stored)
+
+
+@pytest.mark.parametrize("site, value, i", INTAKE_CASES, ids=[f"{s}-{v!r}-{i}" for s, v, i in INTAKE_CASES])
+def test_each_int_intake_stores_a_bool_as_its_int_and_refuses_the_rest(site, value, i):
+    base, make, refusal = INTAKE[site]
+    entries = [*base]
+    entries[i] = value
+    if isinstance(value, int):  # a bool: stored, or refused, as the int it equals
+        plain = [*base]
+        plain[i] = int(value)
+        assert intake_outcome(make, entries) == intake_outcome(make, plain)
+        return
+    want, message = refusal(entries, i, value)
+    with pytest.raises(ValueError) as refused:
+        make(entries)
+    assert (type(refused.value), str(refused.value)) == (want, message)
+
+
+@pytest.mark.parametrize(
+    "lk, message",
+    [
+        (((0, 1.0), (1.0, 0)), "linking numbers must be integers"),
+        # an asymmetry is reported before the entries' types
+        (((0, 1.5), (2, 0)), "linking matrix asymmetric at (2, 1)"),
+        (((0, NAN), (NAN, 0)), "linking matrix asymmetric at (2, 1)"),
+    ],
+)
+def test_a_linking_matrix_is_checked_for_symmetry_before_its_types(lk, message):
+    with pytest.raises(ValueError) as refused:
+        presentation.SurgeryPresentation((rat(1), rat(1)), lk)
+    assert (type(refused.value), str(refused.value)) == (presentation.PresentationError, message)

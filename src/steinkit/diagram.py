@@ -22,7 +22,7 @@ import re
 from functools import cached_property
 from itertools import accumulate
 
-from .rational import ExtRational, Frozen, InternalError, _set, parse_int, parse_rational, rat
+from .rational import ExtRational, Frozen, InternalError, _set, int_entries, parse_int, parse_rational, rat
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
 MAX_NODES = 1_000_000  # strands summed over all column boundaries of one word
@@ -38,7 +38,7 @@ class Event(Frozen):
     token is the event's canonical text, kind then pos ("X1"), made once
     on construction; str() returns it and serialize_front joins it.  It is
     a plain attribute, not a field, so equality, hash and repr see only
-    kind and pos.
+    kind and pos.  pos is read by int_entries.
     """
 
     def __init__(self, kind: str, pos: int):
@@ -52,11 +52,9 @@ class Event(Frozen):
         if self.kind not in ("L", "R", "X"):
             raise FrontError(f"unknown event kind {self.kind!r}")
         if type(self.pos) is not int:
-            if not isinstance(self.pos, int):
-                raise FrontError(f"event position {self.pos!r} must be an integer")
-            # a bool is stored as the plain int it equals, which is what
-            # the token holds and parse_event_word reads back
-            _set(self, "pos", int(self.pos))
+            (pos,) = int_entries(
+                (self.pos,), lambda i, v: FrontError(f"event position {v!r} must be an integer"))
+            _set(self, "pos", pos)
         if self.pos < 1:
             raise FrontError(f"event position {self.pos} must be at least 1")
         _set(self, "token", f"{self.kind}{self.pos}")

@@ -10,7 +10,7 @@ characteristic and the signature, all computed exactly.
 """
 
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from math import prod
 from operator import add, sub
 
@@ -27,7 +27,7 @@ from .numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
-from .rational import _set
+from .rational import _set, int_entries
 from .surgery import SurgeryPresentation, cokernel
 
 
@@ -44,8 +44,8 @@ class SteinPresentation(Frozen):
     number of circle i.
 
     Presentations are frozen: q and runs are stored as tuples of rows
-    and rot as a tuple, of ints: another entry is refused, and a bool is
-    stored as the int it equals.  Construction validates the data once
+    and rot as a tuple, each read by int_entries (the rows of q, then
+    those of runs, then rot).  Construction validates the data once
     (from_presentation builds unchecked) and _build builds Q* once, as
     _qs (not a field); the Smith form of Q*, its characteristic
     solutions mod 2 and its congruence bordered by the Chern cocycle are
@@ -60,19 +60,12 @@ class SteinPresentation(Frozen):
 
     def __post_init__(self):
         q, runs, rot = tuple(map(tuple, self.q)), tuple(map(tuple, self.runs)), tuple(self.rot)
-        if not set(map(type, chain(*q, *runs, rot))) <= {int}:
-            for name, rows in (("q", q), ("runs", runs)):
-                for i, row in enumerate(rows):
-                    for j, v in enumerate(row):
-                        if not isinstance(v, int):
-                            raise InvariantError(
-                                f"{name} entry ({i + 1}, {j + 1}) must be an int, got {v!r}"
-                            )
-            for i, v in enumerate(rot):
-                if not isinstance(v, int):
-                    raise InvariantError(f"rot entry {i + 1} must be an int, got {v!r}")
-            q, runs = (tuple(tuple(map(int, row)) for row in rows) for rows in (q, runs))
-            rot = tuple(map(int, rot))
+        q, runs = (
+            tuple(int_entries(row, lambda j, v: InvariantError(
+                f"{name} entry ({i + 1}, {j + 1}) must be an int, got {v!r}")) for i, row in enumerate(rows))
+            for name, rows in (("q", q), ("runs", runs))
+        )
+        rot = int_entries(rot, lambda i, v: InvariantError(f"rot entry {i + 1} must be an int, got {v!r}"))
         m = len(q)
         for i, row in enumerate(q):
             if len(row) != m:

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .rational import (  # the scalars, re-exported
     INF, ZERO, ContinuedFraction, ExtRational, Frozen, InternalError, MobiusMap, NumericsError,
-    first_asymmetry, neg_continued_fraction, parse_int, parse_rational, rat,
+    first_asymmetry, int_entries, neg_continued_fraction, parse_int, parse_rational, rat,
 )
 
 
@@ -39,18 +39,14 @@ class SmithForm(Frozen):
 
 
 def _int_rows(matrix) -> list[list[int]]:
-    """The rows of an integer matrix, copied.  A ragged matrix or an entry
-    that is not an int raises NumericsError rather than being truncated;
-    a bool is stored as the int it equals."""
-    rows = [list(row) for row in matrix]
+    """The rows of an integer matrix, copied.  A ragged matrix raises
+    NumericsError rather than being truncated; then each row is read by
+    int_entries."""
+    rows = [*map(tuple, matrix)]
     if any(len(row) != len(rows[0]) for row in rows):
         raise NumericsError("ragged matrix")
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        for v in chain.from_iterable(rows):
-            if not isinstance(v, int):
-                raise NumericsError(f"matrix entries must be ints, got {v!r}")
-        rows = [list(map(int, row)) for row in rows]
-    return rows
+    return [[*int_entries(row, lambda i, v: NumericsError(f"matrix entries must be ints, got {v!r}"))]
+            for row in rows]
 
 
 def smith_normal_form(matrix) -> SmithForm:

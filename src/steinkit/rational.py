@@ -2,9 +2,9 @@
 
 The scalar half of steinkit.numerics, which re-exports all of it: the
 value-class base Frozen, ExtRational, MobiusMap, the negative continued
-fraction, integer and rational parsing, and the symmetry check shared by
-the surgery core and the matrix kernels.  It imports no kernel, so a
-command line call that reads only scalars compiles no kernel code.
+fraction, integer and rational parsing, and the int intake and symmetry
+check that the surgery core and the matrix kernels share.  It imports no
+kernel, so a command line call that reads only scalars compiles none.
 """
 
 from __future__ import annotations
@@ -74,6 +74,19 @@ class Frozen:
 _set = object.__setattr__  # writes a field past Frozen.__setattr__
 
 
+def int_entries(values, error) -> tuple[int, ...]:
+    """values as a tuple of plain ints, a bool stored as the int it equals
+    (which every serializer writes and every parser reads back); error(i, v)
+    is raised at the first entry v, at index i, that is not an int."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for i, v in enumerate(values):
+        if not isinstance(v, int):
+            raise error(i, v)
+    return tuple(map(int, values))
+
+
 # ---------------------------------------------------------------------------
 # extended rationals
 
@@ -94,11 +107,8 @@ class ExtRational(Frozen):
     def __post_init__(self):
         num, den = self.num, self.den
         if type(num) is not int or type(den) is not int:
-            if not isinstance(num, int) or not isinstance(den, int):
-                raise NumericsError(f"ExtRational needs ints, got {num!r}/{den!r}")
-            # a bool is stored as the plain int it equals, which is what
-            # str() writes and parse_rational reads back
-            num, den = int(num), int(den)
+            num, den = int_entries(
+                (num, den), lambda i, v: NumericsError(f"ExtRational needs ints, got {num!r}/{den!r}"))
         if den == 0:
             if num == 0:
                 raise NumericsError("0/0 is not a point of the projective line")
@@ -258,7 +268,7 @@ class MobiusMap(Frozen):
     The layout matches slope coordinates: rows (a, b) and (c, d), acting on
     the projective rational line with inf -> d/b.  Maps are canonicalised to
     a single sign representative, so equal maps compare equal.  Entries
-    must be ints; a bool is stored as the int it equals.
+    are read by int_entries.
     """
 
     def __init__(self, a: int, b: int, c: int, d: int):
@@ -270,9 +280,8 @@ class MobiusMap(Frozen):
         f = self.__dict__
         entries = a, b, c, d = f["a"], f["b"], f["c"], f["d"]
         if not type(a) is type(b) is type(c) is type(d) is int:
-            if not all(isinstance(v, int) for v in entries):
-                raise NumericsError(f"MobiusMap needs int entries, got {entries!r}")
-            entries = a, b, c, d = tuple(map(int, entries))
+            entries = a, b, c, d = int_entries(
+                entries, lambda i, v: NumericsError(f"MobiusMap needs int entries, got {entries!r}"))
         if a * d - b * c != 1:
             raise NumericsError(f"MobiusMap needs determinant 1, got {a * d - b * c}")
         if (a or b or c or d) < 0:
@@ -291,8 +300,7 @@ class ContinuedFraction(Frozen):
     """Expansion r = a0 - 1/(a1 - 1/(... - 1/ak)) with a_j <= -2 for j >= 1.
 
     With that tail constraint the expansion of a rational is unique, which
-    makes chain presentations canonical.  Terms must be ints; a bool is
-    stored as the int it equals, and the terms as a tuple.
+    makes chain presentations canonical.  The terms are read by int_entries.
     """
 
     def __init__(self, terms: tuple[int, ...]):
@@ -302,13 +310,8 @@ class ContinuedFraction(Frozen):
     def __post_init__(self):
         if not self.terms:
             raise NumericsError("a continued fraction needs at least one term")
-        if not all(type(t) is int for t in self.terms):
-            for t in self.terms:
-                if not isinstance(t, int):
-                    raise NumericsError(f"continued fraction terms must be ints, got {t!r}")
-            self.__dict__["terms"] = tuple(map(int, self.terms))
-        elif type(self.terms) is not tuple:
-            self.__dict__["terms"] = tuple(self.terms)
+        self.__dict__["terms"] = int_entries(
+            self.terms, lambda i, t: NumericsError(f"continued fraction terms must be ints, got {t!r}"))
         for t in self.terms[1:]:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")

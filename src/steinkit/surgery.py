@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import chain
 from math import prod
 
-from .rational import ZERO, ExtRational, Frozen, first_asymmetry, parse_int, parse_rational
+from .rational import ZERO, ExtRational, Frozen, first_asymmetry, int_entries, parse_int, parse_rational
 
 
 class PresentationError(ValueError):
@@ -31,11 +31,11 @@ class SurgeryPresentation(Frozen):
     are optional Legendrian data carried along for Stein constructions.
 
     Presentations are frozen: every field is stored as a tuple (lk as a
-    tuple of rows), empty flag fields are filled with their defaults, a
-    bool (or other int subclass) linking number, rot or tb is stored as
-    the plain int it equals, and the data is validated once, on
-    construction; _build builds delete, the rewrites and surger_handles
-    unchecked, from validated values.
+    tuple of rows), empty flag fields are filled with their defaults, the
+    rows of lk are read by int_entries once the matrix is known symmetric,
+    a bool (or other int subclass) rot or tb is stored as the plain int it
+    equals, and the data is validated once, on construction; _build builds
+    delete, the rewrites and surger_handles unchecked, from validated values.
     """
 
     def __init__(self, coeffs: tuple[ExtRational, ...], lk: tuple[tuple[int, ...], ...],
@@ -66,17 +66,11 @@ class SurgeryPresentation(Frozen):
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
                 )
-        types = set(map(type, chain.from_iterable(self.lk)))
-        if not types <= {int} and all(issubclass(t, int) for t in types):
-            # a bool entry is stored as the plain int it equals, which is
-            # what serialize_surgery writes and parse_surgery reads back
-            d["lk"] = tuple(tuple(map(int, row)) for row in self.lk)
-            types = {int}
         bad = first_asymmetry(self.lk)
         if bad is not None:
             raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
-        if not types <= {int}:
-            raise PresentationError("linking numbers must be integers")
+        d["lk"] = tuple(int_entries(row, lambda i, v: PresentationError("linking numbers must be integers"))
+                        for row in self.lk)
         if not set(map(type, chain(self.rot, self.tb))) <= {int, type(None)}:
             for name in ("rot", "tb"):
                 values = getattr(self, name)
@@ -206,8 +200,8 @@ def h1(p: SurgeryPresentation) -> AbelianGroup:
 def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     """Linking pairing of two torsion classes, as a fraction in [0, 1).
 
-    Classes are int vectors in meridian coordinates (a bool counts as the
-    int it equals, any other entry raises PresentationError).  The value is
+    Classes are int vectors in meridian coordinates, read by int_entries
+    (any other entry raises PresentationError).  The value is
     -x . Q^(-1) y mod 1, read off one fraction-free congruence of Q
     bordered by x and y; both inputs must be torsion in the cokernel,
     otherwise the pairing is undefined.
@@ -216,13 +210,11 @@ def linking_form(p: SurgeryPresentation, x, y) -> Fraction:
     m = p.m
     if len(x) != m or len(y) != m:
         raise PresentationError("class vectors must have one entry per component")
-    for name, vec in (("x", x), ("y", y)):
-        for v in vec:
-            if not isinstance(v, int):
-                raise PresentationError(f"class {name} has a non-int entry {v!r}")
+    x = int_entries(x, lambda i, v: PresentationError(f"class x has a non-int entry {v!r}"))
+    y = int_entries(y, lambda i, v: PresentationError(f"class y has a non-int entry {v!r}"))
     from .numerics import _bordered_congruence
 
-    *_, value = _bordered_congruence(q, [*map(int, x)], [*map(int, y)])
+    *_, value = _bordered_congruence(q, [*x], [*y])
     if value is None:
         raise PresentationError("linking form undefined: class is not torsion")
     from fractions import Fraction  # here, so that importing surgery does not load it

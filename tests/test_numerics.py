@@ -37,6 +37,7 @@ from steinkit.numerics import (
     SmithForm,
     first_asymmetry,
     inertia,
+    int_entries,
     invariant_factors,
     mat_vec,
     neg_continued_fraction,
@@ -909,6 +910,25 @@ def test_first_asymmetry_matches_the_scan_on_int_matrices(rows, symmetrize):
     )
     for matrix in (rows, tuple(map(tuple, rows))):
         assert first_asymmetry(matrix) == scan
+
+
+def test_int_entries_stores_plain_ints_and_names_the_first_other_entry():
+    def error(i, v):
+        return NumericsError(f"entry {i}: {v!r}")
+
+    ints = (3, -1, 0)
+    assert int_entries(ints, error) is ints  # a tuple of plain ints is kept as it is
+    assert int_entries([True, 2, False], error) == (1, 2, 0)
+    assert all(type(v) is int for v in int_entries([True, 2, False], error))
+    assert int_entries(iter([4, 5]), error) == (4, 5) and int_entries([], error) == ()
+    for values, message in (
+        ([1, 1.0, "x"], "entry 1: 1.0"),
+        ((True, None), "entry 1: None"),
+        ([Fraction(2, 1)], "entry 0: Fraction(2, 1)"),
+    ):
+        with pytest.raises(NumericsError) as refused:
+            int_entries(values, error)
+        assert str(refused.value) == message
 
 
 def test_first_asymmetry_leaves_entries_other_than_ints_to_the_scan():

@@ -263,9 +263,13 @@ def stabilize(d: FrontDiagram, component: int, direction: str, at_column: int | 
 
     The zig-zag lands on the topmost strand of the component at the given
     column boundary (default: the first boundary the component meets).
+    component and at_column are ints; a bool reads as the int it equals.
     """
     if direction not in ("up", "down"):
         raise FrontError(f"stabilisation direction must be 'up' or 'down', got {direction!r}")
+    for name, value in (("component", component), ("at_column", at_column)):
+        if value is not None and not isinstance(value, int):
+            raise FrontError(f"{name} must be an integer, got {value!r}")
     tr = d.trace
     if component not in tr.ids:
         raise FrontError(f"no component {component}")
@@ -494,7 +498,9 @@ def apply_move(d: FrontDiagram, move: int, at: int | None = None, variant: str |
     Moves 1-3 are interior isotopies (at = leftmost column of the
     pattern; move 2 needs a birth/death variant).  Moves 4 and 5 slide a
     cusp or crossing through a handle via the box edges.  Move 6 swings
-    the top or bottom strand of a ball around it; 'at' is ignored.
+    the top or bottom strand of a ball around it; 'at' is ignored.  at
+    and handle are ints (a bool reads as the int it equals), checked
+    before any rewrite runs.
 
     Move 1 swaps columns a = at and b = at + 1 by their footprints on
     the boundary between them, in doubled heights: the strand pair at p
@@ -511,4 +517,7 @@ def apply_move(d: FrontDiagram, move: int, at: int | None = None, variant: str |
         raise FrontError(f"there is no move {move}; the catalogue has moves 1..6") from None
     if needs and (at is None or variant is None and "variant" in needs):
         raise FrontError(needs)
+    for name, value in (("at", at), ("handle", handle)):
+        if value is not None and not isinstance(value, int):
+            raise FrontError(f"{name} must be an integer, got {value!r}")
     return _transfer(d, *rewrite(d, at, variant, handle))

@@ -1318,6 +1318,44 @@ def test_every_stabilize_message(component, direction, at, message):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: apply_move(d, 1, at="1"), "at must be an integer, got '1'"),
+        (lambda d: apply_move(d, 1, at=1.0), "at must be an integer, got 1.0"),
+        (lambda d: apply_move(d, 2, at=1.0, variant="birth-below"), "at must be an integer, got 1.0"),
+        (lambda d: apply_move(d, 4, at=2, variant="out", handle=1.0), "handle must be an integer, got 1.0"),
+        (lambda d: apply_move(d, 4, at=2, variant="out", handle=1.5), "handle must be an integer, got 1.5"),
+        (lambda d: apply_move(d, 6, handle="1"), "handle must be an integer, got '1'"),
+        # move 6 ignores at, but not an at that is no int
+        (lambda d: apply_move(d, 6, at=[1], handle=1), "at must be an integer, got [1]"),
+        (lambda d: stabilize(d, 1.0, "up"), "component must be an integer, got 1.0"),
+        (lambda d: stabilize(d, 1, "up", 1.0), "at_column must be an integer, got 1.0"),
+        # the move number, a missing argument and the direction are read first
+        (lambda d: apply_move(d, 7, at="1"), "there is no move 7; the catalogue has moves 1..6"),
+        (lambda d: apply_move(d, 2, at="1"), "move 2 needs a column and a variant"),
+        (lambda d: stabilize(d, 1.0, "left", 1.0),
+         "stabilisation direction must be 'up' or 'down', got 'left'"),
+    ],
+)
+def test_rewrites_refuse_an_argument_that_is_no_int(call, message):
+    with pytest.raises(FrontError) as refused:
+        call(front((2,), "L3 R3 X1"))
+    assert str(refused.value) == message
+
+
+def test_rewrites_read_a_bool_argument_as_its_int():
+    for slots, word, move, kwargs, plain in (
+        ((), "L1 L3 R1 R1", 1, {"at": True}, {"at": 1}),
+        ((2,), "L2 R2", 2, {"at": True, "variant": "birth-above"}, {"at": 1, "variant": "birth-above"}),
+        ((2,), "", 6, {"at": False, "handle": True}, {"handle": 1}),
+    ):
+        d = front(slots, word)
+        assert apply_move(d, move, **kwargs) == apply_move(d, move, **plain)
+    d = front((2,), "L2 R2")
+    assert stabilize(d, True, "up", False) == stabilize(d, 1, "up", 0)
+
+
+@pytest.mark.parametrize(
     "slots, word, move, kwargs, result",
     [
         ((), "L1 L3 R1 R1", True, {"at": 1, "variant": "ignored"}, "L1 L1 R1 R1"),

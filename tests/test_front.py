@@ -843,6 +843,36 @@ def test_rewrites_of_bench_shaped_words_carry_the_derived_data(shape):
     assert carried_rewrites(flipped(d), columns) > 20
 
 
+def test_rewrites_relabel_component_ids_kept_as_a_list(monkeypatch):
+    # past 128 labels the trace keeps component ids in a list, not a
+    # bytearray, and a rewrite that renumbers or turns components
+    # relabels that list
+    d = FrontDiagram((), parse_event_word("L1 " + "L3 R3 " * 150 + "R1"))
+    assert d.trace.n_components == 151 and type(d.trace.comp) is list
+    d.derived
+    relabelled = []
+    real = front_module._relabel
+
+    def spy(comp, table):
+        relabelled.append(type(comp))
+        return real(comp, table)
+
+    monkeypatch.setattr(front_module, "_relabel", spy)
+    rng = random.Random(1)
+    for _ in range(2000):
+        kind, kwargs = rng.choice([c for c in move_candidates(d) if c[0] <= 3])
+        try:
+            new, rewrite = rewritten(d, lambda x: apply_move(x, kind, **kwargs))
+        except FrontError:
+            continue
+        assert_spliced_like_traced(d, new, rewrite)
+        assert_carried(new)
+        d = new
+        if list in relabelled:
+            break
+    assert list in relabelled and type(d.trace.comp) is list
+
+
 def test_a_chain_of_moves_derives_once(monkeypatch):
     derived = []
     real = diagram_module._front_data

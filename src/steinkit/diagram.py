@@ -405,12 +405,12 @@ class _Derived:
             (writhe, left, right, up), (orientations, coefficients, none) = self.counts, self.data
             stats = []
             for c in range(1, len(writhe)):
-                cusps = left[c] + right[c]
-                if (rot2 := cusps - 2 * up[c]) % 2:  # every cusp turns up or down
-                    raise InternalError(f"internal: component {c} has odd cusp imbalance")
+                # every cusp turns up or down and __init__ checked left = right, so
+                # rot = (down - up) / 2 = left - up: no parity is left to check
                 stats.append(ComponentStats(
-                    c, orientations.get(c, 1), left[c], right[c], up[c], cusps - up[c], writhe[c],
-                    writhe[c] - left[c], rot2 // 2, *self.runs.get(c, none), coefficients.get(c)))
+                    c, orientations.get(c, 1), left[c], right[c], up[c], left[c] + right[c] - up[c],
+                    writhe[c], writhe[c] - left[c], left[c] - up[c], *self.runs.get(c, none),
+                    coefficients.get(c)))
             self._stats = tuple(stats)
         return self._stats
 

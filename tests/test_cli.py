@@ -172,6 +172,8 @@ def test_gamma_explicit_sublink(capsys, theta_example):
     rc, out, _ = run(capsys, "gamma", "--sublink", "1", theta_example)
     assert rc == 0
     assert out == "sublink: 1\ngamma: (0,0) mod im(Q*)\n"
+    rc, out, err = run(capsys, "gamma", "--sublink", "0 3", theta_example)
+    assert (rc, out, err) == (1, "", "usage error: sublink members [0, 3] out of range 1..2\n")
 
 
 # One 0-framed unknot: its characteristic sublinks are empty and {1}.
@@ -365,6 +367,16 @@ def test_dunk_requires_exactly_one_target(capsys, chain):
     rc, _, err = run(capsys, "dunk", "1", chain)
     assert rc == 1
     assert "usage error" in err
+    rc, out, err = run(capsys, "dunk", "1", "2", chain, "--inverse", "1/3")
+    assert (rc, out, err) == (1, "", "usage error: dunk takes either <j> or --inverse, not both\n")
+
+
+def test_dunk_absorbs_the_meridian_it_grew(capsys, chain, tmp_path):
+    rc, grown, _ = run(capsys, "dunk", "1", "--inverse", "1/3", chain)
+    path = tmp_path / "grown.surgery"
+    path.write_text(grown)
+    rc, out, err = run(capsys, "dunk", "1", "2", str(path))
+    assert (rc, out, err) == (0, "surgery 1\ncomponents 1\ncoeff 1 -3\nunknot 1\n", "")
 
 
 def test_expand_integer_presentation_is_fixed(capsys, chain):
@@ -380,6 +392,18 @@ def test_plan(capsys, chain):
     assert lines[0] == "ok: true"
     assert "chain: -3" in lines
     assert "zigzags: 1" in lines
+
+
+def test_plan_lists_every_violation(capsys, tmp_path):
+    path = tmp_path / "violations.surgery"
+    path.write_text("surgery 1\ncomponents 2\ncoeff 1 0\ncoeff 2 -2\ntb 1 -1\n")
+    rc, out, err = run(capsys, "plan", str(path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "ok: false",
+        "violation: component 1 coefficient 0 is not below tb = -1",
+        "violation: component 2 no tb data",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -506,6 +530,23 @@ def test_borromean_wrong_arity(capsys):
     rc, _, err = run(capsys, "borromean", "--", "1", "1")
     assert rc == 1
     assert "three coefficients" in err
+
+
+ONE_SOURCE = "borromean needs exactly one of: three coefficients, --twist-knot, --two-component"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), ONE_SOURCE),
+        (("--twist-knot", "1 1 -8", "--two-component", "1 2 3"), ONE_SOURCE),
+        (("--twist-knot", "1 1"), '--twist-knot needs "L M R"'),
+        (("--two-component", "1 2"), '--two-component needs "M R1 R2"'),
+    ],
+)
+def test_borromean_needs_one_well_formed_source(capsys, argv, message):
+    rc, out, err = run(capsys, "borromean", *argv)
+    assert (rc, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

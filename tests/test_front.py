@@ -1843,6 +1843,33 @@ def test_parse_front_errors_carry_line_numbers():
             parse_front(f"front 1\n{header}\nevents L1 R1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("front 1\n", "missing 'handles <n>' line"),
+        ("front 1\nhandles -1\n", "negative handle count"),
+        ("front 1\nhandles 1\nhandle 2 slots 0\n", "line 3: handle 2 out of range 1..1"),
+        ("front 1\nhandles 2\nhandle 1 slots 0\nhandle 1 slots 0\n", "line 4: duplicate handle 1"),
+        ("front 1\nhandles 1\nhandle 1 slots -2\n", "line 3: negative slot count"),
+        ("front 1\nhandles 0\nevents L1 R1\nevents L1 R1\n", "line 4: duplicate events line"),
+        ("front 1\nhandles 0\nevents L1 R1\norient 1 x\n", "line 4: orientation must be + or -"),
+        # a body line that is not a handle line leaves a handle without one
+        ("front 1\nhandles 1\nevents\n", "handles [1] have no slot count"),
+    ],
+)
+def test_every_front_format_refusal(text, message):
+    with pytest.raises(FrontError) as refused:
+        parse_front(text)
+    assert str(refused.value) == message
+
+
+def test_events_and_diagrams_refuse_what_no_word_can_name():
+    with pytest.raises(FrontError, match=r"^unknown event kind 'Y'$"):
+        Event("Y", 1)
+    with pytest.raises(FrontError, match=r"^coefficient given for unknown component 2$"):
+        FrontDiagram((), parse_event_word("L1 R1"), {}, {2: rat(1)})
+
+
 @pytest.mark.parametrize("repeat", ["orient 1 +\norient 1 -", "coeff 1 stein\ncoeff 1 stein"])
 def test_parse_front_refuses_a_repeated_value_line(repeat):
     # the last line used to win, even over the same value given twice

@@ -90,6 +90,8 @@ def test_validation_errors():
         SteinPresentation(q=[[1]], runs=[], rot=[])
     with pytest.raises(InvariantError, match="run row"):
         SteinPresentation(q=[[1]], runs=[[1, 2]], rot=[0])
+    with pytest.raises(InvariantError, match=r"^framing matrix row 2 has length 1, want 2$"):
+        SteinPresentation(q=[[1, 0], [0]], runs=[], rot=[0, 0])
 
 
 def test_entries_must_be_ints():

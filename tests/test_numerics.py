@@ -912,6 +912,23 @@ def test_first_asymmetry_matches_the_scan_on_int_matrices(rows, symmetrize):
         assert first_asymmetry(matrix) == scan
 
 
+def test_scalar_edges():
+    half = ExtRational(1, 2)
+    assert -INF is INF and rat(half) is half
+    for call, message in (
+        (lambda: INF / INF, "inf / inf is undefined"),
+        (lambda: ExtRational(1) + 1.5, "cannot combine ExtRational with 1.5"),
+        (lambda: ContinuedFraction(()), "a continued fraction needs at least one term"),
+        (lambda: neg_continued_fraction(INF), "infinity has no continued fraction expansion"),
+        (lambda: inertia([[1, 0]]), "inertia needs a square matrix"),
+        (lambda: smith_normal_form([[0]] * (MAX_SNF_DIM + 1)),
+         f"smith_normal_form caps dimensions at {MAX_SNF_DIM}"),
+    ):
+        with pytest.raises(NumericsError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 def test_int_entries_stores_plain_ints_and_names_the_first_other_entry():
     def error(i, v):
         return NumericsError(f"entry {i}: {v!r}")

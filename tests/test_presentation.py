@@ -889,6 +889,39 @@ def test_surgery_parse_errors():
         parse_surgery("surgery 1\ncomponents 2\ncoeff 1 2\ncoeff 2 2\nlk 1 2 1\nlk 2 1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("surgery 1\ncomponents -1\n", "negative component count"),
+        ("surgery 1\ncomponents 1\ncoeff 1 1\nlk 1 1 2\n", "line 4: self linking is not a matrix entry"),
+        ("surgery 1\ncomponents 2\ncoeff 1 1\nunknot 2\n", "components [2] have no coefficient"),
+    ],
+)
+def test_every_surgery_format_refusal(text, message):
+    with pytest.raises(PresentationError) as refused:
+        parse_surgery(text)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (((rat(1),), ((0,),)), {"unknot": (True, False)}, "unknot has wrong length for 1 components"),
+        (((1,), ((0,),)), {}, "coefficient 1 is not an ExtRational"),
+        (((rat(1), rat(1)), ((0, 1), (1,))), {}, "linking matrix is not square"),
+    ],
+)
+def test_every_surgery_presentation_refusal(args, kwargs, message):
+    with pytest.raises(PresentationError) as refused:
+        SurgeryPresentation(*args, **kwargs)
+    assert str(refused.value) == message
+
+
+def test_linking_form_needs_one_entry_per_component():
+    with pytest.raises(PresentationError, match="^class vectors must have one entry per component$"):
+        linking_form(pres([2, 3]), [1], [1, 0])
+
+
 @pytest.mark.parametrize("repeat", ["coeff 1 5", "rot 1 0\nrot 1 0", "tb 1 -1\ntb 1 7"])
 def test_surgery_refuses_a_repeated_value_line(repeat):
     # the last line used to win, even over the same value given twice

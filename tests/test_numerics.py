@@ -938,6 +938,8 @@ def test_int_entries_stores_plain_ints_and_names_the_first_other_entry():
     assert int_entries([True, 2, False], error) == (1, 2, 0)
     assert all(type(v) is int for v in int_entries([True, 2, False], error))
     assert int_entries(iter([4, 5]), error) == (4, 5) and int_entries([], error) == ()
+    # so a value class reads a one-shot iterable once, and keeps what it read
+    assert ContinuedFraction(iter([1, -2])).terms == (1, -2)
     for values, message in (
         ([1, 1.0, "x"], "entry 1: 1.0"),
         ((True, None), "entry 1: None"),

@@ -1016,6 +1016,71 @@ def test_stabilize_lands_on_the_first_node_at_its_boundary():
                 assert sorted(e.pos for e in nd.events[t : t + 2]) == [h, h + 1]
 
 
+def strand_walk_stabilization(d, component, direction, at_column):
+    """The boundary and word stabilize gives, placed by a frozen copy of
+    the boundary search it made on strand counts alone (a running sum to
+    the first node's boundary, or the counts summed left of at_column);
+    None where the component has no strand at at_column."""
+    tr = d.trace
+    comp, counts = tr.comp, tr.counts
+    if at_column is None:
+        i = tr.first[component]
+        for t, end in enumerate(accumulate(counts)):
+            if i < end:
+                break
+        base = end - counts[t]
+    else:
+        try:
+            t = range(len(counts)).index(at_column)
+            base = sum(counts[:t])
+            i = comp.index(component, base, base + counts[t])
+        except ValueError:
+            return None
+    height = i - base + 1
+    eps = (1 if tr.fwd[i] else -1) * d.orientation(component)
+    zig = (direction == "up") != (eps == 1)
+    return t, d.events[:t] + (Event("L", height + zig), Event("R", height + 1 - zig)) + d.events[t:]
+
+
+def test_stabilize_places_its_zigzag_as_the_strand_count_walk_does():
+    # on rewritten fronts whose node offsets are summed on first read, and
+    # on boundaries right of a strandless one, where the offsets repeat
+    seen = set()
+    fronts = [front((), "L1 R1 L1 R1"), front((), "L1 L1 R1 R1 L1 L3 X2 R1 R1"), front((2,), "R1 L1")]
+    for seed in range(40):
+        rng = random.Random(seed)
+        d = random_front(rng, max_handles=3, max_slot=3, max_extra=12)
+        candidates = [(m, kw) for m, kw in move_candidates(d) if m in (2, 4, 5, 6)]
+        rng.shuffle(candidates)
+        for m, kw in candidates:
+            try:
+                moved = apply_move(d, m, **kw)
+            except FrontError:
+                continue
+            assert moved.trace._offset is None
+            seen.add(m)
+            fronts.append(moved)
+            break
+        fronts.append(d)
+    for k, d in enumerate(fronts):
+        lazy = d.trace._offset is None
+        for cid in d.trace.ids:
+            direction = ("up", "down")[(k + cid) % 2]
+            for at in (None, True, -1, *range(len(d.events) + 2)):
+                if lazy:
+                    d.trace._offset = None
+                want = strand_walk_stabilization(d, cid, direction, at)
+                if want is None:
+                    with pytest.raises(FrontError, match=rf"^component {cid} has no strand at column boundary {at}$"):
+                        stabilize(d, cid, direction, at)
+                    continue
+                t, word = want
+                assert stabilize(d, cid, direction, at).events == word
+                if t and not d.trace.counts[t - 1]:
+                    seen.add("strandless" if at is None else "strandless at")
+    assert seen == {2, 4, 5, 6, "strandless", "strandless at"}
+
+
 # ---------------------------------------------------------------------------
 # moves
 

@@ -895,6 +895,17 @@ def test_surgery_parse_errors():
         ("surgery 1\ncomponents -1\n", "negative component count"),
         ("surgery 1\ncomponents 1\ncoeff 1 1\nlk 1 1 2\n", "line 4: self linking is not a matrix entry"),
         ("surgery 1\ncomponents 2\ncoeff 1 1\nunknot 2\n", "components [2] have no coefficient"),
+        # a per-component value is read after its index and repeat checks
+        ("surgery 1\ncomponents 1\ncoeff 1 wat\n", "line 3: bad rational 'wat'"),
+        ("surgery 1\ncomponents 1\ncoeff 1 1/0/2\n", "line 3: bad rational '1/0/2'"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\nrot 1 1.5\n", "line 4: bad rotation number"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\ntb 1 x\n", "line 4: bad tb"),
+        ("surgery 1\ncomponents 1\ncoeff 2 wat\n", "line 3: component 2 out of range 1..1"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\nrot 2 x\n", "line 4: component 2 out of range 1..1"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\ntb 0 x\n", "line 4: component 0 out of range 1..1"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\ncoeff 1 wat\n", "line 4: duplicate coeff for component 1"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\nrot 1 0\nrot 1 x\n", "line 5: duplicate rot for component 1"),
+        ("surgery 1\ncomponents 1\ncoeff 1 -2\ntb 1 0\ntb 1 x\n", "line 5: duplicate tb for component 1"),
     ],
 )
 def test_every_surgery_format_refusal(text, message):

@@ -8,7 +8,7 @@ each of which splices the new diagram's trace from its parent's.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import add
 
@@ -117,7 +117,7 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
         c = counts[j]
         if e.pos > (c + 1 if e.kind == "L" else c - 1):
             raise InternalError(f"internal: rewritten column {j + 1} does not fit {c} strands")
-        c += 2 if e.kind == "L" else -2 if e.kind == "R" else 0
+        c += _DELTA[e.kind]
         if counts[j + 1] != c:
             if kept(j + 1):
                 raise InternalError(f"internal: rewritten column {j + 1} does not meet the seam")
@@ -273,21 +273,17 @@ def stabilize(d: FrontDiagram, component: int, direction: str, at_column: int | 
     tr = d.trace
     if component not in tr.ids:
         raise FrontError(f"no component {component}")
-    comp, counts = tr.comp, tr.counts
+    offset = tr.offset
     if at_column is None:
         i = tr.first[component]
-        for t, end in enumerate(accumulate(counts)):  # to the first node's boundary
-            if i < end:
-                break
-        base = end - counts[t]
+        t = bisect_right(offset, i) - 1  # i's boundary, past strandless ones at its offset
     else:
         try:
-            t = range(len(counts)).index(at_column)
-            base = sum(counts[:t])
-            i = comp.index(component, base, base + counts[t])
+            t = range(len(tr.counts)).index(at_column)
+            i = tr.comp.index(component, offset[t], offset[t + 1])
         except ValueError:
             raise FrontError(f"component {component} has no strand at column boundary {at_column}") from None
-    height = i - base + 1
+    height = i - offset[t] + 1
     eps = (1 if tr.fwd[i] else -1) * d.orientation(component)
     # on an oriented strand running rightward (eps 1), the zag L h, R h + 1
     # stabilises up and the zig L h + 1, R h down; leftward, the other way

@@ -1601,10 +1601,19 @@ def test_moves_preserve_surgered_invariants(seed):
 @given(st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_parity_always_holds(seed):
-    # tb + rot + 1 = unsigned passes mod 2 for every drawable front
+    # tb + rot + 1 = unsigned passes mod 2 for every drawable front, so
+    # check_stein_form reads the coefficients alone; here on fronts with
+    # handles, after a move 6 swings a strand and a stabilization
     rng = random.Random(seed)
-    d = random_front(rng)
-    assert all(rep.ok for rep in parity_lint(d))
+    fronts = [random_front(rng, max_handles=3, max_slot=4, max_extra=16)]
+    if fronts[-1].n_handles:
+        variant, handle = rng.choice(("top", "bottom")), rng.randint(1, fronts[-1].n_handles)
+        fronts.append(apply_move(fronts[-1], 6, variant=variant, handle=handle))
+    if n_components(fronts[-1]):
+        cid = rng.randint(1, n_components(fronts[-1]))
+        fronts.append(stabilize(fronts[-1], cid, rng.choice(("up", "down"))))
+    for d in fronts:
+        assert all(rep.ok for rep in parity_lint(d))
 
 
 # ---------------------------------------------------------------------------

@@ -264,12 +264,15 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     if m > MAX_COMPONENTS:  # refused before the m x m matrix below is built
         raise PresentationError(f"components {m} exceeds the limit of {MAX_COMPONENTS}")
 
-    coeffs: dict[int, ExtRational] = {}
     lk: dict[tuple[int, int], int] = {}
     unknot = [False] * m
     l0 = [False] * m
+    coeffs: list[ExtRational | None] = [None] * m
     rot: list[int | None] = [None] * m
     tb: list[int | None] = [None] * m
+    # per key: the values by component, their reader and its refusal (None: the reader's own)
+    values = {"coeff": (coeffs, parse_rational, None), "rot": (rot, parse_int, "bad rotation number"),
+              "tb": (tb, parse_int, "bad tb")}
 
     def component(token: str, lineno: int) -> int:
         try:
@@ -283,14 +286,15 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     for lineno, body in lines[2:]:
         fields = body.split()
         key = fields[0]
-        if key == "coeff" and len(fields) == 3:
+        if key in values and len(fields) == 3:
             i = component(fields[1], lineno)
-            if i in coeffs:
-                raise PresentationError(f"line {lineno}: duplicate coeff for component {i + 1}")
+            per, reader, refusal = values[key]
+            if per[i] is not None:
+                raise PresentationError(f"line {lineno}: duplicate {key} for component {i + 1}")
             try:
-                coeffs[i] = parse_rational(fields[2])
+                per[i] = reader(fields[2])
             except ValueError as exc:
-                raise PresentationError(f"line {lineno}: {exc}") from exc
+                raise PresentationError(f"line {lineno}: {refusal or exc}") from exc
         elif key == "lk" and len(fields) == 4:
             i = component(fields[1], lineno)
             j = component(fields[2], lineno)
@@ -310,28 +314,16 @@ def parse_surgery(text: str) -> SurgeryPresentation:
             i = component(fields[1], lineno)
             l0[i] = True
             unknot[i] = True
-        elif key in ("rot", "tb") and len(fields) == 3:
-            i = component(fields[1], lineno)
-            values = rot if key == "rot" else tb
-            if values[i] is not None:
-                raise PresentationError(f"line {lineno}: duplicate {key} for component {i + 1}")
-            try:
-                values[i] = parse_int(fields[2])
-            except ValueError as exc:
-                what = "rotation number" if key == "rot" else "tb"
-                raise PresentationError(f"line {lineno}: bad {what}") from exc
         else:
             raise PresentationError(f"line {lineno}: unknown or malformed key {key!r}")
 
-    missing = [i + 1 for i in range(m) if i not in coeffs]
+    missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
     if missing:
         raise PresentationError(f"components {missing} have no coefficient")
     matrix = [[0] * m for _ in range(m)]
     for (i, j), v in lk.items():
         matrix[i][j] = matrix[j][i] = v
-    return SurgeryPresentation(
-        coeffs=[coeffs[i] for i in range(m)], lk=matrix, unknot=unknot, l0=l0, rot=rot, tb=tb
-    )
+    return SurgeryPresentation(coeffs=coeffs, lk=matrix, unknot=unknot, l0=l0, rot=rot, tb=tb)
 
 
 def serialize_surgery(p: SurgeryPresentation) -> str:

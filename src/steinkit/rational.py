@@ -308,10 +308,12 @@ class ContinuedFraction(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        if not self.terms:
-            raise NumericsError("a continued fraction needs at least one term")
-        self.__dict__["terms"] = int_entries(
+        # the truth test refuses None before the read, an empty read after it
+        terms = self.terms and int_entries(
             self.terms, lambda i, t: NumericsError(f"continued fraction terms must be ints, got {t!r}"))
+        if not terms:
+            raise NumericsError("a continued fraction needs at least one term")
+        self.__dict__["terms"] = terms
         for t in self.terms[1:]:
             if t > -2:
                 raise NumericsError(f"tail term {t} violates the <= -2 normal form")

@@ -919,6 +919,10 @@ def test_scalar_edges():
         (lambda: INF / INF, "inf / inf is undefined"),
         (lambda: ExtRational(1) + 1.5, "cannot combine ExtRational with 1.5"),
         (lambda: ContinuedFraction(()), "a continued fraction needs at least one term"),
+        # an empty one-shot iterable is refused after it is read, None before
+        (lambda: ContinuedFraction(iter(())), "a continued fraction needs at least one term"),
+        (lambda: ContinuedFraction([]), "a continued fraction needs at least one term"),
+        (lambda: ContinuedFraction(None), "a continued fraction needs at least one term"),
         (lambda: neg_continued_fraction(INF), "infinity has no continued fraction expansion"),
         (lambda: inertia([[1, 0]]), "inertia needs a square matrix"),
         (lambda: smith_normal_form([[0]] * (MAX_SNF_DIM + 1)),

@@ -780,13 +780,14 @@ def test_chained_splices_reach_every_rewrite():
 
 
 def assert_carried(new):
-    """new carries derived data equal to a fresh pass, and its trace
-    equals a fresh one; new's own offsets stay unread (and unsummed), so
-    that a rewrite of new splices from a trace without them."""
+    """new carries derived data equal to a fresh pass, and its trace,
+    node offsets included, equals a fresh one."""
     assert "derived" in vars(new)  # carried by the rewrite, not made by a read
     fresh = FrontDiagram(new.slots, new.events, new.orientations, new.coefficients)
     tr, want = new.trace, fresh.trace
-    assert (tr.counts, list(tr.comp), tr.fwd, tr.first) == (want.counts, list(want.comp), want.fwd, want.first)
+    assert (tr.counts, tr.offset, list(tr.comp), tr.fwd, tr.first) == (
+        want.counts, want.offset, list(want.comp), want.fwd, want.first
+    )
     assert (new.derived.stats, new.derived.cross) == (fresh.derived.stats, fresh.derived.cross)
 
 
@@ -827,6 +828,33 @@ def test_chained_rewrites_carry_the_derived_data(seed):
         except FrontError:
             continue
         assert_carried(d)
+
+
+def assert_offsets_summed(tr):
+    assert tr.offset == [0, *accumulate(tr.counts)]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=6, deadline=None)
+def test_rewrites_of_rewrites_sum_their_node_offsets(seed):
+    # every applicable rewrite of every applicable rewrite; a child's
+    # offsets are read only after its own rewrites, moves before
+    # stabilisations, so the grandchildren splice from the child's trace
+    # as the rewrite left it
+    rng = random.Random(seed)
+    d = with_data(rng, random_front(rng, max_handles=3, max_slot=2, max_extra=6))
+    for call in every_rewrite(d):
+        try:
+            child = call(d)
+        except FrontError:
+            continue
+        for grand_call in every_rewrite(child):
+            try:
+                grandchild = grand_call(child)
+            except FrontError:
+                continue
+            assert_offsets_summed(grandchild.trace)
+        assert_offsets_summed(child.trace)
 
 
 @pytest.mark.parametrize("shape", ["900 crossings", "12 clasped unknots"])

@@ -204,24 +204,20 @@ class _Trace:
     comp is a bytearray while every id fits a byte (a rewrite copies it
     at C speed), else a list.  fwd[i] is 1 where the traced direction
     runs rightward through the node, else 0.  counts[t] is the strand
-    count at boundary t; offset is summed from it on first read if not given.
+    count at boundary t and offset its partial sums, [0, *accumulate(counts)];
+    a rewrite that changes a strand count sums them once, any other
+    rewrite shares its parent's.
     """
 
-    __slots__ = ("counts", "_offset", "comp", "fwd", "n_components", "first")
+    __slots__ = ("counts", "offset", "comp", "fwd", "n_components", "first")
 
     def __init__(self, counts, offset, comp, fwd, n_components, first):
         self.counts = counts
-        self._offset = offset
+        self.offset = offset
         self.comp = comp
         self.fwd = fwd
         self.n_components = n_components
         self.first = first
-
-    @property
-    def offset(self) -> list[int]:
-        if self._offset is None:
-            self._offset = [0, *accumulate(self.counts)]
-        return self._offset
 
     @property
     def ids(self) -> range:

@@ -83,9 +83,10 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     rewrite keeps every component, and a break of this contract is an
     InternalError.  Components are then renumbered by their first node
     and turned to run rightward there, as _trace numbers them.
-    Only the window's strand counts are stepped and its node offsets
-    summed; read derived data is carried (_carry) by counting both windows
-    along old's traced directions, which the kept nodes share.
+    Only the window's strand counts are stepped; a rewrite that changes
+    a strand count sums the node offsets once, any other shares old's.
+    Read derived data is carried (_carry) by counting both windows along
+    old's traced directions, which the kept nodes share.
     """
     slots, events = tuple(slots), tuple(events)  # valid: made from old's by the move
     tr = old.trace
@@ -125,23 +126,10 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
             counts[j + 1] = c
     if counts[0] != n or counts[m] != n:
         raise InternalError("internal: rewritten word does not close up through the handles")
-    # node offsets, old and new, at the windows' boundaries and seams and
-    # at the left edge only (the rest are 0 here); the new word's are
-    # summed in full when first read
-    o_off = tr._offset
-    if o_off is None:
-        o_off, end = [0] * (m_old + 2), tr.counts[r - shift :]
-        o_off[c0 : hi + 2] = accumulate(tr.counts[c0 : hi + 1], initial=sum(tr.counts[:c0]))
-        o_off[r - shift :] = accumulate(end, initial=len(tr.comp) - sum(end))
-    if counts is tr.counts:  # and so are the offsets
-        offset = o_off
-    else:
-        offset = [0, counts[0]] + [0] * m
-        offset[c0 : a + 2] = accumulate(counts[c0 : a + 1], initial=o_off[c0])
-        # the kept run's nodes move by what the window adds; with no kept
-        # run, boundary r is the window's and summed above
-        kept_r = offset[r] if r < a else o_off[r - shift] + offset[a] - o_off[hi]
-        offset[r:] = accumulate(counts[r:], initial=kept_r)
+    # node offsets: shared with the strand counts, else summed once
+    o_off = offset = tr.offset
+    if counts is not tr.counts:
+        offset = [0, *accumulate(counts)]
         _check_node_count(offset[-1])
 
     # kept nodes carry their old ids and directions, window nodes are 0
@@ -223,7 +211,7 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     new = object.__new__(FrontDiagram)
     new.__dict__.update(
         slots=slots, events=events, orientations=orientations, coefficients=coefficients,
-        trace=_Trace(counts, tr._offset if counts is tr.counts else None, comp, bytes(fwd), n_ids - 1, first),
+        trace=_Trace(counts, offset, comp, bytes(fwd), n_ids - 1, first),
     )
     if derived:
         new.__dict__["derived"] = _carry(derived, change, flip, runs, perm if renumbered else None, new)

@@ -837,10 +837,8 @@ def assert_offsets_summed(tr):
 @given(st.integers(0, 10_000))
 @settings(max_examples=6, deadline=None)
 def test_rewrites_of_rewrites_sum_their_node_offsets(seed):
-    # every applicable rewrite of every applicable rewrite; a child's
-    # offsets are read only after its own rewrites, moves before
-    # stabilisations, so the grandchildren splice from the child's trace
-    # as the rewrite left it
+    # every applicable rewrite of every applicable rewrite, the child's
+    # offsets read last
     rng = random.Random(seed)
     d = with_data(rng, random_front(rng, max_handles=3, max_slot=2, max_extra=6))
     for call in every_rewrite(d):
@@ -1071,8 +1069,8 @@ def strand_walk_stabilization(d, component, direction, at_column):
 
 
 def test_stabilize_places_its_zigzag_as_the_strand_count_walk_does():
-    # on rewritten fronts whose node offsets are summed on first read, and
-    # on boundaries right of a strandless one, where the offsets repeat
+    # on rewritten fronts, and on boundaries right of a strandless one,
+    # where the offsets repeat
     seen = set()
     fronts = [front((), "L1 R1 L1 R1"), front((), "L1 L1 R1 R1 L1 L3 X2 R1 R1"), front((2,), "R1 L1")]
     for seed in range(40):
@@ -1085,18 +1083,14 @@ def test_stabilize_places_its_zigzag_as_the_strand_count_walk_does():
                 moved = apply_move(d, m, **kw)
             except FrontError:
                 continue
-            assert moved.trace._offset is None
             seen.add(m)
             fronts.append(moved)
             break
         fronts.append(d)
     for k, d in enumerate(fronts):
-        lazy = d.trace._offset is None
         for cid in d.trace.ids:
             direction = ("up", "down")[(k + cid) % 2]
             for at in (None, True, -1, *range(len(d.events) + 2)):
-                if lazy:
-                    d.trace._offset = None
                 want = strand_walk_stabilization(d, cid, direction, at)
                 if want is None:
                     with pytest.raises(FrontError, match=rf"^component {cid} has no strand at column boundary {at}$"):

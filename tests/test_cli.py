@@ -577,6 +577,62 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+# The refusals that the two formats share, with their exact messages: the
+# header, the count line and the line numbers that comments, blank lines
+# and line ends leave.
+SHARED_REFUSALS = [
+    ("front", "", "missing 'front 1' header"),
+    ("front", "# only a comment\n\n", "missing 'front 1' header"),
+    ("front", "front 2\nhandles 0\n", "missing 'front 1' header"),
+    ("front", "front 1\n", "missing 'handles <n>' line"),
+    ("front", "front 1\nevents L1 R1\n", "missing 'handles <n>' line"),
+    ("front", "front 1\nhandles\n", "missing 'handles <n>' line"),
+    ("front", "front 1\nhandles 0 0\n", "line 2: bad handle count"),
+    ("front", "front 1\n\n# c\nhandles \u0663\n", "line 4: bad handle count"),
+    ("front", "front 1\nhandles -1\n", "negative handle count"),
+    ("front", "front 1\nhandles 2\nhandle 1 slots 0\n",
+     "handles 2 exceeds the body lines, so one has no slot count"),
+    ("front", "# c\n\nfront 1 # v1\n  \n#\nhandles 0\n\t\nwibble 3\n",
+     "line 8: unknown or malformed key 'wibble'"),
+    ("front", "front 1\nhandles 0\nevents L1 R1\ncoeff 1 x#2\n", "line 4: bad rational 'x'"),
+    ("front", "front 1\nhandles 0\nevents L1 R1\ncoeff 1 -2 # tb - 1\ncoeff 1 1\n",
+     "line 5: duplicate coeff for component 1"),
+    ("front", "front 1\r\nhandles 0\r\n\r\ncolor blue\r\n", "line 4: unknown or malformed key 'color'"),
+    ("front", "front 1\rhandles 0\r\r# c\rcolor blue\r", "line 5: unknown or malformed key 'color'"),
+    ("surgery", "", "missing 'surgery 1' header"),
+    ("surgery", "# only a comment\n\n", "missing 'surgery 1' header"),
+    ("surgery", "surgery 2\ncomponents 0\n", "missing 'surgery 1' header"),
+    ("surgery", "surgery 1\n", "missing 'components <m>' line"),
+    ("surgery", "surgery 1\ncoeff 1 2\n", "missing 'components <m>' line"),
+    ("surgery", "surgery 1\ncomponents\n", "missing 'components <m>' line"),
+    ("surgery", "surgery 1\ncomponents 1 1\ncoeff 1 2\n", "line 2: bad components count"),
+    ("surgery", "surgery 1\n\n# c\ncomponents \u0663\n", "line 4: bad components count"),
+    ("surgery", "surgery 1\ncomponents -1\n", "negative component count"),
+    ("surgery", "surgery 1\ncomponents 2\ncoeff 1 2\n",
+     "components 2 exceeds the body lines, so one has no coefficient"),
+    ("surgery", "# c\n\nsurgery 1 # v1\n  \n#\ncomponents 1\n\t\nframing 1 2\n",
+     "line 8: unknown or malformed key 'framing'"),
+    ("surgery", "surgery 1\ncomponents 1\ncoeff 1 x#2\n", "line 3: bad rational 'x'"),
+    ("surgery", "surgery 1\ncomponents 1\ncoeff 1 -2 # a\ncoeff 1 1\n",
+     "line 4: duplicate coeff for component 1"),
+    ("surgery", "surgery 1\r\ncomponents 1\r\n\r\ncoeff 1 x\r\n", "line 4: bad rational 'x'"),
+    ("surgery", "surgery 1\rcomponents 1\r\r# c\rcoeff 1 x\r", "line 5: bad rational 'x'"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", SHARED_REFUSALS)
+def test_both_formats_share_their_refusals(capsys, tmp_path, fmt, text, message):
+    parse, verb = (parse_front, "stats") if fmt == "front" else (parse_surgery, "h1")
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    assert type(refused.value) is (FrontError if fmt == "front" else surgery.PresentationError)
+    assert str(refused.value) == message
+    # a file verb reads the same bytes, through open()'s line ends, to the same refusal
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(text.encode())
+    assert run(capsys, verb, str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_front_round_trip(capsys, trefoil, tmp_path):
     rc, out, _ = run(capsys, "stabilize", "1", "down", trefoil)
     assert rc == 0

@@ -22,7 +22,9 @@ import re
 from functools import cached_property
 from itertools import accumulate
 
-from .rational import ExtRational, Frozen, InternalError, _set, int_entries, parse_int, parse_rational, rat
+from .rational import (
+    ExtRational, Frozen, InternalError, _read_records, _set, int_entries, parse_int, parse_rational, rat,
+)
 
 STEIN = "stein"  # symbolic coefficient: resolve to tb - 1 at surgery time
 MAX_NODES = 1_000_000  # strands summed over all column boundaries of one word
@@ -82,7 +84,11 @@ def _events_of(tokens: list[str]) -> tuple[Event, ...]:
         m = _EVENT_RE.match(token)
         if not m:
             raise FrontError(f"bad event token {token!r}")
-        events[token] = Event(m.group(1), int(m.group(2)))
+        try:
+            pos = int(m.group(2))
+        except ValueError as exc:  # more digits than int() reads (sys.get_int_max_str_digits())
+            raise FrontError(f"bad event token {token!r}") from exc
+        events[token] = Event(m.group(1), pos)
     return tuple(map(events.__getitem__, tokens))
 
 
@@ -614,72 +620,49 @@ def parse_front(text: str) -> FrontDiagram:
     +|-' and 'coeff <id> <rational>|stein' lines, at most one of each per
     component.  Unknown keys are errors.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
-    if not lines or lines[0][1] != "front 1":
-        raise FrontError("missing 'front 1' header")
-    if len(lines) < 2 or not lines[1][1].startswith("handles "):
-        raise FrontError("missing 'handles <n>' line")
-    try:
-        _, count = lines[1][1].split()
-        n_handles = parse_int(count)
-    except ValueError as exc:
-        raise FrontError(f"line {lines[1][0]}: bad handle count") from exc
-    if n_handles < 0:
-        raise FrontError("negative handle count")
-    if n_handles > len(lines) - 2:  # each handle needs its own handle line
-        raise FrontError(f"handles {n_handles} exceeds the body lines, so one has no slot count")
-
+    n_handles, records = _read_records(text, "front 1", "handles <n>", FrontError, "bad handle count",
+                                       "negative handle count", "slot count")
     slots: dict[int, int] = {}
     events: tuple[Event, ...] | None = None
     # per key, component id -> (line number, value)
     values: dict[str, dict[int, tuple[int, object]]] = {"orient": {}, "coeff": {}}
-    for lineno, body in lines[2:]:
-        fields = body.split()
+    for lineno, fields in records:
         key = fields[0]
-        if key == "handle" and len(fields) == 4 and fields[2] == "slots":
-            try:
-                h, k = parse_int(fields[1]), parse_int(fields[3])
-            except ValueError as exc:
-                raise FrontError(f"line {lineno}: bad handle line") from exc
-            if not 1 <= h <= n_handles:
-                raise FrontError(f"line {lineno}: handle {h} out of range 1..{n_handles}")
-            if h in slots:
-                raise FrontError(f"line {lineno}: duplicate handle {h}")
-            if k < 0:
-                raise FrontError(f"line {lineno}: negative slot count")
-            slots[h] = k
-        elif key == "events":
-            if events is not None:
-                raise FrontError(f"line {lineno}: duplicate events line")
-            try:
-                events = _events_of(fields[1:])
-            except FrontError as exc:
-                raise FrontError(f"line {lineno}: {exc}") from exc
-        elif key in values and len(fields) == 3:
-            try:
-                cid = parse_int(fields[1])
-            except ValueError as exc:
-                raise FrontError(f"line {lineno}: bad component index") from exc
-            if cid in values[key]:
-                raise FrontError(f"line {lineno}: duplicate {key} for component {cid}")
-            if key == "orient":
-                if fields[2] not in ("+", "-"):
-                    raise FrontError(f"line {lineno}: orientation must be + or -")
-                val = 1 if fields[2] == "+" else -1
-            elif fields[2] == STEIN:
-                val = STEIN
-            else:
+        try:
+            if key == "handle" and len(fields) == 4 and fields[2] == "slots":
                 try:
-                    val = parse_rational(fields[2])
+                    h, k = parse_int(fields[1]), parse_int(fields[3])
                 except ValueError as exc:
-                    raise FrontError(f"line {lineno}: {exc}") from exc
-            values[key][cid] = lineno, val
-        else:
-            raise FrontError(f"line {lineno}: unknown or malformed key {key!r}")
+                    raise FrontError("bad handle line") from exc
+                if not 1 <= h <= n_handles:
+                    raise FrontError(f"handle {h} out of range 1..{n_handles}")
+                if h in slots:
+                    raise FrontError(f"duplicate handle {h}")
+                if k < 0:
+                    raise FrontError("negative slot count")
+                slots[h] = k
+            elif key == "events":
+                if events is not None:
+                    raise FrontError("duplicate events line")
+                events = _events_of(fields[1:])
+            elif key in values and len(fields) == 3:
+                try:
+                    cid = parse_int(fields[1])
+                except ValueError as exc:
+                    raise FrontError("bad component index") from exc
+                if cid in values[key]:
+                    raise FrontError(f"duplicate {key} for component {cid}")
+                if key == "orient":
+                    if fields[2] not in ("+", "-"):
+                        raise FrontError("orientation must be + or -")
+                    val = 1 if fields[2] == "+" else -1
+                else:
+                    val = STEIN if fields[2] == STEIN else parse_rational(fields[2])
+                values[key][cid] = lineno, val
+            else:
+                raise FrontError(f"unknown or malformed key {key!r}")
+        except ValueError as exc:
+            raise FrontError(f"line {lineno}: {exc}") from exc
 
     missing = [h for h in range(1, n_handles + 1) if h not in slots]
     if missing:

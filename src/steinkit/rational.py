@@ -2,9 +2,10 @@
 
 The scalar half of steinkit.numerics, which re-exports all of it: the
 value-class base Frozen, ExtRational, MobiusMap, the negative continued
-fraction, integer and rational parsing, and the int intake and symmetry
-check that the surgery core and the matrix kernels share.  It imports no
-kernel, so a command line call that reads only scalars compiles none.
+fraction, integer and rational parsing (with the FRONT and SURGERY line
+reader), and the int intake and symmetry check that the surgery core and
+the matrix kernels share.  It imports no kernel, so a command line call
+that reads only scalars compiles none.
 """
 
 from __future__ import annotations
@@ -256,6 +257,34 @@ def parse_rational(text: str) -> ExtRational:
         return ExtRational(parse_int(num), parse_int(den) if slash else 1)
     except ValueError as exc:
         raise NumericsError(f"bad rational {text!r}") from exc
+
+
+def _read_records(text: str, header: str, count: str, error, bad: str, negative: str, lacking: str):
+    """The count and the (line number, fields) body records of a FRONT or
+    SURGERY text, by the rules both formats share.  Lines end at '\\n',
+    '\\r\\n' or '\\r' only, as open() reads them; '#' starts a comment and
+    blank lines are skipped.  Line one is header, line two the count line
+    (count, such as 'handles <n>'): its key then one parse_int token, at
+    least 0 and at most the body lines.  A refusal is error(message), the
+    caller's words bad, negative and lacking completing its messages."""
+    ends = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(ends, start=1)]
+    lines = [(lineno, body) for lineno, body in lines if body]
+    if not lines or lines[0][1] != header:
+        raise error(f"missing {header!r} header")
+    key = count.split()[0]
+    if len(lines) < 2 or not lines[1][1].startswith(key + " "):
+        raise error(f"missing {count!r} line")
+    try:
+        _, token = lines[1][1].split()
+        n = parse_int(token)
+    except ValueError as exc:
+        raise error(f"line {lines[1][0]}: {bad}") from exc
+    if n < 0:
+        raise error(negative)
+    if n > len(lines) - 2:  # each counted item has a body line of its own
+        raise error(f"{key} {n} exceeds the body lines, so one has no {lacking}")
+    return n, [(lineno, body.split()) for lineno, body in lines[2:]]
 
 
 # ---------------------------------------------------------------------------

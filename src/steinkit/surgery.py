@@ -15,7 +15,9 @@ from __future__ import annotations
 from itertools import chain
 from math import prod
 
-from .rational import ZERO, ExtRational, Frozen, first_asymmetry, int_entries, parse_int, parse_rational
+from .rational import (
+    ZERO, ExtRational, Frozen, _read_records, first_asymmetry, int_entries, parse_int, parse_rational,
+)
 
 
 class PresentationError(ValueError):
@@ -243,24 +245,8 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     a coefficient and takes at most one coeff, rot and tb line; lk
     entries are symmetric and default to 0.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
-    if not lines or lines[0][1] != "surgery 1":
-        raise PresentationError("missing 'surgery 1' header")
-    if len(lines) < 2 or not lines[1][1].startswith("components "):
-        raise PresentationError("missing 'components <m>' line")
-    try:
-        _, count = lines[1][1].split()
-        m = parse_int(count)
-    except ValueError as exc:
-        raise PresentationError(f"line {lines[1][0]}: bad components count") from exc
-    if m < 0:
-        raise PresentationError("negative component count")
-    if m > len(lines) - 2:  # each component needs its own coeff line
-        raise PresentationError(f"components {m} exceeds the body lines, so one has no coefficient")
+    m, records = _read_records(text, "surgery 1", "components <m>", PresentationError, "bad components count",
+                               "negative component count", "coefficient")
     if m > MAX_COMPONENTS:  # refused before the m x m matrix below is built
         raise PresentationError(f"components {m} exceeds the limit of {MAX_COMPONENTS}")
 
@@ -274,48 +260,49 @@ def parse_surgery(text: str) -> SurgeryPresentation:
     values = {"coeff": (coeffs, parse_rational, None), "rot": (rot, parse_int, "bad rotation number"),
               "tb": (tb, parse_int, "bad tb")}
 
-    def component(token: str, lineno: int) -> int:
+    def component(token: str) -> int:
         try:
             i = parse_int(token)
         except ValueError as exc:
-            raise PresentationError(f"line {lineno}: bad component index {token!r}") from exc
+            raise PresentationError(f"bad component index {token!r}") from exc
         if not 1 <= i <= m:
-            raise PresentationError(f"line {lineno}: component {i} out of range 1..{m}")
+            raise PresentationError(f"component {i} out of range 1..{m}")
         return i - 1
 
-    for lineno, body in lines[2:]:
-        fields = body.split()
+    for lineno, fields in records:
         key = fields[0]
-        if key in values and len(fields) == 3:
-            i = component(fields[1], lineno)
-            per, reader, refusal = values[key]
-            if per[i] is not None:
-                raise PresentationError(f"line {lineno}: duplicate {key} for component {i + 1}")
-            try:
-                per[i] = reader(fields[2])
-            except ValueError as exc:
-                raise PresentationError(f"line {lineno}: {refusal or exc}") from exc
-        elif key == "lk" and len(fields) == 4:
-            i = component(fields[1], lineno)
-            j = component(fields[2], lineno)
-            if i == j:
-                raise PresentationError(f"line {lineno}: self linking is not a matrix entry")
-            try:
-                v = parse_int(fields[3])
-            except ValueError as exc:
-                raise PresentationError(f"line {lineno}: bad linking number") from exc
-            pair = (min(i, j), max(i, j))
-            if pair in lk and lk[pair] != v:
-                raise PresentationError(f"line {lineno}: conflicting lk for {pair}")
-            lk[pair] = v
-        elif key == "unknot" and len(fields) == 2:
-            unknot[component(fields[1], lineno)] = True
-        elif key == "l0" and len(fields) == 2:
-            i = component(fields[1], lineno)
-            l0[i] = True
-            unknot[i] = True
-        else:
-            raise PresentationError(f"line {lineno}: unknown or malformed key {key!r}")
+        try:
+            if key in values and len(fields) == 3:
+                i = component(fields[1])
+                per, reader, refusal = values[key]
+                if per[i] is not None:
+                    raise PresentationError(f"duplicate {key} for component {i + 1}")
+                try:
+                    per[i] = reader(fields[2])
+                except ValueError as exc:
+                    raise PresentationError(refusal or str(exc)) from exc
+            elif key == "lk" and len(fields) == 4:
+                i, j = component(fields[1]), component(fields[2])
+                if i == j:
+                    raise PresentationError("self linking is not a matrix entry")
+                try:
+                    v = parse_int(fields[3])
+                except ValueError as exc:
+                    raise PresentationError("bad linking number") from exc
+                pair = (min(i, j), max(i, j))
+                if pair in lk and lk[pair] != v:
+                    raise PresentationError(f"conflicting lk for {pair}")
+                lk[pair] = v
+            elif key == "unknot" and len(fields) == 2:
+                unknot[component(fields[1])] = True
+            elif key == "l0" and len(fields) == 2:
+                i = component(fields[1])
+                l0[i] = True
+                unknot[i] = True
+            else:
+                raise PresentationError(f"unknown or malformed key {key!r}")
+        except ValueError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from exc
 
     missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
     if missing:

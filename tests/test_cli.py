@@ -633,6 +633,46 @@ def test_both_formats_share_their_refusals(capsys, tmp_path, fmt, text, message)
     assert run(capsys, verb, str(path)) == (2, "", f"error: {message}\n")
 
 
+# str.splitlines() ends a line at each of these too, but open() does not
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newline_and_carriage_return_end_a_line(capsys, tmp_path, char):
+    # inside a line the character is whitespace, and line numbers count the file's lines
+    assert parse_surgery(f"surgery 1\ncomponents 1\ncoeff 1{char}-2\n").coeffs == (numerics.rat(-2),)
+    assert parse_front(f"front 1\nhandles 0\nevents L1{char}R1\n").events == parse_event_word("L1 R1")
+    cases = [
+        ("stats", f"front 1\nhandles 0\n{char}\nevents L1 Q1\n", "line 4: bad event token 'Q1'"),
+        ("stats", f"front 1\nhandles 0\nevents L1 R1{char}orient 1 +\n", "line 3: bad event token 'orient'"),
+        ("h1", f"surgery 1\ncomponents 1\n{char}\ncoeff 1 x\n", "line 4: bad rational 'x'"),
+        ("plan", f"surgery 1\ncomponents 1\ncoeff 1 -2{char}tb 1 -1\n",
+         "line 3: unknown or malformed key 'coeff'"),
+    ]
+    for verb, text, message in cases:
+        with pytest.raises(ValueError) as refused:
+            (parse_front if verb == "stats" else parse_surgery)(text)
+        assert str(refused.value) == message
+        path = tmp_path / "one.txt"
+        path.write_bytes(text.encode())
+        assert run(capsys, verb, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_an_event_position_past_the_int_digit_limit_is_a_bad_token(capsys, tmp_path):
+    # int() refuses a string of more than 4300 digits by default
+    token = "X" + "1" * 5000
+    with pytest.raises(FrontError) as refused:
+        parse_event_word(f"L1 {token}")
+    assert str(refused.value) == f"bad event token {token!r}"
+    text = f"front 1\nhandles 0\nevents L1 {token}\n"
+    with pytest.raises(FrontError) as refused:
+        parse_front(text)
+    assert str(refused.value) == f"line 3: bad event token {token!r}"
+    path = tmp_path / "long.front"
+    path.write_text(text)
+    assert run(capsys, "stats", str(path)) == (2, "", f"error: line 3: bad event token {token!r}\n")
+
+
 def test_front_round_trip(capsys, trefoil, tmp_path):
     rc, out, _ = run(capsys, "stabilize", "1", "down", trefoil)
     assert rc == 0

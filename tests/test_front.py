@@ -943,9 +943,11 @@ def test_a_chain_of_moves_derives_once(monkeypatch):
         ((), "L1 L3 R3 R1", "L1 R1", 1, 3, -2, "drops a component inside its window"),
         ((), "L1 L1 R1 R1", "L1 L3 R1 R1", 3, 4, 0, "changed a column between kept boundaries"),
         ((), "L1 L1 R1 R1", "L1 L1 R1 R1", 2, 1, 0, "keeps overlapping boundaries"),
+        # L1 for X1 steps 2 strands to 4, which the handle's 2 slots cannot close
+        ((2,), "X1", "L1", 1, 1, 1, "does not close up through the handles"),
     ],
     ids=["merge", "split", "reverse", "seam-count", "column-fit", "new-loop", "lost-loop",
-         "kept-column", "overlap"],
+         "kept-column", "overlap", "close-up"],
 )
 def test_transfer_refuses_a_rewrite_that_breaks_its_contract(
     monkeypatch, slots, word, new_word, lo, hi, shift, message

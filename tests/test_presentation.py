@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from random_fronts import random_front
 from random_presentations import presentations
 from steinkit import numerics, presentation, surgery
-from steinkit.front import STEIN, FrontDiagram, parse_front, surger_handles
-from steinkit.invariants import SteinPresentation
+from steinkit.front import (
+    STEIN, FrontDiagram, apply_move, parse_event_word, parse_front, stabilize, surger_handles,
+)
+from steinkit.invariants import SpinStructure, SteinPresentation, characteristic_sublinks
 from steinkit.numerics import INF, ExtRational, rat
 from steinkit.presentation import (
     AbelianGroup,
@@ -141,6 +143,14 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         "front 1\nhandles 1\nhandle 1 slots 2\nevents X1 X1\norient 2 -\ncoeff 1 stein\ncoeff 2 0\n"
     )
     surgered = surger_handles(front)
+    # Q* is 0 mod 2, so every one of the 4 sublinks is characteristic
+    stein = SteinPresentation(q=[[-2, 0], [0, 0]], runs=[], rot=[0, 1])
+    # fronts on which each move applies: an unknot through a ball, its
+    # birth and its exit from the ball, and three crossings through a ball
+    unknot = FrontDiagram((1,), parse_event_word("L2 X1 R2"), coefficients={1: STEIN})
+    born = apply_move(unknot, 2, at=1, variant="birth-above")
+    exited = apply_move(unknot, 4, at=1, variant="out", handle=1)
+    braid = FrontDiagram((3,), parse_event_word("X1 X2 X1"))
     # a presentation is built either by a validating constructor or, for a
     # value derived from an already validated one, by an unchecked builder:
     # surgery._build, which presentation binds too, or SteinPresentation._build
@@ -149,6 +159,7 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
     original = SurgeryPresentation.__post_init__
     original_build = surgery._build
     stein_check, stein_build = SteinPresentation.__post_init__, SteinPresentation._build
+    spin_check, front_check = SpinStructure.__init__, FrontDiagram.__post_init__
 
     def counting(self):
         built.append(("checked", self))
@@ -166,11 +177,21 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         built.append(("unchecked", self))
         return stein_build(self, *fields)
 
+    def counting_spin_check(self, sublink):
+        built.append(("checked", self))
+        spin_check(self, sublink)
+
+    def counting_front_check(self):
+        built.append(("checked", self))
+        front_check(self)
+
     monkeypatch.setattr(SurgeryPresentation, "__post_init__", counting)
     for module in (surgery, presentation):
         monkeypatch.setattr(module, "_build", counting_build)
     monkeypatch.setattr(SteinPresentation, "__post_init__", counting_stein_check)
     monkeypatch.setattr(SteinPresentation, "_build", counting_stein_build)
+    monkeypatch.setattr(SpinStructure, "__init__", counting_spin_check)
+    monkeypatch.setattr(FrontDiagram, "__post_init__", counting_front_check)
     calls = {
         "rolfsen_twist": lambda: rolfsen_twist(hopf, 1, -2),
         "slam_dunk": lambda: slam_dunk(hopf, 2, 1),
@@ -191,6 +212,27 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
     assert len(built) == 1 and built[0][0] == "checked" and built[0][1] is out
     assert expand_rational(mixed).m == 6
     assert surgered.m == 3 and SteinPresentation.from_presentation(surgered).n1 == 1
+    # the spin structures of a validated presentation are built unchecked
+    built.clear()
+    spins = characteristic_sublinks(stein)
+    assert built == [] and len(spins) == 4
+    assert all(type(s) is SpinStructure for s in spins)
+    # so is every rewrite of a validated front
+    rewrites = {
+        "move 1": lambda: apply_move(front, 1, at=1),
+        "move 2 birth": lambda: apply_move(unknot, 2, at=1, variant="birth-above"),
+        "move 2 death": lambda: apply_move(born, 2, at=1, variant="death-above"),
+        "move 3": lambda: apply_move(braid, 3, at=1),
+        "move 4 out": lambda: apply_move(unknot, 4, at=1, variant="out", handle=1),
+        "move 4 in": lambda: apply_move(exited, 4, at=3, variant="in"),
+        "move 5": lambda: apply_move(front, 5, at=2),
+        "move 6": lambda: apply_move(front, 6, variant="top", handle=1),
+        "stabilize": lambda: stabilize(front, 1, "up"),
+    }
+    for name, call in rewrites.items():
+        built.clear()
+        new = call()
+        assert built == [] and type(new) is FrontDiagram, name
 
 
 def assert_as_validated(out):

@@ -581,10 +581,10 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     a component once per algebraic run through the handle.  A result
     past surgery.MAX_COMPONENTS, which parse_surgery would refuse
     to read back, is refused before its linking matrix is built.  The
-    result is built unchecked by surgery._build: _attach validated the
+    result is built by Frozen._unchecked: _attach validated the
     coefficients, and the trace gives a symmetric int matrix.
     """
-    from .surgery import MAX_COMPONENTS, _build
+    from .surgery import MAX_COMPONENTS, SurgeryPresentation
 
     stats = d.derived.stats
     coeffs = resolve_coefficients(d)
@@ -602,7 +602,7 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
         for h in range(nh):
             lk[idx][n + h] = lk[n + h][idx] = s.runs[h]
     flags = (False,) * n + (True,) * nh
-    return _build(
+    return SurgeryPresentation._unchecked(
         (*(coeffs[s.component] for s in stats), *(rat(0),) * nh), tuple(map(tuple, lk)), flags, flags,
         (*(s.rot for s in stats), *(0,) * nh), (*(s.tb for s in stats), *(None,) * nh),
     )

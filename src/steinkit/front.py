@@ -208,11 +208,8 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     orientations = {perm[cid]: -1 if flip[cid] != turn[cid] else 1 for cid in tr.ids}
     coefficients = {perm[cid]: c for cid, c in old.coefficients.items()}
     first = first[: k + 1] + [*map(start.get, order)]
-    new = object.__new__(FrontDiagram)
-    new.__dict__.update(
-        slots=slots, events=events, orientations=orientations, coefficients=coefficients,
-        trace=_Trace(counts, offset, comp, bytes(fwd), n_ids - 1, first),
-    )
+    new = FrontDiagram._unchecked(slots, events, orientations, coefficients)
+    new.__dict__["trace"] = _Trace(counts, offset, comp, bytes(fwd), n_ids - 1, first)
     if derived:
         new.__dict__["derived"] = _carry(derived, change, flip, runs, perm if renumbered else None, new)
     return new

@@ -27,7 +27,7 @@ from .numerics import (
     smith_normal_form,
     solve_gf2_affine,
 )
-from .rational import _set, int_entries
+from .rational import int_entries
 from .surgery import SurgeryPresentation, cokernel
 
 
@@ -45,11 +45,11 @@ class SteinPresentation(Frozen):
 
     Presentations are frozen: q and runs are stored as tuples of rows
     and rot as a tuple, each read by int_entries (the rows of q, then
-    those of runs, then rot).  Construction validates the data once
-    (from_presentation builds unchecked) and _build builds Q* once, as
-    _qs (not a field); the Smith form of Q*, its characteristic
-    solutions mod 2 and its congruence bordered by the Chern cocycle are
-    each taken at most once, on first use.
+    those of runs, then rot).  Construction validates the data once;
+    from_presentation builds by Frozen._unchecked.  Q* (_qs, not a
+    field), its Smith form, its characteristic solutions mod 2 and its
+    congruence bordered by the Chern cocycle are each built at most
+    once, on first use.
     """
 
     def __init__(self, q: tuple[tuple[int, ...], ...], runs: tuple[tuple[int, ...], ...],
@@ -78,16 +78,8 @@ class SteinPresentation(Frozen):
                 raise InvariantError(f"run row {h + 1} has length {len(row)}, want {m}")
         if len(rot) != m:
             raise InvariantError(f"got {len(rot)} rotation numbers for {m} circles")
-        self._build(q, runs, rot)
-
-    def _build(self, q, runs, rot) -> "SteinPresentation":
-        """Store tuple fields that pass every check of __post_init__, unchecked,
-        and build Q*: the end of __post_init__ and the builder of from_presentation."""
         d = self.__dict__
         d["q"], d["runs"], d["rot"] = q, runs, rot
-        top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(q))
-        d["_qs"] = top + tuple(run + (0,) * len(runs) for run in runs)
-        return self
 
     @property
     def m(self) -> int:
@@ -96,6 +88,13 @@ class SteinPresentation(Frozen):
     @property
     def n1(self) -> int:
         return len(self.runs)
+
+    @cached_property
+    def _qs(self) -> tuple[tuple[int, ...], ...]:
+        """Q*, as tuple rows, built on first use and kept."""
+        runs = self.runs
+        top = tuple(row + tuple(run[i] for run in runs) for i, row in enumerate(self.q))
+        return top + tuple(run + (0,) * len(runs) for run in runs)
 
     def q_star(self) -> list[list[int]]:
         """The full linking matrix over circles and surgered 1-handles."""
@@ -155,7 +154,7 @@ class SteinPresentation(Frozen):
             if p.rot[i] is None:
                 raise InvariantError(f"component {i + 1} has no rotation number")
         q = tuple(row[:i] + (c.num,) + row[i + 1 : m] for i, (c, row) in enumerate(zip(p.coeffs, p.lk[:m])))
-        return object.__new__(cls)._build(q, tuple(row[:m] for row in p.lk[m:]), p.rot[:m])
+        return cls._unchecked(q, tuple(row[:m] for row in p.lk[m:]), p.rot[:m])
 
 
 class SpinStructure(Frozen):
@@ -215,11 +214,8 @@ def characteristic_sublinks(x: SteinPresentation) -> list[SpinStructure]:
     never empty; it has 2^k entries where k is the mod-2 nullity of the
     full linking matrix.
     """
-    spins = []
-    for v in sorted(x._characteristic_solutions.enumerate()):
-        spins.append(s := object.__new__(SpinStructure))
-        _set(s, "sublink", v)  # a tuple of 0/1 ints by construction, stored unchecked
-    return spins
+    # each v is a tuple of 0/1 ints by construction
+    return [SpinStructure._unchecked(v) for v in sorted(x._characteristic_solutions.enumerate())]
 
 
 def characteristic_sublink_count(x: SteinPresentation) -> int:

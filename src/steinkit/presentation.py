@@ -18,7 +18,7 @@ from .rational import (
     parse_rational, rat,
 )
 from .surgery import (  # the presentation and its reads, re-exported
-    MAX_COMPONENTS, AbelianGroup, PresentationError, SurgeryPresentation, _build, _check_index,
+    MAX_COMPONENTS, AbelianGroup, PresentationError, SurgeryPresentation, _check_index,
     cokernel, h1, linking_form, parse_surgery, serialize_surgery,
 )
 
@@ -44,13 +44,13 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
     surgery.MAX_COMPONENTS components, and more than p has, is refused before
     its linking matrix is built.
 
-    _build skips the checks, as each holds by construction: coefficients
-    are p's, or ExtRationals from rat, arithmetic or slam_dunk_inverse's
-    check; lk is p's symmetric, zero-diagonal int block on the kept
-    indices, padded to n x n with 0 and a symmetric 1 for each link
-    between distinct components; l0 marks only components p marked (so
-    unknots) whose coefficient is still 0; rot and tb are None, p's
-    ints, or ints the callers compute from ints.
+    Frozen._unchecked builds it, as each check holds by construction:
+    coefficients are p's, or ExtRationals from rat, arithmetic or
+    slam_dunk_inverse's check; lk is p's symmetric, zero-diagonal int
+    block on the kept indices, padded to n x n with 0 and a symmetric 1
+    for each link between distinct components; l0 marks only components
+    p marked (so unknots) whose coefficient is still 0; rot and tb are
+    None, p's ints, or ints the callers compute from ints.
     """
     keep = [i for i, chain in enumerate(chains) if chain is not None]
     n = sum(len(chains[i]) for i in keep)
@@ -75,7 +75,7 @@ def _rechain(p: SurgeryPresentation, chains) -> SurgeryPresentation:
     coeffs, rot, tb = zip(*entries) if entries else ((), (), ())
     unknot = (*(p.unknot[i] for i in keep), *(True,) * extra)
     l0 = (*(p.l0[i] and c == ZERO for i, c in zip(keep, coeffs)), *(False,) * extra)
-    return _build(coeffs, tuple(map(tuple, lk)), unknot, l0, rot, tb)
+    return SurgeryPresentation._unchecked(coeffs, tuple(map(tuple, lk)), unknot, l0, rot, tb)
 
 
 def expand_rational(p: SurgeryPresentation) -> SurgeryPresentation:
@@ -126,7 +126,8 @@ def rolfsen_twist(p: SurgeryPresentation, i: int, m: int) -> SurgeryPresentation
     coeffs[idx] = twisted
     unknot = tuple(j == idx and u for j, u in enumerate(p.unknot))
     l0 = tuple(j == idx and f and twisted == ZERO for j, f in enumerate(p.l0))
-    return _build(tuple(coeffs), tuple(map(tuple, lk)), unknot, l0, (None,) * p.m, (None,) * p.m)
+    return SurgeryPresentation._unchecked(
+        tuple(coeffs), tuple(map(tuple, lk)), unknot, l0, (None,) * p.m, (None,) * p.m)
 
 
 def _twist(p: SurgeryPresentation, idx: int, m: int):
@@ -212,7 +213,7 @@ def blow_down(p: SurgeryPresentation, i: int) -> SurgeryPresentation:
     row = p.lk[idx]
     keep = [j for j in range(p.m) if j != idx]
     coeffs, lk = _twist(p, idx, -eps)  # a blow-down is a -eps twist that drops component idx
-    return _build(
+    return SurgeryPresentation._unchecked(
         tuple(coeffs[j] for j in keep),
         tuple((*lk[j][:idx], *lk[j][idx + 1:]) for j in keep),
         tuple(p.unknot[j] and not row[j] for j in keep),

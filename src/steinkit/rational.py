@@ -36,6 +36,8 @@ class Frozen:
     one.  Equality (same class only), hash and repr read the fields in
     order, less the names in _uncompared for equality and hash.  Setting
     or deleting an attribute raises dataclasses.FrozenInstanceError.
+    A value derived from validated ones is built by _unchecked, which
+    stores its fields and runs neither __init__ nor __post_init__.
     """
 
     _uncompared: tuple[str, ...] = ()
@@ -45,6 +47,14 @@ class Frozen:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._compared = tuple(n for n in cls._fields if n not in cls._uncompared)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance whose fields, in order, are values, stored unchecked:
+        the caller vouches for every invariant that __post_init__ checks."""
+        new = object.__new__(cls)
+        new.__dict__.update(zip(cls._fields, values, strict=True))
+        return new
 
     def _key(self) -> tuple:
         return tuple([getattr(self, n) for n in self._compared])

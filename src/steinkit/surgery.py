@@ -36,8 +36,9 @@ class SurgeryPresentation(Frozen):
     tuple of rows), empty flag fields are filled with their defaults, the
     rows of lk are read by int_entries once the matrix is known symmetric,
     a bool (or other int subclass) rot or tb is stored as the plain int it
-    equals, and the data is validated once, on construction; _build builds
-    delete, the rewrites and surger_handles unchecked, from validated values.
+    equals, and the data is validated once, on construction; delete, the
+    rewrites and surger_handles build from validated values by
+    Frozen._unchecked.
     """
 
     def __init__(self, coeffs: tuple[ExtRational, ...], lk: tuple[tuple[int, ...], ...],
@@ -100,7 +101,8 @@ class SurgeryPresentation(Frozen):
         i = _check_index(self, index, 0)
         fields = self.coeffs, self.lk, self.unknot, self.l0, self.rot, self.tb
         coeffs, lk, unknot, l0, rot, tb = (t[:i] + t[i + 1:] for t in fields)
-        return _build(coeffs, tuple(row[:i] + row[i + 1:] for row in lk), unknot, l0, rot, tb)
+        lk = tuple(row[:i] + row[i + 1:] for row in lk)
+        return SurgeryPresentation._unchecked(coeffs, lk, unknot, l0, rot, tb)
 
     def relation_matrix(self) -> list[list[int]]:
         """The m x m relation matrix of first homology of the surgered manifold.
@@ -130,14 +132,6 @@ def _check_index(p: SurgeryPresentation, i: int, base: int = 1) -> int:
     if not base <= i < p.m + base:
         raise PresentationError(f"component index {i} out of range {base}..{p.m + base - 1}")
     return i - base
-
-
-def _build(coeffs, lk, unknot, l0, rot, tb) -> SurgeryPresentation:
-    """A presentation of tuple fields that hold every invariant __post_init__
-    checks, stored unchecked: the builder of values derived from valid ones."""
-    p = object.__new__(SurgeryPresentation)
-    p.__dict__.update(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from steinkit.front import (
     STEIN, FrontDiagram, apply_move, parse_event_word, parse_front, stabilize, surger_handles,
 )
 from steinkit.invariants import SpinStructure, SteinPresentation, characteristic_sublinks
-from steinkit.numerics import INF, ExtRational, rat
+from steinkit.numerics import INF, ExtRational, Frozen, rat
 from steinkit.presentation import (
     AbelianGroup,
     PresentationError,
@@ -151,31 +151,26 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
     born = apply_move(unknot, 2, at=1, variant="birth-above")
     exited = apply_move(unknot, 4, at=1, variant="out", handle=1)
     braid = FrontDiagram((3,), parse_event_word("X1 X2 X1"))
-    # a presentation is built either by a validating constructor or, for a
-    # value derived from an already validated one, by an unchecked builder:
-    # surgery._build, which presentation binds too, or SteinPresentation._build
-    assert presentation._build is surgery._build
+    # a value is built either by a validating constructor or, when it is
+    # derived from an already validated one, by the one unchecked builder
+    # Frozen._unchecked, which every value class inherits
     built = []
     original = SurgeryPresentation.__post_init__
-    original_build = surgery._build
-    stein_check, stein_build = SteinPresentation.__post_init__, SteinPresentation._build
+    original_unchecked = Frozen._unchecked.__func__
+    stein_check = SteinPresentation.__post_init__
     spin_check, front_check = SpinStructure.__init__, FrontDiagram.__post_init__
 
     def counting(self):
         built.append(("checked", self))
         original(self)
 
-    def counting_build(*fields):
-        built.append(("unchecked", original_build(*fields)))
+    def counting_unchecked(cls, *fields):
+        built.append(("unchecked", original_unchecked(cls, *fields)))
         return built[-1][1]
 
     def counting_stein_check(self):
         built.append(("checked", self))
         stein_check(self)
-
-    def counting_stein_build(self, *fields):
-        built.append(("unchecked", self))
-        return stein_build(self, *fields)
 
     def counting_spin_check(self, sublink):
         built.append(("checked", self))
@@ -186,10 +181,8 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
         front_check(self)
 
     monkeypatch.setattr(SurgeryPresentation, "__post_init__", counting)
-    for module in (surgery, presentation):
-        monkeypatch.setattr(module, "_build", counting_build)
+    monkeypatch.setattr(Frozen, "_unchecked", classmethod(counting_unchecked))
     monkeypatch.setattr(SteinPresentation, "__post_init__", counting_stein_check)
-    monkeypatch.setattr(SteinPresentation, "_build", counting_stein_build)
     monkeypatch.setattr(SpinStructure, "__init__", counting_spin_check)
     monkeypatch.setattr(FrontDiagram, "__post_init__", counting_front_check)
     calls = {
@@ -215,8 +208,9 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
     # the spin structures of a validated presentation are built unchecked
     built.clear()
     spins = characteristic_sublinks(stein)
-    assert built == [] and len(spins) == 4
-    assert all(type(s) is SpinStructure for s in spins)
+    assert len(spins) == len(built) == 4
+    for (kind, value), s in zip(built, spins):
+        assert kind == "unchecked" and value is s and type(s) is SpinStructure
     # so is every rewrite of a validated front
     rewrites = {
         "move 1": lambda: apply_move(front, 1, at=1),
@@ -232,7 +226,8 @@ def test_each_rewrite_builds_one_presentation(monkeypatch):
     for name, call in rewrites.items():
         built.clear()
         new = call()
-        assert built == [] and type(new) is FrontDiagram, name
+        assert len(built) == 1 and built[0][0] == "unchecked" and built[0][1] is new, name
+        assert type(new) is FrontDiagram, name
 
 
 def assert_as_validated(out):

@@ -80,7 +80,7 @@ CASES = {
     ),
     front.SteinFormReport: (["ok", "problems"], [(True, ()), (False, ("x",))]),
     invariants.SteinPresentation: (
-        ["q", "runs", "rot", ("_qs", HIDDEN)],
+        ["q", "runs", "rot"],
         [(((-1,),), (), (0,)), ([[-2, 1], [1, -2]], [], [1, 1]), ([[2]], [[1]], [True])],
     ),
     invariants.SpinStructure: (["sublink"], [((0, 1),), ((),), ((1, 1, 0),)]),
@@ -183,6 +183,25 @@ def test_values_behave_as_their_twins(cls):
     for i, (a, ta) in enumerate(zip(made, reference)):
         for b, tb in zip(made[i:], reference[i:]):
             assert (a == b, a != b) == (ta == tb, ta != tb)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_unchecked_builds_the_validated_value_without_checking(monkeypatch, cls):
+    samples = [cls(*args) for args in CASES[cls][1]]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} was checked")
+
+    monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(cls, "__post_init__", refuse, raising=False)
+    for sample in samples:
+        values = [getattr(sample, n) for n in cls._fields]
+        value = cls._unchecked(*values)
+        assert type(value) is cls
+        assert value == sample and repr(value) == repr(sample) and hash(value) == hash(sample)
+        for wrong in (values[:-1], [*values, None]):
+            with pytest.raises(ValueError, match="zip"):
+                cls._unchecked(*wrong)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=IDS)

@@ -1169,11 +1169,19 @@ def test_brieskorn_orientation_sign():
 
 
 def test_brieskorn_canonical_denominators():
-    sd = brieskorn(3, 5, 7, 1)
-    assert orientation_constant(sd) == 1
-    for r, p in zip(sd.coefficients[:2], (3, 5)):
-        q = r.den if r.num > 0 else -r.den
-        assert -p < q < 0
+    calls = 0
+    for ps in product(range(2, 20), repeat=3):
+        if any(gcd(ps[u], ps[v]) != 1 for u, v in ((0, 1), (0, 2), (1, 2))):
+            continue
+        for orientation in (1, -1):
+            sd = brieskorn(*ps, orientation)
+            calls += 1
+            assert [abs(r.num) for r in sd.coefficients] == list(ps)
+            assert orientation_constant(sd) == orientation
+            for r, p in zip(sd.coefficients[:2], ps):
+                q = r.den if r.num > 0 else -r.den
+                assert -p < q < 0
+    assert calls == 3324
 
 
 def test_brieskorn_rejects_bad_input():

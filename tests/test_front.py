@@ -958,6 +958,37 @@ def test_transfer_refuses_a_rewrite_that_breaks_its_contract(
         apply_move(front(slots, word), 1, at=1)
 
 
+def _join_twice():
+    up, par = [0, 1], bytearray(2)
+    diagram_module._join(up, par, 0, 2, 0)
+    diagram_module._join(up, par, 0, 2, 1)
+
+
+def _odd_crossing_sum():
+    h = FrontDiagram((), parse_event_word("L1 L3 X2 X2 R1 R1"))
+    h.derived.cross[(1, 2)] = 1
+    linking_number(h, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "guard, message",
+    [
+        (lambda: diagram_module._refuse(0, parse_event_word("L1 R1")),
+         "a word within the node limit was refused"),
+        (_join_twice, "labels 0 and 1 join with both parities"),
+        (lambda: diagram_module._Derived([[0, 0], [0, 1], [0, 0], [0, 0]], {}, {},
+                                         FrontDiagram((), parse_event_word("L1 R1"))),
+         "component 1 has unbalanced cusps"),
+        (_odd_crossing_sum, "odd crossing sum between components 1 and 2"),
+    ],
+    ids=["refuse", "join", "cusps", "crossings"],
+)
+def test_derived_data_guards_raise_internal_errors(guard, message):
+    # each guard checks an invariant that traced words keep, so it is called directly
+    with pytest.raises(InternalError, match=message):
+        guard()
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [

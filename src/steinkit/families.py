@@ -124,21 +124,6 @@ class NFunctionResult(Frozen):
         return self.value is not None and _below(r, self.value)
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _hinge(r1p: ExtRational) -> tuple[int, int]:
     # s = sn/sd in (-inf, -1] with 1/s = -1 - 1/r1p, for r1p in [-inf, -1);
     # sd = -n - d > 0 and gcd(n, -n - d) = gcd(n, d) = 1 for r1p = n/d
@@ -163,7 +148,9 @@ def _farey_rows(sn: int, sd: int, pn: int, pd: int):
     """The maps (a, b, c, d) n_function tries, some twice: (a, b) =
     +-(W_k.num, -W_k.den) with a > 0, and (c, d) = +-(W_(k-1).num,
     -W_(k-1).den) for the previous vertex W_k - r, with ad - bc = 1."""
-    _, x, y = _ext_gcd(sn, sd)
+    # x*sn + y*sd = 1; another Bezout pair shifts t and floor(t) alike, so the walk is the same
+    x = pow(sn, -1, sd)
+    y = (1 - x * sn) // sd
     fl = (x * pn + y * pd) // (sn * pd - sd * pn)  # floor(t), t = g(r2p)
     ln, ld = sn * fl - y, sd * fl + x  # g^-1 of floor(t)
     rn, rd = ln + sn, ld + sd  # g^-1 of floor(t) + 1
@@ -423,10 +410,8 @@ def brieskorn(p1: int, p2: int, p3: int, orientation: int = 1) -> SeifertData:
                 raise FamilyError(
                     f"multiplicities must be pairwise coprime, got {ps[u]} and {ps[v]}"
                 )
-    g, x, _ = _ext_gcd(p2 * p3 % p1, p1)
-    q1 = orientation * x % p1 - p1
-    g, x, _ = _ext_gcd(p1 * p3 % p2, p2)
-    q2 = orientation * x % p2 - p2
+    q1 = orientation * pow(p2 * p3, -1, p1) % p1 - p1
+    q2 = orientation * pow(p1 * p3, -1, p2) % p2 - p2
     q3, rem = divmod(orientation - q1 * p2 * p3 - p1 * q2 * p3, p1 * p2)
     if rem:
         raise InternalError(f"internal: no integer q3 solves the orientation equation for {ps}")

@@ -29,7 +29,6 @@ from steinkit.families import (
     _check_search_bound,
     _check_slope,
     _check_witness,
-    _ext_gcd,
     _farey_rows,
     _hinge,
     borromean_membership,
@@ -55,6 +54,14 @@ from steinkit.numerics import (
 from steinkit.presentation import AbelianGroup, SurgeryPresentation, cokernel, h1
 
 MINUS_ONE = rat(-1)
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by Euclid's recursion."""
+    if b == 0:
+        return abs(a), (a > 0) - (a < 0), 0
+    g, x, y = _bezout(b, a % b)
+    return g, y, x - a // b * y
 
 
 def sphere(*coeffs):
@@ -456,7 +463,7 @@ def _reference_n_function(r1p, r2p, search_bound=100):
         for b in b_range:
             if gcd(a, b) != 1:
                 continue
-            g, x, y = _ext_gcd(a, b)
+            g, x, y = _bezout(a, b)
             # a*d0 - b*c0 = 1
             d0, c0 = x, -y
             base = MobiusMap(a, b, c0, d0)
@@ -540,7 +547,7 @@ def _box_n_function(r1p, r2p, search_bound=100):
             vd, w2d = a * sd + b * sn, a * pd + b * pn
             if abs(vd) + abs(w2d) > delta or gcd(a, b) != 1 or vd == 0:
                 continue
-            _, x, y = _ext_gcd(a, b)
+            _, x, y = _bezout(a, b)
             vn = -y * sd + x * sn
             if vd < 0:
                 vn, vd = -vn, -vd
@@ -691,7 +698,7 @@ def _stern_brocot_steps(r1p, r2p):
     """Mediants the Stern-Brocot descent visits on its way from
     [floor(t), floor(t) + 1] to t = g(r2p), and t's partial quotients."""
     s = rat(*_hinge(r1p))
-    _, x, y = _ext_gcd(s.num, s.den)
+    _, x, y = _bezout(s.num, s.den)
     t = mobius_apply(MobiusMap(s.num, -s.den, y, x), r2p)  # r -> (y + x r) / (sn - sd r) = g(r)
     quotients = []
     frac = floor_frac(t)[1]
@@ -702,21 +709,21 @@ def _stern_brocot_steps(r1p, r2p):
 
 
 def test_pair_function_rows_follow_the_farey_path(monkeypatch):
-    # n_function tries each row the walk yields, and finds g by one _ext_gcd
+    # n_function tries each row the walk yields, and finds g by one modular inverse
     calls = Counter()
-    real_rows, real_gcd = families._farey_rows, families._ext_gcd
+    real_rows = families._farey_rows
 
     def counting_rows(*args):
         for row in real_rows(*args):
             calls["rows"] += 1
             yield row
 
-    def counting_gcd(a, b):
-        calls["gcd"] += 1
-        return real_gcd(a, b)
+    def counting_pow(*args):
+        calls["pow"] += 1
+        return pow(*args)
 
     monkeypatch.setattr(families, "_farey_rows", counting_rows)
-    monkeypatch.setattr(families, "_ext_gcd", counting_gcd)
+    monkeypatch.setattr(families, "pow", counting_pow, raising=False)
     rp = seifert_normalize(brieskorn(2, 3, 5, -1)).rprime
     pairs = [(rp[i], rp[j]) for i, j in permutations(range(3), 2)]
     pairs += [(rat(-2001, 2000), rat(-3001, 2000)), (rat(-2), rat(-10**9)),
@@ -726,7 +733,7 @@ def test_pair_function_rows_follow_the_farey_path(monkeypatch):
         for bound in (50, 10**6, 10**30):
             calls.clear()
             n_function(r1p, r2p, bound)
-            assert calls["gcd"] == 1
+            assert calls["pow"] == 1
             assert 0 < calls["rows"] <= 2 * (steps + 2)
             assert calls["rows"] <= 4 * (quotients + 1)
     for i, j in permutations(range(3), 2):
@@ -740,7 +747,7 @@ def _reference_row(a, b, sn, sd, pn, pd):
     # A = [a b; c d] sends s to (c sd + d sn) / vd and r2p to w2n / w2d;
     # ad - bc = 1 fixes (c, d) up to a multiple of (a, b)
     vd, w2d = a * sd + b * sn, a * pd + b * pn
-    _, x, y = _ext_gcd(a, b)
+    _, x, y = _bezout(a, b)
     vn = -y * sd + x * sn
     if vd < 0:
         vn, vd = -vn, -vd
@@ -900,7 +907,7 @@ def witness_cases(draw):
     a, b = draw(st.integers(0, 20)), draw(st.integers(-20, 20))
     g = gcd(a, b)
     a, b = (a // g, b // g) if g else (0, 1)
-    _, x, y = _ext_gcd(a, b)
+    _, x, y = _bezout(a, b)
     # ad - bc = ax + by = 1 for every shift k; at least two of these
     # seven keep c and d within 20
     base = y // a if a else 0
@@ -964,7 +971,7 @@ def test_certificate_checks_survive_optimize_flag():
 
 def test_brieskorn_checks_its_solution(monkeypatch):
     # a wrong inverse leaves no integer q3: internal error, not a silent answer
-    monkeypatch.setattr(families, "_ext_gcd", lambda a, b: (1, 0, 0))
+    monkeypatch.setattr(families, "pow", lambda *args: 0, raising=False)
     with pytest.raises(InternalError, match="internal"):
         brieskorn(2, 3, 5, -1)
 

@@ -983,7 +983,7 @@ def _odd_crossing_sum():
     ],
     ids=["refuse", "join", "cusps", "crossings"],
 )
-def test_derived_data_guards_raise_internal_errors(guard, message):
+def test_diagram_guards_raise_internal_errors(guard, message):
     # each guard checks an invariant that traced words keep, so it is called directly
     with pytest.raises(InternalError, match=message):
         guard()

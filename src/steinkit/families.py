@@ -19,9 +19,17 @@ class FamilyError(ValueError):
     pass
 
 
-def _below(r: ExtRational, v: int) -> bool:
-    """r < v on the slope line, where infinity sits below every rational."""
-    return r.den == 0 or r.num < v * r.den
+def _below(num: int, den: int, v: int) -> bool:
+    """num/den < v on the slope line, where infinity (den 0) sits below every rational."""
+    return den == 0 or num < v * den
+
+
+def _all_below(pairs, v: int, skip=()) -> bool:
+    """Every (num, den) in pairs, but those at the indices in skip, lies below v."""
+    for t, (n, d) in enumerate(pairs):
+        if t not in skip and not _below(n, d, v):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -77,30 +85,42 @@ class SeifertNormal(Frozen):
         d["e"], d["e0"], d["rprime"], d["k0"] = e, e0, rprime, k0
 
 
+def _normal_pairs(coefficients) -> tuple[int, list[tuple[int, int]]]:
+    """e0 and the r'_i as canonical (num, den) int pairs, inf as (1, 0)."""
+    e0, rprime = 0, []
+    for r in coefficients:
+        # v = -1/r = vn/vd in lowest terms with vd > 0; -1/inf is 0
+        vn, vd = (-r.den, r.num) if r.num > 0 else (r.den, -r.num)
+        fl = vn // vd
+        e0 += fl
+        # the fraction (vn - fl vd)/vd is zero exactly when vd is 1
+        rprime.append((1, 0) if vd == 1 else (-vd, vn - fl * vd))
+    return e0, rprime
+
+
 def seifert_normalize(s: SeifertData) -> SeifertNormal:
     """Euler number, its integer part sum, and normalized coefficients.
 
     Each -1/r_i splits into an integer and a fraction in [0,1); the
     fractional parts are repackaged as coefficients r'_i in [-inf,-1),
     with -inf standing for fraction zero.  k0 counts the coefficients
-    whose reciprocal is not an integer.  The sums run on ints; only e
-    and the finite r'_i are built as ExtRationals.
+    whose reciprocal is not an integer.  The split is the int pass
+    _normal_pairs that decide_seifert reads too; e = e0 plus the
+    fractions -1/r'_i is summed on ints, and only e and the finite r'_i
+    are built as ExtRationals.
     """
-    en, ed, e0 = 0, 1, 0
-    rprime = []
-    for r in s.coefficients:
-        # v = -1/r = vn/vd in lowest terms with vd > 0; -1/inf is 0
-        vn, vd = (-r.den, r.num) if r.num > 0 else (r.den, -r.num)
-        fl = vn // vd
-        en, ed = en * vd + vn * ed, ed * vd
-        g = gcd(en, ed)
-        en, ed, e0 = en // g, ed // g, e0 + fl
-        # the fraction (vn - fl vd)/vd is zero exactly when vd is 1
-        rprime.append(INF if vd == 1 else ExtRational(-vd, vn - fl * vd))
+    e0, pairs = _normal_pairs(s.coefficients)
+    en, ed = e0, 1
+    for n, d in pairs:
+        if d:  # -1/r'_i = d/-n
+            en, ed = en * -n + d * ed, ed * -n
+            g = gcd(en, ed)
+            en, ed = en // g, ed // g
     if not s.orientable:
         en -= 2 * s.genus * ed
-    k0 = sum(not r.is_infinite for r in rprime)
-    return SeifertNormal(e=ExtRational(en, ed), e0=e0, rprime=tuple(rprime), k0=k0)
+    rprime = tuple(ExtRational(n, d) if d else INF for n, d in pairs)
+    k0 = sum(d != 0 for _, d in pairs)
+    return SeifertNormal(e=ExtRational(en, ed), e0=e0, rprime=rprime, k0=k0)
 
 
 class NFunctionResult(Frozen):
@@ -121,19 +141,19 @@ class NFunctionResult(Frozen):
         """Does the certified bound lie strictly above the slope r?"""
         if self.kind == "sentinel" or self.infinite:
             return True
-        return self.value is not None and _below(r, self.value)
+        return self.value is not None and _below(r.num, r.den, self.value)
 
 
-def _hinge(r1p: ExtRational) -> tuple[int, int]:
-    # s = sn/sd in (-inf, -1] with 1/s = -1 - 1/r1p, for r1p in [-inf, -1);
-    # sd = -n - d > 0 and gcd(n, -n - d) = gcd(n, d) = 1 for r1p = n/d
-    if r1p.is_infinite:
+def _hinge(n: int, d: int) -> tuple[int, int]:
+    # s = sn/sd in (-inf, -1] with 1/s = -1 - 1/r1p, for r1p = n/d in [-inf, -1);
+    # sd = -n - d > 0 and gcd(n, -n - d) = gcd(n, d) = 1
+    if d == 0:
         return -1, 1
-    return r1p.num, -r1p.num - r1p.den
+    return n, -n - d
 
 
 def _check_slope(r: ExtRational, name: str):
-    if not _below(r, -1):
+    if not _below(r.num, r.den, -1):
         raise FamilyError(f"{name} must lie in [-inf, -1), got {r}")
 
 
@@ -184,9 +204,12 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     The result is the best of them: among equal values the witness has
     the lexicographically first row (a, b) (a >= 0, and b = 1 when
     a = 0), and the first infinite bound in that order wins.  The
-    sentinel fires when s equals r2p.  Only the witness becomes a
-    MobiusMap, and no ExtRational is built: _check_witness re-derives
-    its bound exactly on ints, from the witness and the inputs alone.
+    sentinel fires when s equals r2p.  This wrapper checks the slopes
+    and the bound and takes the hinge; the search itself, _n_core, runs
+    on (num, den) int pairs, and decide_seifert calls it directly.  Only
+    the witness becomes a MobiusMap, and no ExtRational is built:
+    _check_witness re-derives its bound exactly on ints, from the
+    witness and the inputs alone.
 
     The passing maps lie on the Farey path from s to r2p.  A acts on the
     slope circle keeping its orientation and the Farey graph, so for a
@@ -238,8 +261,12 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
     _check_search_bound(search_bound)
-    sn, sd = _hinge(r1p)  # s is finite
-    pn, pd = r2p.num, r2p.den  # infinity is 1/0
+    return _n_core(*_hinge(r1p.num, r1p.den), r2p.num, r2p.den, search_bound)
+
+
+def _n_core(sn: int, sd: int, pn: int, pd: int, search_bound: int) -> NFunctionResult:
+    """n_function on checked ints: the hinge sn/sd (finite, sd >= 1) and
+    r2p = pn/pd (infinity is 1/0), both in lowest terms."""
     if (sn, sd) == (pn, pd):
         return NFunctionResult(kind="sentinel")
 
@@ -265,20 +292,20 @@ def n_function(r1p: ExtRational, r2p: ExtRational, search_bound: int = 100) -> N
         return NFunctionResult(kind="bound")
     infinite = best[0] == 0
     out = NFunctionResult("bound", None if infinite else -best[1], infinite, MobiusMap(*best[2:]))
-    _check_witness(out, sn, sd, r2p)
+    _check_witness(out, sn, sd, pn, pd)
     return out
 
 
-def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
+def _check_witness(res: NFunctionResult, sn: int, sd: int, pn: int, pd: int):
     """Re-derive the reported bound from the witness alone.
 
-    It reads the witness A = [a b; c d], the hinge s = sn/sd (in lowest
-    terms), r2p and the reported value, never the search's rows or
-    shifts.  A s and A r2p are taken as int pairs with a nonnegative
-    denominator, the range tests are cross-multiplied, a0 = c/a is read
-    by sign (a >= 0 for a MobiusMap) and floors are taken with //.  It
-    raises an internal error on any disagreement; the checks are
-    explicit so that python -O keeps them.
+    It reads the witness A = [a b; c d], the hinge s = sn/sd and r2p =
+    pn/pd (both in lowest terms) and the reported value, never the
+    search's rows or shifts.  A s and A r2p are taken as int pairs with
+    a nonnegative denominator, the range tests are cross-multiplied,
+    a0 = c/a is read by sign (a >= 0 for a MobiusMap) and floors are
+    taken with //.  It raises an internal error on any disagreement;
+    the checks are explicit so that python -O keeps them.
     """
     w = res.witness
     a, b, c, d = w.a, w.b, w.c, w.d
@@ -290,13 +317,13 @@ def _check_witness(res: NFunctionResult, sn: int, sd: int, r2p: ExtRational):
             f"internal: witness {w} sends the hinge {ExtRational(sn, sd)} to "
             f"{ExtRational(vn, vd)}, outside (-1, 0]"
         )
-    pn, pd = r2p.num, r2p.den
     w2n, w2d = c * pd + d * pn, a * pd + b * pn  # A r2p
     if w2d < 0:
         w2n, w2d = -w2n, -w2d
     if w2d != 0 and not w2n < -w2d:
         raise InternalError(
-            f"internal: witness {w} sends {r2p} to {ExtRational(w2n, w2d)}, outside [-inf, -1)"
+            f"internal: witness {w} sends {ExtRational(pn, pd)} to {ExtRational(w2n, w2d)}, "
+            "outside [-inf, -1)"
         )
     # t: 0 for a0 in [0, inf], 1/(A s) for a0 in [-1, 0), else A r2p
     if a == 0 or c >= 0:
@@ -326,67 +353,50 @@ class SeifertDecision(Frozen):
             verdict, reason, detail, pair, n_result)
 
 
-def _closed_form_level(r1p: ExtRational) -> int:
-    # largest integer below the hinge of r1p
-    sn, sd = _hinge(r1p)
-    return -(-sn // sd) - 1
-
-
 def decide_seifert(s: SeifertData, search_bound: int = 100) -> SeifertDecision:
     """One-directional realizability test for a Seifert fibered space.
 
     YES means the space bounds the required structure; UNKNOWN means no
     sufficient condition applied within the search bound, which must be
-    at least 1 whichever rule decides.
+    at least 1 whichever rule decides.  It runs on (num, den) int pairs
+    and builds no ExtRational: e0 and the r'_i come from the int pass
+    that seifert_normalize wraps, the closed-form rules cross-multiply,
+    and each ordered pair is one call of the int search core, whose
+    witness _check_witness re-checks before its value is read.
     """
     if not isinstance(s, SeifertData):
         raise FamilyError(f"decide_seifert needs a SeifertData, got {type(s).__name__}")
     _check_search_bound(search_bound)
-    norm = seifert_normalize(s)
     if not s.sphere_base:
         return SeifertDecision(verdict="YES", reason="a", detail="base is not a sphere")
-    if norm.e0 != -1:
-        return SeifertDecision(verdict="YES", reason="b", detail=f"e0 = {norm.e0} differs from -1")
-    rp = norm.rprime
+    e0, rp = _normal_pairs(s.coefficients)
+    if e0 != -1:
+        return SeifertDecision(verdict="YES", reason="b", detail=f"e0 = {e0} differs from -1")
     k = len(rp)
     if k <= 2:
-        return SeifertDecision(
-            verdict="YES", reason="c", detail=f"only {k} normalized coefficients"
-        )
-    if all(_below(r, -2) for r in rp):
-        return SeifertDecision(
-            verdict="YES", reason="c", detail="all normalized coefficients below -2"
-        )
-    for i in range(k):
-        level = _closed_form_level(rp[i])
-        if all(_below(rp[j], level) for j in range(k) if j != i):
-            return SeifertDecision(
-                verdict="YES",
-                reason="c",
-                detail=f"coefficient {i + 1} gives integer level {level}",
-            )
-    for i in range(k):
-        for j in range(k):
+        return SeifertDecision(verdict="YES", reason="c", detail=f"only {k} normalized coefficients")
+    if _all_below(rp, -2):
+        return SeifertDecision(verdict="YES", reason="c",
+                               detail="all normalized coefficients below -2")
+    hinges = [_hinge(n, d) for n, d in rp]
+    for i, (sn, sd) in enumerate(hinges):
+        level = -(-sn // sd) - 1  # the largest integer below the hinge
+        if _all_below(rp, level, (i,)):
+            return SeifertDecision(verdict="YES", reason="c",
+                                   detail=f"coefficient {i + 1} gives integer level {level}")
+    for i, (sn, sd) in enumerate(hinges):
+        for j, (pn, pd) in enumerate(rp):
             if i == j:
                 continue
-            res = n_function(rp[i], rp[j], search_bound)
+            res = _n_core(sn, sd, pn, pd, search_bound)
             if res.kind == "sentinel":
-                return SeifertDecision(
-                    verdict="YES",
-                    reason="c",
-                    detail=f"pair ({i + 1}, {j + 1}) hits the sentinel",
-                    pair=(i + 1, j + 1),
-                    n_result=res,
-                )
-            others = [rp[t] for t in range(k) if t not in (i, j)]
-            if res.witness is not None and all(res.exceeds(r) for r in others):
-                return SeifertDecision(
-                    verdict="YES",
-                    reason="c",
-                    detail=f"pair ({i + 1}, {j + 1}) bounds the rest",
-                    pair=(i + 1, j + 1),
-                    n_result=res,
-                )
+                what = "hits the sentinel"
+            elif res.witness is not None and (res.infinite or _all_below(rp, res.value, (i, j))):
+                what = "bounds the rest"
+            else:
+                continue
+            return SeifertDecision(verdict="YES", reason="c", pair=(i + 1, j + 1), n_result=res,
+                                   detail=f"pair ({i + 1}, {j + 1}) {what}")
     return SeifertDecision(verdict="UNKNOWN", detail="no sufficient condition applied")
 
 

@@ -20,6 +20,7 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
+from itertools import compress
 from math import gcd
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from steinkit.front import (
     parse_event_word,
     parse_front,
 )
-from steinkit.presentation import parse_surgery
+from steinkit.numerics import INF, rat
+from steinkit.presentation import SurgeryPresentation, parse_surgery, serialize_surgery
 
 from random_fronts import move_candidates, random_front
 
@@ -256,10 +258,10 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     # the certificate check itself runs, on a search result that is one off
     check = families._check_witness
 
-    def corrupted(res, sn, sd, r2p):
+    def corrupted(res, sn, sd, pn, pd):
         if res.value is not None:
             res = families.NFunctionResult(res.kind, res.value - 1, res.infinite, res.witness)
-        check(res, sn, sd, r2p)
+        check(res, sn, sd, pn, pd)
 
     monkeypatch.setattr(families, "_check_witness", corrupted)
     rc, out, err = run(capsys, "brieskorn", "2", "3", "5", "--orientation", "-")
@@ -910,6 +912,120 @@ def test_family_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
     calls = family_corpus(random.Random(20261019))
     assert len(calls) == 603
     assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == FAMILY_CORPUS
+
+
+def random_surgery(rng, integral):
+    """A presentation drawn as tests/random_presentations.py draws them:
+    flags, rot and tb data, about a fifth l0 unknots, and sometimes a
+    coefficient -1/n with n in 65..80.  An integral one has integer
+    coefficients, its unlinked l0 components last and most rotation
+    numbers known, so that gamma and theta answer."""
+    m = rng.randint(1, 5)
+    coeffs = []
+    for _ in range(m):
+        roll = rng.random()
+        if integral or roll < 0.3:
+            coeffs.append(rat(rng.randint(-3, 3)))
+        elif roll < 0.4:
+            coeffs.append(INF)
+        elif roll < 0.5:
+            coeffs.append(rat(rng.choice((1, -1))))
+        else:
+            coeffs.append(rat(rng.randint(-12, 12), rng.randint(1, 7)))
+    if not integral and rng.random() < 0.4:
+        coeffs[rng.randrange(m)] = rat(-1, rng.randint(65, 80))
+    l0 = [rng.randint(0, 4) == 0 for _ in range(m)]
+    if integral:
+        l0.sort()
+    lk = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            if not (integral and l0[i] and l0[j]):
+                lk[i][j] = lk[j][i] = rng.randint(-2, 2)
+    coeffs = [rat(0) if f else c for f, c in zip(l0, coeffs)]
+    unknot = [f or rng.random() < 0.5 for f in l0]
+    rot = [None if rng.random() < (0.05 if integral else 0.3) else rng.randint(-3, 3)
+           for _ in range(m)]
+    if integral and rng.random() < 0.8:
+        # the parity under which gamma's class is integral: rot_i = q_ii
+        # plus the linking with the l0 sublink, mod 2
+        rot = [None if r is None else 2 * (r // 2) + (c.num + sum(compress(row, l0))) % 2
+               for r, c, row in zip(rot, coeffs, lk)]
+    tb = [None if c.is_infinite or rng.random() < 0.2 else c.num // c.den + rng.randint(1, 3)
+          for c in coeffs]
+    return SurgeryPresentation(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
+
+
+# broken lines for SURGERY files: a bad header, a bad value, an index out
+# of range, a self-linking and a rational tb
+_BROKEN = ["surgery 2", "coeff 1 x", "rot {m1} 0", "lk 1 1 2", "tb 1 1/2"]
+
+
+def _index(rng, m):
+    """A component index, one past the last in about one draw in seven."""
+    return str(rng.randint(1, m + (rng.random() < 0.15)))
+
+
+def surgery_corpus(rng, directory):
+    """Seeded calls of the eight SURGERY verbs on random presentations,
+    some of the files and arguments broken; returns the argv lists, with
+    the files written into directory."""
+    calls = []
+    for k in range(32):
+        p = random_surgery(rng, integral=k % 2 == 0)
+        text = serialize_surgery(p)
+        if rng.random() < 0.1:
+            text += rng.choice(_BROKEN).format(m1=p.m + 1) + "\n"
+        path = directory / f"{k}.surgery"
+        path.write_text(text)
+        f = str(path)
+        calls += [["h1", f], ["expand", f], ["plan", f], ["gamma", f], ["theta", f]]
+        calls.append(["twist", _index(rng, p.m), str(rng.randint(-2, 2)), f])
+        # most dunks and blow-downs pick components they apply to, when there are some
+        meridians = [(str(i + 1), str(j + 1)) for i in range(p.m) for j in range(p.m)
+                     if abs(p.lk[i][j]) == 1 and p.unknot[j]]
+        ones = [str(i + 1) for i, c in enumerate(p.coeffs)
+                if p.unknot[i] and abs(c.num) == c.den == 1]
+        roll = rng.random()
+        if roll < 0.4 and meridians:
+            calls.append(["dunk", *rng.choice(meridians), f])
+        elif roll < 0.6:
+            calls.append(["dunk", _index(rng, p.m), _index(rng, p.m), f])
+        elif roll < 0.9:
+            i = _index(rng, p.m)
+            calls.append(["dunk", i, "--inverse", rng.choice(("-1/2", "3", "inf", "0", "x")), f])
+        else:
+            calls.append(["dunk", _index(rng, p.m), f])  # neither a meridian nor --inverse
+        one = rng.choice(ones) if ones and rng.random() < 0.7 else _index(rng, p.m)
+        calls.append(["blowdown", one, f])
+        if p.m > 1 and rng.random() < 0.3:
+            calls.append(["gamma", "--sublink", " ".join(_index(rng, p.m) for _ in range(2)), f])
+    # n unlinked unknots framed -2, n in 65..80: 2^n characteristic
+    # sublinks, past the cap of gamma's listing
+    for k in range(3):
+        n = rng.randint(65, 80)
+        lines = ["surgery 1", f"components {n}"]
+        lines += [f"coeff {i} -2\nunknot {i}\nrot {i} 0\ntb {i} -1" for i in range(1, n + 1)]
+        path = directory / f"wide{k}.surgery"
+        path.write_text("\n".join(lines) + "\n")
+        f = str(path)
+        calls += [["h1", f], ["gamma", f], ["gamma", "--sublink", "1 2", f], ["theta", f],
+                  ["plan", f], ["blowdown", "1", f]]
+    return calls
+
+
+# recorded when the corpus was added; gamma --sublink on the three wide
+# files exits 2 with the 64 cap of smith_normal_form (ROADMAP item 2)
+SURGERY_CORPUS = (
+    {0: 161, 2: 115, 1: 4},
+    "802abd4c7af124e855d5af0bf5775abf2b7b389f21f256d74f7873b1afa4941b",
+)
+
+
+def test_surgery_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
+    calls = surgery_corpus(random.Random(20261021), tmp_path)
+    assert len(calls) == 280
+    assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == SURGERY_CORPUS
 
 
 def test_byte_determinism(capsys, theta_example):

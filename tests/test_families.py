@@ -518,7 +518,7 @@ def _reference_n_function(r1p, r2p, search_bound=100):
         infinite=best_infinite,
         witness=best_witness,
     )
-    _check_witness(out, s.num, s.den, r2p)
+    _check_witness(out, s.num, s.den, r2p.num, r2p.den)
     return out
 
 
@@ -534,7 +534,7 @@ def _box_n_function(r1p, r2p, search_bound=100):
     _check_slope(r1p, "first coefficient")
     _check_slope(r2p, "second coefficient")
     _check_search_bound(search_bound)
-    sn, sd = _hinge(r1p)
+    sn, sd = _hinge(r1p.num, r1p.den)
     pn, pd = r2p.num, r2p.den
     if (sn, sd) == (pn, pd):
         return NFunctionResult(kind="sentinel")
@@ -581,7 +581,7 @@ def _box_n_function(r1p, r2p, search_bound=100):
     out = NFunctionResult(
         kind="bound", value=best_value, infinite=best_infinite, witness=MobiusMap(*best_row)
     )
-    _check_witness(out, sn, sd, r2p)
+    _check_witness(out, sn, sd, pn, pd)
     return out
 
 
@@ -697,7 +697,7 @@ def test_pair_function_matches_the_box_at_a_huge_bound():
 def _stern_brocot_steps(r1p, r2p):
     """Mediants the Stern-Brocot descent visits on its way from
     [floor(t), floor(t) + 1] to t = g(r2p), and t's partial quotients."""
-    s = rat(*_hinge(r1p))
+    s = rat(*_hinge(r1p.num, r1p.den))
     _, x, y = _bezout(s.num, s.den)
     t = mobius_apply(MobiusMap(s.num, -s.den, y, x), r2p)  # r -> (y + x r) / (sn - sd r) = g(r)
     quotients = []
@@ -766,7 +766,7 @@ def _reference_row(a, b, sn, sd, pn, pd):
 @example(INF, rat(-10**4))
 @settings(max_examples=300, deadline=None)
 def test_every_walk_row_is_the_reference_row(r1p, r2p):
-    sn, sd = _hinge(r1p)
+    sn, sd = _hinge(r1p.num, r1p.den)
     pn, pd = r2p.num, r2p.den
     assume((sn, sd) != (pn, pd))
     rows = list(_farey_rows(sn, sd, pn, pd))
@@ -802,8 +802,18 @@ def sphere_e0_minus_one(draw):
 @settings(max_examples=40, deadline=None)
 def test_decide_seifert_same_with_reference(sd, bound):
     fast = decide_seifert(sd, bound)
-    with patch.object(families, "n_function", _reference_n_function):
+    calls = Counter()
+
+    def reference_core(hn, hd, pn, pd, search_bound):
+        # the hinge hn/hd is that of r1p = -hn/(hn + hd), and of inf for (-1, 1)
+        calls["core"] += 1
+        r1p = INF if (hn, hd) == (-1, 1) else rat(-hn, hn + hd)
+        return _reference_n_function(r1p, ExtRational(pn, pd), search_bound)
+
+    with patch.object(families, "_n_core", reference_core):
         assert decide_seifert(sd, bound) == fast
+    # the reference search ran on every example that reaches the pair rule
+    assert (calls["core"] > 0) == (fast.pair is not None or fast.verdict == "UNKNOWN")
 
 
 def test_pair_function_builds_constant_objects(monkeypatch):
@@ -831,9 +841,9 @@ def test_pair_function_builds_constant_objects(monkeypatch):
 
 def test_check_witness_rejects_corrupted_results():
     for r1p, r2p in [(rat(-2), rat(-7, 2)), (rat(-2), rat(-3, 2))]:
-        sn, sd = _hinge(r1p)
+        sn, sd = _hinge(r1p.num, r1p.den)
         res = n_function(r1p, r2p, 30)
-        _check_witness(res, sn, sd, r2p)
+        _check_witness(res, sn, sd, r2p.num, r2p.den)
         kind, w = res.kind, res.witness
         if res.infinite:
             bad = [NFunctionResult(kind, -3, False, w)]
@@ -845,7 +855,7 @@ def test_check_witness_rejects_corrupted_results():
         bad.append(NFunctionResult(kind, res.value, res.infinite, MobiusMap(1, 0, 0, 1)))
         for b in bad:
             with pytest.raises(InternalError, match="internal"):
-                _check_witness(b, sn, sd, r2p)
+                _check_witness(b, sn, sd, r2p.num, r2p.den)
 
 
 def _reference_witness_bound(w, s, r2p):
@@ -947,7 +957,7 @@ def witness_cases(draw):
 def test_int_check_witness_matches_the_reference(case):
     res, s, r2p = case
     want = _check_outcome(_reference_check_witness, res, s, r2p)
-    assert _check_outcome(_check_witness, res, s.num, s.den, r2p) == want
+    assert _check_outcome(_check_witness, res, s.num, s.den, r2p.num, r2p.den) == want
 
 
 def test_certificate_checks_survive_optimize_flag():
@@ -957,7 +967,7 @@ def test_certificate_checks_survive_optimize_flag():
         "res = n_function(rat(-2), rat(-7, 2), 30)\n"
         "bad = NFunctionResult(res.kind, res.value - 1, res.infinite, res.witness)\n"
         "try:\n"
-        "    _check_witness(bad, *_hinge(rat(-2)), rat(-7, 2))\n"
+        "    _check_witness(bad, *_hinge(-2, 1), -7, 2)\n"
         "except InternalError as e:\n"
         "    print(e)\n"
     )
@@ -1127,7 +1137,8 @@ def test_exceeds_matches_the_reference(value, kind, r):
 
 
 def test_rules_settled_in_closed_form_build_only_the_normal_form(monkeypatch):
-    # rules a, b and c before the pair search build e and the finite r'_i
+    # rules a, b and c before the pair search build no ExtRational: they
+    # read e0 and the r'_i as int pairs from the normalization's int pass
     rng = random.Random(7)
     cases = []
     for n in range(600):
@@ -1157,10 +1168,64 @@ def test_rules_settled_in_closed_form_build_only_the_normal_form(monkeypatch):
         counts.clear()
         d = decide_seifert(sd, 5)
         assert d.verdict == "YES" and d.pair is None
-        assert counts["ExtRational"] <= len(sd.coefficients) + 1
+        assert counts["ExtRational"] == 0
         details[d.detail.split()[0] if d.reason == "c" else d.reason] += 1
     # rule a, rule b, and each closed form of rule c
     assert set(details) == {"a", "b", "only", "all", "coefficient"}
+
+
+def test_decide_seifert_builds_no_extrational_and_one_map_per_searched_pair(monkeypatch):
+    # one case for each path: rules a and b, the three closed forms, the
+    # sentinel, a pair's finite and infinite bounds and UNKNOWN; then
+    # random sphere-base data with e0 = -1, inf among the r'_i, so the
+    # pair search runs often
+    cases = [SeifertData(True, 1, [rat(-2)]), sphere((2,), (3,), (5,)), sphere((2,), (-2,)),
+             sphere((3, 2), (-3,), (-4,)), sphere((2,), (-4,), (-4,)),
+             sphere((-2,), (-2,), (5, 3)), brieskorn(2, 3, 7, 1), brieskorn(2, 3, 5, -1),
+             sphere((-2,), (3, 2), (-3, 2))]
+    rng = random.Random(36)
+    for _ in range(300):
+        k = rng.randint(3, 5)
+        floors = [rng.randint(-1, 1) for _ in range(k - 1)]
+        dens = [rng.randint(2, 9) for _ in range(k)]
+        coeffs = [-(rat(f) + rat(rng.randint(1, a - 1), a)).reciprocal()
+                  for f, a in zip(floors + [-1 - sum(floors)], dens)]
+        cases.append(SeifertData(True, 0, coeffs + [INF] * (rng.random() < 0.2)))
+    counts = Counter()
+    for cls in (ExtRational, MobiusMap):
+        real = cls.__post_init__
+
+        def counting(obj, real=real, name=cls.__name__):
+            counts[name] += 1
+            real(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    real_core = families._n_core
+
+    def counting_core(*args):
+        res = real_core(*args)
+        counts["pairs"] += 1
+        counts["witnesses"] += res.witness is not None
+        return res
+
+    monkeypatch.setattr(families, "_n_core", counting_core)
+    paths = Counter()
+    for n, sd in enumerate(cases):
+        for bound in (3, 50):
+            counts.clear()
+            d = decide_seifert(sd, bound)
+            assert counts["ExtRational"] == 0
+            # the witness of each searched pair, none for a sentinel or an empty search
+            assert counts["MobiusMap"] == counts["witnesses"] <= counts["pairs"]
+            if n == 7:  # the open case: every one of its six pairs has a witness
+                assert counts["MobiusMap"] == counts["pairs"] == 6
+            kind = d.n_result and ("inf" if d.n_result.infinite else d.n_result.kind)
+            paths[d.reason, d.detail.split()[0], kind] += 1
+    assert set(paths) == {
+        ("a", "base", None), ("b", "e0", None), ("c", "only", None), ("c", "all", None),
+        ("c", "coefficient", None), ("c", "pair", "sentinel"), ("c", "pair", "bound"),
+        ("c", "pair", "inf"), (None, "no", None),
+    }
 
 
 # ---------------------------------------------------------------------------

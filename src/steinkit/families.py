@@ -443,6 +443,8 @@ class BorromeanCoeffs(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.r1) is ExtRational and type(self.r2) is ExtRational and type(self.r3) is ExtRational:
+            return
         for i, r in enumerate(self.as_tuple()):
             if not isinstance(r, ExtRational):
                 raise FamilyError(f"coefficient {i + 1} is not an ExtRational")
@@ -454,29 +456,45 @@ class BorromeanCoeffs(Frozen):
 def borromean_membership(c: BorromeanCoeffs) -> tuple[bool, bool, bool]:
     """Exact membership in the three exceptional coefficient regions.
 
-    Each r = n/d (d > 0) is tested by cross-multiplied integer
-    inequalities, and floor(-1/r) for r < 0 is d // -n.  The regions
-    hold points with 0, 2 and 3 negative coordinates.
+    With r_i = n_i/d_i (d_i > 0) and f_i = floor(-1/r_i) for r_i < 0:
+      - A0: every r_i in [1, 4), so no coordinate is negative;
+      - A2: exactly two negative coordinates, one r in [-1/3, 0) and the
+        other in [-2 floor(-1/r) - 1, -6);
+      - A3: all three negative, each r_k >= -2 (f_i + f_j + 1) for
+        {i, j, k} = {1, 2, 3}, except inside [-6, 0)^3 with two
+        coordinates in [-1, 0).
+    The regions are disjoint, so one int pass counts the negative
+    coordinates and runs only the test that count allows; one negative
+    coordinate lies in none.  The inequalities are cross-multiplied and
+    f_i is d_i // -n_i.  An infinite coefficient raises FamilyError.
     """
-    rs = [(r.num, r.den) for r in c.as_tuple()]
-    if any(d == 0 for _, d in rs):
+    r1, r2, r3 = c.r1, c.r2, c.r3
+    n1, d1, n2, d2, n3, d3 = r1.num, r1.den, r2.num, r2.den, r3.num, r3.den
+    if not (d1 and d2 and d3):
         raise FamilyError("membership needs finite coefficients, got infinity")
-    neg = [(n, d) for n, d in rs if n < 0]
-    in_a0 = not neg and all(d <= n < 4 * d for n, d in rs)
-    # one negative r in [-1/3, 0), the other in [-2 floor(-1/r) - 1, -6)
-    in_a2 = len(neg) == 2 and any(
-        -d2 <= 3 * n2 and (-2 * (d2 // -n2) - 1) * d3 <= n3 < -6 * d3
-        for (n2, d2), (n3, d3) in (neg, neg[::-1])
+    neg = (n1 < 0) + (n2 < 0) + (n3 < 0)
+    if neg == 0:
+        return d1 <= n1 < 4 * d1 and d2 <= n2 < 4 * d2 and d3 <= n3 < 4 * d3, False, False
+    if neg == 2:
+        if n1 >= 0:
+            n1, d1 = n3, d3
+        elif n2 >= 0:
+            n2, d2 = n3, d3
+        # the two negatives are n1/d1 and n2/d2, in either role
+        return False, (
+            -d1 <= 3 * n1 and (-2 * (d1 // -n1) - 1) * d2 <= n2 < -6 * d2
+            or -d2 <= 3 * n2 and (-2 * (d2 // -n2) - 1) * d1 <= n1 < -6 * d1
+        ), False
+    if neg == 1:
+        return False, False, False
+    # all three are negative: the A3 exception, then its bounds
+    if -6 * d1 <= n1 and -6 * d2 <= n2 and -6 * d3 <= n3 and (-d1 <= n1) + (-d2 <= n2) + (-d3 <= n3) >= 2:
+        return False, False, False
+    f1, f2, f3 = d1 // -n1, d2 // -n2, d3 // -n3
+    return False, False, (
+        -2 * (f2 + f3 + 1) * d1 <= n1 and -2 * (f1 + f3 + 1) * d2 <= n2
+        and -2 * (f1 + f2 + 1) * d3 <= n3
     )
-    in_a3 = len(neg) == 3
-    if in_a3:
-        fl = [d // -n for n, d in rs]
-        # r_k >= -2 (floor(-1/r_i) + floor(-1/r_j) + 1) for {i, j, k} = {1, 2, 3}
-        in_a3 = all(-2 * (sum(fl) - f + 1) * d <= n for (n, d), f in zip(rs, fl))
-        # except inside [-6, 0)^3 with two coordinates in [-1, 0)
-        if all(-6 * d <= n for n, d in rs) and sum(-d <= n for n, d in rs) >= 2:
-            in_a3 = False
-    return in_a0, in_a2, in_a3
 
 
 class BorromeanDecision(Frozen):

@@ -21,13 +21,12 @@ from .numerics import (
     InternalError,
     SmithForm,
     _bordered_congruence,
-    first_asymmetry,
     mat_vec,
     rat,
     smith_normal_form,
     solve_gf2_affine,
 )
-from .rational import int_entries
+from .rational import _first_asymmetry, int_entries
 from .surgery import SurgeryPresentation, cokernel
 
 
@@ -70,7 +69,7 @@ class SteinPresentation(Frozen):
         for i, row in enumerate(q):
             if len(row) != m:
                 raise InvariantError(f"framing matrix row {i + 1} has length {len(row)}, want {m}")
-        bad = first_asymmetry(q)
+        bad = _first_asymmetry(q, True)
         if bad is not None:
             raise InvariantError(f"framing matrix is not symmetric at ({bad[0] + 1}, {bad[1] + 1})")
         for h, row in enumerate(runs):

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .rational import (  # the scalars, re-exported
     INF, ZERO, ContinuedFraction, ExtRational, Frozen, InternalError, MobiusMap, NumericsError,
-    first_asymmetry, int_entries, neg_continued_fraction, parse_int, parse_rational, rat,
+    _first_asymmetry, first_asymmetry, int_entries, neg_continued_fraction, parse_int, parse_rational, rat,
 )
 
 
@@ -305,7 +305,7 @@ def inertia(matrix) -> tuple[int, int, int]:
                 raise NumericsError(f"inertia needs int or Fraction entries, got {v!r}")
         scale = lcm(*{v.denominator for row in matrix for v in row})
         m = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
-    if first_asymmetry(m) is not None:
+    if _first_asymmetry(m, True) is not None:
         raise NumericsError("inertia needs a symmetric matrix")
     return _bordered_congruence(m, [0] * n, [0] * n)[:3]
 

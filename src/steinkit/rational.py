@@ -378,7 +378,13 @@ def first_asymmetry(matrix) -> tuple[int, int] | None:
     """The first (i, j), j < i in row-major order, where a square matrix
     differs from its transpose; None when it is symmetric.  Plain ints are
     compared row against column at C speed; other entries (nan) by the scan."""
-    if set(map(type, chain.from_iterable(matrix))) <= {int} and [*map(tuple, matrix)] == [*zip(*matrix)]:
+    return _first_asymmetry(matrix, set(map(type, chain.from_iterable(matrix))) <= {int})
+
+
+def _first_asymmetry(matrix, ints: bool) -> tuple[int, int] | None:
+    """first_asymmetry for a caller that has already scanned the entry
+    types: ints says that every entry is a plain int."""
+    if ints and [*map(tuple, matrix)] == [*zip(*matrix)]:
         return None
     n = len(matrix)
     return next(

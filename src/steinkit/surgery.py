@@ -16,7 +16,7 @@ from itertools import chain
 from math import prod
 
 from .rational import (
-    ZERO, ExtRational, Frozen, _read_records, first_asymmetry, int_entries, parse_int, parse_rational,
+    ZERO, ExtRational, Frozen, _first_asymmetry, _read_records, int_entries, parse_int, parse_rational,
 )
 
 
@@ -34,7 +34,8 @@ class SurgeryPresentation(Frozen):
 
     Presentations are frozen: every field is stored as a tuple (lk as a
     tuple of rows), empty flag fields are filled with their defaults, the
-    rows of lk are read by int_entries once the matrix is known symmetric,
+    entry types of lk are scanned once and, unless all are plain ints, its
+    rows are read by int_entries once the matrix is known symmetric,
     a bool (or other int subclass) rot or tb is stored as the plain int it
     equals, and the data is validated once, on construction; delete, the
     rewrites and surger_handles build from validated values by
@@ -69,11 +70,15 @@ class SurgeryPresentation(Frozen):
                     f"linking matrix has nonzero diagonal at component {i + 1}; "
                     "framings belong in coeffs"
                 )
-        bad = first_asymmetry(self.lk)
+        ints = set(map(type, chain.from_iterable(self.lk))) <= {int}
+        bad = _first_asymmetry(self.lk, ints)
         if bad is not None:
             raise PresentationError(f"linking matrix asymmetric at ({bad[0] + 1}, {bad[1] + 1})")
-        d["lk"] = tuple(int_entries(row, lambda i, v: PresentationError("linking numbers must be integers"))
-                        for row in self.lk)
+        if not ints:
+            d["lk"] = tuple(
+                int_entries(row, lambda i, v: PresentationError("linking numbers must be integers"))
+                for row in self.lk
+            )
         if not set(map(type, chain(self.rot, self.tb))) <= {int, type(None)}:
             for name in ("rot", "tb"):
                 values = getattr(self, name)

@@ -1,14 +1,19 @@
-"""A behaviour digest of the families layer, for refactors to quote.
+"""Behaviour digests of two library layers, for refactors to quote.
 
     PYTHONPATH=src python3 tests/differential.py
 
-prints one SHA-256 over the outputs of seeded calls of
-seifert_normalize, decide_seifert, n_function, brieskorn and the
-Borromean deciders, with the message of every FamilyError among them.
+prints one SHA-256 per layer:
+  - families: the outputs of seeded calls of seifert_normalize,
+    decide_seifert, n_function, brieskorn and the Borromean deciders,
+    with the message of every FamilyError among them;
+  - rewrites: seeded presentations drawn as tests/random_presentations.py
+    draws them, each with its h1, and the results of expand_rational,
+    rolfsen_twist, slam_dunk, slam_dunk_inverse, blow_down and delete on
+    it, each followed by h1, with the message of every PresentationError.
 The seeds and counts are fixed, so two checkouts that behave alike print
-the same digest and a change in any of those outputs changes it.  It pins
-behaviour, right or wrong; the tests say what is right.  It is a script,
-not a test module: pytest does not collect it.
+the same digests, and a change in any of those outputs changes the digest
+of its layer.  They pin behaviour, right or wrong; the tests say what is
+right.  It is a script, not a test module: pytest does not collect it.
 """
 
 import hashlib
@@ -30,16 +35,27 @@ from steinkit.families import (
     two_component_surgery,
 )
 from steinkit.numerics import INF, rat
+from steinkit.presentation import (
+    PresentationError,
+    SurgeryPresentation,
+    blow_down,
+    expand_rational,
+    h1,
+    rolfsen_twist,
+    slam_dunk,
+    slam_dunk_inverse,
+)
 
 SEED = 20261021
 SEIFERT, PAIRS, BORROMEAN = 30_000, 20_000, 20_000
+PRESENTATIONS = 3_000
 BASES = [(True, 0)] * 6 + [(True, 1), (True, 2), (False, 1), (False, 3)]
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except FamilyError as e:
+    except (FamilyError, PresentationError) as e:
         return ("error", str(e))
 
 
@@ -95,7 +111,7 @@ def borromean_value(rng):
     return rat(rng.randint(-30, 30), rng.randint(1, 6))
 
 
-def records():
+def family_records():
     rng = random.Random(SEED)
     for _ in range(SEIFERT):
         sd, bound = seifert_data(rng), rng.randint(1, 100)
@@ -120,12 +136,81 @@ def records():
                outcome(two_component_surgery, m, c.r1, c.r2))
 
 
+def surgery_coefficient(rng):
+    roll = rng.randrange(4)
+    if roll == 0:
+        return INF
+    if roll == 1:
+        return rat(rng.randint(-3, 3))
+    if roll == 2:
+        return rat(rng.choice((1, -1)))  # blow_down applies to these on unknots
+    return rat(rng.randint(-12, 12), rng.randint(1, 7))
+
+
+def presentation(rng, max_m=5):
+    """A valid presentation, drawn by the recipe of
+    tests/random_presentations.py: flags, rot and tb data, every tb above
+    its finite coefficient, a coefficient -1/n with n in 65..80 in about
+    half of them, and about a fifth of the components l0 unknots."""
+    m = rng.randint(1, max_m)
+    coeffs = [surgery_coefficient(rng) for _ in range(m)]
+    if rng.random() < 0.5:
+        coeffs[rng.randrange(m)] = rat(-1, rng.randint(65, 80))
+    lk = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            lk[i][j] = lk[j][i] = rng.randint(-2, 2)
+    l0 = [rng.randint(0, 4) == 0 for _ in range(m)]
+    coeffs = [rat(0) if f else c for f, c in zip(l0, coeffs)]
+    unknot = [f or rng.random() < 0.5 for f in l0]
+    rot = [None if rng.random() < 0.5 else rng.randint(-3, 3) for _ in range(m)]
+    tb = [None if c.is_infinite or rng.random() < 0.5 else c.num // c.den + rng.randint(1, 3)
+          for c in coeffs]
+    return SurgeryPresentation(coeffs=coeffs, lk=lk, unknot=unknot, l0=l0, rot=rot, tb=tb)
+
+
+def component(rng, m, base=1):
+    """An index from base, one past the last in about one draw in ten."""
+    return base + (m if rng.random() < 0.1 else rng.randrange(m))
+
+
+def rewrite(name, fn, *args):
+    """The record of one rewrite: its arguments past the presentation, its
+    result or error, and the h1 of the result."""
+    q = outcome(fn, *args)
+    return name, args[1:], q, outcome(h1, q) if isinstance(q, SurgeryPresentation) else None
+
+
+def rewrite_records():
+    rng = random.Random(SEED)
+    for _ in range(PRESENTATIONS):
+        p = presentation(rng)
+        m = p.m
+        i = component(rng, m)
+        meridian = rat(0) if rng.random() < 0.1 else surgery_coefficient(rng)
+        yield "presentation", p, h1(p)
+        yield rewrite("expand_rational", expand_rational, p)
+        yield rewrite("rolfsen_twist", rolfsen_twist, p, i, rng.randint(-2, 2))
+        yield rewrite("slam_dunk", slam_dunk, p, i, component(rng, m))
+        yield rewrite("blow_down", blow_down, p, component(rng, m))
+        yield rewrite("delete", SurgeryPresentation.delete, p, component(rng, m, 0))
+        record = rewrite("slam_dunk_inverse", slam_dunk_inverse, p, i, meridian)
+        yield record
+        if isinstance(record[2], SurgeryPresentation):
+            # the new meridian links only component i, once: dunking it back applies
+            yield rewrite("slam_dunk", slam_dunk, record[2], i, m + 1)
+
+
+LAYERS = {"families": family_records, "rewrites": rewrite_records}
+
+
 def main() -> int:
-    digest, count = hashlib.sha256(), 0
-    for record in records():
-        digest.update(repr(record).encode())
-        count += 1
-    print(f"families: {digest.hexdigest()} ({count} records)")
+    for layer, records in LAYERS.items():
+        digest, count = hashlib.sha256(), 0
+        for record in records():
+            digest.update(repr(record).encode())
+            count += 1
+        print(f"{layer}: {digest.hexdigest()} ({count} records)")
     return 0
 
 

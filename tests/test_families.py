@@ -1458,6 +1458,34 @@ def test_decide_borromean_builds_no_extrational(monkeypatch):
     assert built["ExtRational"] == 0
 
 
+def test_the_borromean_deciders_build_only_their_own_coefficients(monkeypatch):
+    # twist_knot_surgery builds -1/l and -1/m, two_component_surgery -1/m,
+    # and the decision itself nothing
+    params = [(l, m) for l in (-3, -1, 0, 2) for m in (-2, 1, 3)]
+    calls = []
+    for k, (r1, r2, r3) in enumerate(product(_NEAR_EDGES[::3] + [INF], repeat=3)):
+        l, m = params[k % len(params)]
+        calls += [
+            (0, decide_borromean, (BorromeanCoeffs(r1, r2, r3),)),
+            (2, twist_knot_surgery, (l, m, r3)),
+            (1, two_component_surgery, (m, r1, r2)),
+        ]
+    outputs = [fn(*args) for _, fn, args in calls]
+    decisions = [out if fn is decide_borromean else out[1] for out, (_, fn, _) in zip(outputs, calls)]
+    assert {d.verdict for d in decisions} == {"YES", "UNKNOWN"}
+    built = Counter()
+    real = ExtRational.__post_init__
+
+    def counting(obj):
+        built["ExtRational"] += 1
+        real(obj)
+
+    monkeypatch.setattr(ExtRational, "__post_init__", counting)
+    for (want, fn, args), out in zip(calls, outputs):
+        built.clear()
+        assert fn(*args) == out
+        assert built["ExtRational"] == want, (fn.__name__, args)
+
 
 @given(
     st.tuples(st.integers(min_value=4, max_value=15), st.integers(min_value=1, max_value=4)),
@@ -1515,6 +1543,22 @@ def test_membership_fixes_negative_coordinate_count(r1, r2, r3):
         assert negatives == 2
     if in_a3:
         assert negatives == 3
+
+
+
+@given(*[any_coeff.filter(lambda r: not r.is_infinite)] * 3)
+@example(rat(1), rat(2), rat(3))  # A0
+@example(rat(-1, 3), rat(-7), rat(1))  # A2
+@example(rat(-2), rat(-2), rat(-2))  # A3
+@settings(max_examples=300)
+def test_the_reference_regions_are_disjoint_and_gated_by_sign(r1, r2, r3):
+    # borromean_membership runs only the test its count of negative
+    # coordinates allows, so this reads the reference, not that pass
+    regions = _reference_borromean_membership(BorromeanCoeffs(r1, r2, r3))
+    assert sum(regions) <= 1
+    negatives = sum(r < ZERO for r in (r1, r2, r3))
+    for inside, count in zip(regions, (0, 2, 3)):
+        assert not inside or negatives == count
 
 
 def test_borromean_homology():

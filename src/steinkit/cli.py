@@ -60,25 +60,8 @@ def cmd_stats(args) -> list[str]:
             f"r: {s.rot}",
             f"w: {s.writhe}",
             f"lambda: {s.left_cusps}",
+            f"passes: {sum(s.passes)}",
         ]
-    return out
-
-
-def cmd_lint(args) -> list[str]:
-    from .diagram import parity_lint, parse_front
-
-    d = parse_front(_read(args.file))
-    reports = parity_lint(d)
-    out = []
-    for rep in reports:
-        out += [
-            f"component: {rep.component}",
-            f"tb: {rep.tb}",
-            f"r: {rep.rot}",
-            f"passes: {rep.total_passes}",
-            f"parity: {'ok' if rep.ok else 'violated'}",
-        ]
-    out.append(f"ok: {_bool(all(rep.ok for rep in reports))}")
     return out
 
 
@@ -366,8 +349,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     file, num = ("file", {}), {"type": _arg_int}
     search_bound = ("--search-bound", {"type": _arg_int, "default": 100})
     verbs = {  # verb: (command, help, add_argument calls as (name, keywords))
-        "stats": (cmd_stats, "tb, rotation, writhe and cusp counts per component", [file]),
-        "lint": (cmd_lint, "check the passage parity of a front", [file]),
+        "stats": (cmd_stats, "tb, rotation, writhe, cusp and handle-pass counts per component", [file]),
         "check-stein": (cmd_check_stein, "verify every coefficient is tb - 1", [file]),
         "surger": (cmd_surger, "trade 1-handles for 0-framed unknots", [file]),
         "move": (cmd_move, "apply one of the local moves 1-6",

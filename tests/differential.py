@@ -9,7 +9,16 @@ prints one SHA-256 per layer:
   - rewrites: seeded presentations drawn as tests/random_presentations.py
     draws them, each with its h1, and the results of expand_rational,
     rolfsen_twist, slam_dunk, slam_dunk_inverse, blow_down and delete on
-    it, each followed by h1, with the message of every PresentationError.
+    it, each followed by h1, with the message of every PresentationError;
+  - fronts: seeded fronts with handles drawn as tests/random_fronts.py
+    draws them, with coefficients, through component_stats, parity_lint,
+    check_stein_form, surger_handles and serialize_front, and the result
+    of every move candidate and of one stabilisation, each serialized
+    with its component_stats, with the message of every FrontError;
+  - invariants: seeded integer presentations with their l0 components
+    last, each with its h1, Gamma on every characteristic sublink, and
+    theta, or theta_f0_and_d where theta is undefined, with the message
+    of every InvariantError.
 The seeds and counts are fixed, so two checkouts that behave alike print
 the same digests, and a change in any of those outputs changes the digest
 of its layer.  They pin behaviour, right or wrong; the tests say what is
@@ -34,6 +43,27 @@ from steinkit.families import (
     twist_knot_surgery,
     two_component_surgery,
 )
+from steinkit.front import (
+    STEIN,
+    FrontDiagram,
+    FrontError,
+    apply_move,
+    check_stein_form,
+    component_stats,
+    n_components,
+    parity_lint,
+    serialize_front,
+    stabilize,
+    surger_handles,
+)
+from steinkit.invariants import (
+    InvariantError,
+    SteinPresentation,
+    characteristic_sublinks,
+    gamma,
+    theta,
+    theta_f0_and_d,
+)
 from steinkit.numerics import INF, rat
 from steinkit.presentation import (
     PresentationError,
@@ -46,16 +76,19 @@ from steinkit.presentation import (
     slam_dunk_inverse,
 )
 
+from random_fronts import move_candidates, random_front
+
 SEED = 20261021
 SEIFERT, PAIRS, BORROMEAN = 30_000, 20_000, 20_000
 PRESENTATIONS = 3_000
+FRONTS = 3_000
 BASES = [(True, 0)] * 6 + [(True, 1), (True, 2), (False, 1), (False, 3)]
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
-    except (FamilyError, PresentationError) as e:
+        return fn(*args, **kwargs)
+    except (FamilyError, PresentationError, FrontError, InvariantError) as e:
         return ("error", str(e))
 
 
@@ -201,7 +234,81 @@ def rewrite_records():
             yield rewrite("slam_dunk", slam_dunk, record[2], i, m + 1)
 
 
-LAYERS = {"families": family_records, "rewrites": rewrite_records}
+def front(rng):
+    """A random front with up to three handles, each component marked
+    stein, given a rational coefficient or left without one."""
+    d = random_front(rng, max_handles=3, max_slot=3, max_extra=12)
+    coefficients = {}
+    for cid in d.trace.ids:
+        roll = rng.random()
+        if roll < 0.5:
+            coefficients[cid] = STEIN
+        elif roll < 0.9:
+            coefficients[cid] = rat(rng.randint(-6, 4), rng.randint(1, 3))
+    return FrontDiagram(d.slots, d.events, d.orientations, coefficients)
+
+
+def front_rewrite(fn, d, *args, **kwargs):
+    """The rewritten front, serialized, with its component_stats, or the error."""
+    new = outcome(fn, d, *args, **kwargs)
+    return (serialize_front(new), component_stats(new)) if isinstance(new, FrontDiagram) else new
+
+
+def front_records():
+    rng = random.Random(SEED)
+    for _ in range(FRONTS):
+        d = front(rng)
+        # reading the stats first makes every rewrite carry them
+        yield ("front", serialize_front(d), component_stats(d), parity_lint(d), check_stein_form(d),
+               outcome(surger_handles, d))
+        for move, kwargs in move_candidates(d):
+            yield move, kwargs, front_rewrite(apply_move, d, move, **kwargs)
+        cid, direction = rng.randint(1, n_components(d) + 1), rng.choice(("up", "down"))
+        at = None if rng.random() < 0.5 else rng.randint(-1, len(d.events) + 1)
+        yield "stabilize", cid, direction, at, front_rewrite(stabilize, d, cid, direction, at)
+
+
+def stein_surgery(rng, max_m=6):
+    """An integer presentation whose l0 components come last.  Most rot
+    data has the parity Gamma needs, some has not or is missing, and in
+    about one draw in twenty two l0 components link."""
+    m = rng.randint(1, max_m)
+    n1 = rng.randint(0, min(2, m - 1))
+    free = m - n1
+    lk = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            if i < free or rng.random() < 0.05:
+                lk[i][j] = lk[j][i] = rng.randint(-2, 2)
+    coeffs = [rng.randint(-4, 3) if i < free else 0 for i in range(m)]
+    rot = []
+    for i in range(free):
+        roll = rng.random()
+        if roll < 0.05:
+            rot.append(None)
+        else:
+            parity = (coeffs[i] + sum(lk[i][free:])) % 2 if roll < 0.8 else rng.randint(0, 1)
+            rot.append(2 * rng.randint(-1, 1) + parity)
+    return SurgeryPresentation(
+        coeffs=[rat(c) for c in coeffs], lk=lk, unknot=[i >= free for i in range(m)],
+        l0=[i >= free for i in range(m)], rot=rot + [None] * n1, tb=[None] * m,
+    )
+
+
+def invariant_records():
+    rng = random.Random(SEED)
+    for _ in range(PRESENTATIONS):
+        p = stein_surgery(rng)
+        x = outcome(SteinPresentation.from_presentation, p)
+        yield "presentation", p, h1(p), x
+        if isinstance(x, SteinPresentation):
+            yield [(s, outcome(gamma, x, s)) for s in characteristic_sublinks(x)]
+            t = outcome(theta, x)
+            yield "theta", t, theta_f0_and_d(x) if isinstance(t, tuple) else None
+
+
+LAYERS = {"families": family_records, "rewrites": rewrite_records, "fronts": front_records,
+          "invariants": invariant_records}
 
 
 def main() -> int:

@@ -15,6 +15,7 @@ import hashlib
 import importlib
 import os
 import random
+import re
 import resource
 import runpy
 import subprocess
@@ -33,8 +34,11 @@ from steinkit.front import (
     FrontDiagram,
     FrontError,
     apply_move,
+    component_stats,
+    parity_lint,
     parse_event_word,
     parse_front,
+    serialize_front,
 )
 from steinkit.numerics import INF, rat
 from steinkit.presentation import SurgeryPresentation, parse_surgery, serialize_surgery
@@ -105,15 +109,38 @@ def test_stats_trefoil(capsys, trefoil):
         "r: 0",
         "w: 3",
         "lambda: 2",
+        "passes: 0",
     ]
 
 
-def test_lint_trefoil(capsys, trefoil):
-    rc, out, _ = run(capsys, "lint", trefoil)
-    assert rc == 0
-    lines = out.splitlines()
-    assert "parity: ok" in lines
-    assert lines[-1] == "ok: true"
+def test_stats_passes_are_the_unsigned_handle_passes(capsys, tmp_path):
+    # each component's unsigned handle passes, summed: parity_lint's total_passes
+    rng = random.Random(38)
+    seen = set()
+    for k in range(40):
+        d = random_front(rng, max_handles=3, max_slot=3, max_extra=12)
+        path = tmp_path / f"{k}.front"
+        path.write_text(serialize_front(d))
+        rc, out, err = run(capsys, "stats", str(path))
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "component", "tb", "r", "w", "lambda", "passes"
+        ] * len(component_stats(d))
+        passes = [int(line.split()[1]) for line in lines if line.startswith("passes:")]
+        assert passes == [sum(s.passes) for s in component_stats(d)]
+        assert passes == [rep.total_passes for rep in parity_lint(d)]
+        seen.update(passes)
+    assert len(seen) > 3  # the draws reach several counts, not only 0
+
+
+def test_lint_is_not_a_verb(capsys, trefoil):
+    # stats prints the pass counts; lint is refused as any unknown verb
+    # is, by argparse's invalid-choice error
+    rc, out, err = run(capsys, "lint", trefoil)
+    assert (rc, out) == (1, "")
+    assert err == run(capsys, "nonsense", trefoil)[2].replace("'nonsense'", "'lint'")
+    assert err.splitlines()[-1].startswith("steinkit: error: argument verb: invalid choice: 'lint'")
 
 
 def test_check_stein(capsys, trefoil):
@@ -753,7 +780,7 @@ def test_the_functions_the_bench_traces_exist():
 
 
 def front_corpus(rng, directory):
-    """Seeded calls of the six front verbs on random FRONT files, some of
+    """Seeded calls of the five front verbs on random FRONT files, some of
     them broken; returns the argv lists, with the files written into
     directory."""
     # random words seldom admit moves 3 and 4, so the first fronts do
@@ -783,7 +810,7 @@ def front_corpus(rng, directory):
         path = directory / f"{k}.front"
         path.write_text("\n".join(lines) + "\n")
         f = str(path)
-        calls += [["stats", f], ["lint", f], ["check-stein", f], ["surger", f]]
+        calls += [["stats", f], ["check-stein", f], ["surger", f]]
         moves = move_candidates(d)
         applicable = [m for m in moves if applies(d, *m)]
         picks = rng.sample(applicable, min(2, len(applicable))) + rng.sample(moves, min(1, len(moves)))
@@ -815,17 +842,18 @@ def corpus_digest(call, calls, directory):
     return dict(tally), digest.hexdigest()
 
 
-# recorded once move 1 swapped like columns two heights apart, which it had
-# refused as ambiguous; that changed which moves the corpus picks
+# recorded once the lint verb went and stats gained a passes line per
+# component: the corpus lost its 30 lint calls (238 to 208) and every
+# stats report changed; the draws, and so every other call, are as before
 FRONT_CORPUS = (
-    {0: 178, 2: 60},
-    "f55a993a8827ef612874bad34e0d59441d21c6ecbf17af83a53df99cd098203e",
+    {0: 152, 2: 56},
+    "86e6a5d4a439db44b300507b20770a2cee56ff5e6ff741076444f6e7338807b0",
 )
 
 
 def test_front_verbs_reproduce_the_recorded_corpus(capsys, tmp_path):
     calls = front_corpus(random.Random(20261018), tmp_path)
-    assert len(calls) == 238
+    assert len(calls) == 208
     assert corpus_digest(lambda argv: run(capsys, *argv), calls, tmp_path) == FRONT_CORPUS
 
 
@@ -1060,7 +1088,6 @@ def test_closed_stdout_is_a_quiet_success(tmp_path, verb):
 # stand for the two files below.
 VERB_CALLS = {
     "stats": (["@front"], {"diagram"}),
-    "lint": (["@front"], {"diagram"}),
     "check-stein": (["@front"], {"diagram"}),
     "surger": (["@front"], {"diagram", "surgery"}),
     "move": (["2", "--at", "6", "--variant", "birth-above", "@front"], {"diagram", "front"}),
@@ -1239,3 +1266,29 @@ def test_the_one_verb_parser_reads_as_the_full_parser(capsys, monkeypatch, argv)
     full, one = cli.build_parser(), cli.build_parser(argv)
     assert built_verbs(full) == list(VERB_CALLS) and built_verbs(one) == [argv[0]]
     assert parse_outcome(capsys, one, argv) == parse_outcome(capsys, full, argv)
+
+
+def readme_first_column(header):
+    """The code spans in the first column of the README table that starts
+    at the line header, or after it when header is the line above."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    i = lines.index(header)
+    while not lines[i].startswith("|"):
+        i += 1
+    spans = []
+    for row in lines[i + 2 :]:  # past the header row and the separator
+        if not row.startswith("|"):
+            break
+        spans += re.findall(r"`([^`]+)`", re.split(r"(?<!\\)\|", row)[1])  # a cell may hold an escaped "\|"
+    return spans
+
+
+def test_the_readme_verb_tables_name_the_parsers_verbs():
+    verbs = built_verbs(cli.build_parser())
+    named = {
+        span.split()[0]
+        for heading in ("Front verbs:", "Surgery verbs:", "Family verbs (no input file):")
+        for span in readme_first_column(heading)
+    }
+    assert named == set(verbs)
+    assert sorted(readme_first_column("| verbs | steinkit modules loaded |")) == sorted(verbs)

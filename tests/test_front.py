@@ -1,7 +1,8 @@
 import pickle
 import random
 from collections import Counter, defaultdict
-from itertools import accumulate
+from itertools import accumulate, chain, product
+from math import comb
 from unittest import mock
 
 import pytest
@@ -1761,6 +1762,73 @@ def test_isotopy_moves_keep_the_ruling_polynomial():
                     break
                 d = rng.choice(moved)
     assert checked == {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# the Kauffman bracket: a knot-type oracle that reads no crossing sign
+
+
+def kauffman_bracket(d) -> dict:
+    """The Kauffman bracket of a handle-free front, {exponent of A: coefficient}.
+
+    A state smooths every crossing Xp: the A-smoothing drops the column
+    and the B-smoothing puts Rp Lp in its place, and steinkit's own trace
+    counts the loops of the word that is left.  The bracket sums
+    A^(#A - #B) (-A^2 - A^-2)^(loops - 1) over the states.  No crossing
+    sign is read; the mirror image only swaps A and A^-1.
+    """
+    assert not d.slots
+    options = [
+        [((), 1), ((Event("R", e.pos), Event("L", e.pos)), -1)] if e.kind == "X" else [((e,), 0)]
+        for e in d.events
+    ]
+    bracket = defaultdict(int)
+    for state in product(*options):
+        n = n_components(FrontDiagram((), tuple(chain.from_iterable(w for w, _ in state)))) - 1
+        shift = sum(a for _, a in state)
+        for i in range(n + 1):  # (-A^2 - A^-2)^n by the binomial theorem
+            bracket[shift + 4 * i - 2 * n] += (-1) ** n * comb(n, i)
+    return {k: c for k, c in sorted(bracket.items()) if c}
+
+
+@pytest.mark.parametrize(
+    "word, bracket",
+    [
+        ("L1 R1", {0: 1}),
+        (TREFOIL, {-9: -1}),  # one term, as an unknot has: TREFOIL is not a trefoil
+        ("L1 L1 X2 X2 X2 R1 R1", {-7: 1, -3: -1, 5: -1}),  # a trefoil
+        ("L1 L3 X2 X2 R3 R1", {-4: -1, 4: -1}),  # the Hopf link
+    ],
+)
+def test_kauffman_bracket_known_answers(word, bracket):
+    assert kauffman_bracket(front((), word)) == bracket
+
+
+def test_isotopy_moves_and_stabilisations_keep_the_kauffman_bracket():
+    # every applicable move 1-3 and a stabilisation of each component, on
+    # handle-free fronts of at most 8 crossings; a stabilisation changes
+    # the Legendrian type but not the knot type.  Random words seldom
+    # admit move 3, so the first three fronts do.
+    rng = random.Random(38)
+    checked = Counter()
+    fixed = [front((), w) for w in ("L1 L2 X1 X2 X1 R2 R1", "L1 L2 X2 X1 X2 X1 R2 R1", "L1 L3 X2 X3 X2 R2 R1")]
+    for d in chain(fixed, chain.from_iterable(ruled_fronts(rng) for _ in range(25))):
+        if sum(e.kind == "X" for e in d.events) > 8:
+            continue
+        want = kauffman_bracket(d)
+        for move, kwargs in move_candidates(d):
+            if move <= 3:
+                try:
+                    moved = apply_move(d, move, **kwargs)
+                except FrontError:
+                    continue
+                assert kauffman_bracket(moved) == want, (d.events, move, kwargs)
+                checked[move] += 1
+        for cid in d.trace.ids:
+            direction = rng.choice(("up", "down"))
+            assert kauffman_bracket(stabilize(d, cid, direction)) == want, (d.events, cid, direction)
+            checked["stabilize"] += 1
+    assert set(checked) == {1, 2, 3, "stabilize"}, checked
 
 
 # ---------------------------------------------------------------------------

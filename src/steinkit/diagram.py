@@ -108,12 +108,13 @@ class FrontDiagram(Frozen):
     instead of tracing again.  A move or stabilisation never traces: it
     splices the rewritten diagram's trace from its parent's (see
     front._transfer).  Equality and hash read an omitted orientation as
-    +1.  Slot counts are ints (a bool is stored as the int it equals).
-    The derived data (per-component stats and the signed crossing table)
-    is made at most once, on first read, never on construction, by one
-    pass over the trace; but a move or stabilisation of a diagram whose
-    derived data has been read carries it across, updated by the
-    rewrite's window.
+    +1.  Slot counts, component ids and orientations are plain ints: a
+    bool is stored as the int it equals, and any other type is refused.
+    The tally of the columns (derived) and the ComponentStats records made
+    from it (_stats) are cached properties, each made at most once, on
+    first read, never on construction; but a move or stabilisation of a
+    diagram whose tally has been read carries the tally across, updated
+    by the rewrite's window.
     """
 
     def __init__(self, slots: tuple[int, ...], events: tuple[Event, ...],
@@ -153,8 +154,20 @@ class FrontDiagram(Frozen):
 
     @cached_property
     def derived(self) -> _Derived:
-        """Stats and crossing table, computed on first read and kept."""
+        """The tally of the columns, computed on first read and kept."""
         return _front_data(self)
+
+    @cached_property
+    def _stats(self) -> tuple[ComponentStats, ...]:
+        """One ComponentStats per component, made from the tally on first read."""
+        (writhe, left, right, up), runs = self.derived.counts, self.derived.runs
+        none = ((0,) * self.n_handles,) * 2
+        # every cusp turns up or down and _Derived checked left = right, so
+        # rot = (down - up) / 2 = left - up: no parity is left to check
+        return tuple([ComponentStats(
+            c, self.orientations.get(c, 1), left[c], right[c], up[c], left[c] + right[c] - up[c],
+            writhe[c], writhe[c] - left[c], left[c] - up[c], *runs.get(c, none), self.coefficients.get(c),
+        ) for c in range(1, len(writhe))])
 
 
 def _slot_counts(slots) -> tuple[int, ...]:
@@ -166,27 +179,35 @@ def _slot_counts(slots) -> tuple[int, ...]:
     return tuple(map(int, slots))
 
 
+def _plain(v):
+    """v as the plain int it equals where it is an int (a bool too), else v."""
+    return int(v) if isinstance(v, int) else v
+
+
 def _attach(d: FrontDiagram, orientations, coefficients) -> FrontDiagram:
     """Check component data against d's trace and store copies of it on d.
 
     Only for a diagram that was just constructed and has not been handed
-    out, so that building it with its data costs one trace.  Derived data
-    read before this call is dropped, as it used the old data.
+    out, so that building it with its data costs one trace.  A tally or
+    records read before this call are dropped, as they used the old data.
     """
-    orientations, coefficients = dict(orientations), dict(coefficients)
+    # ids and orientations by the int rule: a bool is read as the int it equals
+    orientations = {_plain(cid): _plain(o) for cid, o in dict(orientations).items()}
+    coefficients = {_plain(cid): c for cid, c in dict(coefficients).items()}
     ids = d.trace.ids
     for cid, o in orientations.items():
-        if cid not in ids:
-            raise FrontError(f"orientation given for unknown component {cid}")
-        if o not in (1, -1):
+        if type(cid) is not int or cid not in ids:
+            raise FrontError(f"orientation given for unknown component {cid!r}")
+        if type(o) is not int or o not in (1, -1):
             raise FrontError(f"orientation of component {cid} must be +1 or -1, got {o!r}")
     for cid, c in coefficients.items():
-        if cid not in ids:
-            raise FrontError(f"coefficient given for unknown component {cid}")
+        if type(cid) is not int or cid not in ids:
+            raise FrontError(f"coefficient given for unknown component {cid!r}")
         if c != STEIN and not isinstance(c, ExtRational):
             raise FrontError(f"coefficient of component {cid} must be a rational or 'stein'")
     d.__dict__.update(orientations=orientations, coefficients=coefficients)
     d.__dict__.pop("derived", None)
+    d.__dict__.pop("_stats", None)
     return d
 
 
@@ -228,16 +249,6 @@ class _Trace:
     @property
     def ids(self) -> range:
         return range(1, self.n_components + 1)
-
-    def at(self, t: int, h: int) -> tuple[int, int]:
-        """Component id and traced direction (+1 rightward, -1 leftward) of node (t, h)."""
-        i = self.offset[t] + h - 1
-        return self.comp[i], 1 if self.fwd[i] else -1
-
-    def nodes(self):
-        """((boundary, height), component id) of every node, in node order."""
-        heights = ((t, h) for t, c in enumerate(self.counts) for h in range(1, c + 1))
-        return zip(heights, self.comp)
 
 
 def _check_node_count(n_nodes: int) -> None:
@@ -384,37 +395,19 @@ class ComponentStats(Frozen):
 
 
 class _Derived:
-    """What the readers of a diagram need from its trace and its data:
-    counts, four lists by id (0 unused) of writhe and left, right and up
-    cusps along the orientations; runs, each left-edge component's
-    passages through each handle; cross, each pair (i, j) with i < j
-    whose crossing signs sum to nonzero, with that sum; and stats, one
-    ComponentStats per component, made from these on first read."""
+    """The tally of a diagram's columns along its orientations: counts,
+    four lists by id (0 unused) of writhe and left, right and up cusps;
+    runs, each left-edge component's passages through each handle; and
+    cross, each pair (i, j) with i < j whose crossing signs sum to
+    nonzero, with that sum."""
 
-    __slots__ = ("counts", "runs", "cross", "data", "_stats")
+    __slots__ = ("counts", "runs", "cross")
 
-    def __init__(self, counts, runs, cross, d: FrontDiagram):
-        self.counts = counts
+    def __init__(self, counts, runs, cross):
         if counts[1] != counts[2]:  # left and right cusps
             cid = next(c for c, (a, b) in enumerate(zip(counts[1], counts[2])) if a != b)
             raise InternalError(f"internal: component {cid} has unbalanced cusps")
-        self.runs, self.cross, self._stats = runs, cross, None
-        self.data = d.orientations, d.coefficients, ((0,) * d.n_handles,) * 2
-
-    @property
-    def stats(self) -> tuple[ComponentStats, ...]:
-        if self._stats is None:
-            (writhe, left, right, up), (orientations, coefficients, none) = self.counts, self.data
-            stats = []
-            for c in range(1, len(writhe)):
-                # every cusp turns up or down and __init__ checked left = right, so
-                # rot = (down - up) / 2 = left - up: no parity is left to check
-                stats.append(ComponentStats(
-                    c, orientations.get(c, 1), left[c], right[c], up[c], left[c] + right[c] - up[c],
-                    writhe[c], writhe[c] - left[c], left[c] - up[c], *self.runs.get(c, none),
-                    coefficients.get(c)))
-            self._stats = tuple(stats)
-        return self._stats
+        self.counts, self.runs, self.cross = counts, runs, cross
 
 
 def _front_data(d: FrontDiagram) -> _Derived:
@@ -432,7 +425,7 @@ def _front_data(d: FrontDiagram) -> _Derived:
     flip = [d.orientations.get(cid) == -1 for cid in range(n)]  # reversed against the trace
     *counts, cross = [0] * n, [0] * n, [0] * n, [0] * n, {}
     _tally(enumerate(d.events), tr.offset, tr.comp, tr.fwd, flip, 1, (*counts, cross))
-    return _Derived(counts, _runs(d.slots, tr.comp, tr.fwd, flip), _oriented({}, cross, flip), d)
+    return _Derived(counts, _runs(d.slots, tr.comp, tr.fwd, flip), _oriented({}, cross, flip))
 
 
 def _tally(columns, offset, comp, fwd, flip, s: int, counts) -> None:
@@ -486,7 +479,7 @@ def _runs(slots, comp, fwd, flip) -> dict:
 
 
 def component_stats(d: FrontDiagram) -> list[ComponentStats]:
-    return list(d.derived.stats)
+    return list(d._stats)
 
 
 def n_components(d: FrontDiagram) -> int:
@@ -522,7 +515,7 @@ def parity_lint(d: FrontDiagram) -> list[ParityReport]:
     violation means the diagram data was assembled inconsistently.
     """
     out = []
-    for s in d.derived.stats:
+    for s in d._stats:
         total = sum(s.passes)
         out.append(
             ParityReport(
@@ -549,7 +542,7 @@ class SteinFormReport(Frozen):
 def resolve_coefficients(d: FrontDiagram) -> dict[int, ExtRational]:
     """Surgery coefficient per component, with STEIN resolved to tb - 1."""
     out = {}
-    for s in d.derived.stats:
+    for s in d._stats:
         c = s.coefficient
         if c is None:
             raise FrontError(f"component {s.component} has no surgery coefficient")
@@ -561,7 +554,7 @@ def check_stein_form(d: FrontDiagram) -> SteinFormReport:
     """Verify that every coefficient is the Stein framing tb - 1.  Only the
     coefficients are read: every front has the passage parity (parity_lint)."""
     problems = []
-    for s in d.derived.stats:
+    for s in d._stats:
         c = s.coefficient
         if c is None:
             problems.append(f"component {s.component} has no coefficient")
@@ -586,7 +579,7 @@ def surger_handles(d: FrontDiagram) -> SurgeryPresentation:
     """
     from .surgery import MAX_COMPONENTS, SurgeryPresentation
 
-    stats = d.derived.stats
+    stats = d._stats
     coeffs = resolve_coefficients(d)
     n = len(stats)
     nh = d.n_handles

@@ -64,7 +64,7 @@ def _follow(word, offset, comp, fwd, cid, t, h, right):
 
 def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) -> FrontDiagram:
     """Build the rewritten diagram, splicing its trace from old's and
-    carrying orientations, coefficients and, once read, derived data across.
+    carrying orientations, coefficients and, once read, the tally across.
 
     Every rewrite names the column boundaries it keeps, drops and shifts:
     old boundary t < lo is boundary t of the new word, boundaries in
@@ -85,7 +85,7 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     and turned to run rightward there, as _trace numbers them.
     Only the window's strand counts are stepped; a rewrite that changes
     a strand count sums the node offsets once, any other shares old's.
-    Read derived data is carried (_carry) by counting both windows along
+    A read tally is carried (_carry) by counting both windows along
     old's traced directions, which the kept nodes share.
     """
     slots, events = tuple(slots), tuple(events)  # valid: made from old's by the move
@@ -211,7 +211,7 @@ def _transfer(old: FrontDiagram, slots, events, lo: int, hi: int, shift: int) ->
     new = FrontDiagram._unchecked(slots, events, orientations, coefficients)
     new.__dict__["trace"] = _Trace(counts, offset, comp, bytes(fwd), n_ids - 1, first)
     if derived:
-        new.__dict__["derived"] = _carry(derived, change, flip, runs, perm if renumbered else None, new)
+        new.__dict__["derived"] = _carry(derived, change, flip, runs, perm if renumbered else None)
     return new
 
 
@@ -222,8 +222,8 @@ def _relabel(comp, table):
     return [*map(table.__getitem__, comp)]
 
 
-def _carry(derived: _Derived, change, flip, runs, perm, d: FrontDiagram) -> _Derived:
-    """A rewrite's derived data: its parent's plus change (_tally, by
+def _carry(derived: _Derived, change, flip, runs, perm) -> _Derived:
+    """A rewrite's tally: its parent's plus change (_tally, by
     parent id, with the parent's flip), with runs and ids perm where not
     None; a list the rewrite does not change is shared."""
     *change, cross = change
@@ -235,7 +235,7 @@ def _carry(derived: _Derived, change, flip, runs, perm, d: FrontDiagram) -> _Der
         counts = [[*map(old.__getitem__, back)] for old in counts]
         runs = {perm[c]: r for c, r in runs.items()}
         table = {(min(perm[i], perm[j]), max(perm[i], perm[j])): v for (i, j), v in table.items()}
-    return _Derived(counts, runs, table, d)
+    return _Derived(counts, runs, table)
 
 
 # ---------------------------------------------------------------------------

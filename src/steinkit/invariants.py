@@ -184,13 +184,14 @@ class CokernelClass(Frozen):
     stored as tuples.
     """
 
-    _uncompared = ("representative",)
-
     def __init__(self, coords: tuple[int, ...], orders: tuple[int, ...],
                  representative: tuple[int, ...] = ()):
         d = self.__dict__
         d["coords"], d["orders"], d["representative"] = (
             tuple(coords), tuple(orders), tuple(representative))
+
+    def _key(self) -> tuple:
+        return self.coords, self.orders
 
 
 def _cokernel_class(snf: SmithForm, vec) -> CokernelClass:

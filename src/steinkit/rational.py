@@ -33,20 +33,17 @@ class Frozen:
     stores them (through self.__dict__, or with _set in the most-read
     classes, as on CPython 3.11 a materialised __dict__ slows every later
     attribute read) and ends by calling __post_init__ where the class has
-    one.  Equality (same class only), hash and repr read the fields in
-    order, less the names in _uncompared for equality and hash.  Setting
-    or deleting an attribute raises dataclasses.FrozenInstanceError.
-    A value derived from validated ones is built by _unchecked, which
-    stores its fields and runs neither __init__ nor __post_init__.
+    one.  Repr reads the fields in order; equality (same class only) and
+    hash read _key, the fields in order unless a subclass overrides it.
+    Setting or deleting an attribute raises FrozenInstanceError.  A value
+    derived from validated ones is built by _unchecked, which stores its
+    fields and runs neither __init__ nor __post_init__.
     """
-
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._compared = tuple(n for n in cls._fields if n not in cls._uncompared)
 
     @classmethod
     def _unchecked(cls, *values):
@@ -57,7 +54,7 @@ class Frozen:
         return new
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, n) for n in self._compared])
+        return tuple([getattr(self, n) for n in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -376,14 +373,17 @@ def neg_continued_fraction(r: ExtRational) -> ContinuedFraction:
 
 def first_asymmetry(matrix) -> tuple[int, int] | None:
     """The first (i, j), j < i in row-major order, where a square matrix
-    differs from its transpose; None when it is symmetric.  Plain ints are
-    compared row against column at C speed; other entries (nan) by the scan."""
+    differs from its transpose; None when it is symmetric.  A ragged or
+    non-square matrix is refused.  Plain ints are compared row against
+    column at C speed; other entries (nan) by the scan."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise NumericsError("first_asymmetry needs a square matrix")
     return _first_asymmetry(matrix, set(map(type, chain.from_iterable(matrix))) <= {int})
 
 
 def _first_asymmetry(matrix, ints: bool) -> tuple[int, int] | None:
-    """first_asymmetry for a caller that has already scanned the entry
-    types: ints says that every entry is a plain int."""
+    """first_asymmetry for a caller that has checked that the matrix is
+    square and scanned its entry types: ints says every entry is a plain int."""
     if ints and [*map(tuple, matrix)] == [*zip(*matrix)]:
         return None
     n = len(matrix)

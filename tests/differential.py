@@ -1,4 +1,4 @@
-"""Behaviour digests of two library layers, for refactors to quote.
+"""Behaviour digests of five library layers, for refactors to quote.
 
     PYTHONPATH=src python3 tests/differential.py
 
@@ -18,7 +18,13 @@ prints one SHA-256 per layer:
   - invariants: seeded integer presentations with their l0 components
     last, each with its h1, Gamma on every characteristic sublink, and
     theta, or theta_f0_and_d where theta is undefined, with the message
-    of every InvariantError.
+    of every InvariantError;
+  - scalars: seeded ExtRational arithmetic, order and str, parse_int
+    and parse_rational on good and bad tokens, neg_continued_fraction,
+    MobiusMap with its sign canonicalisation, first_asymmetry,
+    invariant_factors, smith_normal_form (the diagonal and both
+    witnesses), inertia on int and Fraction entries and
+    solve_gf2_affine, with the message of every NumericsError.
 The seeds and counts are fixed, so two checkouts that behave alike print
 the same digests, and a change in any of those outputs changes the digest
 of its layer.  They pin behaviour, right or wrong; the tests say what is
@@ -26,8 +32,10 @@ right.  It is a script, not a test module: pytest does not collect it.
 """
 
 import hashlib
+import operator
 import random
 import sys
+from fractions import Fraction
 from math import gcd
 
 from steinkit.families import (
@@ -64,7 +72,21 @@ from steinkit.invariants import (
     theta,
     theta_f0_and_d,
 )
-from steinkit.numerics import INF, rat
+from steinkit.numerics import (
+    INF,
+    ZERO,
+    MobiusMap,
+    NumericsError,
+    first_asymmetry,
+    inertia,
+    invariant_factors,
+    neg_continued_fraction,
+    parse_int,
+    parse_rational,
+    rat,
+    smith_normal_form,
+    solve_gf2_affine,
+)
 from steinkit.presentation import (
     PresentationError,
     SurgeryPresentation,
@@ -80,15 +102,17 @@ from random_fronts import move_candidates, random_front
 
 SEED = 20261021
 SEIFERT, PAIRS, BORROMEAN = 30_000, 20_000, 20_000
+BRIESKORN = 13  # every Brieskorn triple with entries 1..BRIESKORN
 PRESENTATIONS = 3_000
 FRONTS = 3_000
+SCALARS = 3_000
 BASES = [(True, 0)] * 6 + [(True, 1), (True, 2), (False, 1), (False, 3)]
 
 
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (FamilyError, PresentationError, FrontError, InvariantError) as e:
+    except (FamilyError, PresentationError, FrontError, InvariantError, NumericsError) as e:
         return ("error", str(e))
 
 
@@ -153,9 +177,9 @@ def family_records():
         r1p, r2p = slope(rng), slope(rng)
         bound = rng.choice((rng.randint(0, 60), rng.randint(1, 10**6)))
         yield "n", r1p, r2p, bound, outcome(n_function, r1p, r2p, bound)
-    for p1 in range(1, 14):
-        for p2 in range(1, 14):
-            for p3 in range(1, 14):
+    for p1 in range(1, BRIESKORN + 1):
+        for p2 in range(1, BRIESKORN + 1):
+            for p3 in range(1, BRIESKORN + 1):
                 for orientation in (1, -1):
                     sd = outcome(brieskorn, p1, p2, p3, orientation)
                     yield "brieskorn", p1, p2, p3, orientation, sd
@@ -307,17 +331,129 @@ def invariant_records():
             yield "theta", t, theta_f0_and_d(x) if isinstance(t, tuple) else None
 
 
+# tokens that parse_int or parse_rational reads, and tokens that they refuse
+TOKENS = ["0", "-0", "7", "-12", "007", "+3", "1_0", " 4", "4 ", "\u0663", "", "-", "--1", "inf",
+          "-inf", "INF", "1/2", "3/-4", "-6/4", "1/0", "-1/0", "0/0", "2/", "/3", "1//2", "1/2/3",
+          "1.5", "1e3", "x", "1/x", "9" * 40, "-" + "9" * 40 + "/" + "3" * 30]
+
+
+def scalar(rng):
+    """inf, zero, an int, or a fraction of small or large height."""
+    roll = rng.random()
+    if roll < 0.05:
+        return INF
+    if roll < 0.1:
+        return ZERO
+    if roll < 0.3:
+        return rat(rng.randint(-9, 9))
+    if roll < 0.9:
+        return rat(rng.randint(-40, 40), rng.randint(1, 12))
+    return rat(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+
+
+def token(rng):
+    """A random token of digits, signs, slashes and the odd letter."""
+    return "".join(rng.choice("0123456789-/ix") for _ in range(rng.randint(1, 6)))
+
+
+def unimodular(rng):
+    """Entries of a random determinant-one matrix: a product of shears and
+    a quarter turn, negated in about half the draws."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.3:
+            a, b, c, d = b, -a, d, -c
+        else:
+            k = rng.randint(-4, 4)
+            a, b, c, d = a, b + k * a, c, d + k * c
+    return (a, b, c, d) if rng.random() < 0.5 else (-a, -b, -c, -d)
+
+
+def entry(rng, odd):
+    """A small int, else with probability odd a bool, a Fraction, a float or nan."""
+    if rng.random() < odd:
+        return rng.choice((True, False, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 1.5, float("nan")))
+    return rng.randint(-5, 5)
+
+
+def matrix(rng, odd=0.0):
+    """A random matrix of up to 6 x 6 entries: square in most draws, else
+    rectangular, and ragged in about one draw in ten."""
+    n = rng.randint(0, 6)
+    m = n if rng.random() < 0.6 else rng.randint(0, 6)
+    rows = [[entry(rng, odd) for _ in range(m)] for _ in range(n)]
+    if rows and rng.random() < 0.1:
+        row = rng.choice(rows)
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(entry(rng, odd))
+    return rows
+
+
+def symmetric(rng):
+    """A random symmetric matrix of up to 6 x 6 entries, with Fraction
+    entries in about half the draws, one entry off its mirror in about one
+    draw in ten, and one entry neither an int nor a Fraction in one in
+    thirty."""
+    n, fractions = rng.randint(0, 6), rng.random() < 0.5
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = rng.randint(-5, 5)
+            rows[i][j] = rows[j][i] = Fraction(v, rng.randint(1, 3)) if fractions and rng.random() < 0.5 else v
+    if n > 1 and rng.random() < 0.1:
+        rows[0][n - 1] = entry(rng, 0.3)
+    if n and rng.random() < 1 / 30:
+        rows[n - 1][0] = rng.choice((1.5, float("nan"), "1"))
+    return rows
+
+
+def scalar_records():
+    rng = random.Random(SEED)
+    for text in TOKENS + [token(rng) for _ in range(200)]:
+        yield "parse", text, outcome(parse_int, text), outcome(parse_rational, text)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    order = (operator.lt, operator.le, operator.gt, operator.ge)
+    for _ in range(SCALARS):
+        a, b, k = scalar(rng), scalar(rng), rng.randint(-3, 3)
+        yield ("ExtRational", a, b, k, str(a), -a, outcome(a.reciprocal),
+               [outcome(op, a, b) for op in ops], [outcome(op, a, k) for op in ops],
+               outcome(operator.add, k, a), outcome(operator.mul, k, a), [outcome(op, a, b) for op in order],
+               a == b, a == k, hash(a) == hash(b))
+        yield "neg_continued_fraction", a, outcome(neg_continued_fraction, a)
+        entries = unimodular(rng)
+        if rng.random() < 0.1:
+            entries = (*entries[:3], rng.choice((entries[3] + 1, 1.0, True)))
+        f = outcome(MobiusMap, *entries)
+        yield "MobiusMap", entries, f, str(f), f == outcome(MobiusMap, *(-e for e in entries))
+        m = matrix(rng, odd=0.1)
+        yield "first_asymmetry", m, outcome(first_asymmetry, m)
+        m = matrix(rng, odd=0.02)
+        yield "smith_normal_form", m, outcome(invariant_factors, m), outcome(smith_normal_form, m)
+        q = symmetric(rng)
+        yield "inertia", q, outcome(inertia, q)
+        m = matrix(rng, odd=0.02)
+        rhs = [rng.randint(0, 1) for _ in range(len(m) + (rng.random() < 0.05))]
+        yield "solve_gf2_affine", m, rhs, outcome(solve_gf2_affine, m, rhs)
+
+
 LAYERS = {"families": family_records, "rewrites": rewrite_records, "fronts": front_records,
-          "invariants": invariant_records}
+          "invariants": invariant_records, "scalars": scalar_records}
+
+
+def digest(records) -> tuple[str, int]:
+    """The SHA-256 of the records' reprs, and how many there were."""
+    h, count = hashlib.sha256(), 0
+    for record in records:
+        h.update(repr(record).encode())
+        count += 1
+    return h.hexdigest(), count
 
 
 def main() -> int:
     for layer, records in LAYERS.items():
-        digest, count = hashlib.sha256(), 0
-        for record in records():
-            digest.update(repr(record).encode())
-            count += 1
-        print(f"{layer}: {digest.hexdigest()} ({count} records)")
+        print("%s: %s (%d records)" % (layer, *digest(records())))
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Random fronts, and the moves to try on them, for the property tests."""
+"""Random fronts, the moves to try on them, and node lookups in their
+traces, for the property tests."""
 
 from steinkit.diagram import _attach
 from steinkit.front import Event, FrontDiagram
@@ -46,3 +47,16 @@ def move_candidates(d: FrontDiagram) -> list[tuple[int, dict]]:
         + [(5, {"at": at}) for at in (1, e)]
         + [(6, {"variant": v, "handle": h}) for v in ("top", "bottom") for h in handles]
     )
+
+
+def trace_at(tr, t: int, h: int) -> tuple[int, int]:
+    """Component id and traced direction (+1 rightward, -1 leftward) of
+    node (t, h) of the trace tr."""
+    i = tr.offset[t] + h - 1
+    return tr.comp[i], 1 if tr.fwd[i] else -1
+
+
+def trace_nodes(tr):
+    """((boundary, height), component id) of every node of the trace tr, in node order."""
+    heights = ((t, h) for t, c in enumerate(tr.counts) for h in range(1, c + 1))
+    return zip(heights, tr.comp)

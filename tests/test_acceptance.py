@@ -52,7 +52,7 @@ from steinkit.presentation import (
     slam_dunk_inverse,
 )
 
-from random_fronts import random_front
+from random_fronts import random_front, trace_at
 
 
 def test_a01_trefoil_and_minimal_unknot():
@@ -130,7 +130,7 @@ def test_a03_moves_preserve_classical_invariants():
             continue
         offset = sum(d.slots[: handle - 1])
         pos = offset + 1 if variant == "top" else offset + d.slots[handle - 1]
-        swung, direction = d.trace.at(0, pos)
+        swung, direction = trace_at(d.trace, 0, pos)
         eps = direction * d.orientation(swung)
         old = {s.component: s for s in component_stats(d)}
         predicted = sorted(

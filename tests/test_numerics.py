@@ -969,6 +969,16 @@ def test_first_asymmetry_leaves_entries_other_than_ints_to_the_scan():
     assert inertia([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]) == (1, 0, 1)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 2], [2]], [[1, 2, 3]], [[0, 1, 5], [1, 0]], [[1], [1, 2]], [[1, 2], [2, 5], [0, 0]],
+    ((0, 1), (1,)), [[0, float("nan")], [float("nan")]],
+])
+def test_first_asymmetry_refuses_a_matrix_that_is_not_square(matrix):
+    # a ragged or non-square matrix has no transpose to compare with
+    with pytest.raises(NumericsError, match="^first_asymmetry needs a square matrix$"):
+        first_asymmetry(matrix)
+
+
 def test_first_asymmetry_scans_rows_in_order():
     assert first_asymmetry([]) is None
     assert first_asymmetry([[1, 2], [2, 5]]) is None
